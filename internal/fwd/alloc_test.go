@@ -171,3 +171,45 @@ func TestFusedInterestStepZeroAlloc(t *testing.T) {
 		t.Errorf("fused interest step: %.2f allocs/run, want 0", n)
 	}
 }
+
+func TestCachedFetchAllocBudget(t *testing.T) {
+	// One fetch answered by R's store on the chain U — R — P: 8 simulator
+	// events, none of which allocates (value-typed heap, handlers bound
+	// at attach time), sizes by arithmetic, header-only Data copies. What
+	// is left is the packets themselves — see DESIGN.md "Packet path
+	// cost" for the list. The budget leaves one or two of slack over the
+	// measured count; ROADMAP's target for EndToEndFetchHit is ≤ 15.
+	sim, consumer, producer := benchTopology(t, nil)
+	name := ndn.MustParseName("/p/hot")
+	d, err := ndn.NewData(name, make([]byte, 1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := producer.Publish(d); err != nil {
+		t.Fatal(err)
+	}
+	answered := 0
+	handler := func(res FetchResult) {
+		if !res.TimedOut && len(res.Data.Payload) == 1024 {
+			answered++
+		}
+	}
+	consumer.FetchName(name, handler) // fills R's store
+	sim.Run()
+	steps, served := sim.Steps(), producer.Served()
+	const runs = 200
+	n := testing.AllocsPerRun(runs, func() {
+		consumer.FetchName(name, handler)
+		sim.Run()
+	})
+	if n > 16 {
+		t.Errorf("cached fetch on U-R-P: %.1f allocs/fetch, want <= 16", n)
+	}
+	// AllocsPerRun runs the function once more to warm up.
+	if answered != runs+2 || producer.Served() != served {
+		t.Fatalf("%d of %d fetches answered, producer served %d after the first", answered, runs+2, producer.Served()-served)
+	}
+	if got := (sim.Steps() - steps) / (runs + 1); got != 8 {
+		t.Errorf("%d simulator events per cached fetch, want 8", got)
+	}
+}

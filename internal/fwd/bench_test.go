@@ -15,7 +15,7 @@ import (
 )
 
 // benchTopology builds consumer — router — producer with fast links.
-func benchTopology(b *testing.B, manager core.CacheManager) (*netsim.Simulator, *Consumer, *Producer) {
+func benchTopology(b testing.TB, manager core.CacheManager) (*netsim.Simulator, *Consumer, *Producer) {
 	b.Helper()
 	sim := netsim.New(1)
 	consumer, producer := benchTopologyOn(b, sim, manager)
@@ -25,7 +25,22 @@ func benchTopology(b *testing.B, manager core.CacheManager) (*netsim.Simulator, 
 // benchTopologyOn builds the same topology on a caller-prepared
 // simulator, so instrumentation (telemetry, span tracing) attached to
 // sim before the call is captured by every node.
-func benchTopologyOn(b *testing.B, sim *netsim.Simulator, manager core.CacheManager) (*Consumer, *Producer) {
+func benchTopologyOn(b testing.TB, sim *netsim.Simulator, manager core.CacheManager) (*Consumer, *Producer) {
+	b.Helper()
+	chain := buildURP(b, sim, manager)
+	return chain.consumer, chain.producer
+}
+
+// urpChain is the chain U — R — P: a consumer on bare host U, a caching
+// router R, a producer for /p on bare host P.
+type urpChain struct {
+	consumer *Consumer
+	router   *Forwarder
+	producer *Producer
+	edge     *netsim.Link // U — R
+}
+
+func buildURP(b testing.TB, sim *netsim.Simulator, manager core.CacheManager) urpChain {
 	b.Helper()
 	router, err := NewRouter(sim, "R", 0, manager)
 	if err != nil {
@@ -40,7 +55,7 @@ func benchTopologyOn(b *testing.B, sim *netsim.Simulator, manager core.CacheMana
 		b.Fatal(err)
 	}
 	cfg := netsim.LinkConfig{Latency: netsim.Fixed(100 * time.Microsecond)}
-	uFace, _, _, err := Connect(sim, host, router, cfg)
+	uFace, _, edge, err := Connect(sim, host, router, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -63,7 +78,7 @@ func benchTopologyOn(b *testing.B, sim *netsim.Simulator, manager core.CacheMana
 	if err != nil {
 		b.Fatal(err)
 	}
-	return consumer, producer
+	return urpChain{consumer: consumer, router: router, producer: producer, edge: edge}
 }
 
 // BenchmarkEndToEndFetchMiss measures a full interest→producer→data

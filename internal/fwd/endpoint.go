@@ -2,6 +2,7 @@ package fwd
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"ndnprivacy/internal/cache"
@@ -18,9 +19,13 @@ type Consumer struct {
 	fwd     *Forwarder
 	faceID  table.FaceID
 	pending map[string][]*pendingFetch
+	// expire is c.timeout bound once, so arming a fetch's lifetime timer
+	// allocates no closure.
+	expire func(arg any)
 }
 
 type pendingFetch struct {
+	key     string // this fetch's key in Consumer.pending
 	sentAt  time.Duration
 	done    bool
 	handler func(FetchResult)
@@ -30,7 +35,10 @@ type pendingFetch struct {
 
 // FetchResult reports the outcome of one fetch.
 type FetchResult struct {
-	// Data is the received content; nil on timeout.
+	// Data is the received content; nil on timeout. Its Payload and
+	// Signature are the bytes the network carried, shared with every
+	// other copy of the packet in flight: read them, copy them, but do
+	// not modify them (see ndn.Data).
 	Data *ndn.Data
 	// RTT is the observed interest→data round-trip time.
 	RTT time.Duration
@@ -47,6 +55,7 @@ func NewConsumer(host *Forwarder) (*Consumer, error) {
 		fwd:     host,
 		pending: make(map[string][]*pendingFetch),
 	}
+	c.expire = c.timeout
 	c.faceID = host.AttachApp(c.deliver)
 	return c, nil
 }
@@ -75,8 +84,8 @@ func (c *Consumer) fetch(interest *ndn.Interest, handler func(FetchResult)) {
 		interest = &cp
 	}
 	sentAt := c.fwd.Sim().Now()
-	p := &pendingFetch{sentAt: sentAt, handler: handler}
 	key := interest.Name.Key()
+	p := &pendingFetch{key: key, sentAt: sentAt, handler: handler}
 
 	// Open the trace root: this interest's admission at the consumer.
 	// The stamped copy propagates the context through the host
@@ -94,15 +103,31 @@ func (c *Consumer) fetch(interest *ndn.Interest, handler func(FetchResult)) {
 	if lifetime <= 0 {
 		lifetime = ndn.DefaultInterestLifetime
 	}
-	c.fwd.schedule(lifetime, netsim.EventTimer, func() {
-		if p.done {
-			return
-		}
-		p.done = true
-		c.fwd.spans.End(p.root, int64(c.fwd.Sim().Now()), "timeout")
-		handler(FetchResult{TimedOut: true, RTT: c.fwd.Sim().Now() - sentAt})
-	})
+	c.fwd.scheduleCall(lifetime, netsim.EventTimer, c.expire, p)
 	c.fwd.SendInterest(c.faceID, interest)
+}
+
+// timeout is the lifetime timer of one fetch (arg is its
+// *pendingFetch): an unanswered fetch leaves the pending set and
+// reports TimedOut; an answered one has nothing left to do.
+func (c *Consumer) timeout(arg any) {
+	p := arg.(*pendingFetch)
+	if p.done {
+		return
+	}
+	p.done = true
+	waiters := c.pending[p.key]
+	if i := slices.Index(waiters, p); i >= 0 {
+		waiters = slices.Delete(waiters, i, i+1)
+	}
+	if len(waiters) == 0 {
+		delete(c.pending, p.key)
+	} else {
+		c.pending[p.key] = waiters
+	}
+	now := c.fwd.Sim().Now()
+	c.fwd.spans.End(p.root, int64(now), "timeout")
+	p.handler(FetchResult{TimedOut: true, RTT: now - p.sentAt})
 }
 
 // FetchName is Fetch for a plain interest with the given name.
@@ -138,12 +163,10 @@ func (c *Consumer) deliver(pkt any) {
 	// Resolve every pending fetch whose name is a prefix of the data
 	// name (the NDN matching rule).
 	for k := 0; k <= data.Name.Len(); k++ {
-		key := data.Name.Prefix(k).Key()
+		prefix := data.Name.Prefix(k)
+		key := prefix.Key()
 		waiters, found := c.pending[key]
-		if !found {
-			continue
-		}
-		if !data.Matches(&ndn.Interest{Name: data.Name.Prefix(k)}) {
+		if !found || !data.MatchesName(prefix) {
 			continue
 		}
 		for _, p := range waiters {
@@ -237,13 +260,15 @@ func (p *Producer) deliver(pkt any) {
 		return // no such content; the interest times out downstream
 	}
 	p.served++
-	data := entry.Data.Clone()
-	// Answer under the requesting interest's span context so the
-	// response leg joins the same trace, and echo the host's PIT token
-	// so its satisfaction resolves by direct table handle.
+	// The answer is a header copy sharing the repository's payload (its
+	// own deep copy, made at Publish). Answer under the requesting
+	// interest's span context so the response leg joins the same trace,
+	// and echo the host's PIT token so its satisfaction resolves by
+	// direct table handle.
+	data := *entry.Data
 	data.TraceID, data.SpanID = interest.TraceID, interest.SpanID
 	data.PITToken = interest.PITToken
 	p.fwd.schedule(p.ResponseDelay, netsim.EventApp, func() {
-		p.fwd.SendData(p.faceID, data)
+		p.fwd.SendData(p.faceID, &data)
 	})
 }

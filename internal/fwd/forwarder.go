@@ -45,12 +45,15 @@ type Executor interface {
 var _ Executor = (*netsim.Simulator)(nil)
 
 // taggedScheduler is the optional executor capability for event-kind
-// tagged scheduling, feeding the simulator's self-profiler.
-// netsim.Simulator implements it; rt.Executor deliberately does not
-// (no event loop to profile). Resolved once at construction so the
-// per-packet cost is one nil check, not a type assertion.
+// tagged scheduling, feeding the simulator's self-profiler, and for
+// closure-free packet events (ScheduleCall: a handler bound once plus
+// the packet as argument). netsim.Simulator implements it; rt.Executor
+// deliberately does not (no event loop to profile). Resolved once at
+// construction so the per-packet cost is one nil check, not a type
+// assertion.
 type taggedScheduler interface {
 	ScheduleTagged(delay time.Duration, kind netsim.EventKind, fn func())
+	ScheduleCall(delay time.Duration, kind netsim.EventKind, call func(any), arg any)
 }
 
 // Config assembles a forwarder.
@@ -202,6 +205,11 @@ type face struct {
 	id table.FaceID
 	// send transmits a packet out of this face.
 	send func(pkt any, size int)
+	// dispatch runs a packet that arrived on this face through the
+	// pipeline. Bound once at attach time, so receiving a packet
+	// schedules it with the packet as argument instead of allocating a
+	// closure per packet.
+	dispatch func(pkt any)
 }
 
 // New builds a forwarder.
@@ -302,9 +310,9 @@ func (f *Forwarder) Sim() Executor { return f.sim }
 // AttachPort connects a network link port as a new face. Packets arriving
 // on the port enter the forwarding pipeline after the processing delay.
 func (f *Forwarder) AttachPort(port *netsim.Port) table.FaceID {
-	id := f.allocFace(func(pkt any, size int) { port.Send(pkt, size) })
-	port.SetHandler(func(pkt any) { f.receive(id, pkt) })
-	return id
+	fc := f.allocFace(port.Send)
+	port.SetHandler(func(pkt any) { f.receive(fc, pkt) })
+	return fc.id
 }
 
 // AttachApp connects a local application as a face. deliver is called
@@ -314,8 +322,8 @@ func (f *Forwarder) AttachPort(port *netsim.Port) table.FaceID {
 // take nonzero virtual time (the sub-millisecond RTTs of Figure 3(d)).
 func (f *Forwarder) AttachApp(deliver func(pkt any)) table.FaceID {
 	return f.allocFace(func(pkt any, _ int) {
-		f.schedule(f.delay, netsim.EventApp, func() { deliver(pkt) })
-	})
+		f.scheduleCall(f.delay, netsim.EventApp, deliver, pkt)
+	}).id
 }
 
 // schedule defers fn by delay, tagging the event for the
@@ -328,6 +336,18 @@ func (f *Forwarder) schedule(delay time.Duration, kind netsim.EventKind, fn func
 	f.sim.Schedule(delay, fn)
 }
 
+// scheduleCall defers call(arg) by delay. On the simulator this is the
+// per-packet form of schedule: call is a handler bound once and arg
+// the packet, so the event allocates nothing. Executors without the
+// capability get the equivalent closure.
+func (f *Forwarder) scheduleCall(delay time.Duration, kind netsim.EventKind, call func(any), arg any) {
+	if f.tagged != nil {
+		f.tagged.ScheduleCall(delay, kind, call, arg)
+		return
+	}
+	f.sim.Schedule(delay, func() { call(arg) })
+}
+
 // AttachCustom registers a face with a caller-supplied transmit function
 // and returns the face ID plus an inject function that delivers packets
 // (*ndn.Interest / *ndn.Data) into the forwarding pipeline as if they
@@ -336,8 +356,8 @@ func (f *Forwarder) schedule(delay time.Duration, kind netsim.EventKind, fn func
 // connections. The inject function calls Executor.Schedule, so with a
 // real-time executor it is safe from any goroutine.
 func (f *Forwarder) AttachCustom(send func(pkt any, size int)) (table.FaceID, func(pkt any)) {
-	id := f.allocFace(send)
-	return id, func(pkt any) { f.receive(id, pkt) }
+	fc := f.allocFace(send)
+	return fc.id, func(pkt any) { f.receive(fc, pkt) }
 }
 
 // RemoveFace detaches a face. Pending FIB entries naming it become inert
@@ -347,11 +367,13 @@ func (f *Forwarder) RemoveFace(id table.FaceID) {
 	delete(f.faces, id)
 }
 
-func (f *Forwarder) allocFace(send func(pkt any, size int)) table.FaceID {
+func (f *Forwarder) allocFace(send func(pkt any, size int)) *face {
 	f.nextFace++
 	id := f.nextFace
-	f.faces[id] = &face{id: id, send: send}
-	return id
+	fc := &face{id: id, send: send}
+	fc.dispatch = func(pkt any) { f.dispatch(id, pkt) }
+	f.faces[id] = fc
+	return fc
 }
 
 // RegisterPrefix routes the prefix toward the given faces.
@@ -367,25 +389,40 @@ func (f *Forwarder) RegisterPrefix(prefix ndn.Name, faces ...table.FaceID) error
 // SendInterest injects an interest from a local application face into the
 // pipeline, paying the node's processing delay.
 func (f *Forwarder) SendInterest(from table.FaceID, interest *ndn.Interest) {
-	f.schedule(f.delay, netsim.EventForward, func() { f.handleInterest(from, interest) })
+	f.inject(from, interest)
 }
 
 // SendData injects a Data packet from a local application face (i.e., the
 // application is a producer answering an interest).
 func (f *Forwarder) SendData(from table.FaceID, data *ndn.Data) {
-	f.schedule(f.delay, netsim.EventForward, func() { f.handleData(from, data) })
+	f.inject(from, data)
 }
 
-// receive dispatches one packet arriving from the network.
-func (f *Forwarder) receive(from table.FaceID, pkt any) {
-	f.schedule(f.delay, netsim.EventForward, func() {
-		switch p := pkt.(type) {
-		case *ndn.Interest:
-			f.handleInterest(from, p)
-		case *ndn.Data:
-			f.handleData(from, p)
-		}
-	})
+// inject is receive for callers that hold only the face ID.
+func (f *Forwarder) inject(from table.FaceID, pkt any) {
+	if fc, found := f.faces[from]; found {
+		f.receive(fc, pkt)
+		return
+	}
+	// A face that was never attached (or already removed) has no bound
+	// handler; the packet still enters the pipeline under that ID.
+	f.schedule(f.delay, netsim.EventForward, func() { f.dispatch(from, pkt) })
+}
+
+// receive queues one packet arriving on fc for the pipeline, after the
+// node's processing delay.
+func (f *Forwarder) receive(fc *face, pkt any) {
+	f.scheduleCall(f.delay, netsim.EventForward, fc.dispatch, pkt)
+}
+
+// dispatch runs one arrived packet through the pipeline.
+func (f *Forwarder) dispatch(from table.FaceID, pkt any) {
+	switch p := pkt.(type) {
+	case *ndn.Interest:
+		f.handleInterest(from, p)
+	case *ndn.Data:
+		f.handleData(from, p)
+	}
 }
 
 // ProbeWire classifies an encoded Interest against this node's tables
@@ -555,9 +592,7 @@ func (f *Forwarder) handleInterest(from table.FaceID, interest *ndn.Interest) {
 				if f.tel != nil {
 					f.tel.cacheHits.Inc()
 				}
-				data := entry.Data.Clone()
-				data.TraceID, data.SpanID = hopCtx.Trace, hopCtx.Span
-				data.PITToken = interest.PITToken // echo the requester's PIT token (see ndn.Data.PITToken)
+				data := f.serveCopy(entry, interest, hopCtx)
 				f.spans.End(hop, int64(now)+int64(diskCost), "serve")
 				if diskCost > 0 {
 					f.schedule(diskCost, netsim.EventDisk, func() { f.sendData(from, data) })
@@ -570,9 +605,7 @@ func (f *Forwarder) handleInterest(from table.FaceID, interest *ndn.Interest) {
 				if f.tel != nil {
 					f.tel.disguisedHits.Inc()
 				}
-				data := entry.Data.Clone()
-				data.TraceID, data.SpanID = hopCtx.Trace, hopCtx.Span
-				data.PITToken = interest.PITToken // echo the requester's PIT token (see ndn.Data.PITToken)
+				data := f.serveCopy(entry, interest, hopCtx)
 				// The artificial delay replays the original miss latency;
 				// a disk-resident entry still pays the read first, so the
 				// total exceeds the replayed γ_C — the residual leak the
@@ -661,8 +694,8 @@ func (f *Forwarder) handleInterest(from table.FaceID, interest *ndn.Interest) {
 		upstream = &cp
 	}
 
-	nextHops, err := f.fib.Lookup(interest.Name)
-	if err != nil {
+	nextHops := f.fib.NextHops(interest.Name)
+	if nextHops == nil {
 		f.stats.NoRouteDropped++
 		f.dropTelemetry(interest, from, now, "no_route")
 		f.spans.End(hop, int64(now), "drop-no-route")
@@ -684,9 +717,20 @@ func (f *Forwarder) handleInterest(from table.FaceID, interest *ndn.Interest) {
 				Name: interest.Name.Key(), Face: uint64(hop),
 			})
 		}
-		outFace.send(upstream, len(ndn.EncodeInterest(upstream)))
+		outFace.send(upstream, ndn.InterestWireSize(upstream))
 	}
 	f.spans.End(hop, int64(now), "forward")
+}
+
+// serveCopy is the Data a cache hit answers with: a header copy of the
+// cached packet — Payload and Signature shared, since packet bytes are
+// immutable once sent (see ndn.Data) — stamped with this hop's span
+// context and the requester's PIT token (see ndn.Data.PITToken).
+func (f *Forwarder) serveCopy(entry *cache.Entry, interest *ndn.Interest, hopCtx span.Context) *ndn.Data {
+	data := *entry.Data
+	data.TraceID, data.SpanID = hopCtx.Trace, hopCtx.Span
+	data.PITToken = interest.PITToken
+	return &data
 }
 
 // missTelemetry accounts a content-store miss; one branch when
@@ -780,13 +824,15 @@ func (f *Forwarder) handleData(from table.FaceID, data *ndn.Data) {
 	}
 
 	for i, hop := range res.Faces {
-		down := data.Clone()
-		// Downstream copies carry the satisfied PIT entry's context, so
-		// the return path's link spans join the same trace — and each
-		// face's own PIT token, so the next node satisfies by handle too.
+		// Downstream copies are header copies sharing the payload (packet
+		// bytes are immutable once sent). They carry the satisfied PIT
+		// entry's context, so the return path's link spans join the same
+		// trace — and each face's own PIT token, so the next node
+		// satisfies by handle too.
+		down := *data
 		down.TraceID, down.SpanID = res.Trace, res.Span
 		down.PITToken = res.Tokens[i]
-		f.sendData(hop, down)
+		f.sendData(hop, &down)
 	}
 }
 
@@ -795,5 +841,5 @@ func (f *Forwarder) sendData(to table.FaceID, data *ndn.Data) {
 	if !found {
 		return
 	}
-	outFace.send(data, ndn.WireSize(data))
+	outFace.send(data, ndn.DataWireSize(data))
 }

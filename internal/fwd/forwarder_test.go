@@ -1,6 +1,7 @@
 package fwd
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -213,6 +214,99 @@ func TestFetchMissingContentTimesOut(t *testing.T) {
 	topo.sim.Run()
 	if !got.TimedOut {
 		t.Errorf("expected timeout, got %+v", got)
+	}
+}
+
+func TestTimedOutFetchLeavesNoWaiter(t *testing.T) {
+	// A fetch whose interest is lost must leave the consumer's pending
+	// set when its lifetime expires — under loss every unanswered name
+	// would otherwise pin a map entry and its handler forever — without
+	// disturbing other waiters for the same name.
+	sim := netsim.New(3)
+	chain := buildURP(t, sim, nil)
+	consumer := chain.consumer
+	name := publish(t, chain.producer, "/p/lossy", false).Name
+
+	dropInterests := true
+	chain.edge.SetFaultInjector(func(pkt any) bool {
+		_, isInterest := pkt.(*ndn.Interest)
+		return isInterest && dropInterests
+	})
+	lost := ndn.NewInterest(name, 0)
+	lost.Lifetime = 50 * time.Millisecond
+	var first, second []FetchResult
+	consumer.Fetch(lost, func(r FetchResult) { first = append(first, r) })
+	sim.Run()
+	if len(first) != 1 || !first[0].TimedOut {
+		t.Fatalf("lost interest: results %+v, want one timeout", first)
+	}
+	if n := len(consumer.pending); n != 0 {
+		t.Fatalf("%d names still pending after the only waiter timed out", n)
+	}
+
+	// Two waiters on one name, one with a lifetime shorter than the
+	// round trip: it times out alone, the other still gets the Data.
+	dropInterests = false
+	first = nil
+	hasty := ndn.NewInterest(name, 0)
+	hasty.Lifetime = 150 * time.Microsecond
+	consumer.Fetch(ndn.NewInterest(name, 0), func(r FetchResult) { second = append(second, r) })
+	consumer.Fetch(hasty, func(r FetchResult) { first = append(first, r) })
+	sim.Run()
+	if len(first) != 1 || !first[0].TimedOut {
+		t.Errorf("short-lived waiter: results %+v, want one timeout", first)
+	}
+	if len(second) != 1 || second[0].TimedOut || !second[0].Data.Name.Equal(name) {
+		t.Errorf("later fetch of the same name: results %+v, want the Data once", second)
+	}
+	if n := len(consumer.pending); n != 0 {
+		t.Errorf("%d names still pending at the end", n)
+	}
+}
+
+func TestForwardedDataAliasingContract(t *testing.T) {
+	// Forwarding hops copy the Data header and share the payload; the
+	// deep copies sit at the boundaries to application buffers. So the
+	// producer scribbling over its own buffer after Publish changes
+	// nothing R serves, and the per-hop header stamps on a served copy
+	// never reach the cached entry.
+	sim := netsim.New(1)
+	chain := buildURP(t, sim, nil)
+	name := ndn.MustParseName("/p/immutable")
+	want := []byte("published bytes")
+	buf := append([]byte(nil), want...)
+	if err := chain.producer.Publish(&ndn.Data{Name: name, Payload: buf}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = 'X'
+	}
+	var got []FetchResult
+	for i := 0; i < 2; i++ { // a miss through to P, then a hit at R
+		chain.consumer.FetchName(name, func(r FetchResult) { got = append(got, r) })
+		sim.Run()
+	}
+	if served, hits := chain.producer.Served(), chain.router.Stats().CacheHits; served != 1 || hits != 1 {
+		t.Fatalf("producer served %d and R hit %d, want 1 and 1", served, hits)
+	}
+	for i, r := range got {
+		if r.TimedOut || !bytes.Equal(r.Data.Payload, want) {
+			t.Fatalf("fetch %d: %+v, want payload %q", i, r, want)
+		}
+	}
+	entry, found := chain.router.Store().Exact(name, sim.Now())
+	if !found {
+		t.Fatal("R does not hold the content")
+	}
+	hit := got[1].Data
+	if hit == entry.Data {
+		t.Error("R served its cached packet itself, not a copy")
+	}
+	if entry.Data.PITToken != 0 {
+		t.Errorf("cached entry carries PIT token %#x: a hop's stamp reached the store", entry.Data.PITToken)
+	}
+	if &hit.Payload[0] != &entry.Data.Payload[0] {
+		t.Error("a header-only copy shares the cached payload; R deep-copied on the serve path")
 	}
 }
 

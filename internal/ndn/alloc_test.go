@@ -61,3 +61,41 @@ func TestNameViewAccessZeroAlloc(t *testing.T) {
 		t.Fatal("accessors unexpectedly read nothing")
 	}
 }
+
+func TestWireSizeZeroAlloc(t *testing.T) {
+	// Sizing a packet is arithmetic on field lengths: no buffer, no
+	// payload copy, whatever the payload size.
+	d, err := NewData(MustParseName("/youtube/alice/video-749.avi/137"), make([]byte, 8192))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Producer, d.Signature, d.ContentID = "alice", make([]byte, 32), "cid"
+	i := NewInterest(d.Name, 1<<40).WithScope(ScopeNextHop).WithPrivacy(PrivacyRequested)
+	total := 0
+	if n := testing.AllocsPerRun(200, func() {
+		total += DataWireSize(d) + WireSize(d) + InterestWireSize(i)
+	}); n != 0 {
+		t.Errorf("DataWireSize + WireSize + InterestWireSize: %.0f allocs/run, want 0", n)
+	}
+	if total == 0 {
+		t.Fatal("sizes unexpectedly zero")
+	}
+}
+
+func TestNamePrefixZeroAlloc(t *testing.T) {
+	// Prefix shares the parent's components and slices its URI, so
+	// walking every prefix of a name (Consumer.deliver does, per
+	// arriving Data) never renders a string.
+	name := MustParseName("/p/o/%00escaped%2F/1234")
+	total := 0
+	if n := testing.AllocsPerRun(200, func() {
+		for k := 0; k <= name.Len(); k++ {
+			total += len(name.Prefix(k).Key())
+		}
+	}); n != 0 {
+		t.Errorf("Name.Prefix walk: %.0f allocs/run, want 0", n)
+	}
+	if total == 0 {
+		t.Fatal("prefix walk unexpectedly read nothing")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 )
 
 // Native fuzz harnesses for the attack surface a network-facing codec
@@ -177,6 +178,36 @@ func FuzzParseName(f *testing.F) {
 		}
 		if !back.Equal(n) {
 			t.Fatalf("canonical round trip mismatch: %q", uri)
+		}
+	})
+}
+
+// FuzzWireSize holds the arithmetic sizes equal to the encoders they
+// replace on the packet path: DataWireSize/InterestWireSize must track
+// EncodeData/EncodeInterest field for field, whatever the lengths.
+func FuzzWireSize(f *testing.F) {
+	f.Add([]byte("a/b"), []byte("payload"), "producer", []byte("sig"), "cid", uint64(7), uint64(4000), uint8(0), uint8(0), false)
+	f.Add([]byte{}, []byte{1}, "", []byte{}, "", uint64(0), uint64(0), uint8(2), uint8(1), true)
+	f.Add(bytes.Repeat([]byte{0xFF}, 253), bytes.Repeat([]byte{1}, 65536), "", []byte{}, "", uint64(1<<64-1), uint64(1<<40), uint8(255), uint8(2), false)
+	f.Fuzz(func(t *testing.T, rawName, payload []byte, producer string, sig []byte, contentID string, nonce, ms uint64, scope, privacy uint8, private bool) {
+		// '/' splits rawName into components; empty ones are dropped
+		// (the codec has no empty component).
+		var comps [][]byte
+		for _, c := range bytes.Split(rawName, []byte{'/'}) {
+			if len(c) > 0 {
+				comps = append(comps, c)
+			}
+		}
+		name := NewName(comps...)
+		lifetime := time.Duration(ms%(1<<40)) * time.Millisecond
+		d := &Data{Name: name, Payload: payload, Producer: producer, Signature: sig,
+			Freshness: lifetime, Private: private, ContentID: contentID}
+		if got, want := DataWireSize(d), len(EncodeData(d)); got != want {
+			t.Fatalf("DataWireSize = %d, len(EncodeData) = %d for %+v", got, want, d)
+		}
+		i := &Interest{Name: name, Nonce: nonce, Scope: scope, Lifetime: lifetime, Privacy: Privacy(privacy % 3)}
+		if got, want := InterestWireSize(i), len(EncodeInterest(i)); got != want {
+			t.Fatalf("InterestWireSize = %d, len(EncodeInterest) = %d for %+v", got, want, i)
 		}
 	})
 }

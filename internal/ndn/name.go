@@ -149,16 +149,23 @@ func (n Name) AppendString(components ...string) Name {
 }
 
 // Prefix returns the name truncated to its first k components. k is
-// clamped to [0, Len()].
+// clamped to [0, Len()]. The result shares the receiver's components
+// and URI string: escaping is per component, so the prefix's canonical
+// URI is the leading bytes of the parent's and nothing is re-rendered.
+//
+//ndnlint:hotpath — Consumer.deliver walks every prefix of each arriving Data; must not allocate
 func (n Name) Prefix(k int) Name {
-	if k < 0 {
-		k = 0
-	}
 	if k > len(n.components) {
 		k = len(n.components)
 	}
-	out := Name{components: n.components[:k]}
-	out.uri = out.render()
+	if k <= 0 {
+		return Name{components: n.components[:0], uri: "/", hash: nameHashBasis}
+	}
+	off := 0
+	for _, c := range n.components[:k] {
+		off += 1 + escapedLen(c)
+	}
+	out := Name{components: n.components[:k], uri: n.uri[:off]}
 	out.hash = hashName(out.components)
 	return out
 }
@@ -273,6 +280,17 @@ func escape(c Component) string {
 		}
 	}
 	return b.String()
+}
+
+// escapedLen is len(escape(c)) without building the string.
+func escapedLen(c Component) int {
+	n := len(c)
+	for _, ch := range c {
+		if !isUnreserved(ch) {
+			n += 2
+		}
+	}
+	return n
 }
 
 func unescape(s string) (Component, error) {

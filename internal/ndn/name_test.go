@@ -202,6 +202,48 @@ func TestNameRenderParseProperty(t *testing.T) {
 	}
 }
 
+// Prefix slices the parent's URI instead of rendering; every k must
+// agree with a name built from the same components the slow way, for
+// names whose URI bytes and wire bytes differ (percent-escapes).
+func TestNamePrefixMatchesRendered(t *testing.T) {
+	names := []Name{
+		{},
+		MustParseName("/"),
+		MustParseName("/a/b/c"),
+		MustParseName("/%00/a%2Fb/%25/%FF%FE/plain"),
+		NewName([]byte("%"), []byte{0, 1, 2}, []byte("~-._"), []byte("a b/c"), []byte{0xC3, 0xA9}),
+	}
+	for _, n := range names {
+		for k := -1; k <= n.Len()+1; k++ {
+			clamped := k
+			if clamped < 0 {
+				clamped = 0
+			}
+			if clamped > n.Len() {
+				clamped = n.Len()
+			}
+			raw := make([][]byte, clamped)
+			for i := range raw {
+				raw[i] = n.Component(i)
+			}
+			want := NewName(raw...)
+			got := n.Prefix(k)
+			if got.String() != want.String() || got.Key() != want.Key() {
+				t.Errorf("%q.Prefix(%d): URI %q, want %q", n, k, got, want)
+			}
+			if got.Hash() != want.Hash() {
+				t.Errorf("%q.Prefix(%d): hash %#x, want %#x", n, k, got.Hash(), want.Hash())
+			}
+			if !got.Equal(want) || !want.Equal(got) || got.Len() != want.Len() || got.Compare(want) != 0 {
+				t.Errorf("%q.Prefix(%d) = %q, not equal to the rendered %q", n, k, got, want)
+			}
+			if reparsed, err := ParseName(got.String()); err != nil || !reparsed.Equal(want) {
+				t.Errorf("%q.Prefix(%d) = %q does not re-parse to itself (%v)", n, k, got, err)
+			}
+		}
+	}
+}
+
 // Property: Prefix(k).IsPrefixOf(n) holds for every k.
 func TestNamePrefixProperty(t *testing.T) {
 	f := func(comps [][]byte, k uint8) bool {

@@ -125,6 +125,16 @@ func (i *Interest) String() string {
 // Data is an NDN content object. All content objects are signed by their
 // producer (Section II); verification uses the producer's key via the
 // Signer in sign.go.
+//
+// Packet bytes are immutable once sent: after a Data has been handed to
+// a forwarder (Producer.Publish, Forwarder.SendData, a face), nobody
+// writes through its Payload or Signature again. The forwarding plane
+// relies on it — each hop stamps the simulation-local header fields
+// (TraceID, SpanID, PITToken) on a struct copy that shares those two
+// slices with the packet it received, so a fetched Data's bytes alias
+// every other in-flight copy. The boundaries to application-owned
+// buffers copy deeply instead: NewData, Clone, and every Content Store
+// insert.
 type Data struct {
 	// Name is the full content name.
 	Name Name
@@ -208,7 +218,8 @@ func (d *Data) String() string {
 }
 
 // Clone returns a deep copy of the Data packet, so routers can cache
-// content without aliasing consumer-visible buffers.
+// content without aliasing consumer-visible buffers. Forwarding hops
+// that only re-stamp header fields copy the struct instead (see Data).
 func (d *Data) Clone() *Data {
 	cp := *d
 	cp.Payload = make([]byte, len(d.Payload))

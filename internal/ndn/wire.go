@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 )
 
@@ -313,9 +314,87 @@ func DecodeData(wire []byte) (*Data, error) {
 	return out, nil
 }
 
+// Arithmetic wire sizes. The simulator prices every transmission by the
+// packet's serialized length; these compute that length from field
+// lengths and var-number widths alone, so sizing a packet never builds
+// (or copies a payload into) a buffer. Each mirrors its encoder
+// field for field — FuzzWireSize holds them equal to len(Encode…).
+
+// varNumSize is the encoded width of an NDN variable-size number.
+func varNumSize(v uint64) int {
+	switch {
+	case v < 253:
+		return 1
+	case v <= 0xFFFF:
+		return 3
+	case v <= 0xFFFFFFFF:
+		return 5
+	default:
+		return 9
+	}
+}
+
+// tlvSize is the encoded length of a TLV element holding n value bytes.
+func tlvSize(typ uint64, n int) int {
+	return varNumSize(typ) + varNumSize(uint64(n)) + n
+}
+
+// uintTLVSize is the encoded length of appendUintTLV(typ, v): the value
+// is v's big-endian bytes with leading zeros trimmed, at least one.
+func uintTLVSize(typ, v uint64) int {
+	return tlvSize(typ, max(1, (bits.Len64(v)+7)/8))
+}
+
+// nameTLVSize is the encoded length of EncodeName(n).
+func nameTLVSize(n Name) int {
+	inner := 0
+	for _, c := range n.components {
+		inner += tlvSize(tlvComponent, len(c))
+	}
+	return tlvSize(tlvName, inner)
+}
+
+// InterestWireSize returns len(EncodeInterest(i)) without encoding.
+//
+//ndnlint:hotpath — sizes every forwarded interest; must not allocate
+func InterestWireSize(i *Interest) int {
+	inner := nameTLVSize(i.Name) + uintTLVSize(tlvNonce, i.Nonce)
+	if i.Scope != ScopeUnlimited {
+		inner += uintTLVSize(tlvScope, uint64(i.Scope))
+	}
+	if i.Lifetime > 0 {
+		inner += uintTLVSize(tlvInterestLifetime, uint64(i.Lifetime/time.Millisecond))
+	}
+	if i.Privacy != PrivacyUnmarked {
+		inner += uintTLVSize(tlvPrivacyMark, uint64(i.Privacy))
+	}
+	return tlvSize(tlvInterest, inner)
+}
+
+// DataWireSize returns len(EncodeData(d)) without encoding.
+//
+//ndnlint:hotpath — sizes every Data transmission; must not allocate
+func DataWireSize(d *Data) int {
+	inner := nameTLVSize(d.Name) + tlvSize(tlvPayload, len(d.Payload))
+	if d.Producer != "" {
+		inner += tlvSize(tlvProducer, len(d.Producer))
+	}
+	if len(d.Signature) > 0 {
+		inner += tlvSize(tlvSignature, len(d.Signature))
+	}
+	if d.Freshness > 0 {
+		inner += uintTLVSize(tlvFreshness, uint64(d.Freshness/time.Millisecond))
+	}
+	if d.Private {
+		inner += uintTLVSize(tlvPrivacyMark, 1)
+	}
+	if d.ContentID != "" {
+		inner += tlvSize(tlvContentID, len(d.ContentID))
+	}
+	return tlvSize(tlvData, inner)
+}
+
 // WireSize returns the serialized length of a Data packet without
 // materializing the buffer; the simulator uses it to compute transmission
-// delays.
-func WireSize(d *Data) int {
-	return len(EncodeData(d))
-}
+// delays. It is DataWireSize under its original name.
+func WireSize(d *Data) int { return DataWireSize(d) }

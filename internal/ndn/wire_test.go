@@ -164,10 +164,62 @@ func TestDecodeRejectsOutOfRangeEnums(t *testing.T) {
 	}
 }
 
+// The arithmetic sizes must equal the encoded lengths across every
+// optional field and every var-number width boundary: a length of 252
+// takes one byte, 253 three, 65535 three, 65536 five.
 func TestWireSizeMatchesEncoding(t *testing.T) {
-	d, _ := NewData(MustParseName("/bob/big"), make([]byte, 1200))
-	if got, want := WireSize(d), len(EncodeData(d)); got != want {
-		t.Errorf("WireSize = %d, want %d", got, want)
+	boundaries := []int{1, 252, 253, 65535, 65536}
+	names := []Name{
+		{},                 // literal zero value
+		MustParseName("/"), // root
+		MustParseName("/bob/big"),
+		NewName([]byte{0x00, '%', '/', 0xFF}, []byte("a b")), // escaped in the URI, raw on the wire
+		NewName(make([]byte, 252)),
+		NewName(make([]byte, 253)),                    // component length field widens
+		NewName(make([]byte, 120), make([]byte, 127)), // name value 251 B
+		NewName(make([]byte, 120), make([]byte, 129)), // name value 253 B: Name length field widens
+		NewName(make([]byte, 65536)),
+	}
+	for _, name := range names {
+		for _, n := range boundaries {
+			for opts := 0; opts < 32; opts++ {
+				d := &Data{Name: name, Payload: make([]byte, n)}
+				if opts&1 != 0 {
+					d.Producer = string(make([]byte, n))
+				}
+				if opts&2 != 0 {
+					d.Signature = make([]byte, n)
+				}
+				if opts&4 != 0 {
+					d.Freshness = time.Duration(n) * time.Millisecond
+				}
+				d.Private = opts&8 != 0
+				if opts&16 != 0 {
+					d.ContentID = string(make([]byte, n))
+				}
+				want := len(EncodeData(d))
+				if got := DataWireSize(d); got != want {
+					t.Fatalf("DataWireSize(%d-component name, payload %d, opts %05b) = %d, want %d", name.Len(), n, opts, got, want)
+				}
+				if got := WireSize(d); got != want {
+					t.Fatalf("WireSize = %d, want %d", got, want)
+				}
+			}
+		}
+		nonces := []uint64{0, 255, 256, 65535, 65536, 1<<32 - 1, 1 << 32, 1<<64 - 1}
+		lifetimes := []time.Duration{0, time.Microsecond, time.Millisecond, 255 * time.Millisecond, 256 * time.Millisecond, DefaultInterestLifetime, 1<<63 - 1}
+		for _, nonce := range nonces {
+			for _, lifetime := range lifetimes {
+				for _, scope := range []uint8{ScopeUnlimited, ScopeLocal, ScopeNextHop, 255} {
+					for _, privacy := range []Privacy{PrivacyUnmarked, PrivacyRequested, PrivacyDeclined} {
+						i := &Interest{Name: name, Nonce: nonce, Scope: scope, Lifetime: lifetime, Privacy: privacy}
+						if got, want := InterestWireSize(i), len(EncodeInterest(i)); got != want {
+							t.Fatalf("InterestWireSize(%v lifetime=%v) = %d, want %d", i, lifetime, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -127,6 +127,10 @@ type Port struct {
 	link    *Link
 	side    int
 	handler Handler
+	// arrive is the port's delivery handler, bound once at NewLink so
+	// Send schedules it with the packet as argument instead of
+	// allocating a closure per packet.
+	arrive func(pkt any)
 }
 
 // NewLink creates a link inside the simulator. The caller attaches
@@ -153,8 +157,10 @@ func NewLink(sim *Simulator, cfg LinkConfig) (*Link, error) {
 		l.dropCounter = reg.Counter("netsim_link_dropped_total")
 	}
 	l.sink = sim.TraceSink()
-	l.ports[0] = Port{link: l, side: 0}
-	l.ports[1] = Port{link: l, side: 1}
+	for side := range l.ports {
+		p := &l.ports[side]
+		p.link, p.side, p.arrive = l, side, p.deliver
+	}
 	return l, nil
 }
 
@@ -231,13 +237,16 @@ func (p *Port) Send(pkt any, size int) {
 			}
 		}
 	}
-	peer := p.Peer()
-	l.sim.ScheduleTagged(delay, EventLink, func() {
-		l.delivered++
-		if peer.handler != nil {
-			peer.handler(pkt)
-		}
-	})
+	l.sim.ScheduleCall(delay, EventLink, p.Peer().arrive, pkt)
+}
+
+// deliver hands an arriving packet to the port's handler; it runs as
+// the link-delivery event.
+func (p *Port) deliver(pkt any) {
+	p.link.delivered++
+	if p.handler != nil {
+		p.handler(pkt)
+	}
 }
 
 // drop accounts one lost packet.

@@ -59,8 +59,9 @@ func NewProfiler(n int) *Profiler {
 	}
 }
 
-// observe runs fn, measuring it when the global sample counter says so.
-func (p *Profiler) observe(phase string, kind EventKind, fn func()) {
+// observe runs call(arg), measuring it when the global sample counter
+// says so.
+func (p *Profiler) observe(phase string, kind EventKind, call func(any), arg any) {
 	key := profileKey{phase: phase, kind: kind}
 	p.mu.Lock()
 	b := p.buckets[key]
@@ -73,13 +74,13 @@ func (p *Profiler) observe(phase string, kind EventKind, fn func()) {
 	sampled := p.seen%p.sampleEvery == 0
 	p.mu.Unlock()
 	if !sampled {
-		fn()
+		call(arg)
 		return
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	start := time.Now() //ndnlint:allow simdeterminism — observing wall time; never feeds virtual time
-	fn()
+	call(arg)
 	elapsed := time.Since(start) //ndnlint:allow simdeterminism — observing wall time; never feeds virtual time
 	runtime.ReadMemStats(&after)
 	p.mu.Lock()

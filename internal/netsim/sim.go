@@ -8,7 +8,6 @@
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -61,7 +60,7 @@ func (k EventKind) String() string {
 // strictly single-threaded: all node logic runs inside event callbacks.
 type Simulator struct {
 	now    time.Duration
-	events eventHeap
+	events []event // 4-ary min-heap on (at, seq); see push/pop
 	rng    *rand.Rand
 	seq    uint64
 	steps  uint64
@@ -143,12 +142,26 @@ func (s *Simulator) Schedule(delay time.Duration, fn func()) {
 // self-profiler. The tag is observability-only: scheduling order and
 // execution are identical for every kind.
 func (s *Simulator) ScheduleTagged(delay time.Duration, kind EventKind, fn func()) {
+	s.ScheduleCall(delay, kind, callFunc, fn)
+}
+
+// ScheduleCall queues call(arg) to run after delay. It is the
+// allocation-free form of ScheduleTagged for per-packet events: the
+// handler is bound once (at attach time) and the packet rides in arg,
+// so nothing is allocated per event when arg is pointer-shaped.
+// Ordering is shared with Schedule/ScheduleTagged.
+func (s *Simulator) ScheduleCall(delay time.Duration, kind EventKind, call func(any), arg any) {
 	if delay < 0 {
 		delay = 0
 	}
 	s.seq++
-	heap.Push(&s.events, &event{at: s.now + delay, seq: s.seq, kind: kind, fn: fn})
+	s.push(event{at: s.now + delay, seq: s.seq, call: call, arg: arg, kind: kind})
 }
+
+// callFunc is the handler behind Schedule/ScheduleTagged: the callback
+// itself rides in arg (func values are pointer-shaped, so boxing one
+// does not allocate).
+func callFunc(arg any) { arg.(func())() }
 
 // Run executes events until the queue drains.
 func (s *Simulator) Run() {
@@ -202,51 +215,90 @@ func (s *Simulator) RunUntilIdle(maxSteps uint64) error {
 }
 
 func (s *Simulator) step() {
-	// The assertion cannot fail — only Schedule pushes, and it pushes
-	// *event — so a failure is heap corruption and must crash loudly
-	// rather than silently drop the event (which would freeze virtual
-	// time for the rest of the run).
-	evPtr := heap.Pop(&s.events).(*event)
-	s.now = evPtr.at
+	ev := s.pop()
+	s.now = ev.at
 	s.steps++
 	if s.prof != nil {
-		s.prof.observe(s.phase, evPtr.kind, evPtr.fn)
+		s.prof.observe(s.phase, ev.kind, ev.call, ev.arg)
 		return
 	}
-	evPtr.fn()
+	ev.call(ev.arg)
 }
 
+// event is one queued callback, stored by value in the heap.
 type event struct {
 	at   time.Duration
 	seq  uint64 // FIFO tiebreak for equal timestamps
+	call func(any)
+	arg  any
 	kind EventKind
-	fn   func()
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the queue's total order: earlier deadline first, scheduling
+// order among equal deadlines. seq is unique, so no two events compare
+// equal and execution order is independent of the heap's shape.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
 
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+// heapArity is the heap's branching factor: four children per node
+// halve a binary heap's depth, so a sift moves half as many 48-byte
+// events; the extra compares per level read adjacent slots.
+const heapArity = 4
 
-func (h *eventHeap) Push(x any) {
-	// Pushing anything but *event is a programming error; dropping it
-	// silently would lose a scheduled callback, so fail loudly.
-	*h = append(*h, x.(*event))
+// push adds ev to the heap (sift-up from the new last slot).
+func (s *Simulator) push(ev event) {
+	h := append(s.events, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / heapArity
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	s.events = h
 }
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+// pop removes and returns the earliest event. The vacated last slot is
+// zeroed so the queue keeps no reference to an executed callback or
+// its packet.
+func (s *Simulator) pop() event {
+	h := s.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{}
+	h = h[:n]
+	s.events = h
+	if n == 0 {
+		return top
+	}
+	// Sift the former last element down from the root.
+	i := 0
+	for {
+		first := i*heapArity + 1
+		if first >= n {
+			break
+		}
+		end := min(first+heapArity, n)
+		least := first
+		for c := first + 1; c < end; c++ {
+			if h[c].before(&h[least]) {
+				least = c
+			}
+		}
+		if !h[least].before(&last) {
+			break
+		}
+		h[i] = h[least]
+		i = least
+	}
+	h[i] = last
+	return top
 }

@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -344,6 +345,141 @@ func TestEventOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEventQueueMatchesStableSort is the heap's differential test: a
+// seeded random schedule — many equal timestamps, negative delays,
+// events scheduled from inside callbacks, both the fn and the call/arg
+// form — must execute in exactly the order of a stable sort of the
+// scheduled events by deadline, i.e. by (at, seq).
+func TestEventQueueMatchesStableSort(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := New(seed)
+		type record struct {
+			id int
+			at time.Duration
+		}
+		var scheduled []record // in scheduling order, so index order is seq order
+		var executed []int
+		budget := 400
+		var schedule func()
+		run := func(id int) {
+			if want := scheduled[id].at; s.Now() != want {
+				t.Fatalf("seed %d: event %d ran at %v, scheduled for %v", seed, id, s.Now(), want)
+			}
+			executed = append(executed, id)
+			for n := rng.Intn(3); n > 0 && budget > 0; n-- {
+				schedule()
+			}
+		}
+		runArg := func(arg any) { run(*arg.(*int)) }
+		schedule = func() {
+			budget--
+			// Four distinct deadlines per generation, one of them negative.
+			delay := time.Duration(rng.Intn(4)-1) * time.Millisecond
+			at := s.Now()
+			if delay > 0 {
+				at += delay
+			}
+			id := len(scheduled)
+			scheduled = append(scheduled, record{id: id, at: at})
+			switch rng.Intn(3) {
+			case 0:
+				s.Schedule(delay, func() { run(id) })
+			case 1:
+				s.ScheduleTagged(delay, EventTimer, func() { run(id) })
+			default:
+				s.ScheduleCall(delay, EventLink, runArg, &id)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			schedule()
+		}
+		s.Run()
+
+		want := append([]record(nil), scheduled...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+		if len(executed) != len(want) {
+			t.Fatalf("seed %d: executed %d of %d events", seed, len(executed), len(want))
+		}
+		for i := range want {
+			if executed[i] != want[i].id {
+				t.Fatalf("seed %d: position %d ran event %d, stable sort by (at, seq) says %d", seed, i, executed[i], want[i].id)
+			}
+		}
+		if s.Steps() != uint64(len(want)) {
+			t.Fatalf("seed %d: Steps = %d, want %d", seed, s.Steps(), len(want))
+		}
+	}
+}
+
+// TestPoppedSlotsHoldNoReference: the queue stores events by value, so
+// a popped event's slot must be zeroed — otherwise the backing array
+// would pin an executed closure, or a delivered packet, until that slot
+// happened to be overwritten.
+func TestPoppedSlotsHoldNoReference(t *testing.T) {
+	s := New(1)
+	pkt := new([1 << 10]byte)
+	for i := 0; i < 37; i++ {
+		s.ScheduleCall(time.Duration(i%5)*time.Millisecond, EventLink, func(any) {}, pkt)
+		s.Schedule(time.Duration(i%3)*time.Millisecond, func() { _ = pkt })
+	}
+	check := func(when string) {
+		t.Helper()
+		for i, ev := range s.events[len(s.events):cap(s.events)] {
+			if ev.call != nil || ev.arg != nil {
+				t.Fatalf("%s: vacated slot %d still references its event (%d queued)", when, len(s.events)+i, len(s.events))
+			}
+		}
+	}
+	s.RunSteps(20)
+	check("mid-run")
+	s.Run()
+	check("drained")
+	if s.Pending() != 0 {
+		t.Fatalf("%d events left", s.Pending())
+	}
+}
+
+// TestScheduleStepZeroAlloc pins the queue's steady-state cost: once
+// the backing array has grown, scheduling and executing an event
+// allocates nothing, in either form.
+func TestScheduleStepZeroAlloc(t *testing.T) {
+	s := New(1)
+	fn := func() {}
+	call := func(any) {}
+	pkt := new(int)
+	if n := testing.AllocsPerRun(200, func() {
+		s.ScheduleTagged(time.Millisecond, EventForward, fn)
+		s.ScheduleCall(time.Millisecond, EventLink, call, pkt)
+		s.Schedule(2*time.Millisecond, fn)
+		s.Run()
+	}); n != 0 {
+		t.Errorf("schedule + step: %.0f allocs/run, want 0", n)
+	}
+}
+
+// TestLinkSendZeroAlloc: a link hop schedules the peer port's bound
+// delivery handler with the packet as argument — no closure per packet.
+func TestLinkSendZeroAlloc(t *testing.T) {
+	s := New(1)
+	link, err := NewLink(s, LinkConfig{Latency: Fixed(time.Millisecond)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	link.Port(1).SetHandler(func(any) { delivered++ })
+	pkt := new(int)
+	if n := testing.AllocsPerRun(200, func() {
+		link.Port(0).Send(pkt, 100)
+		s.Run()
+	}); n != 0 {
+		t.Errorf("Port.Send + delivery: %.0f allocs/run, want 0", n)
+	}
+	if delivered == 0 || link.Delivered() != uint64(delivered) {
+		t.Fatalf("handler saw %d deliveries, link counted %d", delivered, link.Delivered())
 	}
 }
 

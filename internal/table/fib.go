@@ -105,8 +105,22 @@ func (f *FIB) Remove(prefix ndn.Name) bool {
 }
 
 // Lookup returns the next-hop faces of the longest registered prefix of
-// name, or ErrNoRoute.
+// name, or ErrNoRoute. The result is the caller's own copy.
 func (f *FIB) Lookup(name ndn.Name) ([]FaceID, error) {
+	best := f.NextHops(name)
+	if best == nil {
+		return nil, fmt.Errorf("%w: %s", ErrNoRoute, name)
+	}
+	return append([]FaceID(nil), best...), nil
+}
+
+// NextHops is Lookup for the forwarding pipeline: it returns the
+// table's own face list — read-only, valid until the next Insert or
+// Remove — and nil when no prefix covers name, so a per-interest lookup
+// copies and allocates nothing.
+//
+//ndnlint:hotpath — per-forwarded-interest route lookup; must not allocate
+func (f *FIB) NextHops(name ndn.Name) []FaceID {
 	node := f.root
 	best := node.faces
 	for i := 0; i < name.Len(); i++ {
@@ -119,10 +133,7 @@ func (f *FIB) Lookup(name ndn.Name) ([]FaceID, error) {
 			best = node.faces
 		}
 	}
-	if best == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoRoute, name)
-	}
-	return append([]FaceID(nil), best...), nil
+	return best
 }
 
 // LookupPrefixLen returns, alongside Lookup's result, the length of the
