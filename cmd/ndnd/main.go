@@ -14,9 +14,10 @@
 // answered from the cache (subject to the selected privacy policy) or
 // forwarded along routes.
 //
-// With -tier-dir the Content Store becomes two-tiered: -capacity bounds
-// the RAM front and objects evicted from it demote to an append-log
-// file store under DIR (crash-tolerant: a torn tail is truncated on
+// With -tier-dir the Content Store gains a second tier: -capacity bounds
+// the RAM front (exactly: the front is one table, not shards) and
+// objects it needs to push out demote to an append-log file store under
+// DIR (crash-tolerant: a torn tail is truncated on
 // reopen). -tier-capacity bounds the disk tier's object count
 // (0 = unlimited). Serving from the disk tier costs a real file read,
 // so a tiered daemon exhibits the three-way RAM-hit/disk-hit/miss
@@ -99,41 +100,32 @@ func buildManager(kind string, k uint64, eps float64, exec *rt.Executor) (core.C
 	}
 }
 
-// buildStore assembles the daemon's Content Store: a flat LRU store, or
-// — when tierDir is set — a tiered store whose RAM front holds capacity
-// objects over a file-backed second tier logging to tierDir/cs.log.
-// The returned closer releases the file tier (nil-safe no-op for the
-// flat store).
-func buildStore(capacity int, tierDir string, tierCapacity int) (cache.ContentStore, func() error, error) {
+// buildStore assembles the daemon's Content Store: an LRU store of
+// capacity objects, over — when tierDir is set — a file-backed second
+// tier logging to tierDir/cs.log. The caller closes the store.
+func buildStore(capacity int, tierDir string, tierCapacity int) (*cache.Store, error) {
 	if tierDir == "" {
-		store, err := cache.NewStore(capacity, cache.NewLRU())
-		if err != nil {
-			return nil, nil, err
-		}
-		return store, func() error { return nil }, nil
+		return cache.NewStore(capacity, cache.NewLRU())
 	}
 	if capacity <= 0 {
-		return nil, nil, fmt.Errorf("-tier-dir needs a positive -capacity for the RAM front, got %d", capacity)
+		return nil, fmt.Errorf("-tier-dir needs a positive -capacity for the RAM front, got %d", capacity)
 	}
 	if err := os.MkdirAll(tierDir, 0o755); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	file, err := tiered.OpenFileTier(tiered.FileTierConfig{
 		Path:     filepath.Join(tierDir, "cs.log"),
 		Capacity: tierCapacity,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	store, err := tiered.New(tiered.Config{
-		RAMCapacity: capacity,
-		Second:      file,
-	})
+	store, err := cache.NewTieredStore(capacity, cache.NewLRU(), file)
 	if err != nil {
 		file.Close() //nolint:errcheck // construction failed; best-effort release
-		return nil, nil, err
+		return nil, err
 	}
-	return store, store.Close, nil
+	return store, nil
 }
 
 func run() error {
@@ -142,7 +134,7 @@ func run() error {
 	managerKind := flag.String("manager", "delay", "cache privacy policy: none, delay, random")
 	k := flag.Uint64("k", 5, "popularity threshold k for -manager random")
 	eps := flag.Float64("eps", 0.005, "privacy parameter ε for -manager random")
-	tierDir := flag.String("tier-dir", "", "directory for the file-backed second tier (empty = flat RAM-only store)")
+	tierDir := flag.String("tier-dir", "", "give the store a file-backed second tier logging under this directory: objects -capacity pushes out of RAM demote to it instead of leaving the cache (empty = no second tier)")
 	tierCapacity := flag.Int("tier-capacity", 0, "disk-tier object bound with -tier-dir (0 = unlimited)")
 	var routes routeFlags
 	flag.Var(&routes, "route", "upstream route /prefix=host:port (repeatable)")
@@ -155,12 +147,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	store, closeStore, err := buildStore(*capacity, *tierDir, *tierCapacity)
+	store, err := buildStore(*capacity, *tierDir, *tierCapacity)
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if err := closeStore(); err != nil {
+		if err := store.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "ndnd: store close: %v\n", err)
 		}
 	}()

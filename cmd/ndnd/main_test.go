@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"ndnprivacy/internal/cache/tiered"
 	"ndnprivacy/internal/fwd"
 	"ndnprivacy/internal/ndn"
 	"ndnprivacy/internal/netface"
@@ -69,18 +68,18 @@ func TestBuildManager(t *testing.T) {
 }
 
 func TestBuildStoreValidation(t *testing.T) {
-	if _, _, err := buildStore(0, t.TempDir(), 0); err == nil {
+	if _, err := buildStore(0, t.TempDir(), 0); err == nil {
 		t.Error("tiered store with capacity 0 accepted")
 	}
-	store, closer, err := buildStore(8, "", 0)
+	store, err := buildStore(8, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if store == nil {
 		t.Fatal("flat store missing")
 	}
-	if err := closer(); err != nil {
-		t.Errorf("flat-store closer: %v", err)
+	if err := store.Close(); err != nil {
+		t.Errorf("flat-store close: %v", err)
 	}
 }
 
@@ -92,19 +91,15 @@ func TestBuildStoreValidation(t *testing.T) {
 func TestTieredDaemonServesFromFileTier(t *testing.T) {
 	exec := rt.New(9)
 	t.Cleanup(exec.Close)
-	store, closeStore, err := buildStore(2, t.TempDir(), 0)
+	store, err := buildStore(2, t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		if err := closeStore(); err != nil {
+		if err := store.Close(); err != nil {
 			t.Errorf("store close: %v", err)
 		}
 	})
-	tieredStore, ok := store.(*tiered.Store)
-	if !ok {
-		t.Fatalf("buildStore with a tier dir returned %T, want *tiered.Store", store)
-	}
 	daemon, err := fwd.New(fwd.Config{Name: "ndnd", Sim: exec, Store: store})
 	if err != nil {
 		t.Fatal(err)
@@ -210,8 +205,8 @@ func TestTieredDaemonServesFromFileTier(t *testing.T) {
 	fetch("/p/c")
 	storeState := func() (ramLen, diskLen int, diskHits, promotions, served uint64) {
 		if err := netface.RunOn(daemon, func() error {
-			ramLen, diskLen = tieredStore.RAMLen(), tieredStore.SecondLen()
-			diskHits, promotions = tieredStore.DiskHits(), tieredStore.Promotions()
+			ramLen, diskLen = store.RAMLen(), store.SecondLen()
+			diskHits, promotions = store.DiskHits(), store.Promotions()
 			return nil
 		}); err != nil {
 			t.Fatal(err)

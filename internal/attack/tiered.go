@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"ndnprivacy/internal/cache"
 	"ndnprivacy/internal/cache/tiered"
 	"ndnprivacy/internal/core"
 	"ndnprivacy/internal/fwd"
@@ -26,8 +27,6 @@ type TieredScenarioConfig struct {
 	// group (Objects/3) so the priming pattern leaves exactly one group
 	// RAM-resident and one demoted to disk.
 	RAMCapacity int
-	// Shards is the RAM front's shard count (0 = tiered default).
-	Shards int
 	// DiskReadLatency, DiskWriteLatency and DiskBytesPerSecond
 	// parameterize the deterministic disk model; zero values take the
 	// model defaults (2ms reads, which lands the disk-hit RTT between
@@ -108,14 +107,6 @@ func RunTiered(cfg TieredScenarioConfig) (*TieredResult, error) {
 	if ramCap == 0 {
 		ramCap = third
 	}
-	// Default to one shard: sharding divides the RAM capacity per shard
-	// (flooring) and hashes names unevenly across shards, both of which
-	// perturb the engineered one-group-per-tier placement the sample
-	// labels rely on.
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = 1
-	}
 
 	res := &TieredResult{Label: "tiered"}
 	samples, err := runTieredBatch(res.Label, cfg.ScenarioConfig, func(sim *netsim.Simulator) (tieredRunSample, error) {
@@ -125,16 +116,12 @@ func RunTiered(cfg TieredScenarioConfig) (*TieredResult, error) {
 		if cfg.Manager != nil {
 			manager = cfg.Manager(sim)
 		}
-		store, err := tiered.New(tiered.Config{
-			RAMCapacity: ramCap,
-			Shards:      shards,
-			Second: tiered.NewDiskModel(tiered.DiskModelConfig{
-				Capacity:       cfg.DiskCapacity,
-				ReadLatency:    cfg.DiskReadLatency,
-				WriteLatency:   cfg.DiskWriteLatency,
-				BytesPerSecond: cfg.DiskBytesPerSecond,
-			}),
-		})
+		store, err := cache.NewTieredStore(ramCap, cache.NewLRU(), tiered.NewDiskModel(tiered.DiskModelConfig{
+			Capacity:       cfg.DiskCapacity,
+			ReadLatency:    cfg.DiskReadLatency,
+			WriteLatency:   cfg.DiskWriteLatency,
+			BytesPerSecond: cfg.DiskBytesPerSecond,
+		}))
 		if err != nil {
 			return sample, err
 		}

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"ndnprivacy/internal/ndn"
@@ -58,32 +59,44 @@ func (e *Entry) IsStale(now time.Duration) bool {
 // entryPoolCap bounds the store's recycled-Entry free list.
 const entryPoolCap = 1024
 
-// Store is an NDN Content Store over the PIT-CS composite table. A
-// capacity of 0 means unlimited (the paper's "Inf" baseline). Store is
-// not safe for concurrent use; each simulated node runs single-threaded
-// on the event loop.
+// Store is an NDN Content Store over the PIT-CS composite table, with an
+// optional second tier behind it (NewTieredStore, second.go). A capacity
+// of 0 means unlimited (the paper's "Inf" baseline). Store is not safe
+// for concurrent use; each simulated node runs single-threaded on the
+// event loop.
 type Store struct {
 	capacity int
 	policy   Policy
-	// t holds the entries: the CS facet of a composite table. A
-	// forwarder may share the same table with its PIT (see Table), in
-	// which case one probe resolves both.
+	// t holds the entries: the CS facet of a composite table. The
+	// forwarder runs its PIT on the same table (see Table), so one probe
+	// per arriving interest resolves both.
 	t *pcct.Table
 	// pool recycles Entry metadata structs across insert/evict churn.
-	// Recycling is skipped whenever a removal hook is registered — a
-	// hook may legitimately retain the entry (the tiered store demotes
-	// evicted entries into its second tier).
-	pool     []*Entry
-	onEvict  func(*Entry)
-	onRemove func(*Entry, RemoveReason, time.Duration)
+	// Recycling is skipped whenever an eviction hook is registered — a
+	// hook may legitimately retain the entry — and for entries demoted
+	// to the second tier, which owns them from then on.
+	pool    []*Entry
+	onEvict func(*Entry)
+
+	// second is the optional large tier behind the table; nil for a flat
+	// store. An object lives in exactly one tier: the table (the RAM
+	// front) or second. demoted indexes the second tier's residents by
+	// name hash (see second.go).
+	second  SecondTier
+	demoted map[uint64][]demotedRef
 
 	// Activity counters live on telemetry.Counter so an instrumented
 	// store shares them with the run's registry; uninstrumented stores
-	// use standalone counters, so the accessors below always work.
+	// use standalone counters, so the accessors below always work. The
+	// tier-movement counters are nil without a second tier.
 	insertions *telemetry.Counter
 	evictions  *telemetry.Counter
 	hits       *telemetry.Counter
 	misses     *telemetry.Counter
+	diskHits   *telemetry.Counter
+	promotions *telemetry.Counter
+	demotions  *telemetry.Counter
+	tierWrites *telemetry.Counter
 	sink       telemetry.Sink
 	node       string
 	spans      *span.Tracer
@@ -122,19 +135,35 @@ func MustNewStore(capacity int, policy Policy) *Store {
 	return s
 }
 
-// Table exposes the underlying composite table so a forwarder can run
-// its PIT on the same table and fuse CS-check, PIT-aggregate and
-// PIT-insert into one hash probe per arriving interest.
+// Table exposes the underlying composite table: the forwarder runs its
+// PIT on it, so CS-check, PIT-aggregate and PIT-insert share one hash
+// probe per arriving interest.
 func (s *Store) Table() *pcct.Table { return s.t }
 
-// Len returns the number of cached objects.
-func (s *Store) Len() int { return s.t.LenCS() }
+// Len returns the number of cached objects, both tiers included.
+func (s *Store) Len() int {
+	if s.second != nil {
+		return s.t.LenCS() + s.second.Len()
+	}
+	return s.t.LenCS()
+}
 
-// Capacity returns the configured capacity (0 = unlimited).
-func (s *Store) Capacity() int { return s.capacity }
+// Capacity returns the total object capacity, the second tier's
+// included (0 = unlimited).
+func (s *Store) Capacity() int {
+	if s.second == nil {
+		return s.capacity
+	}
+	if s.second.Capacity() == 0 {
+		return 0
+	}
+	return s.capacity + s.second.Capacity()
+}
 
-// Evictions returns the running count of capacity evictions. It reads
-// the telemetry counter, so instrumented and standalone stores report
+// Evictions returns the running count of capacity evictions: objects
+// the store dropped to make room. With a second tier only that tier's
+// overflow counts — a demotion keeps the content cached. It reads the
+// telemetry counter, so instrumented and standalone stores report
 // identically.
 func (s *Store) Evictions() uint64 { return s.evictions.Value() }
 
@@ -142,10 +171,11 @@ func (s *Store) Evictions() uint64 { return s.evictions.Value() }
 func (s *Store) Insertions() uint64 { return s.insertions.Value() }
 
 // Hits returns the running count of lookups answered by a fresh entry
-// (Match or Exact), including hits the privacy layer later disguises.
+// in either tier, including hits the privacy layer later disguises.
 func (s *Store) Hits() uint64 { return s.hits.Value() }
 
-// Misses returns the running count of lookups that found no fresh entry.
+// Misses returns the running count of lookups that found no fresh entry
+// in any tier.
 func (s *Store) Misses() uint64 { return s.misses.Value() }
 
 // Instrument moves the store's counters onto the given registry under
@@ -158,6 +188,12 @@ func (s *Store) Instrument(reg *telemetry.Registry, sink telemetry.Sink, node st
 		s.evictions = adoptCounter(reg, "ndn_cs_evictions_total", node, s.evictions)
 		s.hits = adoptCounter(reg, "ndn_cs_hits_total", node, s.hits)
 		s.misses = adoptCounter(reg, "ndn_cs_misses_total", node, s.misses)
+		if s.second != nil {
+			s.diskHits = adoptCounter(reg, "ndn_cs_disk_hits_total", node, s.diskHits)
+			s.promotions = adoptCounter(reg, "ndn_cs_promotions_total", node, s.promotions)
+			s.demotions = adoptCounter(reg, "ndn_cs_demotions_total", node, s.demotions)
+			s.tierWrites = adoptCounter(reg, "ndn_cs_tier2_writes_total", node, s.tierWrites)
+		}
 	}
 	s.sink = sink
 	s.node = node
@@ -189,6 +225,14 @@ func (s *Store) FinishSpans(now time.Duration) {
 		s.spans.End(entry.residency, int64(now), "resident")
 		entry.residency = nil
 	}
+	// End mutates records in place, so the walk order over the demoted
+	// index does not reach the output.
+	for _, bucket := range s.demoted {
+		for i := range bucket {
+			s.spans.End(bucket[i].residency, int64(now), "resident")
+			bucket[i].residency = nil
+		}
+	}
 }
 
 // adoptCounter registers a node-labeled counter and folds the standalone
@@ -201,13 +245,20 @@ func adoptCounter(reg *telemetry.Registry, name, node string, old *telemetry.Cou
 	return c
 }
 
-// PolicyName returns the eviction policy's name.
-func (s *Store) PolicyName() string { return s.policy.Name() }
+// PolicyName returns the eviction policy's name; a tiered store names
+// the composite, backend included.
+func (s *Store) PolicyName() string {
+	if s.second != nil {
+		return fmt.Sprintf("tiered(%s+%s)", s.policy.Name(), s.second.Name())
+	}
+	return s.policy.Name()
+}
 
 // SetEvictionHook registers a callback invoked whenever an entry leaves
-// the store (capacity eviction, staleness purge, or explicit removal).
-// Cache managers with out-of-entry state — GroupedRandomCache — use it to
-// garbage-collect.
+// the store entirely (capacity eviction, staleness purge, or explicit
+// removal) — never on movement between tiers, which keeps the content
+// cached. Cache managers with out-of-entry state — GroupedRandomCache —
+// use it to garbage-collect.
 func (s *Store) SetEvictionHook(hook func(*Entry)) { s.onEvict = hook }
 
 // RemoveReason classifies why an entry left the store. The values double
@@ -225,58 +276,72 @@ const (
 	ReasonClear RemoveReason = "clear"
 )
 
-// SetRemovalObserver registers a callback receiving every entry removal
-// together with its reason and virtual time — richer than the eviction
-// hook. The tiered store uses it to translate RAM-front capacity
-// evictions into second-tier demotions while letting staleness purges
-// and explicit removals die for real.
-func (s *Store) SetRemovalObserver(obs func(e *Entry, reason RemoveReason, now time.Duration)) {
-	s.onRemove = obs
-}
-
-// Insert caches data, evicting per policy if the store is full. The
-// content is cloned so callers cannot mutate cached state. It returns the
-// entry for metadata updates.
+// Insert caches data, making room per policy if the table is full: a
+// flat store evicts the victim, a tiered store demotes it. The content
+// is cloned so callers cannot mutate cached state. It returns the entry
+// for metadata updates. Content the store already holds — in either
+// tier — is refreshed: payload and timing are replaced, the counters
+// the cache-management algorithms keep on the entry survive.
 func (s *Store) Insert(data *ndn.Data, now, fetchDelay time.Duration) *Entry {
 	key := data.Name.Key()
 	e := s.t.Get(data.Name)
 	if e != nil && e.CS() != nil {
-		// Refresh payload and timing, keep counters: the router already
-		// knows this content.
 		existing := e.CS().(*Entry)
 		existing.Data = data.Clone()
 		existing.InsertedAt = now
 		existing.FetchDelay = fetchDelay
 		s.t.CSRefresh(e)
-		s.emit(telemetry.EvCSInsert, key, now, "refresh")
+		s.emit(telemetry.EvCSInsert, key, now, "refresh", 0)
 		return existing
 	}
+	// A refresh can also find the object demoted (a prefix interest
+	// misses the second tier's exact-only index, so the Data comes back
+	// from upstream): the same entry returns to the table.
+	var entry *Entry
+	if s.second != nil {
+		entry = s.takeSecond(data.Name)
+	}
+	s.makeRoom(now)
+	action := "refresh"
+	if entry == nil {
+		action = "new"
+		entry = s.newEntry()
+		entry.Private = data.IsPrivate()
+		if s.spans != nil {
+			// Residency spans live outside any trace (zero context): one
+			// entry serves many fetches across its cache lifetime.
+			entry.residency, _ = s.spans.Begin(span.Context{}, span.KindResidency, s.node, key, int64(now))
+		}
+		s.insertions.Inc()
+	}
+	entry.Data = data.Clone()
+	entry.InsertedAt = now
+	entry.FetchDelay = fetchDelay
+	if e == nil {
+		// Making room may have mutated the table; Put re-probes.
+		e = s.t.Put(data.Name)
+	}
+	s.t.AttachCS(e, entry)
+	s.emit(telemetry.EvCSInsert, key, now, action, 0)
+	return entry
+}
+
+// makeRoom frees one table slot when the table is at capacity: the
+// policy's victim is evicted from a flat store and demoted to the second
+// tier of a tiered one.
+func (s *Store) makeRoom(now time.Duration) {
 	for s.capacity > 0 && s.t.LenCS() >= s.capacity {
 		victim := s.t.CSVictim()
 		if victim == nil {
 			break
 		}
+		if s.second != nil {
+			s.demote(victim, now)
+			continue
+		}
 		s.removeEntry(victim, now, ReasonCapacity)
 		s.evictions.Inc()
 	}
-	entry := s.newEntry()
-	entry.Data = data.Clone()
-	entry.InsertedAt = now
-	entry.FetchDelay = fetchDelay
-	entry.Private = data.IsPrivate()
-	if s.spans != nil {
-		// Residency spans live outside any trace (zero context): one
-		// entry serves many fetches across its cache lifetime.
-		entry.residency, _ = s.spans.Begin(span.Context{}, span.KindResidency, s.node, key, int64(now))
-	}
-	if e == nil {
-		// The eviction loop may have mutated the table; Put re-probes.
-		e = s.t.Put(data.Name)
-	}
-	s.t.AttachCS(e, entry)
-	s.insertions.Inc()
-	s.emit(telemetry.EvCSInsert, key, now, "new")
-	return entry
 }
 
 // newEntry takes a recycled Entry from the pool or allocates one.
@@ -290,48 +355,31 @@ func (s *Store) newEntry() *Entry {
 	return &Entry{}
 }
 
-// Exact returns the entry whose name equals name exactly, if fresh.
+// Exact returns the entry whose name equals name exactly, if fresh. A
+// second-tier hit promotes the entry into the table.
 //
-//ndnlint:hotpath — the lookup latency the cache-timing adversary measures; must not allocate
+//ndnlint:hotpath — the lookup latency the cache-timing adversary measures; the table path must not allocate
 func (s *Store) Exact(name ndn.Name, now time.Duration) (*Entry, bool) {
 	entry, found := s.lookupExact(name, now)
+	if !found && s.second != nil {
+		entry, _, found = s.readSecond(name, nil, now, true) //ndnlint:allow alloccheck — second-tier read is off the table hit path
+	}
 	s.countLookup(found)
 	return entry, found
 }
 
-// ExactView is Exact for a zero-copy name view: the hit/miss decision the
-// timing adversary measures, taken directly over the wire buffer without
-// materializing an owned name. The view's precomputed rolling hash
-// selects the probe start and full component comparison verifies
-// membership.
+// ExactView is Exact for a zero-copy name view, and like every view
+// lookup a pure probe (see ProbeView).
 //
 //ndnlint:hotpath — the lookup latency the cache-timing adversary measures; must not allocate
 func (s *Store) ExactView(v *ndn.NameView, now time.Duration) (*Entry, bool) {
-	entry, found := s.lookupExactView(v, now)
-	s.countLookup(found)
-	return entry, found
+	entry, cached, _ := s.ProbeView(v, now)
+	return entry, cached
 }
 
-// lookupExactView is ExactView without hit/miss accounting.
+// lookupExact is the table half of Exact, without hit/miss accounting.
 //
-//ndnlint:hotpath — called per probe from ExactView; must not allocate
-func (s *Store) lookupExactView(v *ndn.NameView, now time.Duration) (*Entry, bool) {
-	e := s.t.GetView(v)
-	if e == nil || e.CS() == nil {
-		return nil, false
-	}
-	entry := e.CS().(*Entry)
-	if entry.IsStale(now) {
-		s.removeEntry(e, now, ReasonStale) //ndnlint:allow alloccheck — stale purge is off the steady-state hit path
-		return nil, false
-	}
-	return entry, true
-}
-
-// lookupExact is Exact without hit/miss accounting, shared with Match so
-// one logical lookup is counted exactly once.
-//
-//ndnlint:hotpath — called per probe from Exact and Match; must not allocate
+//ndnlint:hotpath — called per probe from Exact; must not allocate
 func (s *Store) lookupExact(name ndn.Name, now time.Duration) (*Entry, bool) {
 	e := s.t.Get(name)
 	if e == nil || e.CS() == nil {
@@ -354,38 +402,41 @@ func (s *Store) countLookup(hit bool) {
 	}
 }
 
-// ProbeName captures one hash probe for name. The forwarder's fused
-// fast path takes the probe once per arriving interest and feeds it to
-// MatchProbed and then the PIT's InsertProbed, so the CS check, the
-// PIT aggregate check and the PIT insert cost a single probe.
+// ProbeName captures one hash probe for name. The forwarder takes the
+// probe once per arriving interest and feeds it to MatchProbed and then
+// the PIT's InsertProbed, so the CS check, the PIT aggregate check and
+// the PIT insert cost a single probe.
 //
 //ndnlint:hotpath — the one probe per arriving interest; must not allocate
 func (s *Store) ProbeName(name ndn.Name) pcct.Probe { return s.t.Probe(name) }
 
-// ProbeViewFused resolves both facets of the composite table with one
-// hash probe over a zero-copy name view: cached follows ExactView
-// semantics exactly (stale purge, hit/miss accounting), and pending
-// reports whether a live PIT facet awaits the name at virtual time now.
-// It exists for forwarders running their PIT on this store's table
-// (Table), where separate CS and PIT probes would hash the same name
-// twice. Pending state is read before any stale purge, which may
-// release the table entry.
+// ProbeView resolves both facets of the composite table with one hash
+// probe over a zero-copy name view — the hit/miss decision the timing
+// adversary measures, taken directly over the wire buffer without
+// materializing an owned name. The view's precomputed rolling hash
+// selects the probe start and full component comparison verifies
+// membership. cached follows Exact semantics (stale purge, hit/miss
+// accounting) except that a second-tier hit is reported without
+// promoting, so probing cannot reshape tier placement; pending reports
+// whether a live PIT facet awaits the name at virtual time now. Pending
+// state is read before any stale purge, which may release the table
+// entry.
 //
-//ndnlint:hotpath — wire-probe fast path; must not allocate
-func (s *Store) ProbeViewFused(v *ndn.NameView, now time.Duration) (entry *Entry, cached, pending bool) {
-	e := s.t.GetView(v)
-	if e == nil {
-		s.countLookup(false)
-		return nil, false, false
-	}
-	pending = e.PITActive() && now < e.PIT().Expires
-	if e.CS() != nil {
-		ce := e.CS().(*Entry)
-		if ce.IsStale(now) {
-			s.removeEntry(e, now, ReasonStale) //ndnlint:allow alloccheck — stale purge is off the steady-state hit path
-		} else {
-			entry, cached = ce, true
+//ndnlint:hotpath — wire-probe path; must not allocate
+func (s *Store) ProbeView(v *ndn.NameView, now time.Duration) (entry *Entry, cached, pending bool) {
+	if e := s.t.GetView(v); e != nil {
+		pending = e.PITActive() && now < e.PIT().Expires
+		if e.CS() != nil {
+			ce := e.CS().(*Entry)
+			if ce.IsStale(now) {
+				s.removeEntry(e, now, ReasonStale) //ndnlint:allow alloccheck — stale purge is off the steady-state hit path
+			} else {
+				entry, cached = ce, true
+			}
 		}
+	}
+	if !cached && s.second != nil {
+		entry, cached = s.peekSecondView(v, now) //ndnlint:allow alloccheck — second-tier read is off the table hit path
 	}
 	s.countLookup(cached)
 	return entry, cached, pending
@@ -395,21 +446,24 @@ func (s *Store) ProbeViewFused(v *ndn.NameView, now time.Duration) (entry *Entry
 // longest-prefix rule (Section II footnote 2), skipping stale entries and
 // honoring the unpredictable-suffix restriction. Among multiple matches
 // the lexicographically smallest full name wins, which makes simulation
-// runs deterministic.
+// runs deterministic. It is the forwarder's lookup sequence in one call:
+// MatchProbed over the table, then MatchSecond.
 func (s *Store) Match(interest *ndn.Interest, now time.Duration) (*Entry, bool) {
 	p := s.t.Probe(interest.Name)
-	return s.matchProbed(interest, &p, now)
+	entry, found := s.MatchProbed(interest, &p, now)
+	if !found {
+		entry, _, found = s.MatchSecond(interest, now)
+	}
+	return entry, found
 }
 
-// MatchProbed is Match reusing an earlier probe of interest.Name.
+// MatchProbed is the table half of Match, reusing an earlier probe of
+// interest.Name. On a tiered store a miss here is not yet a store miss
+// and is left uncounted: the caller follows with MatchSecond, which
+// settles the lookup's outcome.
 //
-//ndnlint:hotpath — fused-path CS check; must not allocate on the exact-hit path
+//ndnlint:hotpath — the interest pipeline's CS check; must not allocate on the exact-hit path
 func (s *Store) MatchProbed(interest *ndn.Interest, p *pcct.Probe, now time.Duration) (*Entry, bool) {
-	return s.matchProbed(interest, p, now)
-}
-
-//ndnlint:hotpath — shared by Match and MatchProbed; must not allocate on the exact-hit path
-func (s *Store) matchProbed(interest *ndn.Interest, p *pcct.Probe, now time.Duration) (*Entry, bool) {
 	if !p.Valid(s.t) {
 		*p = s.t.Probe(interest.Name)
 	}
@@ -444,13 +498,17 @@ func (s *Store) matchProbed(interest *ndn.Interest, p *pcct.Probe, now time.Dura
 		}
 		i++
 	}
-	s.countLookup(false)
+	if s.second == nil {
+		s.countLookup(false)
+	}
 	return nil, false
 }
 
 // Touch records a cache hit on the entry for eviction-recency purposes.
 // Call it on every hit, including hits the privacy layer disguises as
-// misses (Section VII: delayed responses still refresh the entry).
+// misses (Section VII: delayed responses still refresh the entry). Only
+// the table tracks recency; promotion is what refreshes a demoted
+// object's.
 //
 //ndnlint:hotpath — runs on every cache hit; must not allocate
 func (s *Store) Touch(name ndn.Name) {
@@ -459,79 +517,102 @@ func (s *Store) Touch(name ndn.Name) {
 	}
 }
 
-// Remove deletes the entry for exactly name, reporting whether it
-// existed. now is the virtual time of the management operation; it
-// stamps the eviction trace event and closes the entry's residency span
-// at a real timestamp instead of zero.
+// Remove deletes the entry for exactly name from whichever tier holds
+// it, reporting whether it existed. now is the virtual time of the
+// management operation; it stamps the eviction trace event and closes
+// the entry's residency span at a real timestamp instead of zero.
 func (s *Store) Remove(name ndn.Name, now time.Duration) bool {
-	e := s.t.Get(name)
-	if e == nil || e.CS() == nil {
-		return false
+	return s.remove(name, now, ReasonRemove)
+}
+
+func (s *Store) remove(name ndn.Name, now time.Duration, reason RemoveReason) bool {
+	if e := s.t.Get(name); e != nil && e.CS() != nil {
+		s.removeEntry(e, now, reason)
+		return true
 	}
-	s.removeEntry(e, now, ReasonRemove)
-	return true
+	if s.second != nil {
+		if entry := s.takeSecond(name); entry != nil {
+			s.finish(entry, reason, now)
+			return true
+		}
+	}
+	return false
 }
 
 // Clear empties the store at virtual time now, preserving
-// configuration. It drains the sorted prefix index front-to-back so the
-// eviction-event order is deterministic (sorted by name).
+// configuration. It walks names in sorted order so the eviction-event
+// order is deterministic.
 func (s *Store) Clear(now time.Duration) {
-	for s.t.CSIndexLen() > 0 {
-		s.removeEntry(s.t.CSIndex(0), now, ReasonClear)
+	for _, name := range s.Names() {
+		s.remove(name, now, ReasonClear)
 	}
 }
 
-// Names returns the full names of all cached objects, sorted.
+// Names returns the full names of all cached objects, both tiers
+// included, sorted.
 func (s *Store) Names() []ndn.Name {
-	out := make([]ndn.Name, s.t.CSIndexLen())
+	out := make([]ndn.Name, s.t.CSIndexLen(), s.Len())
 	for i := range out {
 		out[i] = s.t.CSIndex(i).Name()
 	}
+	if len(s.demoted) == 0 {
+		return out
+	}
+	for _, bucket := range s.demoted {
+		for _, ref := range bucket {
+			out = append(out, ref.name)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
 
-// removeEntry detaches e's CS facet, releases the table entry unless a
-// PIT facet keeps it alive, and runs the removal side effects in the
-// same order the map-based store used: span close, trace event,
-// eviction hook, removal observer.
+// removeEntry ends the store lifetime of the object in table entry e:
+// it detaches the CS facet, releases the table entry unless a PIT facet
+// keeps it alive, runs the removal side effects and recycles the Entry.
 func (s *Store) removeEntry(e *pcct.Entry, now time.Duration, reason RemoveReason) {
-	entry := e.CS().(*Entry)
-	key := entry.Data.Name.Key()
-	s.t.DetachCS(e)
-	s.t.ReleaseIfEmpty(e)
-	if entry.residency != nil {
-		s.spans.End(entry.residency, int64(now), string(reason))
-		entry.residency = nil
-	}
-	s.emit(telemetry.EvCSEvict, key, now, string(reason))
-	if s.onEvict != nil || s.onRemove != nil {
-		// A hook may retain the entry (the tiered store demotes evicted
-		// entries into its second tier); hooked entries are never
-		// recycled.
-		if s.onEvict != nil {
-			s.onEvict(entry)
-		}
-		if s.onRemove != nil {
-			s.onRemove(entry, reason, now)
-		}
-		return
-	}
-	if len(s.pool) < entryPoolCap {
+	entry := s.detach(e)
+	s.finish(entry, reason, now)
+	if s.onEvict == nil && len(s.pool) < entryPoolCap {
+		// A hook may retain the entry; hooked entries are never recycled.
 		*entry = Entry{}
 		s.pool = append(s.pool, entry)
 	}
 }
 
+// detach takes e's CS facet off the table and returns its payload.
+func (s *Store) detach(e *pcct.Entry) *Entry {
+	entry := e.CS().(*Entry)
+	s.t.DetachCS(e)
+	s.t.ReleaseIfEmpty(e)
+	return entry
+}
+
+// finish runs the side effects of an object leaving the store from
+// either tier, in the order the map-based store used: span close, trace
+// event, eviction hook.
+func (s *Store) finish(entry *Entry, reason RemoveReason, now time.Duration) {
+	if entry.residency != nil {
+		s.spans.End(entry.residency, int64(now), string(reason))
+		entry.residency = nil
+	}
+	s.emit(telemetry.EvCSEvict, entry.Data.Name.Key(), now, string(reason), 0)
+	if s.onEvict != nil {
+		s.onEvict(entry)
+	}
+}
+
 // emit sends one content-store trace event; one branch when disabled.
-func (s *Store) emit(evType, name string, now time.Duration, action string) {
+func (s *Store) emit(evType, name string, now time.Duration, action string, cost time.Duration) {
 	if s.sink == nil {
 		return
 	}
 	s.sink.Emit(telemetry.Event{
-		At:     int64(now),
-		Type:   evType,
-		Node:   s.node,
-		Name:   name,
-		Action: action,
+		At:      int64(now),
+		Type:    evType,
+		Node:    s.node,
+		Name:    name,
+		Action:  action,
+		DelayNS: int64(cost),
 	})
 }

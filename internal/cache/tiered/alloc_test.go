@@ -13,7 +13,7 @@ import (
 // clean misses, the two cases that stay on the verified path.
 
 func TestTieredExactRAMHitZeroAlloc(t *testing.T) {
-	s := MustNew(Config{RAMCapacity: 8, Second: NewDiskModel(DiskModelConfig{})})
+	s := tieredStore(t, 8, NewDiskModel(DiskModelConfig{}))
 	d := mustData("/bench/a")
 	s.Insert(d, 0, 0)
 	name := d.Name
@@ -31,7 +31,7 @@ func TestTieredExactRAMHitZeroAlloc(t *testing.T) {
 }
 
 func TestTieredExactViewZeroAlloc(t *testing.T) {
-	s := MustNew(Config{RAMCapacity: 8, Second: NewDiskModel(DiskModelConfig{})})
+	s := tieredStore(t, 8, NewDiskModel(DiskModelConfig{}))
 	d := mustData("/bench/a")
 	s.Insert(d, 0, 0)
 	wire := ndn.EncodeName(nil, d.Name)
@@ -59,7 +59,7 @@ func TestTieredExactViewZeroAlloc(t *testing.T) {
 }
 
 func TestTieredTouchZeroAlloc(t *testing.T) {
-	s := MustNew(Config{RAMCapacity: 8, Second: NewDiskModel(DiskModelConfig{})})
+	s := tieredStore(t, 8, NewDiskModel(DiskModelConfig{}))
 	d := mustData("/bench/a")
 	s.Insert(d, 0, 0)
 	name := d.Name

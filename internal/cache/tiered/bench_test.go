@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"ndnprivacy/internal/cache"
 	"ndnprivacy/internal/ndn"
 )
 
@@ -12,13 +13,9 @@ import (
 // timing adversary distinguishes — RAM hit, disk hit, miss — plus the
 // movement machinery (promotion churn) that keeps the channel alive.
 
-func benchStore(b *testing.B, ramCap int) *Store {
+func benchStore(b *testing.B, ramCap int) *cache.Store {
 	b.Helper()
-	s, err := New(Config{RAMCapacity: ramCap, Second: NewDiskModel(DiskModelConfig{})})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return s
+	return tieredStore(b, ramCap, NewDiskModel(DiskModelConfig{}))
 }
 
 func BenchmarkTieredExactRAMHit(b *testing.B) {

@@ -1,3 +1,8 @@
+// Package tiered holds the back-ends for cache.Store's optional second
+// tier (cache.SecondTier): DiskModel, the simulator's deterministic
+// virtual-time disk, and FileTier, a real append-log file store for
+// cmd/ndnd, with its on-disk record codec. The tiering itself —
+// admission, demotion, promotion — is cache.Store's.
 package tiered
 
 import (
@@ -74,7 +79,7 @@ type DiskModel struct {
 	writes uint64
 }
 
-var _ SecondTier = (*DiskModel)(nil)
+var _ cache.SecondTier = (*DiskModel)(nil)
 
 // NewDiskModel builds a deterministic disk model.
 func NewDiskModel(cfg DiskModelConfig) *DiskModel {
@@ -85,16 +90,16 @@ func NewDiskModel(cfg DiskModelConfig) *DiskModel {
 	}
 }
 
-// Name implements SecondTier.
+// Name implements cache.SecondTier.
 func (d *DiskModel) Name() string { return "disk-model" }
 
-// Len implements SecondTier.
+// Len implements cache.SecondTier.
 func (d *DiskModel) Len() int { return len(d.entries) }
 
-// Capacity implements SecondTier.
+// Capacity implements cache.SecondTier.
 func (d *DiskModel) Capacity() int { return d.cfg.Capacity }
 
-// Close implements SecondTier; the model holds no resources.
+// Close implements cache.SecondTier; the model holds no resources.
 func (d *DiskModel) Close() error { return nil }
 
 // Reads and Writes report device operation counts.
@@ -115,7 +120,7 @@ func (d *DiskModel) occupy(now, fixed time.Duration, size int) time.Duration {
 	return done - now
 }
 
-// Put implements SecondTier. Writes occupy the device (a demotion
+// Put implements cache.SecondTier. Writes occupy the device (a demotion
 // burst delays reads queued behind it) and evict oldest-written
 // objects past capacity.
 func (d *DiskModel) Put(e *cache.Entry, now time.Duration) ([]*cache.Entry, error) {
@@ -155,7 +160,7 @@ func (d *DiskModel) popOldest(keep string) (*cache.Entry, bool) {
 	return nil, false
 }
 
-// Peek implements SecondTier: returns the entry and the modeled read
+// Peek implements cache.SecondTier: returns the entry and the modeled read
 // cost at virtual time now. The read occupies the device, so
 // back-to-back disk hits queue behind each other.
 func (d *DiskModel) Peek(key string, now time.Duration) (*cache.Entry, time.Duration, bool) {
@@ -168,7 +173,7 @@ func (d *DiskModel) Peek(key string, now time.Duration) (*cache.Entry, time.Dura
 	return rec.entry, cost, true
 }
 
-// Remove implements SecondTier. Metadata-only: no device time.
+// Remove implements cache.SecondTier. Metadata-only: no device time.
 func (d *DiskModel) Remove(key string) (*cache.Entry, bool) {
 	rec, ok := d.entries[key]
 	if !ok {

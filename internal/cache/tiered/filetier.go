@@ -47,7 +47,7 @@ type FileTier struct {
 	nextSeq uint64
 }
 
-var _ SecondTier = (*FileTier)(nil)
+var _ cache.SecondTier = (*FileTier)(nil)
 
 // OpenFileTier opens (or creates) the log at cfg.Path, replays it to
 // rebuild the live-object index, and truncates any torn tail left by a
@@ -111,13 +111,13 @@ func (t *FileTier) replay() error {
 	return nil
 }
 
-// Name implements SecondTier.
+// Name implements cache.SecondTier.
 func (t *FileTier) Name() string { return "file" }
 
-// Len implements SecondTier.
+// Len implements cache.SecondTier.
 func (t *FileTier) Len() int { return len(t.index) }
 
-// Capacity implements SecondTier.
+// Capacity implements cache.SecondTier.
 func (t *FileTier) Capacity() int { return t.cfg.Capacity }
 
 // Size returns the log's current byte length (tombstones and shadowed
@@ -127,7 +127,7 @@ func (t *FileTier) Size() int64 { return t.size }
 // Path returns the log file location.
 func (t *FileTier) Path() string { return filepath.Clean(t.cfg.Path) }
 
-// Close implements SecondTier.
+// Close implements cache.SecondTier.
 func (t *FileTier) Close() error { return t.f.Close() }
 
 // appendFrame writes one framed payload at the log's end.
@@ -141,9 +141,9 @@ func (t *FileTier) appendFrame(payload []byte) (off int64, frameLen int, err err
 	return off, len(frame), nil
 }
 
-// Put implements SecondTier. The entry is serialized as-at-put;
-// metadata mutations after Put are not persisted (documented on
-// Admission).
+// Put implements cache.SecondTier. The entry is serialized as-at-put;
+// the store mutates an entry only while it is in the RAM front, so
+// nothing is lost.
 func (t *FileTier) Put(e *cache.Entry, now time.Duration) ([]*cache.Entry, error) {
 	key := e.Data.Name.Key()
 	off, frameLen, err := t.appendFrame(encodeEntryPayload(e))
@@ -211,7 +211,7 @@ func (t *FileTier) readSlot(slot fileSlot) (*cache.Entry, error) {
 	return entry, nil
 }
 
-// Peek implements SecondTier: reads the entry back from the log.
+// Peek implements cache.SecondTier: reads the entry back from the log.
 // Reported cost is zero — the real I/O latency is wall-clock
 // observable, not modeled.
 func (t *FileTier) Peek(key string, now time.Duration) (*cache.Entry, time.Duration, bool) {
@@ -229,7 +229,7 @@ func (t *FileTier) Peek(key string, now time.Duration) (*cache.Entry, time.Durat
 	return entry, 0, true
 }
 
-// Remove implements SecondTier, logging a tombstone so the removal
+// Remove implements cache.SecondTier, logging a tombstone so the removal
 // survives reopen.
 func (t *FileTier) Remove(key string) (*cache.Entry, bool) {
 	slot, ok := t.index[key]

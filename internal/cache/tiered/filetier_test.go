@@ -207,20 +207,20 @@ func TestFileTierCapacityEvictsOldest(t *testing.T) {
 func TestFileTierBackedStoreServesAfterRAMEviction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cs.log")
 	tier := openTier(t, path, 0)
-	s := MustNew(Config{RAMCapacity: 1, Shards: 1, Second: tier})
+	s := tieredStore(t, 1, tier)
 
 	a := mkData(t, "/f/a")
 	s.Insert(a, 0, 0)
 	s.Insert(mkData(t, "/f/b"), time.Millisecond, 0) // /f/a demoted to the log
 
-	e, found := s.Exact(a.Name, 2*time.Millisecond)
-	if !found {
+	e, servedBy, cost := lookupName(s, a.Name, 2*time.Millisecond)
+	if e == nil {
 		t.Fatal("file-tier entry not served")
 	}
 	if string(e.Data.Payload) != "payload-/f/a" {
 		t.Errorf("payload = %q after log round trip", e.Data.Payload)
 	}
-	if info := s.LastLookup(); info.Tier != cache.TierSecond || info.Cost != 0 {
-		t.Errorf("LastLookup = %+v, want disk tier at zero modeled cost", info)
+	if servedBy != tierDisk || cost != 0 {
+		t.Errorf("served from %v at %v, want disk tier at zero modeled cost", servedBy, cost)
 	}
 }

@@ -20,39 +20,53 @@ func mkData(t *testing.T, name string) *ndn.Data {
 }
 
 // ramStore builds a small tiered store over a deterministic disk model:
-// one RAM shard of capacity ramCap, unlimited disk.
-func ramStore(t *testing.T, ramCap int) *Store {
+// a RAM front of capacity ramCap, unlimited disk.
+func ramStore(t *testing.T, ramCap int) *cache.Store {
 	t.Helper()
-	s, err := New(Config{
-		RAMCapacity: ramCap,
-		Shards:      1,
-		Second:      NewDiskModel(DiskModelConfig{}),
-	})
+	return tieredStore(t, ramCap, NewDiskModel(DiskModelConfig{}))
+}
+
+func tieredStore(t testing.TB, ramCap int, second cache.SecondTier) *cache.Store {
+	t.Helper()
+	s, err := cache.NewTieredStore(ramCap, cache.NewLRU(), second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
+// The serving tier of one lookup, as the forwarder learns it.
+const (
+	tierNone = "none"
+	tierRAM  = "ram"
+	tierDisk = "disk"
+)
+
+// lookup runs the forwarder's lookup sequence — one probe, the RAM
+// front, then the second tier — and reports the serving tier and its
+// modeled cost from the calls' return values.
+func lookup(s *cache.Store, interest *ndn.Interest, now time.Duration) (*cache.Entry, string, time.Duration) {
+	probe := s.ProbeName(interest.Name)
+	if e, found := s.MatchProbed(interest, &probe, now); found {
+		return e, tierRAM, 0
+	}
+	if e, cost, found := s.MatchSecond(interest, now); found {
+		return e, tierDisk, cost
+	}
+	return nil, tierNone, 0
+}
+
+func lookupName(s *cache.Store, name ndn.Name, now time.Duration) (*cache.Entry, string, time.Duration) {
+	return lookup(s, ndn.NewInterest(name, 1), now)
+}
+
 func TestNewValidation(t *testing.T) {
 	second := NewDiskModel(DiskModelConfig{})
-	if _, err := New(Config{RAMCapacity: 0, Second: second}); err == nil {
+	if _, err := cache.NewTieredStore(0, cache.NewLRU(), second); err == nil {
 		t.Error("zero RAM capacity accepted")
 	}
-	if _, err := New(Config{RAMCapacity: 8}); err == nil {
+	if _, err := cache.NewTieredStore(8, cache.NewLRU(), nil); err == nil {
 		t.Error("missing second tier accepted")
-	}
-	if _, err := New(Config{RAMCapacity: 8, Shards: 3, Second: second}); err == nil {
-		t.Error("non-power-of-two shard count accepted")
-	}
-	s, err := New(Config{RAMCapacity: 2, Shards: 8, Second: second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// More shards than capacity clamps the shard count instead of
-	// inflating the RAM front (every shard holds at least one object).
-	if s.RAMCapacity() != 2 {
-		t.Errorf("RAMCapacity = %d, want 2 (shard count clamped to capacity)", s.RAMCapacity())
 	}
 }
 
@@ -76,21 +90,20 @@ func TestDemotionAndPromotion(t *testing.T) {
 		t.Errorf("Demotions = %d, want 1", got)
 	}
 
-	// Exact on the demoted object: disk hit with a modeled cost, then
+	// A lookup of the demoted object: disk hit with a modeled cost, then
 	// promotion back into RAM (evicting the LRU victim /t/b).
-	e, found := s.Exact(a.Name, 4*time.Millisecond)
-	if !found {
+	e, tier, cost := lookupName(s, a.Name, 4*time.Millisecond)
+	if e == nil {
 		t.Fatal("demoted entry not found")
 	}
 	if e.InsertedAt != 1*time.Millisecond {
 		t.Errorf("promotion reset InsertedAt to %v, want original 1ms", e.InsertedAt)
 	}
-	info := s.LastLookup()
-	if info.Tier != cache.TierSecond {
-		t.Fatalf("LastLookup.Tier = %v, want disk", info.Tier)
+	if tier != tierDisk {
+		t.Fatalf("serving tier = %v, want disk", tier)
 	}
-	if info.Cost <= 0 {
-		t.Errorf("disk hit cost = %v, want > 0", info.Cost)
+	if cost <= 0 {
+		t.Errorf("disk hit cost = %v, want > 0", cost)
 	}
 	if got := s.Promotions(); got != 1 {
 		t.Errorf("Promotions = %d, want 1", got)
@@ -100,25 +113,27 @@ func TestDemotionAndPromotion(t *testing.T) {
 	}
 
 	// The promoted object now serves from RAM at zero cost.
-	if _, found := s.Exact(a.Name, 5*time.Millisecond); !found {
+	e, tier, cost = lookupName(s, a.Name, 5*time.Millisecond)
+	if e == nil {
 		t.Fatal("promoted entry not found")
 	}
-	if info := s.LastLookup(); info.Tier != cache.TierRAM || info.Cost != 0 {
-		t.Errorf("LastLookup after promotion = %+v, want RAM at zero cost", info)
+	if tier != tierRAM || cost != 0 {
+		t.Errorf("lookup after promotion = %v at %v, want RAM at zero cost", tier, cost)
 	}
 
 	// A miss reports no tier.
-	if _, found := s.Exact(ndn.MustParseName("/t/absent"), 5*time.Millisecond); found {
+	e, tier, _ = lookupName(s, ndn.MustParseName("/t/absent"), 5*time.Millisecond)
+	if e != nil {
 		t.Fatal("absent entry found")
 	}
-	if info := s.LastLookup(); info.Tier != cache.TierNone {
-		t.Errorf("LastLookup after miss = %+v, want none", info)
+	if tier != tierNone {
+		t.Errorf("lookup after miss = %v, want none", tier)
 	}
 
 	if hits, misses := s.Hits(), s.Misses(); hits != 2 || misses != 1 {
 		t.Errorf("hits/misses = %d/%d, want 2/1", hits, misses)
 	}
-	if ram, disk := s.RAMHits(), s.DiskHits(); ram != 1 || disk != 1 {
+	if ram, disk := s.Hits()-s.DiskHits(), s.DiskHits(); ram != 1 || disk != 1 {
 		t.Errorf("ram/disk hits = %d/%d, want 1/1", ram, disk)
 	}
 }
@@ -140,8 +155,8 @@ func TestExactViewIsPureProbe(t *testing.T) {
 		}
 		// Still a disk hit on the second probe: the view probe must not
 		// have promoted.
-		if info := s.LastLookup(); info.Tier != cache.TierSecond {
-			t.Fatalf("probe %d: tier = %v, want disk (probe must not promote)", probe, info.Tier)
+		if got := s.DiskHits(); got != uint64(probe+1) {
+			t.Fatalf("probe %d: disk hits = %d, want %d (probe must not promote)", probe, got, probe+1)
 		}
 	}
 	if got := s.Promotions(); got != 0 {
@@ -157,8 +172,8 @@ func TestExactViewIsPureProbe(t *testing.T) {
 	if _, found := s.ExactView(&bv, 2*time.Millisecond); !found {
 		t.Fatal("RAM-resident entry not visible to view lookup")
 	}
-	if info := s.LastLookup(); info.Tier != cache.TierRAM {
-		t.Errorf("tier = %v, want RAM", info.Tier)
+	if hits, disk := s.Hits(), s.DiskHits(); hits != 3 || disk != 2 {
+		t.Errorf("hits/disk hits = %d/%d, want 3/2 (third probe served from RAM)", hits, disk)
 	}
 }
 
@@ -180,11 +195,12 @@ func TestMatchPrefixServesRAMOnly(t *testing.T) {
 
 	// An exact interest reaches the disk tier and promotes.
 	exact := ndn.NewInterest(a.Name, 2)
-	if _, found := s.Match(exact, 3*time.Millisecond); !found {
+	e, tier, _ := lookup(s, exact, 3*time.Millisecond)
+	if e == nil {
 		t.Fatal("exact interest missed disk-resident entry")
 	}
-	if info := s.LastLookup(); info.Tier != cache.TierSecond {
-		t.Errorf("tier = %v, want disk", info.Tier)
+	if tier != tierDisk {
+		t.Errorf("tier = %v, want disk", tier)
 	}
 	if got := s.Promotions(); got != 1 {
 		t.Errorf("Promotions = %d, want 1", got)
@@ -254,11 +270,7 @@ func TestRemoveAndClearSpanBothTiers(t *testing.T) {
 }
 
 func TestSecondTierOverflowEvicts(t *testing.T) {
-	s := MustNew(Config{
-		RAMCapacity: 1,
-		Shards:      1,
-		Second:      NewDiskModel(DiskModelConfig{Capacity: 2}),
-	})
+	s := tieredStore(t, 1, NewDiskModel(DiskModelConfig{Capacity: 2}))
 	var evicted []string
 	s.SetEvictionHook(func(e *cache.Entry) { evicted = append(evicted, e.Data.Name.Key()) })
 
@@ -278,66 +290,6 @@ func TestSecondTierOverflowEvicts(t *testing.T) {
 	}
 	if _, found := s.Exact(ndn.MustParseName("/t/b"), 10*time.Millisecond); !found {
 		t.Error("surviving disk entry /t/b not found")
-	}
-}
-
-func TestWriteThroughKeepsDiskCopy(t *testing.T) {
-	s := MustNew(Config{
-		RAMCapacity: 1,
-		Shards:      1,
-		Second:      NewDiskModel(DiskModelConfig{}),
-		Write:       WriteThrough,
-	})
-	a := mkData(t, "/t/a")
-	s.Insert(a, 0, 0)
-	if got := s.SecondLen(); got != 1 {
-		t.Fatalf("SecondLen = %d, want 1 (write-through writes on admission)", got)
-	}
-	s.Insert(mkData(t, "/t/b"), time.Millisecond, 0) // /t/a's RAM copy evicted
-	if got := s.Len(); got != 2 {
-		t.Fatalf("Len = %d, want 2", got)
-	}
-	// Promotion keeps the disk copy under write-through.
-	if _, found := s.Exact(a.Name, 2*time.Millisecond); !found {
-		t.Fatal("write-through entry lost")
-	}
-	if got := s.SecondLen(); got != 2 {
-		t.Errorf("SecondLen = %d after promotion, want 2 (copy retained)", got)
-	}
-}
-
-func TestAdmitToSecondFillsRAMByPromotion(t *testing.T) {
-	s := MustNew(Config{
-		RAMCapacity: 2,
-		Shards:      1,
-		Second:      NewDiskModel(DiskModelConfig{}),
-		Admit:       AdmitToSecond,
-	})
-	a := mkData(t, "/t/a")
-	s.Insert(a, 0, 0)
-	if ram, disk := s.RAMLen(), s.SecondLen(); ram != 0 || disk != 1 {
-		t.Fatalf("RAM/Second = %d/%d, want 0/1 (admit-to-second)", ram, disk)
-	}
-	if _, found := s.Exact(a.Name, time.Millisecond); !found {
-		t.Fatal("second-tier-admitted entry not found")
-	}
-	if info := s.LastLookup(); info.Tier != cache.TierSecond {
-		t.Fatalf("first lookup tier = %v, want disk", info.Tier)
-	}
-	if ram := s.RAMLen(); ram != 1 {
-		t.Errorf("RAMLen = %d after promotion, want 1", ram)
-	}
-	// Refreshing RAM-resident content under AdmitToSecond refreshes in
-	// place instead of creating a divergent disk copy.
-	s.Insert(mkData(t, "/t/a"), 2*time.Millisecond, 0)
-	if _, found := s.Exact(a.Name, 3*time.Millisecond); !found {
-		t.Fatal("refreshed entry not found")
-	}
-	if info := s.LastLookup(); info.Tier != cache.TierRAM {
-		t.Errorf("post-refresh tier = %v, want RAM", info.Tier)
-	}
-	if got := s.Len(); got != 1 {
-		t.Errorf("Len = %d, want 1", got)
 	}
 }
 
@@ -363,6 +315,54 @@ func TestPromotionPreservesAlgorithmState(t *testing.T) {
 	}
 	if promoted.FetchDelay != 7*time.Millisecond {
 		t.Errorf("FetchDelay = %v, want 7ms", promoted.FetchDelay)
+	}
+}
+
+// A refresh of content that currently lives in the second tier (a prefix
+// interest misses that tier's exact-only index, goes upstream, and the
+// Data comes back) must keep the entry's Algorithm-1 state, exactly as a
+// refresh of RAM-resident content and a promotion do: the content never
+// left the cache.
+func TestRefreshOfDemotedEntryKeepsAlgorithmState(t *testing.T) {
+	s := ramStore(t, 1)
+	rec := telemetry.NewRecorder()
+	s.Instrument(nil, rec, "R")
+	a := mkData(t, "/t/a")
+	entry := s.Insert(a, 0, 7*time.Millisecond)
+	entry.ForwardCount = 5
+	entry.Counter = 3
+	entry.Threshold = 9
+	entry.ThresholdSet = true
+	entry.Private = true
+	entry.NonPrivateTrigger = true
+	entry.GroupKey = "/t"
+
+	s.Insert(mkData(t, "/t/b"), time.Millisecond, 0) // demote /t/a
+	if ram, disk := s.RAMLen(), s.SecondLen(); ram != 1 || disk != 1 {
+		t.Fatalf("RAM/disk = %d/%d before refresh, want 1/1", ram, disk)
+	}
+
+	refreshed := s.Insert(mkData(t, "/t/a"), 2*time.Millisecond, 4*time.Millisecond)
+	if refreshed.ForwardCount != 5 || refreshed.Counter != 3 || refreshed.Threshold != 9 ||
+		!refreshed.ThresholdSet || !refreshed.Private || !refreshed.NonPrivateTrigger || refreshed.GroupKey != "/t" {
+		t.Errorf("refresh of a demoted entry reset algorithm state: %+v", refreshed)
+	}
+	if refreshed.InsertedAt != 2*time.Millisecond || refreshed.FetchDelay != 4*time.Millisecond {
+		t.Errorf("refresh kept old timing: inserted %v, fetch delay %v", refreshed.InsertedAt, refreshed.FetchDelay)
+	}
+	// One copy, now in RAM; /t/b took its place on disk.
+	if got, ram, disk := s.Len(), s.RAMLen(), s.SecondLen(); got != 2 || ram != 1 || disk != 1 {
+		t.Errorf("Len/RAM/disk = %d/%d/%d after refresh, want 2/1/1", got, ram, disk)
+	}
+	if _, tier, _ := lookupName(s, a.Name, 3*time.Millisecond); tier != tierRAM {
+		t.Errorf("refreshed entry served from %v, want RAM", tier)
+	}
+	if got := s.Insertions(); got != 2 {
+		t.Errorf("Insertions = %d, want 2 (a refresh is not an insertion)", got)
+	}
+	events := rec.Events()
+	if last := events[len(events)-1]; last.Type != telemetry.EvCSInsert || last.Action != "refresh" {
+		t.Errorf("last event = %s:%s, want cs_insert:refresh", last.Type, last.Action)
 	}
 }
 

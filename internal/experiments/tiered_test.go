@@ -1,9 +1,31 @@
 package experiments
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
+
+// e15Golden is the sha256 of `ndnsim -fig tier -seed 1` (E15 at the CLI
+// defaults), recorded before the second tier was folded into cache.Store.
+// The figure depends on every modeled disk cost and every tier movement,
+// so the hash pins the tiered store's behaviour end to end.
+const e15Golden = "3273ce71dcc15600d332683dc226ca6304a8f3a686df3d11f1b92218e9aca097"
+
+func TestTieredTimingGolden(t *testing.T) {
+	res, err := RunTieredTiming(Figure3Config{Seed: 1, Objects: 200, Runs: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	NewReporter(&out, false).Add("tiered-timing", res)
+	sum := sha256.Sum256(out.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != e15Golden {
+		t.Errorf("E15 rendering hash = %s, want %s\n%s", got, e15Golden, out.String())
+	}
+}
 
 func TestRunTieredTiming(t *testing.T) {
 	res, err := RunTieredTiming(Figure3Config{Seed: 1, Objects: 30, Runs: 2})

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ndnprivacy/internal/cache"
+	"ndnprivacy/internal/cache/tiered"
 	"ndnprivacy/internal/ndn"
 	"ndnprivacy/internal/netsim"
 	"ndnprivacy/internal/table"
@@ -47,32 +48,63 @@ func TestDropTelemetryZeroAlloc(t *testing.T) {
 	}
 }
 
+// storeKinds builds the two shapes of Content Store — flat, and a RAM
+// front over a second tier that already holds a demoted object — so the
+// zero-allocation pins below hold for both: the forwarder runs one
+// pipeline, whichever it is given.
+var storeKinds = []struct {
+	name  string
+	build func(t *testing.T) *cache.Store
+}{
+	{"flat", func(t *testing.T) *cache.Store { return cache.MustNewStore(2, cache.NewLRU()) }},
+	{"tiered", func(t *testing.T) *cache.Store {
+		s, err := cache.NewTieredStore(2, cache.NewLRU(), tiered.NewDiskModel(tiered.DiskModelConfig{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"/spill/a", "/spill/b", "/spill/c"} {
+			d, err := ndn.NewData(ndn.MustParseName(name), []byte("x"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Insert(d, 0, 0)
+		}
+		if s.SecondLen() == 0 {
+			t.Fatal("nothing demoted")
+		}
+		return s
+	}},
+}
+
 func TestProbeWireZeroAlloc(t *testing.T) {
-	sim := netsim.New(1)
-	router, err := NewRouter(sim, "R", 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := ndn.NewData(ndn.MustParseName("/probe/hot"), []byte("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	router.Store().Insert(d, 0, 0)
-	hitWire := ndn.EncodeInterest(ndn.NewInterest(d.Name, 1))
-	missWire := ndn.EncodeInterest(ndn.NewInterest(ndn.MustParseName("/probe/cold"), 2))
-	hits := 0
-	if n := testing.AllocsPerRun(200, func() {
-		if cached, _ := router.ProbeWire(hitWire, 0); cached {
-			hits++
-		}
-		if cached, _ := router.ProbeWire(missWire, 0); cached {
-			t.Fatal("cold probe reported cached")
-		}
-	}); n != 0 {
-		t.Errorf("ProbeWire (hit + miss): %.0f allocs/run, want 0", n)
-	}
-	if hits == 0 {
-		t.Fatal("hot probe unexpectedly missed")
+	for _, kind := range storeKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			router, err := NewStoreRouter(netsim.New(1), "R", kind.build(t), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := ndn.NewData(ndn.MustParseName("/probe/hot"), []byte("x"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			router.Store().Insert(d, 0, 0)
+			hitWire := ndn.EncodeInterest(ndn.NewInterest(d.Name, 1))
+			missWire := ndn.EncodeInterest(ndn.NewInterest(ndn.MustParseName("/probe/cold"), 2))
+			hits := 0
+			if n := testing.AllocsPerRun(200, func() {
+				if cached, _ := router.ProbeWire(hitWire, 0); cached {
+					hits++
+				}
+				if cached, _ := router.ProbeWire(missWire, 0); cached {
+					t.Fatal("cold probe reported cached")
+				}
+			}); n != 0 {
+				t.Errorf("ProbeWire (hit + miss): %.0f allocs/run, want 0", n)
+			}
+			if hits == 0 {
+				t.Fatal("hot probe unexpectedly missed")
+			}
+		})
 	}
 }
 
@@ -121,54 +153,61 @@ func TestTelemetryDisabledZeroAlloc(t *testing.T) {
 }
 
 func TestFusedInterestStepZeroAlloc(t *testing.T) {
-	// The fused interest step — one ProbeName shared by the CS check
-	// (MatchProbed) and the PIT admission (InsertProbed), then Data
-	// satisfaction by the returned token — must not allocate in steady
-	// state, on the hit leg or the miss leg.
-	store := cache.MustNewStore(0, nil)
-	pit := table.NewPITOn(store.Table())
-	hot, err := ndn.NewData(ndn.MustParseName("/fused/hot"), []byte("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	store.Insert(hot, 0, 0)
-	hitInterest := ndn.NewInterest(hot.Name, 7)
-	cold := ndn.MustParseName("/fused/cold")
-	missInterest := ndn.NewInterest(cold, 8)
-	coldData, err := ndn.NewData(cold, []byte("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Prime one pending lifecycle so the table arena, facet pool and
-	// result buffers reach steady state (first admission allocates by
-	// design).
-	pr := store.ProbeName(cold)
-	pit.InsertProbed(missInterest, 1, 0, &pr)
-	if _, ok := pit.SatisfyWithInfo(coldData, 0); !ok {
-		t.Fatal("prime satisfaction failed")
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		// Hit leg: probe → CS match → recency touch.
-		p := store.ProbeName(hitInterest.Name)
-		if _, found := store.MatchProbed(hitInterest, &p, 0); !found {
-			t.Fatal("hot name missed")
-		}
-		store.Touch(hot.Name)
-		// Miss leg: the same probe feeds CS check and PIT admission;
-		// the token satisfies without a hash sweep.
-		p = store.ProbeName(cold)
-		if _, found := store.MatchProbed(missInterest, &p, 0); found {
-			t.Fatal("cold name hit")
-		}
-		_, tok := pit.InsertProbed(missInterest, 1, 0, &p)
-		if tok == 0 {
-			t.Fatal("no token returned")
-		}
-		if _, ok := pit.SatisfyByToken(coldData, tok, 0); !ok {
-			t.Fatal("token satisfaction failed")
-		}
-	}); n != 0 {
-		t.Errorf("fused interest step: %.2f allocs/run, want 0", n)
+	// The interest step — one ProbeName shared by the CS check
+	// (MatchProbed, then MatchSecond on a miss) and the PIT admission
+	// (InsertProbed), then Data satisfaction by the returned token — must
+	// not allocate in steady state, on the hit leg or the miss leg.
+	for _, kind := range storeKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			store := kind.build(t)
+			pit := table.NewPITOn(store.Table())
+			hot, err := ndn.NewData(ndn.MustParseName("/step/hot"), []byte("x"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			store.Insert(hot, 0, 0)
+			hitInterest := ndn.NewInterest(hot.Name, 7)
+			cold := ndn.MustParseName("/step/cold")
+			missInterest := ndn.NewInterest(cold, 8)
+			coldData, err := ndn.NewData(cold, []byte("x"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Prime one pending lifecycle so the table arena, facet pool
+			// and result buffers reach steady state (first admission
+			// allocates by design).
+			pr := store.ProbeName(cold)
+			pit.InsertProbed(missInterest, 1, 0, &pr)
+			if _, ok := pit.SatisfyByToken(coldData, 0, 0); !ok {
+				t.Fatal("prime satisfaction failed")
+			}
+			if n := testing.AllocsPerRun(200, func() {
+				// Hit leg: probe → CS match → recency touch.
+				p := store.ProbeName(hitInterest.Name)
+				if _, found := store.MatchProbed(hitInterest, &p, 0); !found {
+					t.Fatal("hot name missed")
+				}
+				store.Touch(hot.Name)
+				// Miss leg: the same probe feeds CS check and PIT
+				// admission; the token satisfies without a hash sweep.
+				p = store.ProbeName(cold)
+				if _, found := store.MatchProbed(missInterest, &p, 0); found {
+					t.Fatal("cold name hit")
+				}
+				if _, _, found := store.MatchSecond(missInterest, 0); found {
+					t.Fatal("cold name hit the second tier")
+				}
+				_, tok := pit.InsertProbed(missInterest, 1, 0, &p)
+				if tok == 0 {
+					t.Fatal("no token returned")
+				}
+				if _, ok := pit.SatisfyByToken(coldData, tok, 0); !ok {
+					t.Fatal("token satisfaction failed")
+				}
+			}); n != 0 {
+				t.Errorf("interest step: %.2f allocs/run, want 0", n)
+			}
+		})
 	}
 }
 

@@ -247,26 +247,13 @@ func BenchmarkEndToEndFetchDisguised(b *testing.B) {
 	}
 }
 
-// benchmarkInterestPath measures one interest→data exchange through the
-// forwarder's table mechanics — the part the composite table fused.
-//
-// fused=true is the current pipeline: CS and PIT share one composite
-// table, the interest pays a single hash probe (ProbeName →
-// MatchProbed → InsertProbed) and the Data satisfies by the PIT token
-// it carried back. fused=false replays the pre-composite structure the
-// forwarder had when CS and PIT were independent tables: the interest
-// probes the CS, then the PIT probes again, and Data satisfaction is a
-// tokenless prefix sweep. The delta between the two benchmarks is what
-// table fusion buys per exchange.
-func benchmarkInterestPath(b *testing.B, fused bool) {
-	b.Helper()
+// BenchmarkInterestPath measures one interest→data exchange through the
+// forwarder's table mechanics: CS and PIT share one composite table, the
+// interest pays a single hash probe (ProbeName → MatchProbed →
+// InsertProbed) and the Data satisfies by the PIT token it carried back.
+func BenchmarkInterestPath(b *testing.B) {
 	store := cache.MustNewStore(256, cache.NewLRU())
-	var pit *table.PIT
-	if fused {
-		pit = table.NewPITOn(store.Table())
-	} else {
-		pit = table.NewPIT()
-	}
+	pit := table.NewPITOn(store.Table())
 	const nNames = 1024
 	interests := make([]*ndn.Interest, nNames)
 	objects := make([]*ndn.Data, nNames)
@@ -286,34 +273,15 @@ func benchmarkInterestPath(b *testing.B, fused bool) {
 		i := n % nNames
 		interest, data := interests[i], objects[i]
 		now := time.Duration(n)
-		if fused {
-			pr := store.ProbeName(interest.Name)
-			if entry, found := store.MatchProbed(interest, &pr, now); found {
-				store.Touch(entry.Data.Name)
-				continue
-			}
-			_, tok := pit.InsertProbed(interest, face, now, &pr)
-			if _, ok := pit.SatisfyByToken(data, tok, now); !ok {
-				b.Fatal("pending entry vanished")
-			}
-		} else {
-			if entry, found := store.Match(interest, now); found {
-				store.Touch(entry.Data.Name)
-				continue
-			}
-			pit.Insert(interest, face, now)
-			if _, ok := pit.SatisfyWithInfo(data, now); !ok {
-				b.Fatal("pending entry vanished")
-			}
+		pr := store.ProbeName(interest.Name)
+		if entry, found := store.MatchProbed(interest, &pr, now); found {
+			store.Touch(entry.Data.Name)
+			continue
+		}
+		_, tok := pit.InsertProbed(interest, face, now, &pr)
+		if _, ok := pit.SatisfyByToken(data, tok, now); !ok {
+			b.Fatal("pending entry vanished")
 		}
 		store.Insert(data, now, 0)
 	}
 }
-
-// BenchmarkInterestPathFused is the composite-table pipeline: one probe
-// per interest, token-assisted satisfaction.
-func BenchmarkInterestPathFused(b *testing.B) { benchmarkInterestPath(b, true) }
-
-// BenchmarkInterestPathThreeLookup replays the pre-composite pipeline:
-// independent CS and PIT tables, one probe each, tokenless sweep.
-func BenchmarkInterestPathThreeLookup(b *testing.B) { benchmarkInterestPath(b, false) }

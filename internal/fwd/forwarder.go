@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"ndnprivacy/internal/cache"
-	tieredcs "ndnprivacy/internal/cache/tiered"
 	"ndnprivacy/internal/core"
 	"ndnprivacy/internal/ndn"
 	"ndnprivacy/internal/netsim"
@@ -64,12 +63,10 @@ type Config struct {
 	// experiments or an *rt.Executor for real-time operation.
 	Sim Executor
 	// Store is the node's Content Store; nil disables caching entirely
-	// (the paper's trivial countermeasure). A *cache.Store is the flat
-	// single-tier store; a store implementing cache.TieredContentStore
-	// (internal/cache/tiered) additionally reports per-lookup tier
-	// placement, and the forwarder delays responses served from the
-	// second tier by the modeled disk service cost.
-	Store cache.ContentStore
+	// (the paper's trivial countermeasure). When the store has a second
+	// tier (cache.NewTieredStore) the forwarder delays responses served
+	// from it by the modeled disk service cost.
+	Store *cache.Store
 	// Manager is the cache-management algorithm; defaults to NoPrivacy.
 	Manager core.CacheManager
 	// ProcessingDelay models per-packet forwarding cost. Applied once
@@ -108,23 +105,14 @@ type Stats struct {
 type Forwarder struct {
 	name string
 	sim  Executor
-	cs   cache.ContentStore
-	// tiered is cs's optional tier-placement capability, resolved once
-	// at construction; nil for flat stores, so the per-hit cost is one
-	// nil check.
-	tiered cache.TieredContentStore
-	// csFlat/csTiered devirtualize ProbeWire's exact lookup: calling
-	// ExactView through the ContentStore interface forces the stack
-	// NameView to escape, so the zero-alloc probe path needs the
-	// concrete store type. At most one is non-nil. A non-nil csFlat
-	// additionally shares its composite table with pit (see New), which
-	// is what fuses the interest pipeline into one hash probe.
-	csFlat   *cache.Store
-	csTiered *tieredcs.Store
-	pit      *table.PIT
-	fib      *table.FIB
-	cm       core.CacheManager
-	delay    time.Duration
+	// cs is the Content Store, nil when caching is disabled. pit runs on
+	// cs's composite table (see New), so one hash probe per arriving
+	// interest serves both.
+	cs    *cache.Store
+	pit   *table.PIT
+	fib   *table.FIB
+	cm    core.CacheManager
+	delay time.Duration
 
 	faces    map[table.FaceID]*face
 	nextFace table.FaceID
@@ -227,16 +215,12 @@ func New(cfg Config) (*Forwarder, error) {
 	if grc, isGrouped := cm.(*core.GroupedRandomCache); isGrouped && cfg.Store != nil {
 		cfg.Store.SetEvictionHook(grc.OnContentEvicted)
 	}
-	// A flat store shares its composite table with the PIT, so one hash
-	// probe per arriving interest resolves the CS check, the PIT
-	// aggregate check and the PIT insert; any other store keeps the PIT
-	// on a private table.
-	csFlat, _ := cfg.Store.(*cache.Store)
-	var pit *table.PIT
-	if csFlat != nil {
-		pit = table.NewPITOn(csFlat.Table())
-	} else {
-		pit = table.NewPIT()
+	// The PIT runs on the store's composite table, so one hash probe per
+	// arriving interest resolves the CS check, the PIT aggregate check
+	// and the PIT insert; a node without a store has a PIT-only table.
+	pit := table.NewPIT()
+	if cfg.Store != nil {
+		pit = table.NewPITOn(cfg.Store.Table())
 	}
 	pit.SetCapacity(cfg.PITCapacity)
 
@@ -271,24 +255,19 @@ func New(cfg Config) (*Forwarder, error) {
 		}
 	}
 	tagged, _ := cfg.Sim.(taggedScheduler)
-	tierCap, _ := cfg.Store.(cache.TieredContentStore)
-	csTiered, _ := cfg.Store.(*tieredcs.Store)
 
 	return &Forwarder{
-		name:     cfg.Name,
-		sim:      cfg.Sim,
-		cs:       cfg.Store,
-		tiered:   tierCap,
-		csFlat:   csFlat,
-		csTiered: csTiered,
-		pit:      pit,
-		fib:      table.NewFIB(),
-		cm:       cm,
-		delay:    cfg.ProcessingDelay,
-		faces:    make(map[table.FaceID]*face),
-		tel:      tel,
-		spans:    spans,
-		tagged:   tagged,
+		name:   cfg.Name,
+		sim:    cfg.Sim,
+		cs:     cfg.Store,
+		pit:    pit,
+		fib:    table.NewFIB(),
+		cm:     cm,
+		delay:  cfg.ProcessingDelay,
+		faces:  make(map[table.FaceID]*face),
+		tel:    tel,
+		spans:  spans,
+		tagged: tagged,
 	}, nil
 }
 
@@ -299,7 +278,7 @@ func (f *Forwarder) Name() string { return f.name }
 func (f *Forwarder) Stats() Stats { return f.stats }
 
 // Store returns the node's Content Store (nil if caching is disabled).
-func (f *Forwarder) Store() cache.ContentStore { return f.cs }
+func (f *Forwarder) Store() *cache.Store { return f.cs }
 
 // Manager returns the node's cache-management algorithm.
 func (f *Forwarder) Manager() core.CacheManager { return f.cm }
@@ -437,60 +416,23 @@ func (f *Forwarder) dispatch(from table.FaceID, pkt any) {
 //
 //ndnlint:hotpath — wire→CS/PIT-lookup fast path; must not allocate
 func (f *Forwarder) ProbeWire(wire []byte, now time.Duration) (cached, pending bool) {
-	if f.cs != nil && f.csFlat == nil && f.csTiered == nil {
-		// Unknown ContentStore implementation: calling ExactView through
-		// the interface forces the view to escape, and a single escaping
-		// use would heap-allocate the view on every path through this
-		// function — so the generic probe lives in its own function and
-		// is allowed to allocate.
-		return f.probeWireGeneric(wire, now) //ndnlint:allow alloccheck — out-of-module ContentStore probe; documented allocating fallback off the fast path
-	}
 	v, err := ndn.InterestNameView(wire)
 	if err != nil {
 		return false, false
 	}
 	// View lookups are read-only: the view is compared against cached
-	// names and never retained past the call. Calls are devirtualized so
-	// the view stays on the stack.
-	switch {
-	case f.csFlat != nil:
-		// The flat store's table is also the PIT's (see New): one fused
-		// probe resolves both the CS and the pending facet.
-		_, cached, pending = f.csFlat.ProbeViewFused(&v, now) //ndnlint:allow viewsafe — ProbeViewFused reads the view, never retains it
-	case f.csTiered != nil:
-		_, cached = f.csTiered.ExactView(&v, now) //ndnlint:allow viewsafe — ExactView reads the view, never retains it
-		pending = f.pit.HasPendingView(&v, now)
-	default:
-		// No Content Store: the PIT-only probe.
+	// names and never retained past the call, so it stays on the stack.
+	if f.cs != nil {
+		// The store's table is also the PIT's (see New): one probe
+		// resolves both the CS and the pending facet.
+		_, cached, pending = f.cs.ProbeView(&v, now) //ndnlint:allow viewsafe — ProbeView reads the view, never retains it
+	} else {
 		pending = f.pit.HasPendingView(&v, now)
 	}
 	if f.spans != nil {
 		// Traceless point span: wire probes have no propagated context,
 		// and the name stays un-materialized — the view's hash rides in
 		// Value instead.
-		action := "view-miss"
-		if cached {
-			action = "view-hit"
-		}
-		f.spans.Span(span.Context{}, span.KindCS, f.name, "", action, int64(now), int64(now), v.Hash())
-	}
-	return cached, pending
-}
-
-// probeWireGeneric is ProbeWire for ContentStore implementations outside
-// this module: same semantics, but the interface ExactView call makes
-// the name view escape, so this path allocates and is kept off the
-// hot path.
-func (f *Forwarder) probeWireGeneric(wire []byte, now time.Duration) (cached, pending bool) {
-	v, err := ndn.InterestNameView(wire)
-	if err != nil {
-		return false, false
-	}
-	if _, found := f.cs.ExactView(&v, now); found { //ndnlint:allow viewsafe — ExactView implementations read the view, never retain it
-		cached = true
-	}
-	pending = f.pit.HasPendingView(&v, now)
-	if f.spans != nil {
 		action := "view-miss"
 		if cached {
 			action = "view-hit"
@@ -521,47 +463,43 @@ func (f *Forwarder) handleInterest(from table.FaceID, interest *ndn.Interest) {
 		interest = &cp
 	}
 
-	// Content Store lookup, mediated by the cache manager. With a flat
-	// store the PIT runs on the same composite table (see New), so the
-	// probe taken here is reused by the PIT steps below — one hash
-	// probe per arriving interest resolves CS-check, PIT-aggregate and
-	// PIT-insert.
+	// Content Store lookup, mediated by the cache manager. The PIT runs
+	// on the store's composite table (see New), so the probe taken here
+	// is reused by the PIT step below — one hash probe per arriving
+	// interest resolves CS-check, PIT-aggregate and PIT-insert. A node
+	// without a store probes its PIT-only table.
 	var probe pcct.Probe
-	fused := f.csFlat != nil
-	if f.cs != nil {
-		var entry *cache.Entry
-		var found bool
-		if fused {
-			probe = f.csFlat.ProbeName(interest.Name)
-			entry, found = f.csFlat.MatchProbed(interest, &probe, now)
-		} else {
-			entry, found = f.cs.Match(interest, now)
-		}
-		if found {
-			// A hit served from the second (disk) tier pays that tier's
-			// modeled service latency on top of everything else — the
-			// third latency class the tiered-store adversary measures.
-			// Real (wall-clock) backends report zero cost here; their
-			// I/O time is physically observable instead.
-			var diskCost time.Duration
-			if f.tiered != nil {
-				if info := f.tiered.LastLookup(); info.Tier == cache.TierSecond {
-					diskCost = info.Cost
-					f.stats.DiskHits++
-					if f.tel != nil {
-						f.tel.diskHits.Inc()
-						f.tel.emit(telemetry.Event{
-							At: int64(now), Type: telemetry.EvCSDiskRead,
-							Name: interest.Name.Key(), Face: uint64(from),
-							DelayNS: int64(diskCost),
-						})
-					}
-					if hop != nil {
-						f.spans.Span(hopCtx, span.KindDisk, f.name, interest.Name.Key(),
-							"disk-read", int64(now), int64(now)+int64(diskCost), uint64(diskCost))
-					}
+	if f.cs == nil {
+		probe = f.pit.Probe(interest.Name)
+		f.stats.RealMisses++
+		f.missTelemetry(interest, from, now)
+	} else {
+		probe = f.cs.ProbeName(interest.Name)
+		entry, found := f.cs.MatchProbed(interest, &probe, now)
+		// A hit served from the second (disk) tier pays that tier's
+		// modeled service latency on top of everything else — the third
+		// latency class the tiered-store adversary measures. Real
+		// (wall-clock) backends report zero cost here; their I/O time is
+		// physically observable instead.
+		var diskCost time.Duration
+		if !found {
+			if entry, diskCost, found = f.cs.MatchSecond(interest, now); found {
+				f.stats.DiskHits++
+				if f.tel != nil {
+					f.tel.diskHits.Inc()
+					f.tel.emit(telemetry.Event{
+						At: int64(now), Type: telemetry.EvCSDiskRead,
+						Name: interest.Name.Key(), Face: uint64(from),
+						DelayNS: int64(diskCost),
+					})
+				}
+				if hop != nil {
+					f.spans.Span(hopCtx, span.KindDisk, f.name, interest.Name.Key(),
+						"disk-read", int64(now), int64(now)+int64(diskCost), uint64(diskCost))
 				}
 			}
+		}
+		if found {
 			if hop != nil {
 				f.spans.Span(hopCtx, span.KindCS, f.name, interest.Name.Key(), "hit", int64(now), int64(now), 0)
 			}
@@ -627,9 +565,6 @@ func (f *Forwarder) handleInterest(from table.FaceID, interest *ndn.Interest) {
 				f.spans.Span(hopCtx, span.KindCS, f.name, interest.Name.Key(), "miss", int64(now), int64(now), 0)
 			}
 		}
-	} else {
-		f.stats.RealMisses++
-		f.missTelemetry(interest, from, now)
 	}
 
 	// Scope: an interest with scope s may traverse at most s entities,
@@ -644,12 +579,8 @@ func (f *Forwarder) handleInterest(from table.FaceID, interest *ndn.Interest) {
 		return
 	}
 
-	// PIT. The fused path reuses the probe the CS check took above
-	// (InsertProbed re-probes only if a stale purge mutated the table);
-	// otherwise the PIT probes its own private table once here.
-	if !fused {
-		probe = f.pit.Probe(interest.Name)
-	}
+	// PIT, on the probe taken above (InsertProbed re-probes only if a
+	// stale purge or a tier movement mutated the table since).
 	outcome, tok := f.pit.InsertProbed(interest, from, now, &probe)
 	switch outcome {
 	case table.Aggregated:

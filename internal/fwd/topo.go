@@ -30,13 +30,9 @@ func NewRouter(sim *netsim.Simulator, name string, capacity int, manager core.Ca
 	})
 }
 
-// NewStoreRouter builds a forwarder around a caller-supplied Content
-// Store — the entry point for routers with non-flat stores (e.g. a
-// tiered RAM+disk store from internal/cache/tiered). The forwarder
-// resolves the store's tier capability at construction, so a
-// cache.TieredContentStore automatically gets disk-cost accounting on
-// its hit path.
-func NewStoreRouter(sim *netsim.Simulator, name string, store cache.ContentStore, manager core.CacheManager) (*Forwarder, error) {
+// NewStoreRouter builds a router around a caller-supplied Content Store
+// — how a tiered RAM+disk store (cache.NewTieredStore) gets onto a node.
+func NewStoreRouter(sim *netsim.Simulator, name string, store *cache.Store, manager core.CacheManager) (*Forwarder, error) {
 	return New(Config{
 		Name:            name,
 		Sim:             sim,

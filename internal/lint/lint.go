@@ -124,14 +124,13 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // All is every check this linter ships, in reporting order. The first
-// five are single-node AST checks; the next four are flow-sensitive,
+// four are single-node AST checks; the next four are flow-sensitive,
 // built on the internal/lint/cfg dataflow engine; alloccheck and
 // viewsafe are the module-level (interprocedural) analyses.
 var All = []*Analyzer{
 	SimDeterminism,
 	GlobalRand,
 	MapOrder,
-	CopyLocks,
 	WireErr,
 	GuardedBy,
 	SeedFlow,

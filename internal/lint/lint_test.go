@@ -28,7 +28,6 @@ var fixtures = map[string]string{
 	"globalrand_violation": "ndnprivacy/internal/util",
 	"maporder_violation":   "ndnprivacy/internal/fwd",
 	"maporder_clean":       "ndnprivacy/internal/fwd",
-	"copylocks_violation":  "ndnprivacy/internal/util",
 	"viewsafe_violation":   "ndnprivacy/internal/util",
 	"viewsafe_clean":       "ndnprivacy/internal/util",
 	"viewsafe_viewcopy":    "ndnprivacy/internal/util",
@@ -60,7 +59,6 @@ var expectFiring = map[string]string{
 	"simdet_violation":     "simdeterminism",
 	"globalrand_violation": "globalrand",
 	"maporder_violation":   "maporder",
-	"copylocks_violation":  "copylocks",
 	"wireerr_violation":    "wireerr",
 	"guardedby_violation":  "guardedby",
 	"seedflow_violation":   "seedflow",

@@ -193,8 +193,10 @@ type Listener struct {
 
 	mu     sync.Mutex
 	closed bool
-	faces  map[*Face]struct{}
-	wg     sync.WaitGroup
+	// faces holds the live accepted faces, keyed by connection so a
+	// face's shutdown can prune its own entry.
+	faces map[net.Conn]*Face
+	wg    sync.WaitGroup
 }
 
 // Listen starts accepting on ln. accept runs on the accept goroutine for
@@ -203,7 +205,7 @@ func Listen(f *fwd.Forwarder, ln net.Listener, accept func(*Face)) (*Listener, e
 	if f == nil || ln == nil {
 		return nil, errors.New("netface: listen requires a forwarder and a listener")
 	}
-	l := &Listener{ln: ln, fwd: f, faces: make(map[*Face]struct{})}
+	l := &Listener{ln: ln, fwd: f, faces: make(map[net.Conn]*Face)}
 	l.wg.Add(1)
 	go l.acceptLoop(accept)
 	return l, nil
@@ -219,7 +221,11 @@ func (l *Listener) acceptLoop(accept func(*Face)) {
 		if err != nil {
 			return // listener closed
 		}
-		face, err := Attach(l.fwd, conn, nil)
+		face, err := Attach(l.fwd, conn, func(error) {
+			l.mu.Lock()
+			delete(l.faces, conn)
+			l.mu.Unlock()
+		})
 		if err != nil {
 			_ = conn.Close()
 			continue
@@ -230,7 +236,13 @@ func (l *Listener) acceptLoop(accept func(*Face)) {
 			_ = face.Close()
 			return
 		}
-		l.faces[face] = struct{}{}
+		select {
+		case <-face.Done():
+			// The reader already exited, so its prune above may have run
+			// before this insert; done closes before the prune is called.
+		default:
+			l.faces[conn] = face
+		}
 		l.mu.Unlock()
 		if accept != nil {
 			accept(face)
@@ -247,7 +259,7 @@ func (l *Listener) Close() error {
 	}
 	l.closed = true
 	faces := make([]*Face, 0, len(l.faces))
-	for fa := range l.faces {
+	for _, fa := range l.faces {
 		faces = append(faces, fa)
 	}
 	l.mu.Unlock()

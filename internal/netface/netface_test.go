@@ -310,3 +310,66 @@ func TestGarbageOnWireClosesFace(t *testing.T) {
 		t.Fatal("garbage never killed the face")
 	}
 }
+
+// liveFaces reads the listener's face set.
+func liveFaces(l *Listener) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.faces)
+}
+
+// A long-running daemon must not retain a Face (with its bufio.Writer
+// and closed net.Conn) per connection ever accepted: the listener's set
+// holds live faces only.
+func TestListenerFaceSetDrains(t *testing.T) {
+	f, _ := newRTForwarder(t, "daemon", false)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan *Face, 1)
+	l, err := Listen(f, ln, func(face *Face) { accepted <- face })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+
+	const cycles = 20
+	for i := 0; i < cycles; i++ {
+		conn, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		face := <-accepted
+		if i%2 == 0 {
+			_ = conn.Close() // remote hang-up
+		} else {
+			_ = face.Close() // local close
+		}
+		select {
+		case <-face.Done():
+		case <-time.After(2 * time.Second):
+			t.Fatalf("cycle %d: face never shut down", i)
+		}
+		_ = conn.Close()
+	}
+	// The prune runs right after Done closes, on the reader goroutine.
+	deadline := time.Now().Add(2 * time.Second)
+	for liveFaces(l) != 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := liveFaces(l); n != 0 {
+		t.Errorf("listener retains %d faces after %d connect/close cycles, want 0", n, cycles)
+	}
+
+	// A connection that stays open stays in the set until it closes.
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	<-accepted
+	if n := liveFaces(l); n != 1 {
+		t.Errorf("listener holds %d faces with one connection open, want 1", n)
+	}
+}

@@ -113,7 +113,7 @@ func (e *Entry) PIT() *PITFacet { return &e.pit }
 
 // Table is the composite table. See the package comment for the
 // design; one Table may serve a Content Store, a PIT, or both at once
-// (the fused forwarder fast path).
+// (the forwarder's interest pipeline).
 type Table struct {
 	buckets []int32
 	mask    uint32
@@ -259,8 +259,8 @@ type Probe struct {
 }
 
 // Probe looks up name and captures the probe position, so a subsequent
-// PutProbed needs no second hash probe. This is the fused-path
-// primitive: the forwarder probes once per arriving interest and
+// PutProbed needs no second hash probe. This is the interest
+// pipeline's primitive: the forwarder probes once per arriving interest and
 // resolves CS-check, PIT-aggregate and PIT-insert from the result.
 //
 //ndnlint:hotpath — the one probe per arriving interest; must not allocate

@@ -61,18 +61,18 @@ func BenchmarkPITInsertSatisfy(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		idx := n % len(names)
-		p.Insert(ndn.NewInterest(names[idx], uint64(n)), FaceID(n%8), 0)
-		p.Satisfy(datas[idx], 0)
+		insert(p, ndn.NewInterest(names[idx], uint64(n)), FaceID(n%8), 0)
+		satisfy(p, datas[idx], 0)
 	}
 }
 
 func BenchmarkPITAggregation(b *testing.B) {
 	p := NewPIT()
 	name := ndn.MustParseName("/hot/content")
-	p.Insert(ndn.NewInterest(name, 0), 1, 0)
+	insert(p, ndn.NewInterest(name, 0), 1, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		p.Insert(ndn.NewInterest(name, uint64(n)+1), FaceID(n%64), 0)
+		insert(p, ndn.NewInterest(name, uint64(n)+1), FaceID(n%64), 0)
 	}
 }

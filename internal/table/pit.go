@@ -62,7 +62,7 @@ type PIT struct {
 	node    string
 
 	// facesBuf and tokensBuf are the reused, parallel result slices
-	// SatisfyWithInfo hands out: facesBuf[i] awaits the content and
+	// SatisfyByToken hands out: facesBuf[i] awaits the content and
 	// tokensBuf[i] is that face's downstream PIT token (zero when the
 	// face is an application). Both are valid until the next Satisfy
 	// call. expireBuf is the reused Expire sweep scratch.
@@ -135,31 +135,22 @@ func (p *PIT) Rejected() uint64 { return p.rejected }
 // Len returns the number of distinct pending names.
 func (p *PIT) Len() int { return p.t.LenPIT() }
 
-// Insert records that interest arrived on face at virtual time now.
-// Only admitting a new pending name may allocate (each allocation is
-// waived below), so aggregation and duplicate-nonce handling stay
-// allocation-free.
-//
-//ndnlint:hotpath — runs on every arriving Interest
-func (p *PIT) Insert(interest *ndn.Interest, face FaceID, now time.Duration) InsertOutcome {
-	pr := p.t.Probe(interest.Name)
-	outcome, _ := p.InsertProbed(interest, face, now, &pr)
-	return outcome
-}
-
 // Probe captures one hash probe of the PIT's table for name, for use
-// with InsertProbed. Forwarders whose PIT shares the Content Store's
-// table reuse the store's probe instead.
+// with InsertProbed. A forwarder with a Content Store reuses the store's
+// probe of the shared table instead.
 //
 //ndnlint:hotpath — the one probe per arriving interest; must not allocate
 func (p *PIT) Probe(name ndn.Name) pcct.Probe { return p.t.Probe(name) }
 
-// InsertProbed is Insert reusing an earlier probe of interest.Name —
-// the fused fast path: the forwarder probes once, checks the CS via the
-// same probe, and inserts here without re-hashing. It additionally
-// returns the entry's direct-access token (for InsertedNew and
-// Aggregated outcomes): the forwarder stamps it on the upstream copy so
-// the answering Data can come back with a table handle.
+// InsertProbed records that interest arrived on face at virtual time
+// now, reusing an earlier probe of interest.Name: the forwarder probes
+// once, checks the CS via the same probe, and inserts here without
+// re-hashing. It returns the entry's direct-access token (for
+// InsertedNew and Aggregated outcomes): the forwarder stamps it on the
+// upstream copy so the answering Data can come back with a table
+// handle. Only admitting a new pending name may allocate (each
+// allocation is waived below), so aggregation and duplicate-nonce
+// handling stay allocation-free.
 //
 //ndnlint:hotpath — runs on every arriving Interest; admission allocations waived below
 func (p *PIT) InsertProbed(interest *ndn.Interest, face FaceID, now time.Duration, pr *pcct.Probe) (InsertOutcome, uint64) {
@@ -226,7 +217,7 @@ func (p *PIT) InsertProbed(interest *ndn.Interest, face FaceID, now time.Duratio
 // SatisfyResult describes the pending entries one Data packet consumed.
 type SatisfyResult struct {
 	// Faces is the union of downstream faces awaiting the content,
-	// sorted ascending. The slice is reused by the next Satisfy call.
+	// sorted ascending. The slice is reused by the next SatisfyByToken call.
 	Faces []FaceID
 	// Tokens runs parallel to Faces: Tokens[i] is the downstream PIT
 	// token face i attached to its interest (zero when the face is an
@@ -244,42 +235,27 @@ type SatisfyResult struct {
 	Span  uint64
 }
 
-// Satisfy consumes every pending entry that the given content satisfies
-// and returns the union of their downstream faces. Matching follows the
-// NDN rule: a pending interest for X is satisfied by content named X' iff
-// X is a prefix of X' (honoring the unpredictable-suffix restriction via
-// ndn.Data.Matches). Expired entries never match. The returned slice is
-// reused by the next Satisfy call.
-func (p *PIT) Satisfy(data *ndn.Data, now time.Duration) []FaceID {
-	res, matched := p.SatisfyWithInfo(data, now)
-	if !matched {
-		return nil
-	}
-	return res.Faces
-}
-
-// SatisfyWithInfo is Satisfy plus the timing/privacy metadata the
-// forwarder needs for caching decisions. See SatisfyByToken for the
-// token-assisted variant.
+// SatisfyByToken consumes every pending entry that the given content
+// satisfies and returns the union of their downstream faces with the
+// timing/privacy metadata the forwarder needs for caching decisions.
+// Matching follows the NDN rule: a pending interest for X is satisfied
+// by content named X' iff X is a prefix of X' (honoring the
+// unpredictable-suffix restriction via ndn.Data.Matches). Expired
+// entries never match.
 //
-//ndnlint:hotpath — runs on every arriving Data; must not allocate in steady state
-func (p *PIT) SatisfyWithInfo(data *ndn.Data, now time.Duration) (SatisfyResult, bool) {
-	return p.SatisfyByToken(data, 0, now)
-}
-
-// SatisfyByToken is SatisfyWithInfo with a direct-access hint: tok, when
-// nonzero, is the PIT token this Data carried back (stamped on the
-// interest by InsertProbed). A valid token substitutes for the hash
-// probe at its entry's prefix length; the k-ascending sweep and its
-// event order are unchanged, so a token is purely an optimization —
-// stale or foreign tokens are ignored.
+// tok is a direct-access hint: when nonzero it is the PIT token this
+// Data carried back (stamped on the interest by InsertProbed). A valid
+// token substitutes for the hash probe at its entry's prefix length;
+// the k-ascending sweep and its event order are unchanged, so a token
+// is purely an optimization — stale, foreign or zero tokens fall back
+// to the plain sweep.
 //
 // Prefix candidates are probed by rolling hash (see
 // ndn.MixComponentHash) and gated by the table's per-length facet
 // counts, so the match path neither materializes prefix names nor
 // probes lengths with nothing pending. The result's face and token
 // slices are reused buffers: sorted by face, deduplicated, valid until
-// the next Satisfy call — steady-state satisfaction allocates nothing.
+// the next SatisfyByToken call — steady-state satisfaction allocates nothing.
 //
 //ndnlint:hotpath — runs on every arriving Data; must not allocate in steady state
 func (p *PIT) SatisfyByToken(data *ndn.Data, tok uint64, now time.Duration) (SatisfyResult, bool) {
@@ -399,17 +375,10 @@ func (p *PIT) growFaceBufs() {
 	p.tokensBuf = tokens
 }
 
-// HasPending reports whether an unexpired entry exists for exactly name.
-//
-//ndnlint:hotpath — loop-detection probe on the Interest path
-func (p *PIT) HasPending(name ndn.Name, now time.Duration) bool {
-	e := p.t.Get(name)
-	return e != nil && e.PITActive() && now < e.PIT().Expires
-}
-
-// HasPendingView is HasPending for a zero-copy name view: the pending
-// probe taken directly over the wire buffer, keyed by the view's
-// precomputed hash and verified by full component comparison.
+// HasPendingView reports whether an unexpired entry exists for exactly
+// the viewed name: the pending probe taken directly over the wire
+// buffer, keyed by the view's precomputed hash and verified by full
+// component comparison.
 //
 //ndnlint:hotpath — loop-detection probe on the wire Interest path; must not allocate
 func (p *PIT) HasPendingView(v *ndn.NameView, now time.Duration) bool {

@@ -22,9 +22,36 @@ func data(t *testing.T, name string) *ndn.Data {
 	return d
 }
 
+// insert is the forwarder's admission sequence: one probe, then
+// InsertProbed on it.
+func insert(p *PIT, in *ndn.Interest, face FaceID, now time.Duration) InsertOutcome {
+	pr := p.Probe(in.Name)
+	outcome, _ := p.InsertProbed(in, face, now, &pr)
+	return outcome
+}
+
+// satisfy is tokenless satisfaction, returning the awaiting faces (nil
+// when nothing matched).
+func satisfy(p *PIT, d *ndn.Data, now time.Duration) []FaceID {
+	res, matched := p.SatisfyByToken(d, 0, now)
+	if !matched {
+		return nil
+	}
+	return res.Faces
+}
+
+// hasPending probes for exactly name the way the wire path does.
+func hasPending(p *PIT, name ndn.Name, now time.Duration) bool {
+	v, err := ndn.ParseNameView(ndn.EncodeName(nil, name))
+	if err != nil {
+		panic(err)
+	}
+	return p.HasPendingView(&v, now)
+}
+
 func TestPITInsertNew(t *testing.T) {
 	p := NewPIT()
-	if got := p.Insert(interest("/a", 1), 10, 0); got != InsertedNew {
+	if got := insert(p, interest("/a", 1), 10, 0); got != InsertedNew {
 		t.Errorf("first insert = %v, want new", got)
 	}
 	if p.Len() != 1 {
@@ -34,14 +61,14 @@ func TestPITInsertNew(t *testing.T) {
 
 func TestPITAggregation(t *testing.T) {
 	p := NewPIT()
-	p.Insert(interest("/a", 1), 10, 0)
-	if got := p.Insert(interest("/a", 2), 20, 0); got != Aggregated {
+	insert(p, interest("/a", 1), 10, 0)
+	if got := insert(p, interest("/a", 2), 20, 0); got != Aggregated {
 		t.Errorf("second insert = %v, want aggregated", got)
 	}
 	if p.Len() != 1 {
 		t.Errorf("Len = %d, want 1 (collapsed)", p.Len())
 	}
-	faces := p.Satisfy(data(t, "/a"), 0)
+	faces := satisfy(p, data(t, "/a"), 0)
 	sort.Slice(faces, func(i, j int) bool { return faces[i] < faces[j] })
 	if len(faces) != 2 || faces[0] != 10 || faces[1] != 20 {
 		t.Errorf("Satisfy = %v, want [10 20]", faces)
@@ -50,24 +77,24 @@ func TestPITAggregation(t *testing.T) {
 
 func TestPITDuplicateNonce(t *testing.T) {
 	p := NewPIT()
-	p.Insert(interest("/a", 7), 10, 0)
-	if got := p.Insert(interest("/a", 7), 30, 0); got != DuplicateNonce {
+	insert(p, interest("/a", 7), 10, 0)
+	if got := insert(p, interest("/a", 7), 30, 0); got != DuplicateNonce {
 		t.Errorf("looped interest = %v, want duplicate-nonce", got)
 	}
 }
 
 func TestPITRetransmissionWithNewNonce(t *testing.T) {
 	p := NewPIT()
-	p.Insert(interest("/a", 7), 10, 0)
-	if got := p.Insert(interest("/a", 8), 10, 0); got != Aggregated {
+	insert(p, interest("/a", 7), 10, 0)
+	if got := insert(p, interest("/a", 8), 10, 0); got != Aggregated {
 		t.Errorf("retransmission with fresh nonce = %v, want aggregated", got)
 	}
 }
 
 func TestPITSatisfyPrefixMatch(t *testing.T) {
 	p := NewPIT()
-	p.Insert(interest("/cnn/news", 1), 10, 0)
-	faces := p.Satisfy(data(t, "/cnn/news/2013may20"), 0)
+	insert(p, interest("/cnn/news", 1), 10, 0)
+	faces := satisfy(p, data(t, "/cnn/news/2013may20"), 0)
 	if len(faces) != 1 || faces[0] != 10 {
 		t.Errorf("prefix satisfy = %v, want [10]", faces)
 	}
@@ -78,10 +105,10 @@ func TestPITSatisfyPrefixMatch(t *testing.T) {
 
 func TestPITSatisfyMultipleEntries(t *testing.T) {
 	p := NewPIT()
-	p.Insert(interest("/cnn", 1), 10, 0)
-	p.Insert(interest("/cnn/news", 2), 20, 0)
-	p.Insert(interest("/cnn/sports", 3), 30, 0)
-	faces := p.Satisfy(data(t, "/cnn/news/today"), 0)
+	insert(p, interest("/cnn", 1), 10, 0)
+	insert(p, interest("/cnn/news", 2), 20, 0)
+	insert(p, interest("/cnn/sports", 3), 30, 0)
+	faces := satisfy(p, data(t, "/cnn/news/today"), 0)
 	sort.Slice(faces, func(i, j int) bool { return faces[i] < faces[j] })
 	if len(faces) != 2 || faces[0] != 10 || faces[1] != 20 {
 		t.Errorf("Satisfy = %v, want [10 20]", faces)
@@ -93,8 +120,8 @@ func TestPITSatisfyMultipleEntries(t *testing.T) {
 
 func TestPITSatisfyNoMatch(t *testing.T) {
 	p := NewPIT()
-	p.Insert(interest("/cnn/news", 1), 10, 0)
-	if faces := p.Satisfy(data(t, "/bbc/news"), 0); faces != nil {
+	insert(p, interest("/cnn/news", 1), 10, 0)
+	if faces := satisfy(p, data(t, "/bbc/news"), 0); faces != nil {
 		t.Errorf("Satisfy = %v, want nil", faces)
 	}
 	if p.Len() != 1 {
@@ -104,9 +131,9 @@ func TestPITSatisfyNoMatch(t *testing.T) {
 
 func TestPITSatisfyDedupesFaces(t *testing.T) {
 	p := NewPIT()
-	p.Insert(interest("/cnn", 1), 10, 0)
-	p.Insert(interest("/cnn/news", 2), 10, 0)
-	faces := p.Satisfy(data(t, "/cnn/news"), 0)
+	insert(p, interest("/cnn", 1), 10, 0)
+	insert(p, interest("/cnn/news", 2), 10, 0)
+	faces := satisfy(p, data(t, "/cnn/news"), 0)
 	if len(faces) != 1 || faces[0] != 10 {
 		t.Errorf("Satisfy = %v, want deduped [10]", faces)
 	}
@@ -116,14 +143,14 @@ func TestPITExpiry(t *testing.T) {
 	p := NewPIT()
 	i := interest("/a", 1)
 	i.Lifetime = time.Second
-	p.Insert(i, 10, 0)
-	if !p.HasPending(ndn.MustParseName("/a"), 500*time.Millisecond) {
+	insert(p, i, 10, 0)
+	if !hasPending(p, ndn.MustParseName("/a"), 500*time.Millisecond) {
 		t.Error("entry missing before expiry")
 	}
-	if p.HasPending(ndn.MustParseName("/a"), time.Second) {
+	if hasPending(p, ndn.MustParseName("/a"), time.Second) {
 		t.Error("entry still pending at expiry")
 	}
-	if faces := p.Satisfy(data(t, "/a"), 2*time.Second); faces != nil {
+	if faces := satisfy(p, data(t, "/a"), 2*time.Second); faces != nil {
 		t.Errorf("expired entry satisfied: %v", faces)
 	}
 }
@@ -132,10 +159,10 @@ func TestPITExpiredEntryReplaced(t *testing.T) {
 	p := NewPIT()
 	i := interest("/a", 1)
 	i.Lifetime = time.Second
-	p.Insert(i, 10, 0)
+	insert(p, i, 10, 0)
 	// After expiry a new interest with the *same* nonce is a fresh entry,
 	// not a duplicate.
-	if got := p.Insert(interest("/a", 1), 20, 2*time.Second); got != InsertedNew {
+	if got := insert(p, interest("/a", 1), 20, 2*time.Second); got != InsertedNew {
 		t.Errorf("insert after expiry = %v, want new", got)
 	}
 }
@@ -146,8 +173,8 @@ func TestPITExpireSweep(t *testing.T) {
 	short.Lifetime = time.Second
 	long := interest("/long", 2)
 	long.Lifetime = time.Minute
-	p.Insert(short, 1, 0)
-	p.Insert(long, 1, 0)
+	insert(p, short, 1, 0)
+	insert(p, long, 1, 0)
 	if removed := p.Expire(2 * time.Second); removed != 1 {
 		t.Errorf("Expire removed %d, want 1", removed)
 	}
@@ -160,11 +187,11 @@ func TestPITAggregationExtendsExpiry(t *testing.T) {
 	p := NewPIT()
 	first := interest("/a", 1)
 	first.Lifetime = time.Second
-	p.Insert(first, 10, 0)
+	insert(p, first, 10, 0)
 	second := interest("/a", 2)
 	second.Lifetime = time.Second
-	p.Insert(second, 20, 800*time.Millisecond)
-	if !p.HasPending(ndn.MustParseName("/a"), 1500*time.Millisecond) {
+	insert(p, second, 20, 800*time.Millisecond)
+	if !hasPending(p, ndn.MustParseName("/a"), 1500*time.Millisecond) {
 		t.Error("aggregation did not extend the entry lifetime")
 	}
 }
@@ -172,8 +199,8 @@ func TestPITAggregationExtendsExpiry(t *testing.T) {
 func TestPITZeroLifetimeDefaults(t *testing.T) {
 	p := NewPIT()
 	i := &ndn.Interest{Name: ndn.MustParseName("/a"), Nonce: 1} // Lifetime 0
-	p.Insert(i, 10, 0)
-	if !p.HasPending(ndn.MustParseName("/a"), ndn.DefaultInterestLifetime-time.Millisecond) {
+	insert(p, i, 10, 0)
+	if !hasPending(p, ndn.MustParseName("/a"), ndn.DefaultInterestLifetime-time.Millisecond) {
 		t.Error("default lifetime not applied")
 	}
 }
@@ -190,13 +217,13 @@ func TestPITUnpredictableSuffixNotSatisfiedByPrefix(t *testing.T) {
 	}
 
 	p := NewPIT()
-	p.Insert(interest("/alice/skype", 1), 10, 0)
-	if faces := p.Satisfy(d, 0); faces != nil {
+	insert(p, interest("/alice/skype", 1), 10, 0)
+	if faces := satisfy(p, d, 0); faces != nil {
 		t.Errorf("rand-suffixed data satisfied prefix interest: %v", faces)
 	}
 	// But an exact-name interest is satisfied.
-	p.Insert(ndn.NewInterest(randName, 2), 20, 0)
-	if faces := p.Satisfy(d, 0); len(faces) != 1 || faces[0] != 20 {
+	insert(p, ndn.NewInterest(randName, 2), 20, 0)
+	if faces := satisfy(p, d, 0); len(faces) != 1 || faces[0] != 20 {
 		t.Errorf("exact interest not satisfied: %v", faces)
 	}
 }
@@ -219,25 +246,25 @@ func TestInsertOutcomeString(t *testing.T) {
 func TestPITCapacityRejects(t *testing.T) {
 	p := NewPIT()
 	p.SetCapacity(2)
-	if got := p.Insert(interest("/a", 1), 1, 0); got != InsertedNew {
+	if got := insert(p, interest("/a", 1), 1, 0); got != InsertedNew {
 		t.Fatalf("first insert = %v", got)
 	}
-	if got := p.Insert(interest("/b", 2), 1, 0); got != InsertedNew {
+	if got := insert(p, interest("/b", 2), 1, 0); got != InsertedNew {
 		t.Fatalf("second insert = %v", got)
 	}
-	if got := p.Insert(interest("/c", 3), 1, 0); got != RejectedFull {
+	if got := insert(p, interest("/c", 3), 1, 0); got != RejectedFull {
 		t.Errorf("over-capacity insert = %v, want rejected-full", got)
 	}
 	if p.Rejected() != 1 {
 		t.Errorf("Rejected = %d, want 1", p.Rejected())
 	}
 	// Aggregation on an existing name still works at capacity.
-	if got := p.Insert(interest("/a", 9), 2, 0); got != Aggregated {
+	if got := insert(p, interest("/a", 9), 2, 0); got != Aggregated {
 		t.Errorf("aggregation at capacity = %v, want aggregated", got)
 	}
 	// Satisfying an entry frees room.
-	p.Satisfy(data(t, "/a"), 0)
-	if got := p.Insert(interest("/c", 4), 1, 0); got != InsertedNew {
+	satisfy(p, data(t, "/a"), 0)
+	if got := insert(p, interest("/c", 4), 1, 0); got != InsertedNew {
 		t.Errorf("insert after satisfy = %v, want new", got)
 	}
 }
@@ -247,10 +274,10 @@ func TestPITCapacityReclaimsExpired(t *testing.T) {
 	p.SetCapacity(1)
 	i := interest("/old", 1)
 	i.Lifetime = time.Second
-	p.Insert(i, 1, 0)
+	insert(p, i, 1, 0)
 	// At capacity, but the entry has expired: the new interest must be
 	// admitted after reclamation.
-	if got := p.Insert(interest("/new", 2), 1, 2*time.Second); got != InsertedNew {
+	if got := insert(p, interest("/new", 2), 1, 2*time.Second); got != InsertedNew {
 		t.Errorf("insert over expired entry = %v, want new", got)
 	}
 	if p.Len() != 1 {
@@ -262,7 +289,7 @@ func TestPITSetCapacityNegativeMeansUnbounded(t *testing.T) {
 	p := NewPIT()
 	p.SetCapacity(-5)
 	for i := 0; i < 100; i++ {
-		if got := p.Insert(interest(fmt.Sprintf("/n/%d", i), uint64(i+1)), 1, 0); got != InsertedNew {
+		if got := insert(p, interest(fmt.Sprintf("/n/%d", i), uint64(i+1)), 1, 0); got != InsertedNew {
 			t.Fatalf("insert %d = %v", i, got)
 		}
 	}
