@@ -25,8 +25,11 @@
 package main
 
 import (
+	crand "crypto/rand"
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -100,6 +103,19 @@ func buildManager(kind string, k uint64, eps float64, exec *rt.Executor) (core.C
 	}
 }
 
+// randomSeed draws the executor's seed from entropy (crypto/rand in
+// run). Random-Cache's thresholds k_C come from the executor's RNG, and
+// Algorithm 1's (k, ε, δ) guarantee assumes an adversary cannot predict
+// them — which rules out anything observable or enumerable, such as the
+// process ID or the start time.
+func randomSeed(entropy io.Reader) (int64, error) {
+	var raw [8]byte
+	if _, err := io.ReadFull(entropy, raw[:]); err != nil {
+		return 0, fmt.Errorf("seeding the executor: %w", err)
+	}
+	return int64(binary.LittleEndian.Uint64(raw[:])), nil
+}
+
 // buildStore assembles the daemon's Content Store: an LRU store of
 // capacity objects, over — when tierDir is set — a file-backed second
 // tier logging to tierDir/cs.log. The caller closes the store.
@@ -140,7 +156,11 @@ func run() error {
 	flag.Var(&routes, "route", "upstream route /prefix=host:port (repeatable)")
 	flag.Parse()
 
-	exec := rt.New(int64(os.Getpid()))
+	seed, err := randomSeed(crand.Reader)
+	if err != nil {
+		return err
+	}
+	exec := rt.New(seed)
 	defer exec.Close()
 
 	manager, err := buildManager(*managerKind, *k, *eps, exec)

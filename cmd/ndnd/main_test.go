@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	crand "crypto/rand"
 	"net"
 	"testing"
 	"time"
@@ -64,6 +66,34 @@ func TestBuildManager(t *testing.T) {
 	}
 	if _, err := buildManager("random", 0, 0.005, exec); err == nil {
 		t.Error("k=0 accepted for random manager")
+	}
+}
+
+func TestRandomSeed(t *testing.T) {
+	a, err := randomSeed(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := randomSeed(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 9}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b {
+		t.Errorf("seeds from different entropy are equal (%d): not every byte is used", a)
+	}
+	if _, err := randomSeed(bytes.NewReader([]byte{1, 2, 3})); err == nil {
+		t.Error("short entropy read accepted; start-up must fail instead")
+	}
+	first, err := randomSeed(crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := randomSeed(crand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first == second {
+		t.Errorf("two crypto/rand seeds are equal (%d)", first)
 	}
 }
 

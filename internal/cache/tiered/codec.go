@@ -114,11 +114,11 @@ func decodePayload(payload []byte) (entry *cache.Entry, tombstoneKey string, err
 	if v, rest, err = takeUvarint(rest); err != nil {
 		return nil, "", err
 	}
-	e.InsertedAt = time.Duration(v) //ndnlint:allow durunits — decodes a nanosecond count the encoder wrote from a time.Duration
+	e.InsertedAt = time.Duration(v)
 	if v, rest, err = takeUvarint(rest); err != nil {
 		return nil, "", err
 	}
-	e.FetchDelay = time.Duration(v) //ndnlint:allow durunits — decodes a nanosecond count the encoder wrote from a time.Duration
+	e.FetchDelay = time.Duration(v)
 	if e.ForwardCount, rest, err = takeUvarint(rest); err != nil {
 		return nil, "", err
 	}

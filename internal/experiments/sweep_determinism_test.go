@@ -214,8 +214,8 @@ func TestSweepDeterminismTiered(t *testing.T) {
 // BenchmarkFigure5Sweep measures the same Figure 5(a) grid serially and
 // on an 8-worker pool. The grid's 28 cells are fully independent, so
 // the speedup tracks available cores (≈1× on a single-vCPU CI box,
-// near-linear up to 8 cores elsewhere); scripts/bench.sh records both
-// numbers in BENCH_PR5.json.
+// near-linear up to 8 cores elsewhere); bench/ reports the pair as
+// sweep.parallel_speedup.
 func BenchmarkFigure5Sweep(b *testing.B) {
 	bench := func(parallel int) func(*testing.B) {
 		return func(b *testing.B) {

@@ -28,7 +28,10 @@ import (
 // experiments; rt.Executor implements it with the wall clock so the same
 // forwarder code runs over real network connections (internal/netface).
 // Executors guarantee that scheduled callbacks never run concurrently —
-// forwarder state needs no locks.
+// forwarder state needs no locks. Both in-tree executors also implement
+// taggedScheduler below; the contract stays at these three methods (and
+// scheduleCall keeps its closure fallback) because bench/'s ledger
+// prices the pipeline on a minimal executor of its own.
 type Executor interface {
 	// Now returns the current time as an offset from the executor's
 	// epoch.
@@ -46,10 +49,10 @@ var _ Executor = (*netsim.Simulator)(nil)
 // taggedScheduler is the optional executor capability for event-kind
 // tagged scheduling, feeding the simulator's self-profiler, and for
 // closure-free packet events (ScheduleCall: a handler bound once plus
-// the packet as argument). netsim.Simulator implements it; rt.Executor
-// deliberately does not (no event loop to profile). Resolved once at
-// construction so the per-packet cost is one nil check, not a type
-// assertion.
+// the packet as argument). netsim.Simulator and rt.Executor both
+// implement it, on the same queue (rt ignores the kind: there is no
+// wall-clock profiler). Resolved once at construction so the per-packet
+// cost is one nil check, not a type assertion.
 type taggedScheduler interface {
 	ScheduleTagged(delay time.Duration, kind netsim.EventKind, fn func())
 	ScheduleCall(delay time.Duration, kind netsim.EventKind, call func(any), arg any)
@@ -315,10 +318,10 @@ func (f *Forwarder) schedule(delay time.Duration, kind netsim.EventKind, fn func
 	f.sim.Schedule(delay, fn)
 }
 
-// scheduleCall defers call(arg) by delay. On the simulator this is the
-// per-packet form of schedule: call is a handler bound once and arg
-// the packet, so the event allocates nothing. Executors without the
-// capability get the equivalent closure.
+// scheduleCall defers call(arg) by delay. It is the per-packet form of
+// schedule: call is a handler bound once and arg the packet, so the
+// event allocates nothing. Executors without the capability get the
+// equivalent closure.
 func (f *Forwarder) scheduleCall(delay time.Duration, kind netsim.EventKind, call func(any), arg any) {
 	if f.tagged != nil {
 		f.tagged.ScheduleCall(delay, kind, call, arg)

@@ -10,7 +10,7 @@ import (
 // analysis over the entire module — the load/type-check cost is measured
 // separately from the analysis so the 60-second CI lint budget has a
 // number to point at. It doubles as a compile-check that the whole-tree
-// alloccheck run stays clean (bench.sh runs it at -benchtime=1x).
+// alloccheck run stays clean (CI runs it at -benchtime=1x).
 func BenchmarkAlloccheckWholeTree(b *testing.B) {
 	pkgs, err := lint.Load("../..", "./...")
 	if err != nil {

@@ -1,6 +1,6 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
-// function bodies and provides the small dataflow machinery (def/use
-// extraction, reaching definitions, liveness) that internal/lint's
+// function bodies and provides the small dataflow machinery (definition
+// extraction, reaching definitions) that internal/lint's
 // flow-sensitive checks are written against. It is deliberately
 // stdlib-only — go/ast + go/types, no golang.org/x/tools — so the
 // linter stays offline-buildable with nothing beyond the toolchain.

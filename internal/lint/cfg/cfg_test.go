@@ -323,60 +323,6 @@ func f() int {
 	}
 }
 
-func TestLivenessDeadStore(t *testing.T) {
-	src := `package p
-func g() (int, int) { return 1, 2 }
-func f() int {
-	a, b := g()
-	a, b = g()
-	return a + b
-}`
-	g, fd, info, _ := build(t, src, "f")
-	live := cfg.NewLiveness(g, info, nil)
-
-	// The first assignment's a and b are dead (overwritten before use).
-	first := fd.Body.List[0]
-	defs, _ := cfg.Refs(first, info)
-	if len(defs) != 2 {
-		t.Fatalf("expected 2 defs in first statement, got %d", len(defs))
-	}
-	for _, d := range defs {
-		if live.LiveAfter(d.Obj, first) {
-			t.Errorf("%s from the first call should be dead", d.Obj.Name())
-		}
-	}
-	second := fd.Body.List[1]
-	defs2, _ := cfg.Refs(second, info)
-	for _, d := range defs2 {
-		if !live.LiveAfter(d.Obj, second) {
-			t.Errorf("%s from the second call should be live (the return reads it)", d.Obj.Name())
-		}
-	}
-}
-
-func TestLivenessBranchRead(t *testing.T) {
-	src := `package p
-func h() int { return 1 }
-func f(c bool) int {
-	x := h()
-	if c {
-		return x
-	}
-	x = h()
-	return x
-}`
-	g, fd, info, _ := build(t, src, "f")
-	live := cfg.NewLiveness(g, info, nil)
-	first := fd.Body.List[0]
-	defs, _ := cfg.Refs(first, info)
-	if len(defs) != 1 {
-		t.Fatalf("expected 1 def, got %d", len(defs))
-	}
-	if !live.LiveAfter(defs[0].Obj, first) {
-		t.Error("x is read on the true branch, so the first def must be live")
-	}
-}
-
 func TestShortCircuitReaching(t *testing.T) {
 	// A definition inside the RHS of || must not be treated as
 	// executing unconditionally: both defs reach the use.

@@ -87,7 +87,7 @@ func NewReaching(g *Graph, info *types.Info, params []*types.Var) *Reaching {
 	nParams := len(r.sites)
 	for _, b := range g.Blocks {
 		for _, n := range b.Nodes {
-			defs, _ := Refs(n, info)
+			defs := Defs(n, info)
 			for _, d := range defs {
 				r.defsAt[n] = append(r.defsAt[n], r.addSite(d))
 			}
@@ -180,126 +180,6 @@ func (r *Reaching) DefsOf(v *types.Var, n ast.Node) []Ref {
 		}
 	}
 	return defs
-}
-
-// Liveness is the backward live-variables analysis: a variable is live
-// at a point when some path from that point reads it before writing it.
-type Liveness struct {
-	// liveAfter maps each node to the variables live immediately after
-	// it executes (before its own transfer is applied).
-	liveAfter map[ast.Node]map[*types.Var]bool
-}
-
-// NewLiveness solves live variables for g. alwaysLive lists variables
-// that must be treated as live everywhere (named results, captured
-// variables); they are added to every exit.
-func NewLiveness(g *Graph, info *types.Info, alwaysLive []*types.Var) *Liveness {
-	type blockRefs struct {
-		defs, uses [][]Ref
-	}
-	refs := make(map[*Block]*blockRefs, len(g.Blocks))
-	for _, b := range g.Blocks {
-		br := &blockRefs{defs: make([][]Ref, len(b.Nodes)), uses: make([][]Ref, len(b.Nodes))}
-		for i, n := range b.Nodes {
-			br.defs[i], br.uses[i] = Refs(n, info)
-		}
-		refs[b] = br
-	}
-
-	base := make(map[*types.Var]bool, len(alwaysLive))
-	for _, v := range alwaysLive {
-		base[v] = true
-	}
-	liveIn := make(map[*Block]map[*types.Var]bool, len(g.Blocks))
-	for _, b := range g.Blocks {
-		liveIn[b] = make(map[*types.Var]bool)
-	}
-
-	// transfer runs the block backward from out, optionally recording
-	// per-node live-after snapshots.
-	transfer := func(b *Block, out map[*types.Var]bool, record map[ast.Node]map[*types.Var]bool) map[*types.Var]bool {
-		live := make(map[*types.Var]bool, len(out))
-		for v := range out {
-			live[v] = true
-		}
-		br := refs[b]
-		for i := len(b.Nodes) - 1; i >= 0; i-- {
-			n := b.Nodes[i]
-			if record != nil {
-				snap := make(map[*types.Var]bool, len(live))
-				for v := range live {
-					snap[v] = true
-				}
-				record[n] = snap
-			}
-			for _, d := range br.defs[i] {
-				delete(live, d.Obj)
-			}
-			for _, u := range br.uses[i] {
-				live[u.Obj] = true
-			}
-		}
-		return live
-	}
-
-	blockOut := func(b *Block) map[*types.Var]bool {
-		out := make(map[*types.Var]bool, len(base))
-		if b == g.Exit || len(b.Succs) == 0 {
-			for v := range base {
-				out[v] = true
-			}
-		}
-		for _, s := range b.Succs {
-			for v := range liveIn[s] {
-				out[v] = true
-			}
-		}
-		return out
-	}
-
-	work := make([]*Block, len(g.Blocks))
-	copy(work, g.Blocks)
-	queued := make([]bool, len(g.Blocks))
-	for i := range queued {
-		queued[i] = true
-	}
-	for len(work) > 0 {
-		b := work[len(work)-1]
-		work = work[:len(work)-1]
-		queued[b.Index] = false
-		in := transfer(b, blockOut(b), nil)
-		changed := false
-		for v := range in {
-			if !liveIn[b][v] {
-				liveIn[b][v] = true
-				changed = true
-			}
-		}
-		if changed {
-			for _, p := range b.Preds {
-				if !queued[p.Index] {
-					queued[p.Index] = true
-					work = append(work, p)
-				}
-			}
-		}
-	}
-
-	l := &Liveness{liveAfter: make(map[ast.Node]map[*types.Var]bool)}
-	for _, b := range g.Blocks {
-		transfer(b, blockOut(b), l.liveAfter)
-	}
-	return l
-}
-
-// LiveAfter reports whether v is live immediately after node n runs.
-// Unknown nodes report true (conservative).
-func (l *Liveness) LiveAfter(v *types.Var, n ast.Node) bool {
-	snap, ok := l.liveAfter[n]
-	if !ok {
-		return true
-	}
-	return snap[v]
 }
 
 // ParamVars collects the variables a function defines at entry:

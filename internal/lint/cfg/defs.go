@@ -2,12 +2,10 @@ package cfg
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
-// Ref is one appearance of a variable in a node: either a definition
-// (the node stores into the variable) or a use (the node reads it).
+// Ref is one definition of a variable: a node that stores into it.
 type Ref struct {
 	// Obj is the variable.
 	Obj *types.Var
@@ -15,36 +13,30 @@ type Ref struct {
 	Ident *ast.Ident
 	// Rhs is the expression whose value the definition stores, when the
 	// node makes one syntactically evident (x := e, x = e, single-value
-	// tuple positions). Nil for uses, range bindings, and multi-value
-	// calls.
+	// tuple positions). Nil for range bindings and multi-value calls.
 	Rhs ast.Expr
 	// Node is the graph node the reference occurs in (nil for the
 	// synthetic entry definitions of parameters).
 	Node ast.Node
 }
 
-// Refs splits node n into variable definitions and uses, resolving
-// identifiers through info. Identifiers inside function literals are
-// reported as uses (the literal captures them when it is created) but
-// never as definitions — the closure body runs at some other time and
-// is analyzed as its own graph. Selector fields, labels, and non-variable
+// Defs returns the variable definitions node n makes, resolving
+// identifiers through info. Assignments inside function literals are
+// never reported — the closure body runs at some other time and is
+// analyzed as its own graph. Selector fields, labels, and non-variable
 // objects are ignored.
-func Refs(n ast.Node, info *types.Info) (defs, uses []Ref) {
+func Defs(n ast.Node, info *types.Info) []Ref {
 	c := &refCollector{info: info}
 	c.node(n)
 	for i := range c.defs {
 		c.defs[i].Node = n
 	}
-	for i := range c.uses {
-		c.uses[i].Node = n
-	}
-	return c.defs, c.uses
+	return c.defs
 }
 
 type refCollector struct {
 	info *types.Info
 	defs []Ref
-	uses []Ref
 }
 
 func (c *refCollector) varOf(id *ast.Ident) *types.Var {
@@ -66,31 +58,11 @@ func (c *refCollector) def(id *ast.Ident, rhs ast.Expr) {
 	}
 }
 
-// use records every variable read inside e (including captures within
-// function literals).
-func (c *refCollector) use(e ast.Node) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if v, ok := c.info.Uses[id].(*types.Var); ok {
-			c.uses = append(c.uses, Ref{Obj: v, Ident: id})
-		}
-		return true
-	})
-}
-
 func (c *refCollector) node(n ast.Node) {
 	switch n := n.(type) {
 	case *ast.AssignStmt:
 		c.assign(n)
 	case *ast.IncDecStmt:
-		// x++ both reads and writes x.
-		c.use(n.X)
 		if id, ok := ast.Unparen(n.X).(*ast.Ident); ok {
 			c.def(id, nil)
 		}
@@ -104,9 +76,6 @@ func (c *refCollector) node(n ast.Node) {
 			if !ok {
 				continue
 			}
-			for _, v := range vs.Values {
-				c.use(v)
-			}
 			for i, name := range vs.Names {
 				var rhs ast.Expr
 				if len(vs.Values) == len(vs.Names) {
@@ -116,39 +85,17 @@ func (c *refCollector) node(n ast.Node) {
 			}
 		}
 	case *ast.RangeStmt:
-		c.use(n.X)
-		if n.Key != nil {
-			if id, ok := ast.Unparen(n.Key).(*ast.Ident); ok {
-				c.def(id, nil)
-			} else {
-				c.use(n.Key)
+		for _, e := range []ast.Expr{n.Key, n.Value} {
+			if e == nil {
+				continue
 			}
-		}
-		if n.Value != nil {
-			if id, ok := ast.Unparen(n.Value).(*ast.Ident); ok {
+			if id, ok := ast.Unparen(e).(*ast.Ident); ok {
 				c.def(id, nil)
-			} else {
-				c.use(n.Value)
 			}
 		}
 	case *ast.TypeSwitchStmt:
 		// Only reached when the Assign statement node is added directly.
 		c.node(n.Assign)
-	case ast.Expr:
-		c.use(n)
-	case *ast.SendStmt:
-		c.use(n.Chan)
-		c.use(n.Value)
-	case *ast.ExprStmt:
-		c.use(n.X)
-	case *ast.GoStmt:
-		c.use(n.Call)
-	case *ast.DeferStmt:
-		c.use(n.Call)
-	case *ast.ReturnStmt:
-		for _, r := range n.Results {
-			c.use(r)
-		}
 	case *ast.IfStmt:
 		// Only the Init statement is ever placed in a block directly;
 		// conditions arrive as ast.Expr nodes.
@@ -160,23 +107,13 @@ func (c *refCollector) node(n ast.Node) {
 	}
 }
 
-// assign splits an assignment into uses (all RHS, plus LHS reads for
-// compound ops and non-identifier targets) and defs (identifier LHS).
+// assign records a definition for every identifier on the left-hand
+// side; m[k] = v, s.f = v and *p = v define nothing.
 func (c *refCollector) assign(n *ast.AssignStmt) {
-	for _, r := range n.Rhs {
-		c.use(r)
-	}
-	compound := n.Tok != token.ASSIGN && n.Tok != token.DEFINE
 	for i, l := range n.Lhs {
 		id, ok := ast.Unparen(l).(*ast.Ident)
 		if !ok {
-			// m[k] = v, s.f = v, *p = v: the target expression's
-			// identifiers are read, nothing is defined.
-			c.use(l)
 			continue
-		}
-		if compound {
-			c.use(l)
 		}
 		var rhs ast.Expr
 		if len(n.Rhs) == len(n.Lhs) {
@@ -184,57 +121,4 @@ func (c *refCollector) assign(n *ast.AssignStmt) {
 		}
 		c.def(id, rhs)
 	}
-}
-
-// CapturedVars returns the variables referenced inside any function
-// literal within body — variables whose lifetime and access pattern
-// escape intraprocedural reasoning. Flow-sensitive checks treat them
-// conservatively.
-func CapturedVars(body ast.Node, info *types.Info) map[*types.Var]bool {
-	captured := make(map[*types.Var]bool)
-	if body == nil {
-		return captured
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		lit, ok := n.(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		ast.Inspect(lit.Body, func(m ast.Node) bool {
-			if id, ok := m.(*ast.Ident); ok {
-				if v, ok := info.Uses[id].(*types.Var); ok {
-					captured[v] = true
-				}
-				if v, ok := info.Defs[id].(*types.Var); ok {
-					captured[v] = true
-				}
-			}
-			return true
-		})
-		return false // lit's own nested literals were just visited
-	})
-	return captured
-}
-
-// AddressTakenVars returns the variables whose address is taken
-// anywhere in body (&x): writes may happen through the pointer, so
-// def/use bookkeeping on them is unreliable.
-func AddressTakenVars(body ast.Node, info *types.Info) map[*types.Var]bool {
-	taken := make(map[*types.Var]bool)
-	if body == nil {
-		return taken
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		ue, ok := n.(*ast.UnaryExpr)
-		if !ok || ue.Op != token.AND {
-			return true
-		}
-		if id, ok := ast.Unparen(ue.X).(*ast.Ident); ok {
-			if v, ok := info.Uses[id].(*types.Var); ok {
-				taken[v] = true
-			}
-		}
-		return true
-	})
-	return taken
 }

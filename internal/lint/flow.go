@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"ndnprivacy/internal/lint/cfg"
 )
@@ -12,21 +11,13 @@ import (
 // funcScope is one analyzable function body: a declaration or a
 // function literal. Literals are analyzed as functions in their own
 // right — their bodies execute at some unrelated time, so flow facts
-// (held locks, reaching definitions) never carry across the boundary.
+// (reaching definitions) never carry across the boundary.
 type funcScope struct {
 	decl  *ast.FuncDecl // nil for literals
 	lit   *ast.FuncLit  // nil for declarations
 	recv  *ast.FieldList
 	ftype *ast.FuncType
 	body  *ast.BlockStmt
-}
-
-// name returns the declared function name, or "" for literals.
-func (fs funcScope) name() string {
-	if fs.decl != nil {
-		return fs.decl.Name.Name
-	}
-	return ""
 }
 
 // node returns the scope's AST node (for span tests).
@@ -79,32 +70,6 @@ func walkNoFuncLit(n ast.Node, visit func(ast.Node) bool) {
 	})
 }
 
-// fieldChain decomposes a selector chain x.a.b into its base variable
-// and the joined field path "a.b". The base must be a plain identifier
-// naming a variable; every link must be a struct field selection.
-func fieldChain(info *types.Info, e ast.Expr) (base *types.Var, path string, ok bool) {
-	var fields []string
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.SelectorExpr:
-			sel := info.Selections[x]
-			if sel == nil || sel.Kind() != types.FieldVal {
-				return nil, "", false
-			}
-			fields = append([]string{x.Sel.Name}, fields...)
-			e = x.X
-		case *ast.Ident:
-			v, ok := info.Uses[x].(*types.Var)
-			if !ok || len(fields) == 0 {
-				return nil, "", false
-			}
-			return v, strings.Join(fields, "."), true
-		default:
-			return nil, "", false
-		}
-	}
-}
-
 // isCompoundDef reports whether def node n rewrites its targets in
 // terms of their previous value (x += e, x++), so provenance tracing
 // must also follow the variable's earlier definitions.
@@ -118,67 +83,30 @@ func isCompoundDef(n ast.Node) bool {
 	return false
 }
 
-// isErrorType reports whether t is the builtin error interface.
-func isErrorType(t types.Type) bool {
-	return types.Identical(t, types.Universe.Lookup("error").Type())
-}
-
-// namedStruct resolves t (through pointers and aliases) to a named
-// struct type, or nil.
-func namedStruct(t types.Type) (*types.Named, *types.Struct) {
-	t = types.Unalias(t)
-	if p, ok := t.(*types.Pointer); ok {
-		t = types.Unalias(p.Elem())
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return nil, nil
-	}
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok {
-		return nil, nil
-	}
-	return named, st
-}
-
-// freshlyConstructed reports whether every definition of v inside the
-// scope assigns a newly created value (&T{...}, T{...}, or new(T)) —
-// the constructor-pattern exemption: a value that this function just
-// built is not yet shared, so its fields need no lock here. A variable
-// with any other kind of definition (or none visible) does not qualify.
-func freshlyConstructed(fs funcScope, info *types.Info, v *types.Var) bool {
-	if !fs.declaredIn(v) {
-		return false
-	}
-	found := false
-	fresh := true
-	walkNoFuncLit(fs.body, func(n ast.Node) bool {
-		defs, _ := cfg.Refs(n, info)
-		for _, d := range defs {
-			if d.Obj != v {
-				continue
-			}
-			found = true
-			if d.Rhs == nil || !isFreshExpr(d.Rhs) {
-				fresh = false
-			}
-		}
-		return true
-	})
-	return found && fresh
-}
-
-// isFreshExpr reports whether e creates a brand-new value.
-func isFreshExpr(e ast.Expr) bool {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.CompositeLit:
-		return true
-	case *ast.UnaryExpr:
-		return x.Op.String() == "&" && isFreshExpr(x.X)
-	case *ast.CallExpr:
-		if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok && id.Name == "new" {
+// parentMap records each AST node's parent within root.
+func parentMap(root ast.Node) map[ast.Node]ast.Node {
+	parents := make(map[ast.Node]ast.Node)
+	var stack []ast.Node
+	ast.Inspect(root, func(m ast.Node) bool {
+		if m == nil {
+			stack = stack[:len(stack)-1]
 			return true
 		}
+		if len(stack) > 0 {
+			parents[m] = stack[len(stack)-1]
+		}
+		stack = append(stack, m)
+		return true
+	})
+	return parents
+}
+
+// exprLabel renders a short label for a flagged operand.
+func exprLabel(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.Ident:
+		return x.Name
+	default:
+		return "..."
 	}
-	return false
 }

@@ -124,18 +124,16 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // All is every check this linter ships, in reporting order. The first
-// four are single-node AST checks; the next four are flow-sensitive,
-// built on the internal/lint/cfg dataflow engine; alloccheck and
-// viewsafe are the module-level (interprocedural) analyses.
+// four are single-node AST checks; seedflow is flow-sensitive, built on
+// the internal/lint/cfg reaching-definitions engine (as is viewsafe);
+// alloccheck and viewsafe are the module-level (interprocedural)
+// analyses.
 var All = []*Analyzer{
 	SimDeterminism,
 	GlobalRand,
 	MapOrder,
 	WireErr,
-	GuardedBy,
 	SeedFlow,
-	ErrShadow,
-	DurUnits,
 	AllocCheck,
 	ViewSafe,
 }

@@ -35,18 +35,9 @@ var fixtures = map[string]string{
 	"viewsafe_filescope":   "ndnprivacy/internal/util",
 	"wireerr_violation":    "ndnprivacy/internal/fwd",
 	"clean":                "ndnprivacy/internal/netsim",
-	"guardedby_violation":  "ndnprivacy/internal/util",
-	"guardedby_clean":      "ndnprivacy/internal/util",
-	"guardedby_allow":      "ndnprivacy/internal/util",
 	"seedflow_violation":   "ndnprivacy/internal/netsim",
 	"seedflow_clean":       "ndnprivacy/internal/netsim",
 	"seedflow_allow":       "ndnprivacy/internal/netsim",
-	"errshadow_violation":  "ndnprivacy/internal/util",
-	"errshadow_clean":      "ndnprivacy/internal/util",
-	"errshadow_allow":      "ndnprivacy/internal/util",
-	"durunits_violation":   "ndnprivacy/internal/util",
-	"durunits_clean":       "ndnprivacy/internal/util",
-	"durunits_allow":       "ndnprivacy/internal/util",
 	"alloccheck_violation": "ndnprivacy/internal/util",
 	"alloccheck_clean":     "ndnprivacy/internal/util",
 	"alloccheck_allow":     "ndnprivacy/internal/util",
@@ -60,10 +51,7 @@ var expectFiring = map[string]string{
 	"globalrand_violation": "globalrand",
 	"maporder_violation":   "maporder",
 	"wireerr_violation":    "wireerr",
-	"guardedby_violation":  "guardedby",
 	"seedflow_violation":   "seedflow",
-	"errshadow_violation":  "errshadow",
-	"durunits_violation":   "durunits",
 	"alloccheck_violation": "alloccheck",
 	"viewsafe_violation":   "viewsafe",
 }
@@ -72,10 +60,7 @@ var expectFiring = map[string]string{
 // code, the suppression negative fixtures, and the rt boundary.
 var expectClean = []string{
 	"clean", "simdet_allow", "simdet_rtexempt", "maporder_clean",
-	"guardedby_clean", "guardedby_allow",
 	"seedflow_clean", "seedflow_allow",
-	"errshadow_clean", "errshadow_allow",
-	"durunits_clean", "durunits_allow",
 	"alloccheck_clean", "alloccheck_allow", "filescope_allow",
 	"viewsafe_clean", "viewsafe_viewcopy", "viewsafe_allow", "viewsafe_filescope",
 }

@@ -6,10 +6,12 @@
 // unchanged, over TCP or Unix sockets.
 //
 // Concurrency model: one reader goroutine per connection decodes packets
-// and injects them into the forwarder through the executor (serialized);
+// and injects them into the forwarder through the executor, whose single
+// loop goroutine runs every callback — so packets read from one
+// connection reach the pipeline in the order they were read;
 // transmissions happen inside executor callbacks and write to the
-// connection directly. Attach faces during setup or from within
-// Executor.Run, like all forwarder mutations.
+// connection directly. Everything else that touches a live forwarder
+// (routes, application faces) goes through RunOn.
 package netface
 
 import (

@@ -59,11 +59,10 @@ func (k EventKind) String() string {
 // Simulator owns the virtual clock and the pending event queue. It is
 // strictly single-threaded: all node logic runs inside event callbacks.
 type Simulator struct {
-	now    time.Duration
-	events []event // 4-ary min-heap on (at, seq); see push/pop
-	rng    *rand.Rand
-	seq    uint64
-	steps  uint64
+	now   time.Duration
+	queue Queue // the heap rt.Executor also runs, there on the wall clock
+	rng   *rand.Rand
+	steps uint64
 
 	metrics *telemetry.Registry
 	sink    telemetry.Sink
@@ -130,7 +129,7 @@ var _ telemetry.Provider = (*Simulator)(nil)
 func (s *Simulator) Steps() uint64 { return s.steps }
 
 // Pending returns the number of queued events.
-func (s *Simulator) Pending() int { return len(s.events) }
+func (s *Simulator) Pending() int { return s.queue.Len() }
 
 // Schedule queues fn to run after delay. Negative delays are clamped to
 // zero (run "now", after currently executing events at this timestamp).
@@ -154,8 +153,7 @@ func (s *Simulator) ScheduleCall(delay time.Duration, kind EventKind, call func(
 	if delay < 0 {
 		delay = 0
 	}
-	s.seq++
-	s.push(event{at: s.now + delay, seq: s.seq, call: call, arg: arg, kind: kind})
+	s.queue.Push(Event{At: s.now + delay, Call: call, Arg: arg, Kind: kind})
 }
 
 // callFunc is the handler behind Schedule/ScheduleTagged: the callback
@@ -165,7 +163,7 @@ func callFunc(arg any) { arg.(func())() }
 
 // Run executes events until the queue drains.
 func (s *Simulator) Run() {
-	for len(s.events) > 0 {
+	for s.queue.Len() > 0 {
 		s.step()
 	}
 }
@@ -173,7 +171,7 @@ func (s *Simulator) Run() {
 // RunFor executes events until the virtual clock would pass deadline
 // (absolute) or the queue drains, then sets the clock to the deadline.
 func (s *Simulator) RunFor(deadline time.Duration) {
-	for len(s.events) > 0 && s.events[0].at <= deadline {
+	for s.queue.Len() > 0 && s.queue.Head() <= deadline {
 		s.step()
 	}
 	if s.now < deadline {
@@ -184,7 +182,7 @@ func (s *Simulator) RunFor(deadline time.Duration) {
 // RunSteps executes at most n events; it returns how many actually ran.
 func (s *Simulator) RunSteps(n uint64) uint64 {
 	var ran uint64
-	for ran < n && len(s.events) > 0 {
+	for ran < n && s.queue.Len() > 0 {
 		s.step()
 		ran++
 	}
@@ -202,103 +200,25 @@ func (s *Simulator) RunUntilIdle(maxSteps uint64) error {
 		maxSteps = 1_000_000
 	}
 	for ran := uint64(0); ran < maxSteps; ran++ {
-		if len(s.events) == 0 {
+		if s.queue.Len() == 0 {
 			return nil
 		}
 		s.step()
 	}
-	if len(s.events) > 0 {
+	if s.queue.Len() > 0 {
 		return fmt.Errorf("netsim: not idle after %d events (%d still pending at t=%v); self-rescheduling event loop?",
-			maxSteps, len(s.events), s.now)
+			maxSteps, s.queue.Len(), s.now)
 	}
 	return nil
 }
 
 func (s *Simulator) step() {
-	ev := s.pop()
-	s.now = ev.at
+	ev := s.queue.Pop()
+	s.now = ev.At
 	s.steps++
 	if s.prof != nil {
-		s.prof.observe(s.phase, ev.kind, ev.call, ev.arg)
+		s.prof.observe(s.phase, ev.Kind, ev.Call, ev.Arg)
 		return
 	}
-	ev.call(ev.arg)
-}
-
-// event is one queued callback, stored by value in the heap.
-type event struct {
-	at   time.Duration
-	seq  uint64 // FIFO tiebreak for equal timestamps
-	call func(any)
-	arg  any
-	kind EventKind
-}
-
-// before is the queue's total order: earlier deadline first, scheduling
-// order among equal deadlines. seq is unique, so no two events compare
-// equal and execution order is independent of the heap's shape.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
-}
-
-// heapArity is the heap's branching factor: four children per node
-// halve a binary heap's depth, so a sift moves half as many 48-byte
-// events; the extra compares per level read adjacent slots.
-const heapArity = 4
-
-// push adds ev to the heap (sift-up from the new last slot).
-func (s *Simulator) push(ev event) {
-	h := append(s.events, ev)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		if !ev.before(&h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = ev
-	s.events = h
-}
-
-// pop removes and returns the earliest event. The vacated last slot is
-// zeroed so the queue keeps no reference to an executed callback or
-// its packet.
-func (s *Simulator) pop() event {
-	h := s.events
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = event{}
-	h = h[:n]
-	s.events = h
-	if n == 0 {
-		return top
-	}
-	// Sift the former last element down from the root.
-	i := 0
-	for {
-		first := i*heapArity + 1
-		if first >= n {
-			break
-		}
-		end := min(first+heapArity, n)
-		least := first
-		for c := first + 1; c < end; c++ {
-			if h[c].before(&h[least]) {
-				least = c
-			}
-		}
-		if !h[least].before(&last) {
-			break
-		}
-		h[i] = h[least]
-		i = least
-	}
-	h[i] = last
-	return top
+	ev.Call(ev.Arg)
 }

@@ -428,9 +428,10 @@ func TestPoppedSlotsHoldNoReference(t *testing.T) {
 	}
 	check := func(when string) {
 		t.Helper()
-		for i, ev := range s.events[len(s.events):cap(s.events)] {
-			if ev.call != nil || ev.arg != nil {
-				t.Fatalf("%s: vacated slot %d still references its event (%d queued)", when, len(s.events)+i, len(s.events))
+		events := s.queue.events
+		for i, ev := range events[len(events):cap(events)] {
+			if ev.Call != nil || ev.Arg != nil {
+				t.Fatalf("%s: vacated slot %d still references its event (%d queued)", when, len(events)+i, len(events))
 			}
 		}
 	}

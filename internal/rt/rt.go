@@ -3,18 +3,23 @@
 // code that runs under the discrete-event simulator also runs over real
 // network connections (see internal/netface).
 //
-// The executor serializes every scheduled callback under one run mutex,
-// preserving the single-threaded execution model forwarder state relies
-// on, while remaining safe to call from any goroutine — socket reader
-// goroutines, timers, and application code alike. Callbacks may freely
-// call Schedule (bookkeeping uses a separate lock, so re-entrant
-// scheduling cannot deadlock).
+// The executor is the simulator's event queue (netsim.Queue) under a
+// different clock: Schedule stamps each event with a wall-clock deadline
+// and pushes it, and one loop goroutine pops events as they fall due and
+// runs them, sleeping on a timer armed to the head deadline in between.
+// Callbacks are therefore strictly serialized — the single-threaded
+// execution model forwarder state relies on — and run in (deadline,
+// schedule order), exactly as under netsim.Simulator. Scheduling is safe
+// from any goroutine, including from within callbacks (the queue's mutex
+// is never held while a callback runs).
 package rt
 
 import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"ndnprivacy/internal/netsim"
 )
 
 // Executor runs callbacks on the wall clock. Create with New; the zero
@@ -23,28 +28,26 @@ type Executor struct {
 	epoch time.Time
 	rng   *rand.Rand
 
-	// runMu serializes callback execution; it is never held while
-	// touching the bookkeeping below, so callbacks can re-enter
-	// Schedule.
-	runMu sync.Mutex
+	mu     sync.Mutex // guards queue and closed
+	queue  netsim.Queue
+	closed bool
 
-	// stateMu guards closed/pending and the idle condition.
-	stateMu sync.Mutex
-	closed  bool
-	pending map[*time.Timer]struct{}
-	idle    *sync.Cond
+	// wake tells the loop the head of the queue changed (or the executor
+	// closed) while it may be asleep. Capacity one: a pending wake-up
+	// already makes the loop look again, so further ones are dropped.
+	wake chan struct{}
 }
 
 // New creates an executor whose Now starts at zero and whose randomness
-// derives from seed.
+// derives from seed, and starts its loop goroutine; Close stops it.
 func New(seed int64) *Executor {
 	src, _ := rand.NewSource(seed).(rand.Source64) // math/rand sources implement Source64
 	e := &Executor{
-		epoch:   time.Now(),
-		rng:     rand.New(&lockedSource{src: src}),
-		pending: make(map[*time.Timer]struct{}),
+		epoch: time.Now(),
+		rng:   rand.New(&lockedSource{src: src}),
+		wake:  make(chan struct{}, 1),
 	}
-	e.idle = sync.NewCond(&e.stateMu)
+	go e.loop()
 	return e
 }
 
@@ -59,73 +62,99 @@ func (e *Executor) Rand() *rand.Rand { return e.rng }
 // every other callback. Callbacks scheduled after Close are dropped.
 // Safe to call from within callbacks.
 func (e *Executor) Schedule(delay time.Duration, fn func()) {
-	e.stateMu.Lock()
+	e.ScheduleCall(delay, netsim.EventOther, callFunc, fn)
+}
+
+// ScheduleTagged is Schedule; the kind feeds the simulator's
+// self-profiler and is ignored on the wall clock.
+func (e *Executor) ScheduleTagged(delay time.Duration, kind netsim.EventKind, fn func()) {
+	e.ScheduleCall(delay, kind, callFunc, fn)
+}
+
+// ScheduleCall queues call(arg) to run after delay: the closure-free
+// form the forwarder uses for per-packet events, as on the simulator.
+// Events run in deadline order, and in scheduling order among equal
+// deadlines; the deadline is stamped under the queue's lock, so
+// zero-delay events run in the order they were scheduled.
+func (e *Executor) ScheduleCall(delay time.Duration, kind netsim.EventKind, call func(any), arg any) {
+	if delay < 0 {
+		delay = 0
+	}
+	e.mu.Lock()
 	if e.closed {
-		e.stateMu.Unlock()
+		e.mu.Unlock()
 		return
 	}
-	var timer *time.Timer
-	timer = time.AfterFunc(delay, func() {
-		e.runMu.Lock()
-		if !e.isClosed() {
-			fn()
-		}
-		e.runMu.Unlock()
-
-		e.stateMu.Lock()
-		delete(e.pending, timer)
-		if len(e.pending) == 0 {
-			e.idle.Broadcast()
-		}
-		e.stateMu.Unlock()
-	})
-	e.pending[timer] = struct{}{}
-	e.stateMu.Unlock()
-}
-
-// Run executes fn immediately, serialized with scheduled callbacks. Use
-// it to touch forwarder state from application goroutines. Do not call
-// it from within a callback (callbacks are already serialized).
-func (e *Executor) Run(fn func()) {
-	e.runMu.Lock()
-	defer e.runMu.Unlock()
-	if e.isClosed() {
-		return
-	}
-	fn()
-}
-
-func (e *Executor) isClosed() bool {
-	e.stateMu.Lock()
-	defer e.stateMu.Unlock()
-	return e.closed
-}
-
-// WaitIdle blocks until no callbacks are pending (or the executor is
-// closed). Tests use it to quiesce.
-func (e *Executor) WaitIdle() {
-	e.stateMu.Lock()
-	defer e.stateMu.Unlock()
-	for len(e.pending) > 0 && !e.closed {
-		e.idle.Wait()
+	at := e.Now() + delay
+	newHead := e.queue.Len() == 0 || at < e.queue.Head()
+	e.queue.Push(netsim.Event{At: at, Call: call, Arg: arg, Kind: kind})
+	e.mu.Unlock()
+	if newHead {
+		e.signal()
 	}
 }
 
-// Close stops all pending timers and drops future Schedule calls. It is
-// idempotent and safe to call even while callbacks are executing (they
-// complete first; Close does not wait for them).
+// callFunc is the handler behind Schedule/ScheduleTagged: the callback
+// itself rides in arg.
+func callFunc(arg any) { arg.(func())() }
+
+func (e *Executor) signal() {
+	select {
+	case e.wake <- struct{}{}:
+	default:
+	}
+}
+
+// loop is the executor's one goroutine: it runs every event that is due,
+// in queue order, then sleeps until the head deadline or a wake-up.
+func (e *Executor) loop() {
+	timer := time.NewTimer(0)
+	for {
+		e.mu.Lock()
+		if e.closed {
+			e.mu.Unlock()
+			timer.Stop()
+			return
+		}
+		var expiry <-chan time.Time // nil (blocks forever) while nothing is queued
+		if e.queue.Len() > 0 {
+			wait := e.queue.Head() - e.Now()
+			if wait <= 0 {
+				ev := e.queue.Pop()
+				e.mu.Unlock()
+				ev.Call(ev.Arg)
+				continue
+			}
+			// Stop-and-drain before Reset, so a stale expiry cannot
+			// cut the next sleep short.
+			if !timer.Stop() {
+				select {
+				case <-timer.C:
+				default:
+				}
+			}
+			timer.Reset(wait)
+			expiry = timer.C
+		}
+		e.mu.Unlock()
+		select {
+		case <-e.wake:
+		case <-expiry:
+		}
+	}
+}
+
+// Close drops every pending event and future Schedule calls, and stops
+// the loop goroutine. It is idempotent and safe to call from any
+// goroutine, including from within a callback: a callback that is
+// executing completes (Close does not wait for it), and nothing runs
+// after it.
 func (e *Executor) Close() {
-	e.stateMu.Lock()
-	defer e.stateMu.Unlock()
-	if e.closed {
-		return
-	}
+	e.mu.Lock()
 	e.closed = true
-	for timer := range e.pending {
-		timer.Stop()
-		delete(e.pending, timer)
-	}
-	e.idle.Broadcast()
+	e.queue = netsim.Queue{}
+	e.mu.Unlock()
+	e.signal()
 }
 
 // lockedSource makes a rand.Source64 safe for concurrent use.

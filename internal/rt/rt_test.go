@@ -2,10 +2,14 @@ package rt
 
 import (
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ndnprivacy/internal/netsim"
 )
 
 func TestScheduleRunsCallback(t *testing.T) {
@@ -53,7 +57,10 @@ func TestCallbacksAreSerialized(t *testing.T) {
 	}
 }
 
-func TestRunSerializedWithCallbacks(t *testing.T) {
+// TestConcurrentSchedulersSerialized: work handed in from application
+// goroutines is serialized with everything else on the executor, so an
+// unsynchronised counter loses no update.
+func TestConcurrentSchedulersSerialized(t *testing.T) {
 	e := New(1)
 	defer e.Close()
 	counter := 0
@@ -61,31 +68,14 @@ func TestRunSerializedWithCallbacks(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		wg.Add(2)
 		e.Schedule(0, func() { counter++; wg.Done() })
-		go func() {
-			e.Run(func() { counter++ })
-			wg.Done()
-		}()
+		go e.Schedule(0, func() { counter++; wg.Done() })
 	}
 	wg.Wait()
-	e.WaitIdle()
-	e.Run(func() {
-		if counter != 200 {
-			t.Errorf("counter = %d, want 200 (lost updates imply a race)", counter)
-		}
-	})
-}
-
-func TestWaitIdle(t *testing.T) {
-	e := New(1)
-	defer e.Close()
-	ran := false
-	e.Schedule(20*time.Millisecond, func() { ran = true })
-	e.WaitIdle()
-	e.Run(func() {
-		if !ran {
-			t.Error("WaitIdle returned before the callback ran")
-		}
-	})
+	total := make(chan int, 1)
+	e.Schedule(0, func() { total <- counter })
+	if got := <-total; got != 200 {
+		t.Errorf("counter = %d, want 200 (lost updates imply a race)", got)
+	}
 }
 
 func TestCloseDropsPending(t *testing.T) {
@@ -99,7 +89,7 @@ func TestCloseDropsPending(t *testing.T) {
 	}
 	// Scheduling after Close is a silent no-op.
 	e.Schedule(0, func() { atomic.AddInt32(&ran, 1) })
-	e.Run(func() { atomic.AddInt32(&ran, 1) })
+	e.ScheduleCall(0, netsim.EventTimer, func(any) { atomic.AddInt32(&ran, 1) }, nil)
 	time.Sleep(20 * time.Millisecond)
 	if atomic.LoadInt32(&ran) != 0 {
 		t.Error("work executed on a closed executor")
@@ -126,11 +116,10 @@ func TestRandConcurrentSafety(t *testing.T) {
 
 // TestConcurrentScheduleCloseStress hammers the executor from many
 // goroutines — scheduling (including re-entrantly from callbacks),
-// running, drawing randomness — while Close lands mid-flight. The race
-// detector validates the lockedSource and the runMu/stateMu split; the
-// assertions validate that nothing executes after Close returns funny
-// results. This is the audit for the bookkeeping around rt.go's timer
-// map and locked RNG.
+// drawing randomness — while Close lands mid-flight. The race detector
+// validates the lockedSource and the queue's one mutex; the test ending
+// validates that neither Schedule nor Close can block on a closing
+// executor.
 func TestConcurrentScheduleCloseStress(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		e := New(int64(round))
@@ -144,7 +133,7 @@ func TestConcurrentScheduleCloseStress(t *testing.T) {
 						e.Rand().Uint64()
 						e.Schedule(0, func() {}) // re-entrant schedule
 					})
-					e.Run(func() { e.Rand().Int63() })
+					e.ScheduleCall(0, netsim.EventForward, func(any) { e.Rand().Int63() }, nil)
 					_ = e.Now()
 				}
 			}(g)
@@ -153,7 +142,6 @@ func TestConcurrentScheduleCloseStress(t *testing.T) {
 		time.Sleep(time.Duration(round) * 100 * time.Microsecond)
 		e.Close()
 		wg.Wait()
-		e.WaitIdle() // must not hang on a closed executor
 	}
 }
 
@@ -167,5 +155,193 @@ func TestLockedSourceSeed(t *testing.T) {
 	s.Seed(1)
 	if b := s.Uint64(); a != b {
 		t.Errorf("re-seeded source diverged: %d vs %d", a, b)
+	}
+}
+
+// TestEqualDeadlinesRunInScheduleOrder: zero-delay events scheduled
+// from one goroutine run in the order they were scheduled — two
+// interests read back-to-back from one connection must reach the
+// pipeline in that order.
+func TestEqualDeadlinesRunInScheduleOrder(t *testing.T) {
+	e := New(1)
+	defer e.Close()
+	const n = 20000
+	order := make([]int, 0, n)
+	done := make(chan struct{})
+	for i := 0; i < n; i++ {
+		i := i
+		e.Schedule(0, func() {
+			order = append(order, i)
+			if len(order) == n {
+				close(done)
+			}
+		})
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("callbacks never finished")
+	}
+	misplaced := 0
+	for pos, id := range order {
+		if id != pos {
+			misplaced++
+		}
+	}
+	if misplaced != 0 {
+		t.Errorf("%d of %d zero-delay callbacks ran out of schedule order", misplaced, n)
+	}
+}
+
+// scheduler is the scheduling surface netsim.Simulator and Executor
+// share.
+type scheduler interface {
+	Schedule(delay time.Duration, fn func())
+	ScheduleTagged(delay time.Duration, kind netsim.EventKind, fn func())
+	ScheduleCall(delay time.Duration, kind netsim.EventKind, call func(any), arg any)
+}
+
+// orderScript schedules one fixed scenario on s — mixed delays, equal
+// deadlines, a negative delay, nested scheduling, all three scheduling
+// forms — from inside a callback, and calls finish with the labels in
+// execution order. Every comparison the scenario depends on is one the
+// wall clock decides the same way as the virtual clock: distinct
+// deadlines are a whole unit apart, and equal virtual deadlines are
+// stamped in scheduling order.
+func orderScript(s scheduler, unit time.Duration, finish func(order []string)) {
+	var order []string
+	mark := func(label string) func() { return func() { order = append(order, label) } }
+	markArg := func(label any) { order = append(order, label.(string)) }
+	s.Schedule(0, func() {
+		s.Schedule(2*unit, mark("A"))
+		s.ScheduleTagged(unit, netsim.EventTimer, func() {
+			order = append(order, "B")
+			s.Schedule(unit, mark("B1"))
+			s.ScheduleCall(unit, netsim.EventLink, markArg, "B2")
+		})
+		s.ScheduleCall(unit, netsim.EventForward, func(any) {
+			order = append(order, "C")
+			s.ScheduleTagged(0, netsim.EventApp, mark("C0"))
+			s.Schedule(unit, mark("C1"))
+		}, nil)
+		s.Schedule(0, func() {
+			order = append(order, "D")
+			s.ScheduleCall(0, netsim.EventForward, markArg, "D0")
+		})
+		s.ScheduleCall(0, netsim.EventLink, markArg, "E")
+		s.ScheduleTagged(-time.Second, netsim.EventTimer, mark("F"))
+		s.Schedule(4*unit, func() {
+			order = append(order, "G")
+			finish(order)
+		})
+	})
+}
+
+// TestSameOrderAsSimulator: one scripted schedule produces the same
+// callback order on the virtual and on the wall clock.
+func TestSameOrderAsSimulator(t *testing.T) {
+	const unit = 50 * time.Millisecond
+	var want []string
+	sim := netsim.New(1)
+	orderScript(sim, unit, func(order []string) { want = order })
+	sim.Run()
+	if got := strings.Join(want, " "); got != "D E F D0 B C C0 A B1 B2 C1 G" {
+		t.Fatalf("simulator order = %s", got)
+	}
+
+	e := New(1)
+	defer e.Close()
+	done := make(chan []string, 1)
+	orderScript(e, unit, func(order []string) { done <- order })
+	select {
+	case got := <-done:
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("wall-clock order = %v, simulator order = %v", got, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("script never finished")
+	}
+}
+
+// TestDueTimerRunsBeforeLaterZeroDelay: order is by deadline, not by
+// which events happen to be runnable — a timer that fell due while the
+// executor was busy still runs before zero-delay work scheduled after
+// its deadline.
+func TestDueTimerRunsBeforeLaterZeroDelay(t *testing.T) {
+	e := New(1)
+	defer e.Close()
+	gate := make(chan struct{})
+	e.Schedule(0, func() { <-gate })
+	var order []string
+	done := make(chan struct{})
+	e.Schedule(time.Millisecond, func() { order = append(order, "timer") })
+	time.Sleep(5 * time.Millisecond)
+	e.Schedule(0, func() { order = append(order, "zero"); close(done) })
+	close(gate)
+	<-done
+	if strings.Join(order, " ") != "timer zero" {
+		t.Errorf("order = %v, want the due timer first", order)
+	}
+}
+
+// settledGoroutines returns the goroutine count once it has stopped
+// moving (executors closed by earlier tests exit asynchronously).
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		time.Sleep(5 * time.Millisecond)
+		next := runtime.NumGoroutine()
+		if next == n {
+			return n
+		}
+		n = next
+	}
+	return n
+}
+
+// TestOneGoroutinePerExecutor: an executor is one goroutine however
+// much is scheduled on it, and Close releases it.
+func TestOneGoroutinePerExecutor(t *testing.T) {
+	base := settledGoroutines()
+	e := New(1)
+	var wg sync.WaitGroup
+	for i := 0; i < 1000; i++ {
+		wg.Add(1)
+		e.Schedule(time.Duration(i%4)*time.Millisecond, wg.Done)
+	}
+	if got := runtime.NumGoroutine(); got != base+1 {
+		t.Errorf("%d goroutines with 1000 events pending, want %d", got-base, 1)
+	}
+	wg.Wait()
+	e.Schedule(time.Hour, func() {})
+	e.Close()
+	if got := settledGoroutines(); got != base {
+		t.Errorf("%d goroutines left after Close", got-base)
+	}
+}
+
+// TestCloseFromCallback: Close called by a running callback returns
+// (the queue's lock is not held across callbacks), and nothing already
+// queued or scheduled afterwards runs.
+func TestCloseFromCallback(t *testing.T) {
+	e := New(1)
+	var late int32
+	bump := func() { atomic.AddInt32(&late, 1) }
+	closed := make(chan struct{})
+	e.Schedule(0, func() {
+		e.Schedule(0, bump)
+		e.Schedule(time.Millisecond, bump)
+		e.Close()
+		e.Schedule(0, bump)
+		close(closed)
+	})
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close deadlocked inside a callback")
+	}
+	time.Sleep(20 * time.Millisecond)
+	if n := atomic.LoadInt32(&late); n != 0 {
+		t.Errorf("%d events ran after Close", n)
 	}
 }

@@ -239,13 +239,13 @@ func newMerger(n int, metrics *telemetry.Registry, trace telemetry.Sink, spans *
 // worker: slot i is only ever written by complete(i), which runs after
 // the cell — and therefore after this call — finished.
 func (m *merger) provider(i int, seed int64) telemetry.Provider {
-	p := cellProvider{reg: m.regs[i]} //ndnlint:allow guardedby — slot i is immutable until complete(i) runs, sequenced after this read
-	if m.bufs[i] != nil {             //ndnlint:allow guardedby — same per-slot ownership invariant
-		p.sink = m.bufs[i] //ndnlint:allow guardedby — same per-slot ownership invariant
+	p := cellProvider{reg: m.regs[i]}
+	if m.bufs[i] != nil {
+		p.sink = m.bufs[i]
 	}
-	if m.cellS[i] != nil { //ndnlint:allow guardedby — same per-slot ownership invariant
-		m.cellS[i].SetSeed(seed) //ndnlint:allow guardedby — same per-slot ownership invariant
-		p.spans = m.cellS[i]     //ndnlint:allow guardedby — same per-slot ownership invariant
+	if m.cellS[i] != nil {
+		m.cellS[i].SetSeed(seed)
+		p.spans = m.cellS[i]
 	}
 	return p
 }
