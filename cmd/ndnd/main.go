@@ -25,11 +25,13 @@
 package main
 
 import (
+	"bufio"
 	crand "crypto/rand"
 	"encoding/binary"
 	"flag"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"os"
 	"os/signal"
@@ -82,7 +84,10 @@ func (r *routeFlags) Set(value string) error {
 	return nil
 }
 
-func buildManager(kind string, k uint64, eps float64, exec *rt.Executor) (core.CacheManager, error) {
+// buildManager makes the selected cache manager. rng is where
+// Random-Cache draws its thresholds k_C; the manager runs inside executor
+// callbacks only, so it needs no locking.
+func buildManager(kind string, k uint64, eps float64, rng *rand.Rand) (core.CacheManager, error) {
 	switch kind {
 	case "none":
 		return nil, nil //nolint:nilnil // nil manager = NoPrivacy default
@@ -97,17 +102,18 @@ func buildManager(kind string, k uint64, eps float64, exec *rt.Executor) (core.C
 		if err != nil {
 			return nil, err
 		}
-		return core.NewRandomCache(dist, exec.Rand())
+		return core.NewRandomCache(dist, rng)
 	default:
 		return nil, fmt.Errorf("unknown -manager %q (none|delay|random)", kind)
 	}
 }
 
 // randomSeed draws the executor's seed from entropy (crypto/rand in
-// run). Random-Cache's thresholds k_C come from the executor's RNG, and
-// Algorithm 1's (k, ε, δ) guarantee assumes an adversary cannot predict
-// them — which rules out anything observable or enumerable, such as the
-// process ID or the start time.
+// run): its RNG makes the nonces of locally originated interests, which
+// should not repeat from one start to the next. It is not good enough
+// for Random-Cache — math/rand keeps a seed modulo 2³¹−1, so a seeded
+// source is one of about two thousand million enumerable streams
+// however many bits the seed had; thresholds come from entropySource.
 func randomSeed(entropy io.Reader) (int64, error) {
 	var raw [8]byte
 	if _, err := io.ReadFull(entropy, raw[:]); err != nil {
@@ -115,6 +121,40 @@ func randomSeed(entropy io.Reader) (int64, error) {
 	}
 	return int64(binary.LittleEndian.Uint64(raw[:])), nil
 }
+
+// entropySource is a rand.Source64 that hands out entropy (crypto/rand in
+// run) as it comes, with no seed and no state to reconstruct.
+// Random-Cache's thresholds k_C are drawn from it: Algorithm 1's
+// (k, ε, δ) guarantee assumes an adversary cannot predict them, which
+// rules out a stream that can be enumerated. It is not safe for
+// concurrent use.
+type entropySource struct {
+	entropy *bufio.Reader
+	raw     [8]byte
+	// fatal receives a failed read. The daemon cannot go on without
+	// thresholds, and Source64 has no error to return; run exits from it.
+	fatal func(error)
+}
+
+// entropyBuffer is how much entropySource reads ahead: 32 draws for one
+// read of the kernel's generator.
+const entropyBuffer = 256
+
+func newEntropySource(entropy io.Reader, fatal func(error)) *entropySource {
+	return &entropySource{entropy: bufio.NewReaderSize(entropy, entropyBuffer), fatal: fatal}
+}
+
+func (s *entropySource) Uint64() uint64 {
+	if _, err := io.ReadFull(s.entropy, s.raw[:]); err != nil {
+		s.fatal(fmt.Errorf("drawing a Random-Cache threshold: %w", err))
+	}
+	return binary.LittleEndian.Uint64(s.raw[:])
+}
+
+func (s *entropySource) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+// Seed does nothing: there is no stream to restart.
+func (s *entropySource) Seed(int64) {}
 
 // buildStore assembles the daemon's Content Store: an LRU store of
 // capacity objects, over — when tierDir is set — a file-backed second
@@ -163,7 +203,11 @@ func run() error {
 	exec := rt.New(seed)
 	defer exec.Close()
 
-	manager, err := buildManager(*managerKind, *k, *eps, exec)
+	thresholds := rand.New(newEntropySource(crand.Reader, func(err error) {
+		fmt.Fprintf(os.Stderr, "ndnd: %v\n", err)
+		os.Exit(1)
+	}))
+	manager, err := buildManager(*managerKind, *k, *eps, thresholds)
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,10 @@ package main
 import (
 	"bytes"
 	crand "crypto/rand"
+	"encoding/binary"
+	"errors"
+	"io"
+	"math/rand"
 	"net"
 	"testing"
 	"time"
@@ -42,8 +46,7 @@ func TestRouteFlagsRejectsMalformed(t *testing.T) {
 }
 
 func TestBuildManager(t *testing.T) {
-	exec := rt.New(1)
-	defer exec.Close()
+	rng := rand.New(rand.NewSource(1))
 	cases := []struct {
 		kind    string
 		wantNil bool
@@ -55,7 +58,7 @@ func TestBuildManager(t *testing.T) {
 		{"bogus", false, true},
 	}
 	for _, tc := range cases {
-		m, err := buildManager(tc.kind, 5, 0.005, exec)
+		m, err := buildManager(tc.kind, 5, 0.005, rng)
 		if tc.wantErr != (err != nil) {
 			t.Errorf("%s: err = %v", tc.kind, err)
 			continue
@@ -64,7 +67,7 @@ func TestBuildManager(t *testing.T) {
 			t.Errorf("%s: manager = %v", tc.kind, m)
 		}
 	}
-	if _, err := buildManager("random", 0, 0.005, exec); err == nil {
+	if _, err := buildManager("random", 0, 0.005, rng); err == nil {
 		t.Error("k=0 accepted for random manager")
 	}
 }
@@ -94,6 +97,54 @@ func TestRandomSeed(t *testing.T) {
 	}
 	if first == second {
 		t.Errorf("two crypto/rand seeds are equal (%d)", first)
+	}
+}
+
+// TestEntropySource: thresholds come straight from entropy — all 64 bits
+// of it, with no seed in between for math/rand to fold to 31 bits — and
+// running out of entropy is reported, not papered over.
+func TestEntropySource(t *testing.T) {
+	fail := func(err error) { t.Fatalf("crypto/rand: %v", err) }
+	a, b := newEntropySource(crand.Reader, fail), newEntropySource(crand.Reader, fail)
+	var all uint64
+	same := 0
+	for i := 0; i < 64; i++ {
+		x, y := a.Uint64(), b.Uint64()
+		if x == y {
+			same++
+		}
+		all |= x
+		if v := a.Int63(); v < 0 {
+			t.Fatalf("Int63 = %d", v)
+		}
+	}
+	if same != 0 {
+		t.Errorf("two entropy sources agreed on %d of 64 draws", same)
+	}
+	if all>>63 == 0 {
+		t.Error("64 draws never set the top bit: Uint64 is not 64 bits wide")
+	}
+
+	// Bytes come out in the order they went in, across the read-ahead,
+	// and Seed has no stream to restart.
+	stream := make([]byte, entropyBuffer+16)
+	for i := range stream {
+		stream[i] = byte(i)
+	}
+	var failure error
+	fixed := newEntropySource(bytes.NewReader(stream), func(err error) { failure = err })
+	for i := 0; i < len(stream)/8; i++ {
+		fixed.Seed(1)
+		if got, want := fixed.Uint64(), binary.LittleEndian.Uint64(stream[8*i:]); got != want {
+			t.Fatalf("draw %d = %#x, want %#x", i, got, want)
+		}
+	}
+	if failure != nil {
+		t.Fatalf("failure before the entropy ran out: %v", failure)
+	}
+	fixed.Uint64()
+	if !errors.Is(failure, io.EOF) {
+		t.Errorf("exhausted entropy reported %v, want io.EOF", failure)
 	}
 }
 

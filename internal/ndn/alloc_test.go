@@ -1,6 +1,9 @@
 package ndn
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // These tests pin the zero-allocation contract of the //ndnlint:hotpath
 // annotations on the view parse path: a NameView is fixed-size arrays
@@ -97,5 +100,62 @@ func TestNamePrefixZeroAlloc(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("prefix walk unexpectedly read nothing")
+	}
+}
+
+// The encoders size their buffer arithmetically and write it in one
+// pass, and the stream reader frames a packet in scratch it owns: ndnd
+// pays both on every packet it sends or receives.
+func TestEncodersAllocateOnce(t *testing.T) {
+	name := MustParseName("/youtube/alice/video-749.avi/137")
+	i := NewInterest(name, 1<<40).WithScope(ScopeNextHop).WithPrivacy(PrivacyRequested)
+	d, err := NewData(name, make([]byte, 1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Producer, d.Signature, d.ContentID = "alice", make([]byte, 32), "cid"
+	total := 0
+	if n := testing.AllocsPerRun(200, func() { total += len(EncodeInterest(i)) }); n != 1 {
+		t.Errorf("EncodeInterest: %.0f allocs/run, want 1", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { total += len(EncodeData(d)) }); n != 1 {
+		t.Errorf("EncodeData: %.0f allocs/run, want 1", n)
+	}
+	if total == 0 {
+		t.Fatal("encoders unexpectedly wrote nothing")
+	}
+}
+
+func TestPacketReaderFramingAllocatesOnlyThePacket(t *testing.T) {
+	name := MustParseName("/youtube/alice/video-749.avi/137")
+	d, err := NewData(name, make([]byte, 1024)) // 1 KB: the Length field takes the three-byte form
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		kind   string
+		wire   []byte
+		decode func([]byte) error
+	}{
+		{"Interest", EncodeInterest(NewInterest(name, 7)), func(w []byte) error { _, err := DecodeInterest(w); return err }},
+		{"Data", EncodeData(d), func(w []byte) error { _, err := DecodeData(w); return err }},
+	} {
+		decode := testing.AllocsPerRun(200, func() {
+			if err := tc.decode(tc.wire); err != nil {
+				t.Fatal(err)
+			}
+		})
+		source := bytes.NewReader(nil)
+		reader := NewPacketReader(source)
+		next := testing.AllocsPerRun(200, func() {
+			source.Reset(tc.wire)
+			if _, err := reader.Next(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// One allocation on top of decoding: the packet's wire buffer.
+		if next != decode+1 {
+			t.Errorf("%s: Next %.0f allocs/run, decoding alone %.0f: framing costs %.0f, want 1", tc.kind, next, decode, next-decode)
+		}
 	}
 }

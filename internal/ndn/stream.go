@@ -71,6 +71,10 @@ func EncodePacket(p Packet) ([]byte, error) {
 // PacketReader incrementally reads TLV packets from a stream.
 type PacketReader struct {
 	r *bufio.Reader
+	// header is the raw outer Type and Length of the packet being read,
+	// two var-numbers of at most nine bytes each. It lives here so that
+	// framing a packet allocates nothing but the packet's own buffer.
+	header [18]byte
 }
 
 // NewPacketReader wraps r.
@@ -81,12 +85,11 @@ func NewPacketReader(r io.Reader) *PacketReader {
 // Next reads one packet. It returns io.EOF cleanly at end of stream and
 // io.ErrUnexpectedEOF when the stream ends mid-packet.
 func (pr *PacketReader) Next() (Packet, error) {
-	header := make([]byte, 0, 18)
-	typ, header, err := readStreamVarNum(pr.r, header, false)
+	typ, typLen, err := pr.readVarNum(0, false)
 	if err != nil {
 		return Packet{}, err
 	}
-	length, header, err := readStreamVarNum(pr.r, header, true)
+	length, lengthLen, err := pr.readVarNum(typLen, true)
 	if err != nil {
 		return Packet{}, err
 	}
@@ -96,6 +99,7 @@ func (pr *PacketReader) Next() (Packet, error) {
 	if length > MaxPacketSize {
 		return Packet{}, fmt.Errorf("%w: declared %d bytes", ErrPacketTooLarge, length)
 	}
+	header := pr.header[:typLen+lengthLen]
 	wire := make([]byte, len(header)+int(length))
 	copy(wire, header)
 	if _, err := io.ReadFull(pr.r, wire[len(header):]); err != nil {
@@ -107,22 +111,22 @@ func (pr *PacketReader) Next() (Packet, error) {
 	return DecodePacket(wire)
 }
 
-// readStreamVarNum reads one NDN variable-size number, appending the raw
-// bytes consumed to header. midPacket upgrades clean EOF to
+// readVarNum reads one NDN variable-size number into pr.header[at:],
+// returning its value and encoded width. midPacket upgrades clean EOF to
 // ErrUnexpectedEOF.
-func readStreamVarNum(r *bufio.Reader, header []byte, midPacket bool) (uint64, []byte, error) {
-	first, err := r.ReadByte()
+func (pr *PacketReader) readVarNum(at int, midPacket bool) (uint64, int, error) {
+	first, err := pr.r.ReadByte()
 	if err != nil {
 		if midPacket && errors.Is(err, io.EOF) {
-			return 0, header, io.ErrUnexpectedEOF
+			return 0, 0, io.ErrUnexpectedEOF
 		}
-		return 0, header, err
+		return 0, 0, err
 	}
-	header = append(header, first)
+	pr.header[at] = first
 	var need int
 	switch {
 	case first < 253:
-		return uint64(first), header, nil
+		return uint64(first), 1, nil
 	case first == 0xFD:
 		need = 2
 	case first == 0xFE:
@@ -130,21 +134,20 @@ func readStreamVarNum(r *bufio.Reader, header []byte, midPacket bool) (uint64, [
 	default:
 		need = 8
 	}
-	buf := make([]byte, need)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf := pr.header[at+1 : at+1+need]
+	if _, err := io.ReadFull(pr.r, buf); err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
-		return 0, header, err
+		return 0, 0, err
 	}
-	header = append(header, buf...)
 	switch need {
 	case 2:
-		return uint64(binary.BigEndian.Uint16(buf)), header, nil
+		return uint64(binary.BigEndian.Uint16(buf)), 1 + need, nil
 	case 4:
-		return uint64(binary.BigEndian.Uint32(buf)), header, nil
+		return uint64(binary.BigEndian.Uint32(buf)), 1 + need, nil
 	default:
-		return binary.BigEndian.Uint64(buf), header, nil
+		return binary.BigEndian.Uint64(buf), 1 + need, nil
 	}
 }
 

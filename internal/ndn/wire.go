@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 )
 
@@ -86,10 +87,16 @@ func readVarNum(b []byte) (uint64, int, error) {
 	}
 }
 
-func appendTLV(b []byte, typ uint64, value []byte) []byte {
-	b = appendVarNum(b, typ)
-	b = appendVarNum(b, uint64(len(value)))
-	return append(b, value...)
+// appendTLVHeader appends the Type and Length of an element whose value
+// is n bytes; the caller appends the value.
+func appendTLVHeader(b []byte, typ uint64, n int) []byte {
+	return appendVarNum(appendVarNum(b, typ), uint64(n))
+}
+
+// appendTLV appends one element. The value may be a string as it is,
+// without a conversion's copy.
+func appendTLV[V ~[]byte | ~string](b []byte, typ uint64, value V) []byte {
+	return append(appendTLVHeader(b, typ, len(value)), value...)
 }
 
 // readTLV decodes one TLV element, returning its type, value and total
@@ -115,11 +122,13 @@ func readTLV(b []byte) (typ uint64, value []byte, n int, err error) {
 // valid input for ParseNameView, which is how lookup benchmarks and the
 // forwarder's wire fast path obtain view-parseable buffers.
 func EncodeName(b []byte, n Name) []byte {
-	var inner []byte
-	for i := 0; i < n.Len(); i++ {
-		inner = appendTLV(inner, tlvComponent, n.ComponentRef(i))
+	inner := nameValueSize(n)
+	b = slices.Grow(b, tlvSize(tlvName, inner))
+	b = appendTLVHeader(b, tlvName, inner)
+	for _, c := range n.components {
+		b = appendTLV(b, tlvComponent, c)
 	}
-	return appendTLV(b, tlvName, inner)
+	return b
 }
 
 func decodeName(value []byte) (Name, error) {
@@ -160,21 +169,31 @@ func decodeUint(value []byte) (uint64, error) {
 	return v, nil
 }
 
+// The encoders write a packet in one pass into one buffer: the arithmetic
+// sizes below give every Length field before its value is written, so
+// nothing is assembled in an inner buffer and copied outwards. Each
+// encoder and its size function list the same fields in the same order —
+// FuzzWireSize and TestWireSizeMatchesEncoding hold them together — and
+// the bytes are what stored records (tiered.FileTier) and signatures
+// were made over, so they do not change.
+
 // EncodeInterest serializes an interest.
 func EncodeInterest(i *Interest) []byte {
-	var inner []byte
-	inner = EncodeName(inner, i.Name)
-	inner = appendUintTLV(inner, tlvNonce, i.Nonce)
+	inner := interestValueSize(i)
+	b := make([]byte, 0, tlvSize(tlvInterest, inner))
+	b = appendTLVHeader(b, tlvInterest, inner)
+	b = EncodeName(b, i.Name)
+	b = appendUintTLV(b, tlvNonce, i.Nonce)
 	if i.Scope != ScopeUnlimited {
-		inner = appendUintTLV(inner, tlvScope, uint64(i.Scope))
+		b = appendUintTLV(b, tlvScope, uint64(i.Scope))
 	}
 	if i.Lifetime > 0 {
-		inner = appendUintTLV(inner, tlvInterestLifetime, uint64(i.Lifetime/time.Millisecond))
+		b = appendUintTLV(b, tlvInterestLifetime, uint64(i.Lifetime/time.Millisecond))
 	}
 	if i.Privacy != PrivacyUnmarked {
-		inner = appendUintTLV(inner, tlvPrivacyMark, uint64(i.Privacy))
+		b = appendUintTLV(b, tlvPrivacyMark, uint64(i.Privacy))
 	}
-	return appendTLV(nil, tlvInterest, inner)
+	return b
 }
 
 // DecodeInterest parses a serialized interest.
@@ -236,25 +255,27 @@ func DecodeInterest(wire []byte) (*Interest, error) {
 
 // EncodeData serializes a Data packet.
 func EncodeData(d *Data) []byte {
-	var inner []byte
-	inner = EncodeName(inner, d.Name)
-	inner = appendTLV(inner, tlvPayload, d.Payload)
+	inner := dataValueSize(d)
+	b := make([]byte, 0, tlvSize(tlvData, inner))
+	b = appendTLVHeader(b, tlvData, inner)
+	b = EncodeName(b, d.Name)
+	b = appendTLV(b, tlvPayload, d.Payload)
 	if d.Producer != "" {
-		inner = appendTLV(inner, tlvProducer, []byte(d.Producer))
+		b = appendTLV(b, tlvProducer, d.Producer)
 	}
 	if len(d.Signature) > 0 {
-		inner = appendTLV(inner, tlvSignature, d.Signature)
+		b = appendTLV(b, tlvSignature, d.Signature)
 	}
 	if d.Freshness > 0 {
-		inner = appendUintTLV(inner, tlvFreshness, uint64(d.Freshness/time.Millisecond))
+		b = appendUintTLV(b, tlvFreshness, uint64(d.Freshness/time.Millisecond))
 	}
 	if d.Private {
-		inner = appendUintTLV(inner, tlvPrivacyMark, 1)
+		b = appendUintTLV(b, tlvPrivacyMark, 1)
 	}
 	if d.ContentID != "" {
-		inner = appendTLV(inner, tlvContentID, []byte(d.ContentID))
+		b = appendTLV(b, tlvContentID, d.ContentID)
 	}
-	return appendTLV(nil, tlvData, inner)
+	return b
 }
 
 // DecodeData parses a serialized Data packet.
@@ -345,19 +366,25 @@ func uintTLVSize(typ, v uint64) int {
 	return tlvSize(typ, max(1, (bits.Len64(v)+7)/8))
 }
 
-// nameTLVSize is the encoded length of EncodeName(n).
-func nameTLVSize(n Name) int {
+// nameValueSize is the length of a Name element's value: its components.
+func nameValueSize(n Name) int {
 	inner := 0
 	for _, c := range n.components {
 		inner += tlvSize(tlvComponent, len(c))
 	}
-	return tlvSize(tlvName, inner)
+	return inner
 }
+
+// nameTLVSize is the encoded length of EncodeName(n).
+func nameTLVSize(n Name) int { return tlvSize(tlvName, nameValueSize(n)) }
 
 // InterestWireSize returns len(EncodeInterest(i)) without encoding.
 //
 //ndnlint:hotpath — sizes every forwarded interest; must not allocate
-func InterestWireSize(i *Interest) int {
+func InterestWireSize(i *Interest) int { return tlvSize(tlvInterest, interestValueSize(i)) }
+
+// interestValueSize is the length of the Interest element's value.
+func interestValueSize(i *Interest) int {
 	inner := nameTLVSize(i.Name) + uintTLVSize(tlvNonce, i.Nonce)
 	if i.Scope != ScopeUnlimited {
 		inner += uintTLVSize(tlvScope, uint64(i.Scope))
@@ -368,13 +395,16 @@ func InterestWireSize(i *Interest) int {
 	if i.Privacy != PrivacyUnmarked {
 		inner += uintTLVSize(tlvPrivacyMark, uint64(i.Privacy))
 	}
-	return tlvSize(tlvInterest, inner)
+	return inner
 }
 
 // DataWireSize returns len(EncodeData(d)) without encoding.
 //
 //ndnlint:hotpath — sizes every Data transmission; must not allocate
-func DataWireSize(d *Data) int {
+func DataWireSize(d *Data) int { return tlvSize(tlvData, dataValueSize(d)) }
+
+// dataValueSize is the length of the Data element's value.
+func dataValueSize(d *Data) int {
 	inner := nameTLVSize(d.Name) + tlvSize(tlvPayload, len(d.Payload))
 	if d.Producer != "" {
 		inner += tlvSize(tlvProducer, len(d.Producer))
@@ -391,7 +421,7 @@ func DataWireSize(d *Data) int {
 	if d.ContentID != "" {
 		inner += tlvSize(tlvContentID, len(d.ContentID))
 	}
-	return tlvSize(tlvData, inner)
+	return inner
 }
 
 // WireSize returns the serialized length of a Data packet without

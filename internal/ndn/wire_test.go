@@ -164,10 +164,10 @@ func TestDecodeRejectsOutOfRangeEnums(t *testing.T) {
 	}
 }
 
-// The arithmetic sizes must equal the encoded lengths across every
-// optional field and every var-number width boundary: a length of 252
+// forEachPacketShape calls data and interest with every combination of
+// optional fields at every var-number width boundary: a length of 252
 // takes one byte, 253 three, 65535 three, 65536 five.
-func TestWireSizeMatchesEncoding(t *testing.T) {
+func forEachPacketShape(data func(*Data), interest func(*Interest)) {
 	boundaries := []int{1, 252, 253, 65535, 65536}
 	names := []Name{
 		{},                 // literal zero value
@@ -197,13 +197,7 @@ func TestWireSizeMatchesEncoding(t *testing.T) {
 				if opts&16 != 0 {
 					d.ContentID = string(make([]byte, n))
 				}
-				want := len(EncodeData(d))
-				if got := DataWireSize(d); got != want {
-					t.Fatalf("DataWireSize(%d-component name, payload %d, opts %05b) = %d, want %d", name.Len(), n, opts, got, want)
-				}
-				if got := WireSize(d); got != want {
-					t.Fatalf("WireSize = %d, want %d", got, want)
-				}
+				data(d)
 			}
 		}
 		nonces := []uint64{0, 255, 256, 65535, 65536, 1<<32 - 1, 1 << 32, 1<<64 - 1}
@@ -212,14 +206,111 @@ func TestWireSizeMatchesEncoding(t *testing.T) {
 			for _, lifetime := range lifetimes {
 				for _, scope := range []uint8{ScopeUnlimited, ScopeLocal, ScopeNextHop, 255} {
 					for _, privacy := range []Privacy{PrivacyUnmarked, PrivacyRequested, PrivacyDeclined} {
-						i := &Interest{Name: name, Nonce: nonce, Scope: scope, Lifetime: lifetime, Privacy: privacy}
-						if got, want := InterestWireSize(i), len(EncodeInterest(i)); got != want {
-							t.Fatalf("InterestWireSize(%v lifetime=%v) = %d, want %d", i, lifetime, got, want)
-						}
+						interest(&Interest{Name: name, Nonce: nonce, Scope: scope, Lifetime: lifetime, Privacy: privacy})
 					}
 				}
 			}
 		}
+	}
+}
+
+// The arithmetic sizes must equal the encoded lengths across every
+// optional field and every var-number width boundary.
+func TestWireSizeMatchesEncoding(t *testing.T) {
+	forEachPacketShape(func(d *Data) {
+		want := len(EncodeData(d))
+		if got := DataWireSize(d); got != want {
+			t.Fatalf("DataWireSize(%d-component name, payload %d) = %d, want %d", d.Name.Len(), len(d.Payload), got, want)
+		}
+		if got := WireSize(d); got != want {
+			t.Fatalf("WireSize = %d, want %d", got, want)
+		}
+	}, func(i *Interest) {
+		if got, want := InterestWireSize(i), len(EncodeInterest(i)); got != want {
+			t.Fatalf("InterestWireSize(%v lifetime=%v) = %d, want %d", i, i.Lifetime, got, want)
+		}
+	})
+}
+
+// nestedEncodeInterest and nestedEncodeData are the encoders as they
+// were before they wrote in one pass: every element's value assembled
+// in its own buffer, then wrapped. They are the reference the bytes are
+// held to — file-tier records and signatures were made over this output.
+func nestedEncodeName(n Name) []byte {
+	var inner []byte
+	for i := 0; i < n.Len(); i++ {
+		inner = appendTLV(inner, tlvComponent, n.ComponentRef(i))
+	}
+	return appendTLV(nil, tlvName, inner)
+}
+
+func nestedEncodeInterest(i *Interest) []byte {
+	inner := nestedEncodeName(i.Name)
+	inner = appendUintTLV(inner, tlvNonce, i.Nonce)
+	if i.Scope != ScopeUnlimited {
+		inner = appendUintTLV(inner, tlvScope, uint64(i.Scope))
+	}
+	if i.Lifetime > 0 {
+		inner = appendUintTLV(inner, tlvInterestLifetime, uint64(i.Lifetime/time.Millisecond))
+	}
+	if i.Privacy != PrivacyUnmarked {
+		inner = appendUintTLV(inner, tlvPrivacyMark, uint64(i.Privacy))
+	}
+	return appendTLV(nil, tlvInterest, inner)
+}
+
+func nestedEncodeData(d *Data) []byte {
+	inner := nestedEncodeName(d.Name)
+	inner = appendTLV(inner, tlvPayload, d.Payload)
+	if d.Producer != "" {
+		inner = appendTLV(inner, tlvProducer, []byte(d.Producer))
+	}
+	if len(d.Signature) > 0 {
+		inner = appendTLV(inner, tlvSignature, d.Signature)
+	}
+	if d.Freshness > 0 {
+		inner = appendUintTLV(inner, tlvFreshness, uint64(d.Freshness/time.Millisecond))
+	}
+	if d.Private {
+		inner = appendUintTLV(inner, tlvPrivacyMark, 1)
+	}
+	if d.ContentID != "" {
+		inner = appendTLV(inner, tlvContentID, []byte(d.ContentID))
+	}
+	return appendTLV(nil, tlvData, inner)
+}
+
+// TestEncodersMatchNestedReference: the one-pass encoders emit exactly
+// the bytes the nested ones did, for every packet shape, and fill the
+// buffer they sized without growing it.
+func TestEncodersMatchNestedReference(t *testing.T) {
+	fill := func(b []byte, seed byte) {
+		for i := range b {
+			b[i] = seed + byte(i)
+		}
+	}
+	forEachPacketShape(func(d *Data) {
+		fill(d.Payload, 1)
+		fill(d.Signature, 2)
+		got := EncodeData(d)
+		if want := nestedEncodeData(d); !bytes.Equal(got, want) {
+			t.Fatalf("EncodeData(%d-component name, payload %d) differs from the nested encoding (%d vs %d bytes)", d.Name.Len(), len(d.Payload), len(got), len(want))
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("EncodeData sized its buffer %d for %d bytes", cap(got), len(got))
+		}
+	}, func(i *Interest) {
+		got := EncodeInterest(i)
+		if want := nestedEncodeInterest(i); !bytes.Equal(got, want) {
+			t.Fatalf("EncodeInterest(%v lifetime=%v) = %x, nested encoding %x", i, i.Lifetime, got, want)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("EncodeInterest sized its buffer %d for %d bytes", cap(got), len(got))
+		}
+	})
+	name := MustParseName("/youtube/alice/video-749.avi/137")
+	if got, want := EncodeName([]byte("prefix"), name), append([]byte("prefix"), nestedEncodeName(name)...); !bytes.Equal(got, want) {
+		t.Errorf("EncodeName onto a non-empty buffer = %x, want %x", got, want)
 	}
 }
 

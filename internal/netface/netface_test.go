@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ndnprivacy/internal/cache"
+	"ndnprivacy/internal/core"
 	"ndnprivacy/internal/fwd"
 	"ndnprivacy/internal/ndn"
 	"ndnprivacy/internal/rt"
@@ -14,12 +15,19 @@ import (
 // newRTForwarder builds a forwarder on a fresh real-time executor.
 func newRTForwarder(t *testing.T, name string, withStore bool) (*fwd.Forwarder, *rt.Executor) {
 	t.Helper()
-	exec := rt.New(int64(len(name)) + 42)
-	t.Cleanup(exec.Close)
-	cfg := fwd.Config{Name: name, Sim: exec}
+	cfg := fwd.Config{Name: name}
 	if withStore {
 		cfg.Store = cache.MustNewStore(1024, cache.NewLRU())
 	}
+	return startForwarder(t, cfg)
+}
+
+// startForwarder builds cfg's forwarder on a fresh real-time executor.
+func startForwarder(t *testing.T, cfg fwd.Config) (*fwd.Forwarder, *rt.Executor) {
+	t.Helper()
+	exec := rt.New(int64(len(cfg.Name)) + 42)
+	t.Cleanup(exec.Close)
+	cfg.Sim = exec
 	f, err := fwd.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -112,13 +120,29 @@ func TestFetchOverPipe(t *testing.T) {
 	}
 }
 
-func TestTCPRouterTopology(t *testing.T) {
-	// consumer ─TCP─ router(with cache) ─TCP─ producer: a real three-
-	// process-shaped NDN deployment in one test, exercising listener,
-	// dialer, caching and the full pipeline over loopback.
-	routerFwd, _ := newRTForwarder(t, "router", true)
+// tcpTopology is consumer ─TCP─ router(with cache) ─TCP─ producer: a
+// real three-process-shaped NDN deployment in one test, exercising
+// listener, dialer, caching and the full pipeline over loopback.
+type tcpTopology struct {
+	router      *fwd.Forwarder
+	producerFwd *fwd.Forwarder
+	producer    *fwd.Producer
+	consumer    *fwd.Consumer
+}
+
+// newTCPTopology wires the three hosts up under prefix /cnn, with the
+// router's cache run by manager (nil: no privacy policy), and publishes
+// the given content at the producer.
+func newTCPTopology(t *testing.T, manager core.CacheManager, publish ...*ndn.Data) *tcpTopology {
+	t.Helper()
+	top := &tcpTopology{}
+	top.router, _ = startForwarder(t, fwd.Config{
+		Name:    "router",
+		Store:   cache.MustNewStore(1024, cache.NewLRU()),
+		Manager: manager,
+	})
 	consumerFwd, _ := newRTForwarder(t, "consumer", false)
-	producerFwd, _ := newRTForwarder(t, "producer", false)
+	top.producerFwd, _ = newRTForwarder(t, "producer", false)
 
 	prefix := ndn.MustParseName("/cnn")
 
@@ -129,39 +153,39 @@ func TestTCPRouterTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	accepted := make(chan *Face, 2)
-	listener, err := Listen(routerFwd, ln, func(face *Face) {
+	listener, err := Listen(top.router, ln, func(face *Face) {
 		accepted <- face
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer listener.Close()
+	t.Cleanup(func() { listener.Close() })
 
 	// Producer dials the router and registers nothing (it only answers).
-	producerSide, err := Dial(producerFwd, "tcp", listener.Addr().String(), nil)
+	producerSide, err := Dial(top.producerFwd, "tcp", listener.Addr().String(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer producerSide.Close()
+	t.Cleanup(func() { producerSide.Close() })
 	producerRouterFace := <-accepted
-	if err := RunOn(routerFwd, func() error {
-		return routerFwd.RegisterPrefix(prefix, producerRouterFace.ID())
+	if err := RunOn(top.router, func() error {
+		return top.router.RegisterPrefix(prefix, producerRouterFace.ID())
 	}); err != nil {
 		t.Fatal(err)
 	}
 
-	var producer *fwd.Producer
-	if err := RunOn(producerFwd, func() error {
+	if err := RunOn(top.producerFwd, func() error {
 		var err error
-		producer, err = fwd.NewProducer(producerFwd, prefix, nil)
+		top.producer, err = fwd.NewProducer(top.producerFwd, prefix, nil)
 		if err != nil {
 			return err
 		}
-		d, err := ndn.NewData(ndn.MustParseName("/cnn/news"), []byte("tcp payload"))
-		if err != nil {
-			return err
+		for _, d := range publish {
+			if err := top.producer.Publish(d); err != nil {
+				return err
+			}
 		}
-		return producer.Publish(d)
+		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -171,25 +195,51 @@ func TestTCPRouterTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer consumerSide.Close()
+	t.Cleanup(func() { consumerSide.Close() })
 	<-accepted // the router's face toward the consumer
-	var consumer *fwd.Consumer
 	if err := RunOn(consumerFwd, func() error {
 		if err := consumerFwd.RegisterPrefix(prefix, consumerSide.ID()); err != nil {
 			return err
 		}
 		var err error
-		consumer, err = fwd.NewConsumer(consumerFwd)
+		top.consumer, err = fwd.NewConsumer(consumerFwd)
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
+	return top
+}
 
-	first := fetchOverRT(t, consumer, ndn.MustParseName("/cnn/news"), 2*time.Second)
+// served reads how many interests reached the producer.
+func (top *tcpTopology) served(t *testing.T) uint64 {
+	t.Helper()
+	var served uint64
+	if err := RunOn(top.producerFwd, func() error {
+		served = top.producer.Served()
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return served
+}
+
+func mustData(t *testing.T, name string, payload []byte) *ndn.Data {
+	t.Helper()
+	d, err := ndn.NewData(ndn.MustParseName(name), payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+func TestTCPRouterTopology(t *testing.T) {
+	top := newTCPTopology(t, nil, mustData(t, "/cnn/news", []byte("tcp payload")))
+
+	first := fetchOverRT(t, top.consumer, ndn.MustParseName("/cnn/news"), 2*time.Second)
 	if first.TimedOut {
 		t.Fatal("first fetch timed out")
 	}
-	second := fetchOverRT(t, consumer, ndn.MustParseName("/cnn/news"), 2*time.Second)
+	second := fetchOverRT(t, top.consumer, ndn.MustParseName("/cnn/news"), 2*time.Second)
 	if second.TimedOut {
 		t.Fatal("second fetch timed out")
 	}
@@ -197,15 +247,8 @@ func TestTCPRouterTopology(t *testing.T) {
 		t.Errorf("payload = %q", second.Data.Payload)
 	}
 	// The second fetch must be served by the router's cache.
-	waitForStat(t, routerFwd, func(s fwd.Stats) bool { return s.CacheHits >= 1 })
-	var served uint64
-	if err := RunOn(producerFwd, func() error {
-		served = producer.Served()
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if served != 1 {
+	waitForStat(t, top.router, func(s fwd.Stats) bool { return s.CacheHits >= 1 })
+	if served := top.served(t); served != 1 {
 		t.Errorf("producer served %d interests, want 1 (cache absorbed the second)", served)
 	}
 }

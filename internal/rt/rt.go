@@ -6,7 +6,8 @@
 // The executor is the simulator's event queue (netsim.Queue) under a
 // different clock: Schedule stamps each event with a wall-clock deadline
 // and pushes it, and one loop goroutine pops events as they fall due and
-// runs them, sleeping on a timer armed to the head deadline in between.
+// runs them, sleeping on an alarm set to the head deadline in between
+// (a timerfd on Linux, a time.Timer elsewhere; see alarm.go).
 // Callbacks are therefore strictly serialized — the single-threaded
 // execution model forwarder state relies on — and run in (deadline,
 // schedule order), exactly as under netsim.Simulator. Scheduling is safe
@@ -40,14 +41,18 @@ type Executor struct {
 
 // New creates an executor whose Now starts at zero and whose randomness
 // derives from seed, and starts its loop goroutine; Close stops it.
-func New(seed int64) *Executor {
+func New(seed int64) *Executor { return newWith(seed, newAlarm()) }
+
+// newWith is New with the loop sleeping on the given alarm, which the
+// loop owns from here on and closes when it stops.
+func newWith(seed int64, a alarm) *Executor {
 	src, _ := rand.NewSource(seed).(rand.Source64) // math/rand sources implement Source64
 	e := &Executor{
 		epoch: time.Now(),
 		rng:   rand.New(&lockedSource{src: src}),
 		wake:  make(chan struct{}, 1),
 	}
-	go e.loop()
+	go e.loop(a)
 	return e
 }
 
@@ -107,40 +112,31 @@ func (e *Executor) signal() {
 
 // loop is the executor's one goroutine: it runs every event that is due,
 // in queue order, then sleeps until the head deadline or a wake-up.
-func (e *Executor) loop() {
-	timer := time.NewTimer(0)
+// Whatever ends the sleep, the next pass reads the clock and the head
+// again, so an alarm that returns early costs one pass and never runs a
+// callback before its deadline.
+func (e *Executor) loop(a alarm) {
+	defer a.close()
 	for {
 		e.mu.Lock()
 		if e.closed {
 			e.mu.Unlock()
-			timer.Stop()
 			return
 		}
-		var expiry <-chan time.Time // nil (blocks forever) while nothing is queued
-		if e.queue.Len() > 0 {
-			wait := e.queue.Head() - e.Now()
-			if wait <= 0 {
-				ev := e.queue.Pop()
-				e.mu.Unlock()
-				ev.Call(ev.Arg)
-				continue
-			}
-			// Stop-and-drain before Reset, so a stale expiry cannot
-			// cut the next sleep short.
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			timer.Reset(wait)
-			expiry = timer.C
+		if e.queue.Len() == 0 {
+			e.mu.Unlock()
+			<-e.wake
+			continue
+		}
+		wait := e.queue.Head() - e.Now()
+		if wait <= 0 {
+			ev := e.queue.Pop()
+			e.mu.Unlock()
+			ev.Call(ev.Arg)
+			continue
 		}
 		e.mu.Unlock()
-		select {
-		case <-e.wake:
-		case <-expiry:
-		}
+		a.sleep(wait, e.wake)
 	}
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# check.sh — the full verification gate: formatting, vet, build,
-# project-specific static analysis (ndnlint), race-enabled tests, and
-# the benchmark module's own vet and short tests.
+# check.sh — the full verification gate: formatting, vet, build (and a
+# cross-build of what is platform-specific), project-specific static
+# analysis (ndnlint), race-enabled tests, and the benchmark module's own
+# vet and short tests.
 # CI runs exactly this script; run it locally before sending a PR.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -20,11 +21,23 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+# rt sleeps on a timerfd on Linux and on a time.Timer elsewhere; nothing
+# else builds the second file. Both cross-builds work offline from GOROOT.
+echo "== cross-build (darwin, windows)"
+GOOS=darwin go build ./...
+GOOS=windows go build ./internal/rt
+
 echo "== ndnlint"
 go run ./cmd/ndnlint ./...
 
 echo "== go test -race"
 go test -race ./...
+
+# The benchmark pins ndnd to one CPU, and the executor's wake-up path
+# (alarm, reader goroutine, yield) behaves differently with one P than
+# with two: run the wall-clock packages at both.
+echo "== go test -race -count=3 -cpu 1,2 (wall-clock path)"
+go test -race -count=3 -cpu 1,2 ./internal/rt ./internal/netface
 
 # bench/ is its own module, so ./... above never descends into it: this
 # is what catches an API change that breaks the benchmark.
