@@ -371,13 +371,37 @@ func (l *eventLog) Emit(ev telemetry.Event) {
 	l.events = append(l.events, fmt.Sprintf("%d %s %s %s", ev.At, ev.Type, ev.Name, ev.Action))
 }
 
+// diffOps is the length of one differential sequence.
+const diffOps = 6000
+
+// diffShape is one family of operation sequences. The table sorts its
+// prefix index only when an operation first needs name order, so the
+// sequences differ in when that happens: ops before orderedFrom need no
+// order (a prefix Match becomes a full-name Match; Names and Clear are
+// skipped), and on the one-depth universe nothing before it can build
+// the index at all.
+type diffShape struct {
+	name        string
+	universe    []diffObject
+	orderedFrom int
+}
+
 func TestStoreDifferentialAgainstMapReference(t *testing.T) {
-	universe := buildDiffUniverse()
+	mixed, flat := buildDiffUniverse(), buildFlatDiffUniverse()
+	shapes := []diffShape{
+		{"mixed depths, ordered ops throughout", mixed, 0},
+		{"mixed depths, first ordered op late", mixed, 4500},
+		{"mixed depths, no ordered op", mixed, diffOps},
+		{"one depth, first ordered op late", flat, 4500},
+		{"one depth, no ordered op", flat, diffOps},
+	}
 	for _, policy := range []string{"lru", "fifo", "lfu"} {
 		policy := policy
 		t.Run(policy, func(t *testing.T) {
-			for seed := int64(1); seed <= 4; seed++ {
-				runDifferential(t, policy, seed, universe)
+			for _, shape := range shapes {
+				for seed := int64(1); seed <= 4; seed++ {
+					runDifferential(t, policy, seed, shape)
+				}
 			}
 		})
 	}
@@ -417,8 +441,28 @@ func buildDiffUniverse() []diffObject {
 	return objects
 }
 
-func runDifferential(t *testing.T, policy string, seed int64, universe []diffObject) {
+// buildFlatDiffUniverse returns names of one depth only: no name is a
+// proper prefix of another, so no exact-name lookup can ever need the
+// sorted index.
+func buildFlatDiffUniverse() []diffObject {
+	var objects []diffObject
+	freshCycle := []time.Duration{0, 5 * time.Millisecond, 40 * time.Millisecond}
+	for i := 0; i < 33; i++ {
+		name := ndn.MustParseName(fmt.Sprintf("/flat/item%d", i))
+		d, err := ndn.NewData(name, []byte("payload"))
+		if err != nil {
+			panic(err)
+		}
+		d.Freshness = freshCycle[i%len(freshCycle)]
+		objects = append(objects, diffObject{data: d, wire: ndn.EncodeName(nil, name)})
+	}
+	return objects
+}
+
+func runDifferential(t *testing.T, policy string, seed int64, shape diffShape) {
 	t.Helper()
+	universe := shape.universe
+	label := policy + ", " + shape.name
 	newLog, refLog := &eventLog{}, &eventLog{}
 	p, ok := NewPolicy(policy)
 	if !ok {
@@ -430,7 +474,8 @@ func runDifferential(t *testing.T, policy string, seed int64, universe []diffObj
 
 	rng := rand.New(rand.NewSource(seed))
 	now := time.Duration(0)
-	for op := 0; op < 6000; op++ {
+	for op := 0; op < diffOps; op++ {
+		ordered := op >= shape.orderedFrom
 		now += time.Duration(rng.Intn(3)) * time.Millisecond
 		obj := universe[rng.Intn(len(universe))]
 		switch rng.Intn(10) {
@@ -441,10 +486,10 @@ func runDifferential(t *testing.T, policy string, seed int64, universe []diffObj
 			e1, f1 := s.Exact(obj.data.Name, now)
 			e2, f2 := ref.exact(obj.data.Name, now)
 			if f1 != f2 {
-				t.Fatalf("[%s seed=%d op=%d] Exact(%s) found: new=%t ref=%t", policy, seed, op, obj.data.Name, f1, f2)
+				t.Fatalf("[%s seed=%d op=%d] Exact(%s) found: new=%t ref=%t", label, seed, op, obj.data.Name, f1, f2)
 			}
 			if f1 && (e1.InsertedAt != e2.insertedAt || !e1.Data.Name.Equal(e2.data.Name)) {
-				t.Fatalf("[%s seed=%d op=%d] Exact(%s) entries diverge", policy, seed, op, obj.data.Name)
+				t.Fatalf("[%s seed=%d op=%d] Exact(%s) entries diverge", label, seed, op, obj.data.Name)
 			}
 		case 5: // view probe over the wire
 			v1, err := ndn.ParseNameView(obj.wire)
@@ -458,19 +503,21 @@ func runDifferential(t *testing.T, policy string, seed int64, universe []diffObj
 			_, f1 := s.ExactView(&v1, now)
 			_, f2 := ref.exactView(&v2, now)
 			if f1 != f2 {
-				t.Fatalf("[%s seed=%d op=%d] ExactView(%s) found: new=%t ref=%t", policy, seed, op, obj.data.Name, f1, f2)
+				t.Fatalf("[%s seed=%d op=%d] ExactView(%s) found: new=%t ref=%t", label, seed, op, obj.data.Name, f1, f2)
 			}
 		case 6: // prefix match
-			prefixLen := 1 + rng.Intn(obj.data.Name.Len())
-			prefix := obj.data.Name.Prefix(prefixLen)
+			prefix := obj.data.Name
+			if ordered {
+				prefix = prefix.Prefix(1 + rng.Intn(prefix.Len()))
+			}
 			interest := ndn.NewInterest(prefix, uint64(op))
 			e1, f1 := s.Match(interest, now)
 			e2, f2 := ref.match(interest, now)
 			if f1 != f2 {
-				t.Fatalf("[%s seed=%d op=%d] Match(%s) found: new=%t ref=%t", policy, seed, op, prefix, f1, f2)
+				t.Fatalf("[%s seed=%d op=%d] Match(%s) found: new=%t ref=%t", label, seed, op, prefix, f1, f2)
 			}
 			if f1 && !e1.Data.Name.Equal(e2.data.Name) {
-				t.Fatalf("[%s seed=%d op=%d] Match(%s): new=%s ref=%s", policy, seed, op, prefix, e1.Data.Name, e2.data.Name)
+				t.Fatalf("[%s seed=%d op=%d] Match(%s): new=%s ref=%s", label, seed, op, prefix, e1.Data.Name, e2.data.Name)
 			}
 		case 7: // touch
 			s.Touch(obj.data.Name)
@@ -479,41 +526,44 @@ func runDifferential(t *testing.T, policy string, seed int64, universe []diffObj
 			r1 := s.Remove(obj.data.Name, now)
 			r2 := ref.remove(obj.data.Name, now)
 			if r1 != r2 {
-				t.Fatalf("[%s seed=%d op=%d] Remove(%s): new=%t ref=%t", policy, seed, op, obj.data.Name, r1, r2)
+				t.Fatalf("[%s seed=%d op=%d] Remove(%s): new=%t ref=%t", label, seed, op, obj.data.Name, r1, r2)
 			}
 		case 9:
+			if !ordered {
+				break
+			}
 			if rng.Intn(50) == 0 { // rare full clear
 				s.Clear(now)
 				ref.clear(now)
 			} else { // names snapshot
 				n1, n2 := s.Names(), ref.names()
 				if len(n1) != len(n2) {
-					t.Fatalf("[%s seed=%d op=%d] Names: %d vs %d", policy, seed, op, len(n1), len(n2))
+					t.Fatalf("[%s seed=%d op=%d] Names: %d vs %d", label, seed, op, len(n1), len(n2))
 				}
 				for i := range n1 {
 					if !n1[i].Equal(n2[i]) {
-						t.Fatalf("[%s seed=%d op=%d] Names[%d]: %s vs %s", policy, seed, op, i, n1[i], n2[i])
+						t.Fatalf("[%s seed=%d op=%d] Names[%d]: %s vs %s", label, seed, op, i, n1[i], n2[i])
 					}
 				}
 			}
 		}
 		if s.Len() != len(ref.entries) {
-			t.Fatalf("[%s seed=%d op=%d] Len: new=%d ref=%d", policy, seed, op, s.Len(), len(ref.entries))
+			t.Fatalf("[%s seed=%d op=%d] Len: new=%d ref=%d", label, seed, op, s.Len(), len(ref.entries))
 		}
 		if len(newLog.events) != len(refLog.events) {
 			t.Fatalf("[%s seed=%d op=%d] event streams diverge in length: new=%d ref=%d\nnew tail: %v\nref tail: %v",
-				policy, seed, op, len(newLog.events), len(refLog.events),
+				label, seed, op, len(newLog.events), len(refLog.events),
 				tailOf(newLog.events), tailOf(refLog.events))
 		}
 	}
 	for i := range newLog.events {
 		if newLog.events[i] != refLog.events[i] {
-			t.Fatalf("[%s seed=%d] event %d diverges:\nnew: %s\nref: %s", policy, seed, i, newLog.events[i], refLog.events[i])
+			t.Fatalf("[%s seed=%d] event %d diverges:\nnew: %s\nref: %s", label, seed, i, newLog.events[i], refLog.events[i])
 		}
 	}
 	if s.Hits() != ref.hits || s.Misses() != ref.misses {
 		t.Fatalf("[%s seed=%d] counters diverge: hits new=%d ref=%d, misses new=%d ref=%d",
-			policy, seed, s.Hits(), ref.hits, s.Misses(), ref.misses)
+			label, seed, s.Hits(), ref.hits, s.Misses(), ref.misses)
 	}
 }
 

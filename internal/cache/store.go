@@ -287,7 +287,11 @@ func (s *Store) Insert(data *ndn.Data, now, fetchDelay time.Duration) *Entry {
 	e := s.t.Get(data.Name)
 	if e != nil && e.CS() != nil {
 		existing := e.CS().(*Entry)
-		existing.Data = data.Clone()
+		// An entry refreshed with its own object (a generated miss
+		// re-inserting entry.Data) already holds the private copy.
+		if data != existing.Data {
+			existing.Data = data.Clone()
+		}
 		existing.InsertedAt = now
 		existing.FetchDelay = fetchDelay
 		s.t.CSRefresh(e)
@@ -478,8 +482,13 @@ func (s *Store) MatchProbed(interest *ndn.Interest, p *pcct.Probe, now time.Dura
 	}
 	// Prefix range: all names under interest.Name form a contiguous,
 	// sorted run of the index, so the first fresh match is the
-	// lexicographically smallest.
-	i := s.t.CSLowerBound(interest.Name)
+	// lexicographically smallest. The exact name is settled above, so
+	// only a longer cached name can still match; with none, the table
+	// never has to build its sorted index for this lookup.
+	i := s.t.CSIndexLen()
+	if s.t.CSLongerThan(interest.Name.Len()) {
+		i = s.t.CSLowerBound(interest.Name)
+	}
 	for i < s.t.CSIndexLen() {
 		e := s.t.CSIndex(i)
 		if !interest.Name.IsPrefixOf(e.Name()) {

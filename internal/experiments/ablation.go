@@ -57,6 +57,12 @@ func RunEvictionAblationSweep(cfg AblationConfig) (*EvictionAblationResult, erro
 		cfg.CacheSizes = []int{cfg.Requests / 100, cfg.Requests / 20, cfg.Requests / 5}
 	}
 	out := &EvictionAblationResult{Requests: cfg.Requests}
+	// The ablation compares policies on the identical workload, and the
+	// replay itself uses no other randomness: one trace serves every cell.
+	workload, err := trace.Compile(trace.DefaultGeneratorConfig(cfg.Seed, cfg.Requests))
+	if err != nil {
+		return out, fmt.Errorf("ablation: %w", err)
+	}
 	var cells []sweep.Cell[EvictionRow]
 	for _, policy := range []string{"lru", "fifo", "lfu"} {
 		for _, size := range cfg.CacheSizes {
@@ -64,15 +70,7 @@ func RunEvictionAblationSweep(cfg AblationConfig) (*EvictionAblationResult, erro
 			cells = append(cells, sweep.Cell[EvictionRow]{
 				Labels: []string{"fig=ablation", "policy=" + policy, fmt.Sprintf("size=%d", size)},
 				Run: func(_ int64, _ telemetry.Provider) (EvictionRow, error) {
-					// Each cell builds its own generator from the
-					// experiment seed: the ablation compares policies on
-					// the identical workload, and the replay itself uses
-					// no other randomness.
-					gen, err := trace.NewGenerator(trace.DefaultGeneratorConfig(cfg.Seed, cfg.Requests))
-					if err != nil {
-						return EvictionRow{}, err
-					}
-					stats, err := trace.Replay(gen, trace.ReplayConfig{
+					stats, err := workload.Replay(trace.ReplayConfig{
 						CacheSize: size,
 						Policy:    policy,
 						Manager:   core.NewNoPrivacy(),

@@ -477,6 +477,28 @@ func TestFigure4bInvalidDelta(t *testing.T) {
 	}
 }
 
+// TestFigure5aAllocBudget is the replay path's regression floor, the
+// Figure 5 counterpart of fwd's TestCachedFetchAllocBudget. One trace
+// is compiled per sweep and shared by the 24 cells, the store's sorted
+// index is never built, and a generated miss refreshes its entry in
+// place, so what is left per replayed request is the copy of each
+// fetched object the store takes (two allocations per real miss) plus
+// the per-sweep set-up spread over the cells: 2.15 measured at this
+// size. A generator per cell cost 9.84.
+func TestFigure5aAllocBudget(t *testing.T) {
+	const requests = 2000
+	cells := len(ScaledCacheSizes(requests)) * len(figure5Algorithms)
+	n := testing.AllocsPerRun(3, func() {
+		res, err := Figure5a(Figure5Config{Seed: 1, Requests: requests})
+		if err != nil || len(res.Rows) != cells {
+			t.Fatalf("%d of %d cells replayed: %v", len(res.Rows), cells, err)
+		}
+	})
+	if perRequest := n / float64(cells*requests); perRequest > 3.5 {
+		t.Errorf("Figure 5(a) sweep: %.2f allocs per replayed request, want <= 3.5", perRequest)
+	}
+}
+
 func TestFigure5aCustomCacheSizes(t *testing.T) {
 	res, err := Figure5a(Figure5Config{Seed: 9, Requests: 5000, CacheSizes: []int{64, 0}})
 	if err != nil {

@@ -137,23 +137,24 @@ func buildAlgorithm(cfg Figure5Config, name string, rng *rand.Rand) (core.CacheM
 	}
 }
 
-// replayCell replays one synthetic-trace cell: it builds a private
-// generator (every cell replays the identical workload, derived from the
-// experiment seed and fraction only) and a manager whose randomness
-// comes from the cell's derived seed, then runs the replay with the
-// cell's telemetry.
-func replayCell(cfg Figure5Config, frac float64, algo string, size int, node string, seed int64, prov telemetry.Provider) (Figure5Row, error) {
-	genCfg := trace.DefaultGeneratorConfig(cfg.Seed, cfg.Requests)
+// compileTrace draws the synthetic workload every cell of a grid
+// replays: it derives from the experiment seed, the request count and
+// the private fraction only, so one compiled trace serves all of them.
+func compileTrace(seed int64, requests int, frac float64) (*trace.Compiled, error) {
+	genCfg := trace.DefaultGeneratorConfig(seed, requests)
 	genCfg.PrivateFraction = frac
-	gen, err := trace.NewGenerator(genCfg)
-	if err != nil {
-		return Figure5Row{}, err
-	}
+	return trace.Compile(genCfg)
+}
+
+// replayCell replays one synthetic-trace cell: the grid's shared trace
+// under a manager whose randomness comes from the cell's derived seed,
+// with the cell's telemetry.
+func replayCell(cfg Figure5Config, workload *trace.Compiled, algo string, size int, node string, seed int64, prov telemetry.Provider) (Figure5Row, error) {
 	manager, err := buildAlgorithm(cfg, algo, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return Figure5Row{}, err
 	}
-	stats, err := trace.Replay(gen, trace.ReplayConfig{
+	stats, err := workload.Replay(trace.ReplayConfig{
 		CacheSize: size,
 		Manager:   manager,
 		Metrics:   prov.Metrics(),
@@ -177,6 +178,10 @@ func replayCell(cfg Figure5Config, frac float64, algo string, size int, node str
 // *sweep.Errors alongside the partial result.
 func Figure5a(cfg Figure5Config) (*Figure5aResult, error) {
 	cfg.setDefaults()
+	workload, err := compileTrace(cfg.Seed, cfg.Requests, cfg.PrivateFraction)
+	if err != nil {
+		return &Figure5aResult{Config: cfg}, fmt.Errorf("figure 5a: %w", err)
+	}
 	var cells []sweep.Cell[Figure5Row]
 	for _, size := range cfg.CacheSizes {
 		for _, algo := range figure5Algorithms {
@@ -184,7 +189,7 @@ func Figure5a(cfg Figure5Config) (*Figure5aResult, error) {
 			cells = append(cells, sweep.Cell[Figure5Row]{
 				Labels: []string{"fig=5a", "algo=" + algo, fmt.Sprintf("size=%d", size)},
 				Run: func(seed int64, prov telemetry.Provider) (Figure5Row, error) {
-					row, err := replayCell(cfg, cfg.PrivateFraction, algo, size,
+					row, err := replayCell(cfg, workload, algo, size,
 						fmt.Sprintf("5a/%s@%d", algo, size), seed, prov)
 					if err != nil {
 						return row, err
@@ -259,12 +264,16 @@ func Figure5b(cfg Figure5Config, fractions []float64) (*Figure5bResult, error) {
 	out := &Figure5bResult{Config: cfg, Fractions: append([]float64(nil), fractions...)}
 	var cells []sweep.Cell[Figure5Row]
 	for _, frac := range fractions {
+		workload, err := compileTrace(cfg.Seed, cfg.Requests, frac)
+		if err != nil {
+			return out, fmt.Errorf("figure 5b: %w", err)
+		}
 		for _, size := range cfg.CacheSizes {
 			frac, size := frac, size
 			cells = append(cells, sweep.Cell[Figure5Row]{
 				Labels: []string{"fig=5b", fmt.Sprintf("frac=%g", frac), fmt.Sprintf("size=%d", size)},
 				Run: func(seed int64, prov telemetry.Provider) (Figure5Row, error) {
-					row, err := replayCell(cfg, frac, "Exponential-Random-Cache", size,
+					row, err := replayCell(cfg, workload, "Exponential-Random-Cache", size,
 						fmt.Sprintf("5b/p%.0f@%d", frac*100, size), seed, prov)
 					if err != nil {
 						return row, err

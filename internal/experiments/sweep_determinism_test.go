@@ -3,11 +3,14 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"ndnprivacy/internal/attack"
 	"ndnprivacy/internal/telemetry"
 	"ndnprivacy/internal/telemetry/span"
+	"ndnprivacy/internal/trace"
 )
 
 // figure5aArtifacts runs a small Figure 5(a) sweep at the given
@@ -72,6 +75,73 @@ func TestSweepDeterminismFigure5a(t *testing.T) {
 	}
 	if !bytes.Equal(serialSpans, parSpans) {
 		t.Error("span NDJSON differs between -parallel 1 and 8")
+	}
+}
+
+// TestSweepDeterminismSharedTrace replays one compiled trace from eight
+// goroutines at once — what a parallel Figure 5 sweep does with its
+// shared workload — and demands each replay's statistics and event
+// stream equal the same cell replayed alone. Under -race (CI runs the
+// TestSweepDeterminism* set there) it also proves the sharing is
+// read-only.
+func TestSweepDeterminismSharedTrace(t *testing.T) {
+	cfg := Figure5Config{Seed: 5, Requests: 3000}
+	cfg.setDefaults()
+	workload, err := compileTrace(cfg.Seed, cfg.Requests, cfg.PrivateFraction)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		stats  trace.ReplayStats
+		events []telemetry.Event
+		err    error
+	}
+	replay := func(cell int) outcome {
+		algo := figure5Algorithms[cell%len(figure5Algorithms)]
+		manager, err := buildAlgorithm(cfg, algo, rand.New(rand.NewSource(int64(cell))))
+		if err != nil {
+			return outcome{err: err}
+		}
+		rec := telemetry.NewRecorder()
+		stats, err := workload.Replay(trace.ReplayConfig{
+			CacheSize: []int{40, 0}[cell/len(figure5Algorithms)],
+			Manager:   manager,
+			Trace:     rec,
+			Spans:     span.NewTracer(int64(cell)),
+		})
+		return outcome{stats, rec.Events(), err}
+	}
+	const cells = 8
+	var alone, together [cells]outcome
+	for cell := range alone {
+		alone[cell] = replay(cell)
+	}
+	var wg sync.WaitGroup
+	for cell := range together {
+		cell := cell
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			together[cell] = replay(cell)
+		}()
+	}
+	wg.Wait()
+	for cell := range alone {
+		a, b := alone[cell], together[cell]
+		if a.err != nil || b.err != nil {
+			t.Fatalf("cell %d: %v / %v", cell, a.err, b.err)
+		}
+		if a.stats != b.stats {
+			t.Errorf("cell %d: stats %+v alone, %+v beside seven other replays", cell, a.stats, b.stats)
+		}
+		if len(a.events) == 0 || len(a.events) != len(b.events) {
+			t.Fatalf("cell %d: %d trace events alone, %d shared", cell, len(a.events), len(b.events))
+		}
+		for i := range a.events {
+			if a.events[i] != b.events[i] {
+				t.Fatalf("cell %d: trace event %d differs: %+v vs %+v", cell, i, a.events[i], b.events[i])
+			}
+		}
 	}
 }
 
@@ -212,8 +282,9 @@ func TestSweepDeterminismTiered(t *testing.T) {
 }
 
 // BenchmarkFigure5Sweep measures the same Figure 5(a) grid serially and
-// on an 8-worker pool. The grid's 28 cells are fully independent, so
-// the speedup tracks available cores (≈1× on a single-vCPU CI box,
+// on an 8-worker pool. The grid's 24 cells (6 cache sizes × 4
+// algorithms) share only the read-only compiled trace, so the speedup
+// tracks available cores (≈1× on a single-vCPU CI box,
 // near-linear up to 8 cores elsewhere); bench/ reports the pair as
 // sweep.parallel_speedup.
 func BenchmarkFigure5Sweep(b *testing.B) {

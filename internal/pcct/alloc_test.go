@@ -44,34 +44,49 @@ func TestLookupPathsZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestChurnZeroAllocSteadyState churns one-depth names through the CS
+// facet in both index states: never ordered (exact-only traffic, where
+// the churn must also leave the index unbuilt) and ordered up front
+// (every attach and detach maintains the sorted slice).
 func TestChurnZeroAllocSteadyState(t *testing.T) {
-	tb := New(PolicyLRU)
-	names := make([]ndn.Name, 32)
-	for i := range names {
-		names[i] = ndn.MustParseName(fmt.Sprintf("/churn/%d", i))
-	}
-	// Warm the arena, the bucket array and the prefix index.
-	for i := range names {
-		e := tb.Put(names[i])
-		tb.AttachCS(e, i)
-	}
-	for i := range names {
-		e := tb.Get(names[i])
-		tb.DetachCS(e)
-		tb.ReleaseIfEmpty(e)
-	}
-	i := 0
-	if n := testing.AllocsPerRun(200, func() {
-		nm := names[i%len(names)]
-		i++
-		e := tb.Put(nm)
-		tb.AttachCS(e, i)
-		tb.CSAccess(e)
-		v := tb.CSVictim()
-		tb.DetachCS(v)
-		tb.ReleaseIfEmpty(v)
-	}); n != 0 {
-		t.Errorf("steady-state CS churn: %.0f allocs/run, want 0", n)
+	for _, ordered := range []bool{false, true} {
+		tb := New(PolicyLRU)
+		names := make([]ndn.Name, 32)
+		for i := range names {
+			names[i] = ndn.MustParseName(fmt.Sprintf("/churn/%d", i))
+		}
+		if ordered {
+			tb.CSLowerBound(names[0])
+		}
+		// Warm the arena, the bucket array and the prefix index.
+		for i := range names {
+			e := tb.Put(names[i])
+			tb.AttachCS(e, i)
+		}
+		for i := range names {
+			e := tb.Get(names[i])
+			tb.DetachCS(e)
+			tb.ReleaseIfEmpty(e)
+		}
+		i := 0
+		if n := testing.AllocsPerRun(200, func() {
+			nm := names[i%len(names)]
+			i++
+			e := tb.Put(nm)
+			tb.AttachCS(e, i)
+			tb.CSAccess(e)
+			if tb.CSLongerThan(nm.Len()) {
+				t.Fatal("one-depth table reports a longer name")
+			}
+			v := tb.CSVictim()
+			tb.DetachCS(v)
+			tb.ReleaseIfEmpty(v)
+		}); n != 0 {
+			t.Errorf("ordered=%t: steady-state CS churn: %.0f allocs/run, want 0", ordered, n)
+		}
+		if tb.csOrdered != ordered || (!ordered && tb.csOrder != nil) {
+			t.Errorf("ordered=%t: after exact-only churn csOrdered=%t, index cap %d", ordered, tb.csOrdered, cap(tb.csOrder))
+		}
 	}
 }
 

@@ -2,17 +2,28 @@
 // open-addressing hash table, keyed by the rolling-FNV name hashes the
 // zero-copy NameView layer precomputes, whose entries carry two
 // independent facets — a Content Store facet (payload + intrusive
-// eviction-policy links + a sorted prefix-index slot) and a PIT facet
-// (downstream faces, nonces, expiry). The design follows ndn-dpdk's
-// PCCT (csrc/pcct): one hash probe per arriving interest resolves
-// CS-check, PIT-aggregate and PIT-insert, and a Data packet can carry a
-// direct entry token back instead of re-probing.
+// eviction-policy links) and a PIT facet (downstream faces, nonces,
+// expiry). The design follows ndn-dpdk's PCCT (csrc/pcct): one hash
+// probe per arriving interest resolves CS-check, PIT-aggregate and
+// PIT-insert, and a Data packet can carry a direct entry token back
+// instead of re-probing.
 //
 // Entries live in a chunked arena with a free list, so steady-state
 // insert/remove churn allocates nothing and entry pointers stay stable
 // across growth. Tokens are (generation, arena id) pairs: a recycled
 // entry bumps its generation, so stale tokens are detected instead of
 // resolving to the wrong name.
+//
+// Prefix lookups are served by a sorted index of the CS-faceted entries
+// (CSLowerBound/CSIndex), and that index is built on demand: a table
+// that only ever sees exact-name traffic — trace replay, a router whose
+// consumers name what they fetch — keeps just a per-name-length count of
+// CS facets (CSLongerThan, the mirror of PITLenAt), which lets the
+// caller prove "nothing cached extends this name" without any ordered
+// structure. The first call that needs name order sorts the arena's CS
+// entries once; from then on every attach and detach keeps the index
+// sorted. Names are unique, so the late-built index is the one eager
+// maintenance would have produced.
 //
 // Nothing in this package iterates a Go map — bucket probing, the
 // policy lists and the sorted prefix index are all slice-backed — so
@@ -24,6 +35,7 @@
 package pcct
 
 import (
+	"slices"
 	"time"
 
 	"ndnprivacy/internal/ndn"
@@ -138,14 +150,19 @@ type Table struct {
 
 	// csOrder holds the ids of all CS-faceted entries sorted by
 	// ndn.Name.Compare — the compact prefix index replacing the
-	// map-based name trie. Binary search finds any prefix range.
-	csOrder []int32
+	// map-based name trie. Binary search finds any prefix range. It is
+	// meaningful only once csOrdered is set: the first CSLowerBound or
+	// CSIndex builds it, attach/detach maintain it from then on.
+	csOrder   []int32
+	csOrdered bool
 
 	nCS, nPIT int
 	// pitLens[k] counts active PIT facets whose name has k components,
 	// so Data satisfaction can skip prefix lengths with no pending
-	// entries without probing.
+	// entries without probing. csLens is the same count over CS facets:
+	// a prefix lookup with no longer name cached has nothing to scan.
 	pitLens []int32
+	csLens  []int32
 }
 
 // New returns an empty table whose CS facet uses the given eviction
@@ -439,12 +456,16 @@ func (t *Table) ByToken(tok uint64) *Entry {
 	return e
 }
 
-// AttachCS installs the CS facet: payload, policy-list membership and a
-// prefix-index slot. The entry must not already carry a CS facet.
+// AttachCS installs the CS facet: payload, policy-list membership and —
+// once the prefix index exists — its index slot. The entry must not
+// already carry a CS facet.
 func (t *Table) AttachCS(e *Entry, payload any) {
 	e.csData = payload
 	t.nCS++
-	t.orderInsert(e)
+	t.csLens = countLen(t.csLens, e.name.Len())
+	if t.csOrdered {
+		t.orderInsert(e)
+	}
 	t.policyInsert(e)
 }
 
@@ -455,8 +476,11 @@ func (t *Table) DetachCS(e *Entry) {
 		return
 	}
 	t.policyRemove(e)
-	t.orderRemove(e)
+	if t.csOrdered {
+		t.orderRemove(e)
+	}
 	e.csData = nil
+	t.csLens[e.name.Len()]--
 	t.nCS--
 }
 
@@ -468,13 +492,19 @@ func (t *Table) AttachPIT(e *Entry) *PITFacet {
 	pf.Active = true
 	pf.Faces = pf.Faces[:0]
 	pf.Nonces = pf.Nonces[:0]
-	k := e.name.Len()
-	for len(t.pitLens) <= k {
-		t.pitLens = append(t.pitLens, 0) //ndnlint:allow alloccheck — grows once per new max name depth
-	}
-	t.pitLens[k]++
+	t.pitLens = countLen(t.pitLens, e.name.Len())
 	t.nPIT++
 	return pf
+}
+
+// countLen adds one facet with a k-component name to a per-length
+// count, extending it to a depth not seen before.
+func countLen(lens []int32, k int) []int32 {
+	for len(lens) <= k {
+		lens = append(lens, 0) //ndnlint:allow alloccheck — grows once per new max name depth
+	}
+	lens[k]++
+	return lens
 }
 
 // DetachPIT removes the PIT facet; the entry itself survives (call
@@ -515,13 +545,34 @@ func (t *Table) ForEachPIT(fn func(*Entry)) {
 	}
 }
 
-// CSIndexLen returns the prefix-index length (== LenCS).
-func (t *Table) CSIndexLen() int { return len(t.csOrder) }
+// CSLongerThan reports whether any CS-faceted name has more than k
+// components. Only such a name can match an interest for a k-component
+// name it does not equal, so a false answer settles a prefix lookup
+// without the sorted index.
+//
+//ndnlint:hotpath — guards the prefix-range scan on every CS miss
+func (t *Table) CSLongerThan(k int) bool {
+	for k++; k < len(t.csLens); k++ {
+		if t.csLens[k] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// CSIndexLen returns the prefix-index length (== LenCS), whether or not
+// the index has been built yet.
+func (t *Table) CSIndexLen() int { return t.nCS }
 
 // CSIndex returns the i-th CS-faceted entry in sorted name order.
 //
 //ndnlint:hotpath — prefix-range scan step in Match; must not allocate
-func (t *Table) CSIndex(i int) *Entry { return t.at(t.csOrder[i]) }
+func (t *Table) CSIndex(i int) *Entry {
+	if !t.csOrdered {
+		t.buildOrder() //ndnlint:allow alloccheck — one-time index build on the first ordered access, never again for this table
+	}
+	return t.at(t.csOrder[i])
+}
 
 // CSLowerBound returns the first prefix-index position whose name
 // compares >= prefix. Every name under the prefix forms a contiguous
@@ -530,6 +581,9 @@ func (t *Table) CSIndex(i int) *Entry { return t.at(t.csOrder[i]) }
 //
 //ndnlint:hotpath — prefix-range entry point in Match; must not allocate
 func (t *Table) CSLowerBound(prefix ndn.Name) int {
+	if !t.csOrdered {
+		t.buildOrder() //ndnlint:allow alloccheck — one-time index build on the first prefix lookup, never again for this table
+	}
 	lo, hi := 0, len(t.csOrder)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -540,6 +594,23 @@ func (t *Table) CSLowerBound(prefix ndn.Name) int {
 		}
 	}
 	return lo
+}
+
+// buildOrder creates the sorted prefix index from the arena: one pass
+// collects the CS-faceted entries, one sort orders them. Names are
+// unique, so the result does not depend on arena order or on when the
+// build happens.
+func (t *Table) buildOrder() {
+	t.csOrder = make([]int32, 0, t.nCS)
+	for id := int32(0); id < t.next; id++ {
+		if e := t.at(id); e.live && e.csData != nil {
+			t.csOrder = append(t.csOrder, id)
+		}
+	}
+	slices.SortFunc(t.csOrder, func(a, b int32) int {
+		return t.at(a).name.Compare(t.at(b).name)
+	})
+	t.csOrdered = true
 }
 
 // orderInsert places e into the sorted prefix index.

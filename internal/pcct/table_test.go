@@ -250,6 +250,83 @@ func TestPrefixIndexSortedAndRanged(t *testing.T) {
 	}
 }
 
+// TestLateBuiltIndexMatchesEagerIndex is the on-demand index's
+// property: whenever the sorted index is first asked for — before the
+// first insert, or after any amount of attach/detach/release churn over
+// names of mixed depth — it enumerates exactly what an index maintained
+// from the start does, and stays in step from then on.
+func TestLateBuiltIndexMatchesEagerIndex(t *testing.T) {
+	var universe []ndn.Name
+	for i := 0; i < 40; i++ {
+		universe = append(universe,
+			name(fmt.Sprintf("/s%d", i%7)),
+			name(fmt.Sprintf("/s%d/o%d", i%7, i)),
+			name(fmt.Sprintf("/s%d/o%d/seg%d", i%7, i%5, i)))
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		eager, late := New(PolicyLRU), New(PolicyLRU)
+		eager.CSLowerBound(universe[0]) // built while empty: maintained on every op below
+		buildAt := 500 + rng.Intn(2500)
+		for op := 0; op < 4000; op++ {
+			n := universe[rng.Intn(len(universe))]
+			attach := rng.Intn(5) < 3
+			for _, tb := range []*Table{eager, late} {
+				e := tb.Get(n)
+				switch {
+				case attach && (e == nil || e.CS() == nil):
+					tb.AttachCS(tb.Put(n), op)
+				case !attach && e != nil && e.CS() != nil:
+					tb.DetachCS(e)
+					tb.ReleaseIfEmpty(e)
+				}
+			}
+			if op < buildAt {
+				if late.csOrdered {
+					t.Fatalf("seed %d op %d: attach/detach built the index", seed, op)
+				}
+				continue
+			}
+			if op == buildAt || op%97 == 0 {
+				got, want := csNames(late), csNames(eager)
+				if len(got) != len(want) {
+					t.Fatalf("seed %d op %d: late index holds %d names, eager %d", seed, op, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d op %d: index[%d] = %s, eager has %s", seed, op, i, got[i], want[i])
+					}
+				}
+				if lo, want := late.CSLowerBound(n), eager.CSLowerBound(n); lo != want {
+					t.Fatalf("seed %d op %d: CSLowerBound(%s) = %d, eager %d", seed, op, n, lo, want)
+				}
+			}
+		}
+	}
+}
+
+func TestCSLengthCounts(t *testing.T) {
+	tb := New(PolicyLRU)
+	if tb.CSLongerThan(0) {
+		t.Fatal("empty table reports a cached name")
+	}
+	short, long := tb.Put(name("/p")), tb.Put(name("/p/q/r"))
+	tb.AttachCS(short, 1)
+	tb.AttachCS(long, 2)
+	for k, want := range []bool{true, true, true, false, false} {
+		if got := tb.CSLongerThan(k); got != want {
+			t.Errorf("CSLongerThan(%d) = %t, want %t", k, got, want)
+		}
+	}
+	tb.DetachCS(long)
+	if tb.CSLongerThan(1) || !tb.CSLongerThan(0) {
+		t.Fatal("detach did not decrement the length counts")
+	}
+	if tb.csOrdered {
+		t.Fatal("length counts built the sorted index")
+	}
+}
+
 func TestPITFacetCounts(t *testing.T) {
 	tb := New(PolicyLRU)
 	a := tb.Put(name("/p"))

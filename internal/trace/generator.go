@@ -25,6 +25,11 @@ type Request struct {
 	Private bool
 	// Object is the content's popularity rank, for diagnostics.
 	Object int
+	// Fetched, when non-nil, is the content object upstream returns for
+	// Name — a source that already holds it (a compiled trace) saves the
+	// replay building one per miss. It is shared and must not be
+	// mutated; the store caches a copy.
+	Fetched *ndn.Data
 }
 
 // GeneratorConfig shapes a synthetic proxy workload. The defaults mirror
@@ -130,20 +135,31 @@ func (g *Generator) Config() GeneratorConfig { return g.cfg }
 
 // Next returns the next request, or false when the trace is exhausted.
 func (g *Generator) Next() (Request, bool) {
-	if g.emit >= g.cfg.Requests {
+	at, user, obj, more := g.draw()
+	if !more {
 		return Request{}, false
 	}
-	g.now += g.interArrival()
-	obj := g.zipf.Sample(g.rng)
-	req := Request{
-		At:      g.now,
-		User:    g.rng.Intn(g.cfg.Users),
+	return Request{
+		At:      at,
+		User:    user,
 		Name:    g.objectName(obj),
 		Private: g.ObjectIsPrivate(obj),
 		Object:  obj,
+	}, true
+}
+
+// draw advances the stream by one request and returns its random part:
+// arrival offset, user and object rank. Everything else in a Request is
+// a function of the rank.
+func (g *Generator) draw() (at time.Duration, user, obj int, more bool) {
+	if g.emit >= g.cfg.Requests {
+		return 0, 0, 0, false
 	}
+	g.now += g.interArrival()
+	obj = g.zipf.Sample(g.rng)
+	user = g.rng.Intn(g.cfg.Users)
 	g.emit++
-	return req, true
+	return g.now, user, obj, true
 }
 
 // Reset rewinds the generator to reproduce the identical stream.

@@ -86,8 +86,9 @@ func Replay(gen *Generator, cfg ReplayConfig) (ReplayStats, error) {
 	}, cfg)
 }
 
-// replayStream is the engine shared by the synthetic generator and the
-// Squid-log replays: next returns (request, more, error).
+// replayStream is the engine shared by the synthetic generator, the
+// compiled trace and the Squid-log replays: next returns (request,
+// more, error).
 func replayStream(next func() (Request, bool, error), cfg ReplayConfig) (ReplayStats, error) {
 	if cfg.Manager == nil {
 		return ReplayStats{}, errors.New("trace: replay requires a cache manager")
@@ -137,7 +138,6 @@ func replayStream(next func() (Request, bool, error), cfg ReplayConfig) (ReplayS
 	// interest during OnCacheHit, and allocating a fresh packet per
 	// request dominated the replay's allocation profile.
 	interest := ndn.NewInterest(ndn.Name{}, 0)
-	payload := []byte("x") // content size is uniform in the evaluation
 	for {
 		req, more, err := next()
 		if err != nil {
@@ -157,7 +157,7 @@ func replayStream(next func() (Request, bool, error), cfg ReplayConfig) (ReplayS
 		entry, found := store.Exact(req.Name, req.At)
 		if !found {
 			stats.RealMisses++
-			insertFetched(store, cfg.Manager, req, payload, cfg.UpstreamDelay)
+			insertFetched(store, cfg.Manager, req, cfg.UpstreamDelay)
 			continue
 		}
 		store.Touch(req.Name)
@@ -183,12 +183,19 @@ func replayStream(next func() (Request, bool, error), cfg ReplayConfig) (ReplayS
 	return stats, nil
 }
 
-func insertFetched(store *cache.Store, manager core.CacheManager, req Request, payload []byte, fetchDelay time.Duration) {
-	d, err := ndn.NewData(req.Name, payload)
-	if err != nil {
-		return // unreachable: payload is non-empty
+// unitPayload is every replayed object's content: size is uniform in
+// the evaluation. Read-only; stores cache their own copy.
+var unitPayload = []byte("x")
+
+func insertFetched(store *cache.Store, manager core.CacheManager, req Request, fetchDelay time.Duration) {
+	d := req.Fetched
+	if d == nil {
+		var err error
+		if d, err = ndn.NewData(req.Name, unitPayload); err != nil {
+			return // unreachable: payload is non-empty
+		}
+		d.Private = req.Private
 	}
-	d.Private = req.Private
 	entry := store.Insert(d, req.At, fetchDelay)
 	manager.OnContentCached(entry, fetchDelay, req.At)
 }
