@@ -184,6 +184,13 @@ func buildStore(capacity int, tierDir string, tierCapacity int) (*cache.Store, e
 	return store, nil
 }
 
+// reportClose waits for face to shut down and prints its send counters:
+// batching (packets per write) and drops to a peer that stopped reading.
+func reportClose(face *netface.Face) {
+	<-face.Done()
+	fmt.Printf("ndnd: face %d closed: %s\n", face.ID(), face.Stats())
+}
+
 func run() error {
 	listen := flag.String("listen", ":6363", "TCP listen address")
 	capacity := flag.Int("capacity", 4096, "content store capacity (0 = unlimited; RAM-front size with -tier-dir)")
@@ -239,6 +246,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
+		go reportClose(face)
 		if err := netface.RunOn(forwarder, func() error {
 			return forwarder.RegisterPrefix(route.prefix, face.ID())
 		}); err != nil {
@@ -253,6 +261,7 @@ func run() error {
 	}
 	listener, err := netface.Listen(forwarder, ln, func(face *netface.Face) {
 		fmt.Printf("ndnd: face %d connected\n", face.ID())
+		go reportClose(face)
 	})
 	if err != nil {
 		return err

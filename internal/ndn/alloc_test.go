@@ -126,19 +126,26 @@ func TestEncodersAllocateOnce(t *testing.T) {
 	}
 }
 
+// The stream reader frames a packet in scratch it owns and reads it into
+// one buffer of its own, which the packet keeps: Next costs the decode
+// plus that buffer, less the copies the decode would make of a Data's
+// Payload and Signature — Next slices them from the buffer instead.
 func TestPacketReaderFramingAllocatesOnlyThePacket(t *testing.T) {
 	name := MustParseName("/youtube/alice/video-749.avi/137")
 	d, err := NewData(name, make([]byte, 1024)) // 1 KB: the Length field takes the three-byte form
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.Signature = make([]byte, 32)
 	for _, tc := range []struct {
 		kind   string
 		wire   []byte
 		decode func([]byte) error
+		// saved is what the owned decode does not copy.
+		saved float64
 	}{
-		{"Interest", EncodeInterest(NewInterest(name, 7)), func(w []byte) error { _, err := DecodeInterest(w); return err }},
-		{"Data", EncodeData(d), func(w []byte) error { _, err := DecodeData(w); return err }},
+		{"Interest", EncodeInterest(NewInterest(name, 7)), func(w []byte) error { _, err := DecodeInterest(w); return err }, 0},
+		{"Data", EncodeData(d), func(w []byte) error { _, err := DecodeData(w); return err }, 2},
 	} {
 		decode := testing.AllocsPerRun(200, func() {
 			if err := tc.decode(tc.wire); err != nil {
@@ -153,9 +160,43 @@ func TestPacketReaderFramingAllocatesOnlyThePacket(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		// One allocation on top of decoding: the packet's wire buffer.
-		if next != decode+1 {
-			t.Errorf("%s: Next %.0f allocs/run, decoding alone %.0f: framing costs %.0f, want 1", tc.kind, next, decode, next-decode)
+		if want := decode + 1 - tc.saved; next != want {
+			t.Errorf("%s: Next %.0f allocs/run, want %.0f: decoding alone %.0f, +1 packet buffer, -%.0f payload/signature copies", tc.kind, next, want, decode, tc.saved)
 		}
 	}
+}
+
+// PacketWriter encodes into one buffer it keeps, so once that buffer has
+// grown to the packet size a Write allocates nothing.
+func TestPacketWriterZeroAlloc(t *testing.T) {
+	name := MustParseName("/youtube/alice/video-749.avi/137")
+	d, err := NewData(name, make([]byte, 1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Producer, d.Signature, d.ContentID = "alice", make([]byte, 32), "cid"
+	i := NewInterest(name, 1<<40).WithScope(ScopeNextHop).WithPrivacy(PrivacyRequested)
+	var out countingWriter
+	w := NewPacketWriter(&out)
+	if n := testing.AllocsPerRun(200, func() {
+		if err := w.Write(Packet{Interest: i}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Write(Packet{Data: d}); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("PacketWriter.Write: %.1f allocs per Interest + Data, want 0", n)
+	}
+	if want := len(EncodeInterest(i)) + len(EncodeData(d)); out.n%want != 0 || out.n == 0 {
+		t.Errorf("wrote %d bytes, want a multiple of %d", out.n, want)
+	}
+}
+
+// countingWriter is an io.Writer that keeps nothing but a byte count.
+type countingWriter struct{ n int }
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.n += len(p)
+	return len(p), nil
 }

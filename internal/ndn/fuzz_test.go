@@ -3,6 +3,7 @@ package ndn
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -60,6 +61,11 @@ func FuzzDecodeData(f *testing.F) {
 	})
 }
 
+// FuzzPacketStream differentially tests the stream reader, whose Data
+// packets alias the buffer it read them into, against DecodePacket, which
+// copies: every packet Next returns must equal DecodePacket of the same
+// bytes, re-encode to a fixed point, and stay unchanged while the reader
+// goes on reading — the reader must never reuse a buffer a packet holds.
 func FuzzPacketStream(f *testing.F) {
 	d, err := NewData(MustParseName("/s"), []byte("p"))
 	if err != nil {
@@ -71,13 +77,55 @@ func FuzzPacketStream(f *testing.F) {
 	f.Add(stream)
 	f.Add([]byte{0xFD})
 	f.Add([]byte{0x05, 0xFF, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01})
+	full := &Data{Name: MustParseName("/s/full"), Payload: bytes.Repeat([]byte("x"), 300), Producer: "p",
+		Signature: []byte("sig"), Freshness: time.Second, Private: true, ContentID: "cid"}
+	f.Add(append(AppendData(EncodeData(full), d), EncodeData(full)...))
 	f.Fuzz(func(t *testing.T, wire []byte) {
 		r := NewPacketReader(bytes.NewReader(wire))
+		type seen struct {
+			pkt Packet
+			enc []byte // its encoding when Next returned it
+		}
+		var read []seen
+		rest := wire
 		// Must terminate (bounded by input length) and never panic.
 		for i := 0; i < len(wire)+2; i++ {
-			if _, err := r.Next(); err != nil {
+			got, err := r.Next()
+			if err != nil {
+				for k, s := range read {
+					if now, _ := EncodePacket(s.pkt); !bytes.Equal(now, s.enc) {
+						t.Fatalf("packet %d changed after later reads", k)
+					}
+				}
 				return
 			}
+			// The reader accepted the packet, so the outer TLV at the
+			// front of what is left is exactly its bytes.
+			_, _, n, err := readTLV(rest)
+			if err != nil {
+				t.Fatalf("packet %d: Next accepted bytes readTLV rejects: %v", i, err)
+			}
+			raw := rest[:n]
+			rest = rest[n:]
+			want, err := DecodePacket(raw)
+			if err != nil {
+				t.Fatalf("packet %d: Next accepted bytes DecodePacket rejects: %v", i, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("packet %d: Next %+v, DecodePacket %+v", i, got, want)
+			}
+			enc, err := EncodePacket(got)
+			if err != nil {
+				t.Fatalf("packet %d: re-encode: %v", i, err)
+			}
+			back, err := DecodePacket(enc)
+			if err != nil {
+				t.Fatalf("packet %d: re-encoding does not decode: %v", i, err)
+			}
+			if again, _ := EncodePacket(back); !bytes.Equal(again, enc) {
+				t.Fatalf("packet %d: re-encoding is not byte-identical: %x then %x", i, enc, again)
+			}
+			read = append(read, seen{got, enc})
 		}
 		t.Fatal("reader did not terminate on bounded input")
 	})

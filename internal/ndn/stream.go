@@ -10,8 +10,9 @@ import (
 
 // Stream framing: NDN TLV packets are self-delimiting (outer type +
 // length), so a byte stream of concatenated packets needs no extra
-// framing. ReadPacket incrementally parses one packet off a reader;
-// WritePacket emits one. This is what real NDN faces (TCP/Unix sockets)
+// framing. PacketReader incrementally parses packets off a reader;
+// PacketWriter emits them one at a time, and AppendInterest/AppendData
+// many into one buffer. This is what real NDN faces (TCP/Unix sockets)
 // speak, and what internal/netface uses to run the forwarder over real
 // connections.
 
@@ -30,8 +31,12 @@ type Packet struct {
 	Data     *Data
 }
 
-// DecodePacket dispatches on the outer TLV type.
-func DecodePacket(wire []byte) (Packet, error) {
+// DecodePacket dispatches on the outer TLV type. Like DecodeData, the
+// packet owns its bytes.
+func DecodePacket(wire []byte) (Packet, error) { return decodePacket(wire, false) }
+
+// decodePacket is DecodePacket; owned is decodeData's.
+func decodePacket(wire []byte, owned bool) (Packet, error) {
 	typ, _, _, err := readTLV(wire)
 	if err != nil {
 		return Packet{}, err
@@ -44,7 +49,7 @@ func DecodePacket(wire []byte) (Packet, error) {
 		}
 		return Packet{Interest: i}, nil
 	case tlvData:
-		d, err := DecodeData(wire)
+		d, err := decodeData(wire, owned)
 		if err != nil {
 			return Packet{}, err
 		}
@@ -56,16 +61,34 @@ func DecodePacket(wire []byte) (Packet, error) {
 
 // EncodePacket serializes whichever half is set.
 func EncodePacket(p Packet) ([]byte, error) {
+	size, err := p.wireSize()
+	if err != nil {
+		return nil, err
+	}
+	return p.appendTo(make([]byte, 0, size)), nil
+}
+
+// wireSize checks that exactly one half is set and returns its encoded
+// length.
+func (p Packet) wireSize() (int, error) {
 	switch {
 	case p.Interest != nil && p.Data != nil:
-		return nil, errors.New("ndn: packet has both interest and data")
+		return 0, errors.New("ndn: packet has both interest and data")
 	case p.Interest != nil:
-		return EncodeInterest(p.Interest), nil
+		return InterestWireSize(p.Interest), nil
 	case p.Data != nil:
-		return EncodeData(p.Data), nil
+		return DataWireSize(p.Data), nil
 	default:
-		return nil, errors.New("ndn: empty packet")
+		return 0, errors.New("ndn: empty packet")
 	}
+}
+
+// appendTo appends the encoding of a packet wireSize accepted.
+func (p Packet) appendTo(b []byte) []byte {
+	if p.Interest != nil {
+		return AppendInterest(b, p.Interest)
+	}
+	return AppendData(b, p.Data)
 }
 
 // PacketReader incrementally reads TLV packets from a stream.
@@ -84,6 +107,10 @@ func NewPacketReader(r io.Reader) *PacketReader {
 
 // Next reads one packet. It returns io.EOF cleanly at end of stream and
 // io.ErrUnexpectedEOF when the stream ends mid-packet.
+//
+// Every packet gets a buffer of its own, which the reader never touches
+// again, so a Data's Payload and Signature are slices of it rather than
+// second copies: the packet is read into memory once.
 func (pr *PacketReader) Next() (Packet, error) {
 	typ, typLen, err := pr.readVarNum(0, false)
 	if err != nil {
@@ -108,7 +135,7 @@ func (pr *PacketReader) Next() (Packet, error) {
 		}
 		return Packet{}, err
 	}
-	return DecodePacket(wire)
+	return decodePacket(wire, true)
 }
 
 // readVarNum reads one NDN variable-size number into pr.header[at:],
@@ -155,6 +182,10 @@ func (pr *PacketReader) readVarNum(at int, midPacket bool) (uint64, int, error) 
 // concurrent use; callers serialize writes.
 type PacketWriter struct {
 	w io.Writer
+	// scratch is the buffer every packet is encoded into. io.Writer may
+	// not retain what it is given, so one buffer, grown to the largest
+	// packet written, serves every Write.
+	scratch []byte
 }
 
 // NewPacketWriter wraps w.
@@ -164,13 +195,14 @@ func NewPacketWriter(w io.Writer) *PacketWriter {
 
 // Write emits one packet.
 func (pw *PacketWriter) Write(p Packet) error {
-	wire, err := EncodePacket(p)
+	size, err := p.wireSize()
 	if err != nil {
 		return err
 	}
-	if len(wire) > MaxPacketSize {
-		return fmt.Errorf("%w: %d bytes", ErrPacketTooLarge, len(wire))
+	if size > MaxPacketSize {
+		return fmt.Errorf("%w: %d bytes", ErrPacketTooLarge, size)
 	}
-	_, err = pw.w.Write(wire)
+	pw.scratch = p.appendTo(pw.scratch[:0])
+	_, err = pw.w.Write(pw.scratch)
 	return err
 }

@@ -177,10 +177,17 @@ func decodeUint(value []byte) (uint64, error) {
 // the bytes are what stored records (tiered.FileTier) and signatures
 // were made over, so they do not change.
 
-// EncodeInterest serializes an interest.
+// EncodeInterest serializes an interest into a buffer of exactly its size.
 func EncodeInterest(i *Interest) []byte {
+	return AppendInterest(make([]byte, 0, InterestWireSize(i)), i)
+}
+
+// AppendInterest appends the encoding of i to b — what EncodeInterest
+// returns — growing b at most once. A stream writer appends every packet
+// it sends into one buffer this way.
+func AppendInterest(b []byte, i *Interest) []byte {
 	inner := interestValueSize(i)
-	b := make([]byte, 0, tlvSize(tlvInterest, inner))
+	b = slices.Grow(b, tlvSize(tlvInterest, inner))
 	b = appendTLVHeader(b, tlvInterest, inner)
 	b = EncodeName(b, i.Name)
 	b = appendUintTLV(b, tlvNonce, i.Nonce)
@@ -253,10 +260,16 @@ func DecodeInterest(wire []byte) (*Interest, error) {
 	return out, nil
 }
 
-// EncodeData serializes a Data packet.
+// EncodeData serializes a Data packet into a buffer of exactly its size.
 func EncodeData(d *Data) []byte {
+	return AppendData(make([]byte, 0, DataWireSize(d)), d)
+}
+
+// AppendData appends the encoding of d to b — what EncodeData returns —
+// growing b at most once.
+func AppendData(b []byte, d *Data) []byte {
 	inner := dataValueSize(d)
-	b := make([]byte, 0, tlvSize(tlvData, inner))
+	b = slices.Grow(b, tlvSize(tlvData, inner))
 	b = appendTLVHeader(b, tlvData, inner)
 	b = EncodeName(b, d.Name)
 	b = appendTLV(b, tlvPayload, d.Payload)
@@ -278,8 +291,15 @@ func EncodeData(d *Data) []byte {
 	return b
 }
 
-// DecodeData parses a serialized Data packet.
-func DecodeData(wire []byte) (*Data, error) {
+// DecodeData parses a serialized Data packet. The result owns its bytes:
+// wire may be reused once it returns.
+func DecodeData(wire []byte) (*Data, error) { return decodeData(wire, false) }
+
+// decodeData parses a Data packet. With owned set the caller hands wire
+// over — it never reuses or writes the buffer again — so Payload and
+// Signature are sliced from it (capped, so an append cannot reach the
+// bytes after them) instead of copied out.
+func decodeData(wire []byte, owned bool) (*Data, error) {
 	typ, value, n, err := readTLV(wire)
 	if err != nil {
 		return nil, err
@@ -302,12 +322,12 @@ func DecodeData(wire []byte) (*Data, error) {
 			out.Name, err = decodeName(v)
 			sawName = true
 		case tlvPayload:
-			out.Payload = append([]byte(nil), v...)
+			out.Payload = ownBytes(v, owned)
 			sawPayload = true
 		case tlvProducer:
 			out.Producer = string(v)
 		case tlvSignature:
-			out.Signature = append([]byte(nil), v...)
+			out.Signature = ownBytes(v, owned)
 		case tlvFreshness:
 			var ms uint64
 			ms, err = decodeUint(v)
@@ -333,6 +353,15 @@ func DecodeData(wire []byte) (*Data, error) {
 		return nil, fmt.Errorf("%w: Data without a Payload", ErrBadTLV)
 	}
 	return out, nil
+}
+
+// ownBytes is v itself when the decoder owns the buffer, else a copy;
+// empty is nil either way.
+func ownBytes(v []byte, owned bool) []byte {
+	if !owned || len(v) == 0 {
+		return append([]byte(nil), v...)
+	}
+	return v[:len(v):len(v)]
 }
 
 // Arithmetic wire sizes. The simulator prices every transmission by the

@@ -3,6 +3,7 @@ package ndn
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -312,6 +313,32 @@ func TestEncodersMatchNestedReference(t *testing.T) {
 	if got, want := EncodeName([]byte("prefix"), name), append([]byte("prefix"), nestedEncodeName(name)...); !bytes.Equal(got, want) {
 		t.Errorf("EncodeName onto a non-empty buffer = %x, want %x", got, want)
 	}
+}
+
+// TestAppendOntoPrefix: appending a packet to a non-empty buffer leaves
+// the buffer's bytes alone and adds exactly what Encode… returns, for
+// every packet shape — what netface relies on when it queues many
+// packets in one send buffer.
+func TestAppendOntoPrefix(t *testing.T) {
+	prefix := []byte("queued bytes")
+	check := func(kind string, got, encoded []byte) {
+		t.Helper()
+		if !bytes.Equal(got[:len(prefix)], prefix) {
+			t.Fatalf("%s overwrote the prefix: %q", kind, got[:len(prefix)])
+		}
+		if !bytes.Equal(got[len(prefix):], encoded) {
+			t.Fatalf("%s appended %d bytes that differ from Encode's %d", kind, len(got)-len(prefix), len(encoded))
+		}
+	}
+	// Full: the append must grow the buffer. Roomy: it must not need to.
+	full, roomy := slices.Clip(prefix), make([]byte, 0, 1<<19)
+	forEachPacketShape(func(d *Data) {
+		check("AppendData", AppendData(full, d), EncodeData(d))
+		check("AppendData (roomy)", AppendData(append(roomy[:0], prefix...), d), EncodeData(d))
+	}, func(i *Interest) {
+		check("AppendInterest", AppendInterest(full, i), EncodeInterest(i))
+		check("AppendInterest (roomy)", AppendInterest(append(roomy[:0], prefix...), i), EncodeInterest(i))
+	})
 }
 
 // Property: arbitrary interests survive the codec.

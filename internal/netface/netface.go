@@ -1,30 +1,61 @@
 // Package netface bridges a Forwarder to real network connections: each
 // net.Conn becomes a face speaking the NDN TLV stream format
-// (ndn.PacketReader/PacketWriter). Combined with the rt.Executor this
-// turns the experiment stack into a small but genuine NDN daemon — the
-// same Content Store, PIT, FIB and privacy-preserving cache managers,
-// unchanged, over TCP or Unix sockets.
+// (ndn.PacketReader on the way in, ndn.AppendInterest/AppendData on the
+// way out). Combined with the rt.Executor this turns the experiment stack
+// into a small but genuine NDN daemon — the same Content Store, PIT, FIB
+// and privacy-preserving cache managers, unchanged, over TCP or Unix
+// sockets.
 //
-// Concurrency model: one reader goroutine per connection decodes packets
-// and injects them into the forwarder through the executor, whose single
-// loop goroutine runs every callback — so packets read from one
-// connection reach the pipeline in the order they were read;
-// transmissions happen inside executor callbacks and write to the
-// connection directly. Everything else that touches a live forwarder
-// (routes, application faces) goes through RunOn.
+// Concurrency model: each face has a reader goroutine and a writer
+// goroutine, and the executor's single loop goroutine runs every
+// forwarder callback. The reader decodes packets and injects them through
+// the executor, so packets read from one connection reach the pipeline
+// in the order they were read. The executor never touches the socket: a
+// transmission encodes the packet onto the end of the face's send buffer
+// and wakes the writer, which takes everything buffered and writes it
+// with one conn.Write — the packets the pipeline emits while a write is
+// in progress leave together in the next (group commit). The buffer is
+// bounded: a packet that would overflow it is dropped and counted, and a
+// write that makes no progress for ndn.DefaultInterestLifetime closes the
+// face, so a peer that stops reading costs one face, not the daemon.
+// Everything else that touches a live forwarder (routes, application
+// faces) goes through RunOn.
 package netface
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"time"
 
 	"ndnprivacy/internal/fwd"
 	"ndnprivacy/internal/ndn"
 	"ndnprivacy/internal/table"
 )
+
+// sendBound caps the bytes a face holds for its writer. While the writer
+// is blocked on a slow peer, the buffer fills to here and further packets
+// are dropped; with the batch being written, a face holds at most twice
+// this.
+const sendBound = 1 << 20 // 1 MiB
+
+// writeDeadline is how long one batch may take to write before the face
+// is declared dead: an interest waits no longer than this for its Data.
+const writeDeadline = ndn.DefaultInterestLifetime
+
+// Stats counts what a face has sent.
+type Stats struct {
+	Packets uint64 // packets written to the connection
+	Bytes   uint64 // bytes written to the connection
+	Writes  uint64 // conn.Write calls: Packets/Writes is the mean batch
+	Drops   uint64 // packets refused: the send buffer was full, or the packet over ndn.MaxPacketSize
+	Queued  int    // bytes buffered for the writer now, at most the send bound
+}
+
+func (s Stats) String() string {
+	return fmt.Sprintf("sent %d packets (%d B) in %d writes, dropped %d", s.Packets, s.Bytes, s.Writes, s.Drops)
+}
 
 // Face is one network-connected forwarder face.
 type Face struct {
@@ -32,18 +63,24 @@ type Face struct {
 	conn net.Conn
 	fwd  *fwd.Forwarder
 
-	mu     sync.Mutex // guards writer and closed
-	writer *bufio.Writer
-	pw     *ndn.PacketWriter
-	closed bool
+	mu sync.Mutex // guards everything below
+	// pending holds encoded packets the writer has not taken yet, and
+	// queued how many; the writer swaps pending for its spent buffer.
+	pending []byte
+	queued  uint64
+	stats   Stats
+	closed  bool
+	cause   error // why the face closed: nil for a local Close
 
-	done chan struct{}
+	wake       chan struct{} // one slot: pending became non-empty, or the face closed
+	writerDone chan struct{}
+	done       chan struct{}
 }
 
 // Attach wires conn to the forwarder as a new face and starts its reader
-// goroutine. onClose, if non-nil, runs exactly once when the face shuts
-// down (remote close, read error, or explicit Close), with the causal
-// error (nil for a clean local Close).
+// and writer goroutines. onClose, if non-nil, runs exactly once when the
+// face shuts down (remote close, read or write error, or explicit Close),
+// with the causal error (nil for a clean local Close).
 //
 // Attach registers the face through the forwarder's executor and waits
 // for the registration, so it is safe from any goroutine — but it must
@@ -58,12 +95,12 @@ func Attach(f *fwd.Forwarder, conn net.Conn, onClose func(error)) (*Face, error)
 		return nil, errors.New("netface: attach requires a connection")
 	}
 	face := &Face{
-		conn: conn,
-		fwd:  f,
-		done: make(chan struct{}),
+		conn:       conn,
+		fwd:        f,
+		wake:       make(chan struct{}, 1),
+		writerDone: make(chan struct{}),
+		done:       make(chan struct{}),
 	}
-	face.writer = bufio.NewWriter(conn)
-	face.pw = ndn.NewPacketWriter(face.writer)
 
 	type attachResult struct {
 		id     table.FaceID
@@ -77,6 +114,7 @@ func Attach(f *fwd.Forwarder, conn net.Conn, onClose func(error)) (*Face, error)
 	res := <-attached
 	face.id = res.id
 
+	go face.writeLoop()
 	go face.readLoop(res.inject, onClose)
 	return face, nil
 }
@@ -93,26 +131,57 @@ func RunOn(f *fwd.Forwarder, fn func() error) error {
 // ID returns the forwarder face ID.
 func (fa *Face) ID() table.FaceID { return fa.id }
 
-// Done is closed when the face has shut down.
+// Done is closed when the face has shut down and both its goroutines
+// have finished.
 func (fa *Face) Done() <-chan struct{} { return fa.done }
 
-// Close detaches the face and closes the connection. Idempotent.
-func (fa *Face) Close() error {
+// Stats returns the face's send counters.
+func (fa *Face) Stats() Stats {
+	fa.mu.Lock()
+	defer fa.mu.Unlock()
+	s := fa.stats
+	s.Queued = len(fa.pending)
+	return s
+}
+
+// Close detaches the face and closes the connection, discarding whatever
+// is still buffered. Idempotent.
+func (fa *Face) Close() error { return fa.shut(nil) }
+
+// shut closes the face once, recording why, and wakes the writer so it
+// exits. Later calls do nothing.
+func (fa *Face) shut(cause error) error {
 	fa.mu.Lock()
 	if fa.closed {
 		fa.mu.Unlock()
 		return nil
 	}
-	fa.closed = true
+	fa.closed, fa.cause = true, cause
+	fa.pending, fa.queued = nil, 0
 	fa.mu.Unlock()
+	fa.signal()
 	return fa.conn.Close()
 }
 
-// transmit runs inside executor callbacks (single-threaded with respect
-// to forwarder state) but takes the write lock to coexist with Close.
+// signal wakes the writer if it is not already due to wake.
+func (fa *Face) signal() {
+	select {
+	case fa.wake <- struct{}{}:
+	default:
+	}
+}
+
+// transmit runs inside executor callbacks, where the forwarder owns the
+// packet: it encodes the packet onto the send buffer and leaves the
+// socket to the writer.
 func (fa *Face) transmit(pkt any, _ int) {
-	packet, ok := toPacket(pkt)
-	if !ok {
+	var size int
+	switch p := pkt.(type) {
+	case *ndn.Interest:
+		size = ndn.InterestWireSize(p)
+	case *ndn.Data:
+		size = ndn.DataWireSize(p)
+	default:
 		return
 	}
 	fa.mu.Lock()
@@ -120,30 +189,68 @@ func (fa *Face) transmit(pkt any, _ int) {
 	if fa.closed {
 		return
 	}
-	if err := fa.pw.Write(packet); err != nil {
-		fa.closeLocked()
+	if size > ndn.MaxPacketSize || len(fa.pending)+size > sendBound {
+		fa.stats.Drops++
 		return
 	}
-	if err := fa.writer.Flush(); err != nil {
-		fa.closeLocked()
+	if len(fa.pending) == 0 {
+		// Empty means the writer has taken everything before this, so no
+		// wake-up is outstanding for it.
+		fa.signal()
 	}
+	switch p := pkt.(type) {
+	case *ndn.Interest:
+		fa.pending = ndn.AppendInterest(fa.pending, p)
+	case *ndn.Data:
+		fa.pending = ndn.AppendData(fa.pending, p)
+	}
+	fa.queued++
 }
 
-func (fa *Face) closeLocked() {
-	if !fa.closed {
-		fa.closed = true
-		_ = fa.conn.Close()
+// writeLoop is the face's writer: each time it is woken it takes the
+// whole send buffer, leaving its previous one (emptied) in its place,
+// and writes it with one call. A failed or timed-out write closes the
+// face with the error.
+func (fa *Face) writeLoop() {
+	defer close(fa.writerDone)
+	var batch []byte
+	for range fa.wake {
+		fa.mu.Lock()
+		if fa.closed {
+			fa.mu.Unlock()
+			return
+		}
+		batch, fa.pending = fa.pending, batch[:0]
+		packets := fa.queued
+		fa.queued = 0
+		fa.mu.Unlock()
+		if len(batch) == 0 {
+			continue
+		}
+		err := fa.conn.SetWriteDeadline(time.Now().Add(writeDeadline))
+		if err == nil {
+			_, err = fa.conn.Write(batch)
+		}
+		if err != nil {
+			_ = fa.shut(fmt.Errorf("netface: write: %w", err))
+			return
+		}
+		fa.mu.Lock()
+		fa.stats.Packets += packets
+		fa.stats.Bytes += uint64(len(batch))
+		fa.stats.Writes++
+		fa.mu.Unlock()
 	}
 }
 
 func (fa *Face) readLoop(inject func(pkt any), onClose func(error)) {
 	reader := ndn.NewPacketReader(fa.conn)
-	var cause error
+	var readErr error
 	for {
 		packet, err := reader.Next()
 		if err != nil {
 			if !isClosedError(err) {
-				cause = err
+				readErr = err
 			}
 			break
 		}
@@ -154,32 +261,18 @@ func (fa *Face) readLoop(inject func(pkt any), onClose func(error)) {
 			inject(packet.Data)
 		}
 	}
+	// The first to shut the face names the cause: a local Close (nil), a
+	// failed write, or this read error.
+	_ = fa.shut(readErr)
+	<-fa.writerDone
 	fa.mu.Lock()
-	wasClosed := fa.closed
-	fa.closed = true
+	cause := fa.cause
 	fa.mu.Unlock()
-	if !wasClosed {
-		_ = fa.conn.Close()
-	}
 	// Detach from the forwarder inside the executor.
 	fa.fwd.Sim().Schedule(0, func() { fa.fwd.RemoveFace(fa.id) })
 	close(fa.done)
 	if onClose != nil {
-		if wasClosed {
-			cause = nil // local Close: clean shutdown
-		}
 		onClose(cause)
-	}
-}
-
-func toPacket(pkt any) (ndn.Packet, bool) {
-	switch p := pkt.(type) {
-	case *ndn.Interest:
-		return ndn.Packet{Interest: p}, true
-	case *ndn.Data:
-		return ndn.Packet{Data: p}, true
-	default:
-		return ndn.Packet{}, false
 	}
 }
 

@@ -95,7 +95,8 @@ func TestTransmitIgnoresUnknownPacketTypes(t *testing.T) {
 	// Directly exercising transmit with a non-NDN payload must be a
 	// no-op rather than a panic or a garbage write.
 	face.transmit("not a packet", 0)
-	if _, ok := toPacket(42); ok {
-		t.Error("toPacket accepted an int")
+	face.transmit(42, 0)
+	if s := face.Stats(); s != (Stats{}) {
+		t.Errorf("unknown packets left a trace: %+v", s)
 	}
 }

@@ -34,10 +34,11 @@ echo "== go test -race"
 go test -race ./...
 
 # The benchmark pins ndnd to one CPU, and the executor's wake-up path
-# (alarm, reader goroutine, yield) behaves differently with one P than
-# with two: run the wall-clock packages at both.
+# (alarm, reader goroutine, yield) and each face's writer hand-off
+# behave differently with one P than with two: run the wall-clock
+# packages at both.
 echo "== go test -race -count=3 -cpu 1,2 (wall-clock path)"
-go test -race -count=3 -cpu 1,2 ./internal/rt ./internal/netface
+go test -race -count=3 -cpu 1,2 ./internal/rt ./internal/netface ./cmd/ndnd
 
 # bench/ is its own module, so ./... above never descends into it: this
 # is what catches an API change that breaks the benchmark.
