@@ -469,7 +469,7 @@ func runDifferential(t *testing.T, policy string, seed int64, shape diffShape) {
 		t.Fatalf("unknown policy %s", policy)
 	}
 	s := MustNewStore(8, p)
-	s.Instrument(nil, newLog, "")
+	s.Attach(telemetry.NewTap(telemetry.Hooks{Sink: newLog}, ""))
 	ref := newRefStore(8, policy, refLog)
 
 	rng := rand.New(rand.NewSource(seed))

@@ -76,10 +76,6 @@ func NewTieredStore(ramCapacity int, policy Policy, second SecondTier) (*Store, 
 	}
 	s.second = second
 	s.demoted = make(map[uint64][]demotedRef)
-	s.diskHits = telemetry.NewCounter()
-	s.promotions = telemetry.NewCounter()
-	s.demotions = telemetry.NewCounter()
-	s.tierWrites = telemetry.NewCounter()
 	return s, nil
 }
 
@@ -96,9 +92,9 @@ func (s *Store) SecondLen() int {
 // DiskHits counts the hits the second tier served (Hits includes them);
 // Promotions and Demotions count inter-tier movement. All stay zero on a
 // flat store.
-func (s *Store) DiskHits() uint64   { return s.diskHits.Value() }
-func (s *Store) Promotions() uint64 { return s.promotions.Value() }
-func (s *Store) Demotions() uint64  { return s.demotions.Value() }
+func (s *Store) DiskHits() uint64   { return s.counts[telemetry.StageSecondHit] }
+func (s *Store) Promotions() uint64 { return s.counts[telemetry.StagePromote] }
+func (s *Store) Demotions() uint64  { return s.counts[telemetry.StageDemote] }
 
 // Close releases the second-tier backend (a no-op for the in-memory
 // disk model; the file tier closes its log). A flat store and the table
@@ -140,13 +136,13 @@ func (s *Store) readSecond(name ndn.Name, interest *ndn.Interest, now time.Durat
 	if entry.IsStale(now) {
 		s.second.Remove(key)
 		entry.residency = s.dropDemoted(name)
-		s.finish(entry, ReasonStale, now)
+		s.finish(entry, telemetry.StageEvict, ReasonStale, now)
 		return nil, 0, false
 	}
 	if interest != nil && !entry.Data.Matches(interest) {
 		return nil, 0, false
 	}
-	s.diskHits.Inc()
+	s.rec(&telemetry.Rec{Stage: telemetry.StageSecondHit})
 	if promote {
 		s.promote(entry, now, cost)
 	}
@@ -174,11 +170,7 @@ func (s *Store) peekSecondView(v *ndn.NameView, now time.Duration) (*Entry, bool
 func (s *Store) promote(entry *Entry, now, cost time.Duration) {
 	name := entry.Data.Name
 	key := name.Key()
-	s.promotions.Inc()
-	s.emit(telemetry.EvCSPromote, key, now, "promote", cost)
-	if s.spans != nil {
-		s.spans.Span(span.Context{}, span.KindTier, s.node, key, "promote", int64(now), int64(now), uint64(cost))
-	}
+	s.rec(&telemetry.Rec{Stage: telemetry.StagePromote, Name: key, T0: int64(now), T1: int64(now), Value: uint64(cost)})
 	s.second.Remove(key)
 	entry.residency = s.dropDemoted(name)
 	s.makeRoom(now)
@@ -190,30 +182,25 @@ func (s *Store) promote(entry *Entry, now, cost time.Duration) {
 func (s *Store) demote(victim *pcct.Entry, now time.Duration) {
 	entry := s.detach(victim)
 	if entry.IsStale(now) {
-		s.finish(entry, ReasonStale, now)
+		s.finish(entry, telemetry.StageEvict, ReasonStale, now)
 		return
 	}
-	key := entry.Data.Name.Key()
-	s.demotions.Inc()
-	s.emit(telemetry.EvCSDemote, key, now, "demote", 0)
-	if s.spans != nil {
-		s.spans.Span(span.Context{}, span.KindTier, s.node, key, "demote", int64(now), int64(now), 0)
-	}
+	s.rec(&telemetry.Rec{Stage: telemetry.StageDemote, Name: entry.Data.Name.Key(), T0: int64(now), T1: int64(now)})
 	evicted, err := s.second.Put(entry, now)
 	if err != nil {
 		// A failed second-tier write loses the entry (the table has
-		// already let go of it); finish its lifecycle.
-		s.finish(entry, ReasonCapacity, now)
+		// already let go of it); finish its lifecycle without counting
+		// an eviction.
+		s.finish(entry, telemetry.StageEvict, ReasonCapacity, now)
 		return
 	}
-	s.tierWrites.Inc()
+	s.rec(&telemetry.Rec{Stage: telemetry.StageTierWrite})
 	h := entry.Data.Name.Hash()
 	s.demoted[h] = append(s.demoted[h], demotedRef{name: entry.Data.Name, residency: entry.residency})
 	entry.residency = nil
 	for _, overflow := range evicted {
 		overflow.residency = s.dropDemoted(overflow.Data.Name)
-		s.evictions.Inc()
-		s.finish(overflow, ReasonCapacity, now)
+		s.finish(overflow, telemetry.StageEvictCapacity, ReasonCapacity, now)
 	}
 }
 

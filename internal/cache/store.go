@@ -85,21 +85,11 @@ type Store struct {
 	second  SecondTier
 	demoted map[uint64][]demotedRef
 
-	// Activity counters live on telemetry.Counter so an instrumented
-	// store shares them with the run's registry; uninstrumented stores
-	// use standalone counters, so the accessors below always work. The
-	// tier-movement counters are nil without a second tier.
-	insertions *telemetry.Counter
-	evictions  *telemetry.Counter
-	hits       *telemetry.Counter
-	misses     *telemetry.Counter
-	diskHits   *telemetry.Counter
-	promotions *telemetry.Counter
-	demotions  *telemetry.Counter
-	tierWrites *telemetry.Counter
-	sink       telemetry.Sink
-	node       string
-	spans      *span.Tracer
+	// counts tallies the store's stage outcomes for the accessors below,
+	// whether or not a tap is attached; tap is the node's observation
+	// seam, nil when nothing is attached.
+	counts [telemetry.NumStages]uint64
+	tap    *telemetry.Tap
 }
 
 // NewStore creates a store with the given capacity and eviction policy.
@@ -114,15 +104,7 @@ func NewStore(capacity int, policy Policy) (*Store, error) {
 	if policy == nil {
 		policy = NewLRU() // harmless bookkeeping for unlimited stores
 	}
-	return &Store{
-		capacity:   capacity,
-		policy:     policy,
-		t:          pcct.New(policy.kind()),
-		insertions: telemetry.NewCounter(),
-		evictions:  telemetry.NewCounter(),
-		hits:       telemetry.NewCounter(),
-		misses:     telemetry.NewCounter(),
-	}, nil
+	return &Store{capacity: capacity, policy: policy, t: pcct.New(policy.kind())}, nil
 }
 
 // MustNewStore is NewStore that panics on error, for tests and examples
@@ -162,51 +144,43 @@ func (s *Store) Capacity() int {
 
 // Evictions returns the running count of capacity evictions: objects
 // the store dropped to make room. With a second tier only that tier's
-// overflow counts — a demotion keeps the content cached. It reads the
-// telemetry counter, so instrumented and standalone stores report
-// identically.
-func (s *Store) Evictions() uint64 { return s.evictions.Value() }
+// overflow counts — a demotion keeps the content cached.
+func (s *Store) Evictions() uint64 { return s.counts[telemetry.StageEvictCapacity] }
 
 // Insertions returns the running count of inserted objects.
-func (s *Store) Insertions() uint64 { return s.insertions.Value() }
+func (s *Store) Insertions() uint64 { return s.counts[telemetry.StageInsert] }
 
 // Hits returns the running count of lookups answered by a fresh entry
 // in either tier, including hits the privacy layer later disguises.
-func (s *Store) Hits() uint64 { return s.hits.Value() }
+func (s *Store) Hits() uint64 { return s.counts[telemetry.StageLookupHit] }
 
 // Misses returns the running count of lookups that found no fresh entry
 // in any tier.
-func (s *Store) Misses() uint64 { return s.misses.Value() }
+func (s *Store) Misses() uint64 { return s.counts[telemetry.StageLookupMiss] }
 
-// Instrument moves the store's counters onto the given registry under
-// node-labeled identifiers and attaches the trace sink for insert/evict
-// events. Running totals carry over. Either argument may be nil; call
-// once, before or after traffic.
-func (s *Store) Instrument(reg *telemetry.Registry, sink telemetry.Sink, node string) {
-	if reg != nil {
-		s.insertions = adoptCounter(reg, "ndn_cs_insertions_total", node, s.insertions)
-		s.evictions = adoptCounter(reg, "ndn_cs_evictions_total", node, s.evictions)
-		s.hits = adoptCounter(reg, "ndn_cs_hits_total", node, s.hits)
-		s.misses = adoptCounter(reg, "ndn_cs_misses_total", node, s.misses)
-		if s.second != nil {
-			s.diskHits = adoptCounter(reg, "ndn_cs_disk_hits_total", node, s.diskHits)
-			s.promotions = adoptCounter(reg, "ndn_cs_promotions_total", node, s.promotions)
-			s.demotions = adoptCounter(reg, "ndn_cs_demotions_total", node, s.demotions)
-			s.tierWrites = adoptCounter(reg, "ndn_cs_tier2_writes_total", node, s.tierWrites)
-		}
+// Attach connects the store to its node's tap: every stage outcome the
+// store records from then on — lookups, inserts, evictions, tier
+// movement, cache-residency spans — reaches the tap's consumers. Attach
+// before traffic: counts from earlier stay with the accessors.
+func (s *Store) Attach(tap *telemetry.Tap) {
+	s.tap = tap
+	last := telemetry.StageResident
+	if s.second != nil {
+		last = telemetry.StageTierWrite
 	}
-	s.sink = sink
-	s.node = node
+	tap.Register(telemetry.StageLookupHit, last)
 }
 
-// InstrumentSpans attaches a span tracer recording cache-residency
-// spans (one per entry, insert → eviction) under the given node label.
-// A nil tracer disables residency recording.
-func (s *Store) InstrumentSpans(tr *span.Tracer, node string) {
-	s.spans = tr
-	if node != "" {
-		s.node = node
+// rec is the store's one recording call per stage outcome: it tallies
+// the outcome for the accessors and hands it to the tap.
+//
+//ndnlint:hotpath — every lookup outcome; must not allocate
+func (s *Store) rec(r *telemetry.Rec) *span.Record {
+	s.counts[r.Stage]++
+	if s.tap == nil {
+		return nil
 	}
+	return s.tap.Record(r)
 }
 
 // FinishSpans closes every still-open residency span at virtual time
@@ -214,35 +188,27 @@ func (s *Store) InstrumentSpans(tr *span.Tracer, node string) {
 // were never evicted still export a bounded span. The walk follows the
 // sorted prefix index, so output order is deterministic.
 func (s *Store) FinishSpans(now time.Duration) {
-	if s.spans == nil {
+	if s.tap.Tracer() == nil {
 		return
 	}
+	end := telemetry.Rec{Stage: telemetry.StageResident, T0: int64(now), T1: int64(now)}
 	for i := 0; i < s.t.CSIndexLen(); i++ {
 		entry := s.t.CSIndex(i).CS().(*Entry)
-		if entry.residency == nil {
-			continue
+		if end.Span = entry.residency; end.Span != nil {
+			s.rec(&end)
+			entry.residency = nil
 		}
-		s.spans.End(entry.residency, int64(now), "resident")
-		entry.residency = nil
 	}
-	// End mutates records in place, so the walk order over the demoted
-	// index does not reach the output.
+	// Ending a span mutates its record in place, so the walk order over
+	// the demoted index does not reach the output.
 	for _, bucket := range s.demoted {
 		for i := range bucket {
-			s.spans.End(bucket[i].residency, int64(now), "resident")
-			bucket[i].residency = nil
+			if end.Span = bucket[i].residency; end.Span != nil {
+				s.rec(&end)
+				bucket[i].residency = nil
+			}
 		}
 	}
-}
-
-// adoptCounter registers a node-labeled counter and folds the standalone
-// counter's running total into it.
-func adoptCounter(reg *telemetry.Registry, name, node string, old *telemetry.Counter) *telemetry.Counter {
-	c := reg.Counter(telemetry.ID(name, "node", node))
-	if c != old {
-		c.Add(old.Value())
-	}
-	return c
 }
 
 // PolicyName returns the eviction policy's name; a tiered store names
@@ -295,7 +261,7 @@ func (s *Store) Insert(data *ndn.Data, now, fetchDelay time.Duration) *Entry {
 		existing.InsertedAt = now
 		existing.FetchDelay = fetchDelay
 		s.t.CSRefresh(e)
-		s.emit(telemetry.EvCSInsert, key, now, "refresh", 0)
+		s.rec(&telemetry.Rec{Stage: telemetry.StageRefresh, Name: key, T0: int64(now), T1: int64(now)})
 		return existing
 	}
 	// A refresh can also find the object demoted (a prefix interest
@@ -306,17 +272,11 @@ func (s *Store) Insert(data *ndn.Data, now, fetchDelay time.Duration) *Entry {
 		entry = s.takeSecond(data.Name)
 	}
 	s.makeRoom(now)
-	action := "refresh"
+	stage := telemetry.StageRefresh
 	if entry == nil {
-		action = "new"
+		stage = telemetry.StageInsert
 		entry = s.newEntry()
 		entry.Private = data.IsPrivate()
-		if s.spans != nil {
-			// Residency spans live outside any trace (zero context): one
-			// entry serves many fetches across its cache lifetime.
-			entry.residency, _ = s.spans.Begin(span.Context{}, span.KindResidency, s.node, key, int64(now))
-		}
-		s.insertions.Inc()
 	}
 	entry.Data = data.Clone()
 	entry.InsertedAt = now
@@ -326,7 +286,11 @@ func (s *Store) Insert(data *ndn.Data, now, fetchDelay time.Duration) *Entry {
 		e = s.t.Put(data.Name)
 	}
 	s.t.AttachCS(e, entry)
-	s.emit(telemetry.EvCSInsert, key, now, action, 0)
+	// A new entry opens its residency span, which lives outside any
+	// trace: one entry serves many fetches across its cache lifetime.
+	if residency := s.rec(&telemetry.Rec{Stage: stage, Name: key, T0: int64(now), T1: int64(now)}); residency != nil {
+		entry.residency = residency
+	}
 	return entry
 }
 
@@ -344,7 +308,6 @@ func (s *Store) makeRoom(now time.Duration) {
 			continue
 		}
 		s.removeEntry(victim, now, ReasonCapacity)
-		s.evictions.Inc()
 	}
 }
 
@@ -399,11 +362,11 @@ func (s *Store) lookupExact(name ndn.Name, now time.Duration) (*Entry, bool) {
 
 // countLookup records one lookup outcome.
 func (s *Store) countLookup(hit bool) {
+	lookup := telemetry.Rec{Stage: telemetry.StageLookupMiss}
 	if hit {
-		s.hits.Inc()
-	} else {
-		s.misses.Inc()
+		lookup.Stage = telemetry.StageLookupHit
 	}
+	s.rec(&lookup)
 }
 
 // ProbeName captures one hash probe for name. The forwarder takes the
@@ -541,7 +504,7 @@ func (s *Store) remove(name ndn.Name, now time.Duration, reason RemoveReason) bo
 	}
 	if s.second != nil {
 		if entry := s.takeSecond(name); entry != nil {
-			s.finish(entry, reason, now)
+			s.finish(entry, telemetry.StageEvict, reason, now)
 			return true
 		}
 	}
@@ -580,8 +543,12 @@ func (s *Store) Names() []ndn.Name {
 // it detaches the CS facet, releases the table entry unless a PIT facet
 // keeps it alive, runs the removal side effects and recycles the Entry.
 func (s *Store) removeEntry(e *pcct.Entry, now time.Duration, reason RemoveReason) {
+	stage := telemetry.StageEvict
+	if reason == ReasonCapacity {
+		stage = telemetry.StageEvictCapacity
+	}
 	entry := s.detach(e)
-	s.finish(entry, reason, now)
+	s.finish(entry, stage, reason, now)
 	if s.onEvict == nil && len(s.pool) < entryPoolCap {
 		// A hook may retain the entry; hooked entries are never recycled.
 		*entry = Entry{}
@@ -598,30 +565,14 @@ func (s *Store) detach(e *pcct.Entry) *Entry {
 }
 
 // finish runs the side effects of an object leaving the store from
-// either tier, in the order the map-based store used: span close, trace
-// event, eviction hook.
-func (s *Store) finish(entry *Entry, reason RemoveReason, now time.Duration) {
-	if entry.residency != nil {
-		s.spans.End(entry.residency, int64(now), string(reason))
-		entry.residency = nil
-	}
-	s.emit(telemetry.EvCSEvict, entry.Data.Name.Key(), now, string(reason), 0)
+// either tier: the eviction record under stage (which closes the
+// residency span), then the eviction hook. StageEvictCapacity is for
+// objects dropped to make room, the only removals Evictions counts.
+func (s *Store) finish(entry *Entry, stage telemetry.Stage, reason RemoveReason, now time.Duration) {
+	s.rec(&telemetry.Rec{Stage: stage, Name: entry.Data.Name.Key(), Action: string(reason),
+		T0: int64(now), T1: int64(now), Span: entry.residency})
+	entry.residency = nil
 	if s.onEvict != nil {
 		s.onEvict(entry)
 	}
-}
-
-// emit sends one content-store trace event; one branch when disabled.
-func (s *Store) emit(evType, name string, now time.Duration, action string, cost time.Duration) {
-	if s.sink == nil {
-		return
-	}
-	s.sink.Emit(telemetry.Event{
-		At:      int64(now),
-		Type:    evType,
-		Node:    s.node,
-		Name:    name,
-		Action:  action,
-		DelayNS: int64(cost),
-	})
 }

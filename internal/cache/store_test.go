@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ndnprivacy/internal/ndn"
+	"ndnprivacy/internal/telemetry"
 	"ndnprivacy/internal/telemetry/span"
 )
 
@@ -353,7 +354,7 @@ func TestStoreIsStaleBoundary(t *testing.T) {
 func TestStoreRemoveFiresEvictionHookAndClosesSpan(t *testing.T) {
 	s := MustNewStore(0, nil)
 	spans := span.NewTracer(1)
-	s.InstrumentSpans(spans, "n1")
+	s.Attach(telemetry.NewTap(telemetry.Hooks{Tracer: spans}, "n1"))
 	var evicted []string
 	s.SetEvictionHook(func(e *Entry) { evicted = append(evicted, e.Data.Name.String()) })
 	s.Insert(mkData(t, "/a"), time.Millisecond, 0)
@@ -386,7 +387,7 @@ func TestStoreRemoveFiresEvictionHookAndClosesSpan(t *testing.T) {
 func TestStoreClearFiresEvictionHookAndClosesSpans(t *testing.T) {
 	s := MustNewStore(0, nil)
 	spans := span.NewTracer(1)
-	s.InstrumentSpans(spans, "n1")
+	s.Attach(telemetry.NewTap(telemetry.Hooks{Tracer: spans}, "n1"))
 	var evicted []string
 	s.SetEvictionHook(func(e *Entry) { evicted = append(evicted, e.Data.Name.String()) })
 	for _, n := range []string{"/c", "/a", "/b"} {
@@ -422,7 +423,7 @@ func TestStoreClearFiresEvictionHookAndClosesSpans(t *testing.T) {
 func TestStoreFinishSpansLeavesResidentAction(t *testing.T) {
 	s := MustNewStore(0, nil)
 	spans := span.NewTracer(1)
-	s.InstrumentSpans(spans, "n1")
+	s.Attach(telemetry.NewTap(telemetry.Hooks{Tracer: spans}, "n1"))
 	s.Insert(mkData(t, "/keep"), time.Millisecond, 0)
 	s.FinishSpans(9 * time.Millisecond)
 	recs := spans.Records()

@@ -14,7 +14,9 @@
 // canonical TLV wire encoding (ndn.EncodeData), so the log stores
 // exactly what the network would carry; entry metadata that the TLV
 // layer does not persist (insertion time, Algorithm 1 counters) wraps
-// around it. The CRC plus length frame is what makes reopen
+// around it. The file tier stores the insertion time on the wall clock
+// (see FileTier), so it means the same to the process that reopens the
+// log. The CRC plus length frame is what makes reopen
 // crash-tolerant: a torn tail fails the length or checksum test and the
 // log is truncated back to the last intact record.
 package tiered

@@ -25,6 +25,9 @@ type fileSlot struct {
 	off int64
 	len int // full frame length, header included
 	seq uint64
+	// shift takes the record's wall-clock insertion time to this
+	// process's executor clock (see Put and replay).
+	shift time.Duration
 }
 
 // FileTier is cmd/ndnd's second tier: a crash-tolerant append-only log
@@ -38,6 +41,10 @@ type fileSlot struct {
 // The log is not compacted: ndnd caches are rebuilt from traffic on
 // restart anyway, so the simple recovery story (replay + truncate)
 // wins over space reuse.
+//
+// Each process's executor clock starts at zero, so the log keeps
+// insertion times on the wall clock: an object a later process reopens
+// is as old as it was when written plus the daemon's downtime.
 type FileTier struct {
 	cfg     FileTierConfig
 	f       *os.File
@@ -62,7 +69,7 @@ func OpenFileTier(cfg FileTierConfig) (*FileTier, error) {
 		f:     f,
 		index: make(map[string]fileSlot),
 	}
-	if err := t.replay(); err != nil {
+	if err := t.replay(wallClock()); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -71,8 +78,10 @@ func OpenFileTier(cfg FileTierConfig) (*FileTier, error) {
 
 // replay scans the log from the start, indexing the last record per
 // key (later records shadow earlier ones; tombstones delete), then
-// truncates at the first torn or corrupt frame.
-func (t *FileTier) replay() error {
+// truncates at the first torn or corrupt frame. Reopened insertion
+// times are taken relative to opened, the wall-clock time of the open:
+// this process's executor started about then.
+func (t *FileTier) replay(opened time.Duration) error {
 	raw, err := io.ReadAll(t.f)
 	if err != nil {
 		return fmt.Errorf("tiered: reading log: %w", err)
@@ -91,7 +100,7 @@ func (t *FileTier) replay() error {
 		if entry != nil {
 			key := entry.Data.Name.Key()
 			t.nextSeq++
-			t.index[key] = fileSlot{off: int64(off), len: frameLen, seq: t.nextSeq}
+			t.index[key] = fileSlot{off: int64(off), len: frameLen, seq: t.nextSeq, shift: -opened}
 			t.queue = append(t.queue, fifoSlot{key: key, seq: t.nextSeq})
 		} else {
 			delete(t.index, tombstoneKey)
@@ -141,17 +150,20 @@ func (t *FileTier) appendFrame(payload []byte) (off int64, frameLen int, err err
 	return off, len(frame), nil
 }
 
-// Put implements cache.SecondTier. The entry is serialized as-at-put;
-// the store mutates an entry only while it is in the RAM front, so
-// nothing is lost.
+// Put implements cache.SecondTier. The entry is serialized as-at-put,
+// its insertion time moved onto the wall clock; the store mutates an
+// entry only while it is in the RAM front, so nothing is lost.
 func (t *FileTier) Put(e *cache.Entry, now time.Duration) ([]*cache.Entry, error) {
 	key := e.Data.Name.Key()
-	off, frameLen, err := t.appendFrame(encodeEntryPayload(e))
+	shift := now - wallClock()
+	stored := *e
+	stored.InsertedAt -= shift
+	off, frameLen, err := t.appendFrame(encodeEntryPayload(&stored))
 	if err != nil {
 		return nil, err
 	}
 	t.nextSeq++
-	t.index[key] = fileSlot{off: off, len: frameLen, seq: t.nextSeq}
+	t.index[key] = fileSlot{off: off, len: frameLen, seq: t.nextSeq, shift: shift}
 	t.queue = append(t.queue, fifoSlot{key: key, seq: t.nextSeq})
 	var evicted []*cache.Entry
 	if t.cfg.Capacity > 0 {
@@ -191,7 +203,8 @@ func (t *FileTier) evictOldest(keep string) (*cache.Entry, bool) {
 	return nil, false
 }
 
-// readSlot reads and decodes the record at slot.
+// readSlot reads and decodes the record at slot, its insertion time
+// back on the executor clock.
 func (t *FileTier) readSlot(slot fileSlot) (*cache.Entry, error) {
 	buf := make([]byte, slot.len)
 	if _, err := t.f.ReadAt(buf, slot.off); err != nil {
@@ -208,7 +221,15 @@ func (t *FileTier) readSlot(slot fileSlot) (*cache.Entry, error) {
 	if entry == nil {
 		return nil, fmt.Errorf("%w: indexed slot holds tombstone %q", errCorruptRecord, tombstoneKey)
 	}
+	entry.InsertedAt += slot.shift
 	return entry, nil
+}
+
+// wallClock reads the wall clock as an offset from the Unix epoch. The
+// file tier is the daemon's: its insertion times must outlive the
+// process, which the executor clock does not.
+func wallClock() time.Duration {
+	return time.Duration(time.Now().UnixNano()) //ndnlint:allow simdeterminism — persisted insertion times must survive a restart; never feeds the simulator
 }
 
 // Peek implements cache.SecondTier: reads the entry back from the log.

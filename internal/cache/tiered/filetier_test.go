@@ -103,6 +103,49 @@ func TestFileTierReopenRestoresIndex(t *testing.T) {
 	}
 }
 
+// A restarted daemon's executor clock starts over at zero, so an
+// insertion time kept in the writing process's clock means nothing to
+// the next one. An object fetched 10 s before the previous process wrote
+// it at t = 1 h, with a freshness of 1 s, must come back stale from a log
+// reopened at t = 0; one written the moment it was fetched, with a
+// freshness of 1 h and reopened right away, must come back fresh.
+func TestFileTierReopenRebasesInsertionTime(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cs.log")
+	tier := openTier(t, path, 0)
+	for _, w := range []struct {
+		name       string
+		insertedAt time.Duration
+		freshness  time.Duration
+	}{
+		{"/f/short", time.Hour - 10*time.Second, time.Second},
+		{"/f/long", time.Hour, time.Hour},
+	} {
+		e := fileEntry(t, w.name)
+		e.InsertedAt = w.insertedAt
+		e.Data.Freshness = w.freshness
+		if _, err := tier.Put(e, time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tier.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened := openTier(t, path, 0)
+	for _, want := range []struct {
+		name  string
+		stale bool
+	}{{"/f/short", true}, {"/f/long", false}} {
+		e, _, found := reopened.Peek(want.name, 0)
+		if !found {
+			t.Fatalf("%s lost on reopen", want.name)
+		}
+		if got := e.IsStale(0); got != want.stale {
+			t.Errorf("%s stale = %t at t = 0 after reopen (inserted at %v), want %t", want.name, got, e.InsertedAt, want.stale)
+		}
+	}
+}
+
 func TestFileTierTruncatesTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cs.log")
 	tier := openTier(t, path, 0)

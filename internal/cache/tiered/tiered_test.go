@@ -1,6 +1,7 @@
 package tiered
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -293,6 +294,54 @@ func TestSecondTierOverflowEvicts(t *testing.T) {
 	}
 }
 
+// failingTier is a second tier whose every write fails.
+type failingTier struct{ cache.SecondTier }
+
+func (failingTier) Put(*cache.Entry, time.Duration) ([]*cache.Entry, error) {
+	return nil, errors.New("write failed")
+}
+
+func TestFailedDemotionIsNotAnEviction(t *testing.T) {
+	s := tieredStore(t, 1, failingTier{NewDiskModel(DiskModelConfig{})})
+	reg := telemetry.NewRegistry()
+	rec := telemetry.NewRecorder()
+	s.Attach(telemetry.NewTap(telemetry.Hooks{Registry: reg, Sink: rec}, "R"))
+	var evicted []string
+	s.SetEvictionHook(func(e *cache.Entry) { evicted = append(evicted, e.Data.Name.Key()) })
+
+	s.Insert(mkData(t, "/t/a"), 0, 0)
+	s.Insert(mkData(t, "/t/b"), time.Millisecond, 0) // demoting /t/a fails: /t/a is lost
+
+	if got := s.Len(); got != 1 {
+		t.Errorf("Len = %d, want 1", got)
+	}
+	if len(evicted) != 1 || evicted[0] != "/t/a" {
+		t.Errorf("eviction hook saw %v, want [/t/a]", evicted)
+	}
+	if got := s.Demotions(); got != 1 {
+		t.Errorf("Demotions = %d, want 1", got)
+	}
+	// Only objects dropped to make room count; the lost write does not.
+	if got := s.Evictions(); got != 0 {
+		t.Errorf("Evictions = %d, want 0", got)
+	}
+	if got := reg.Counter(telemetry.ID("ndn_cs_evictions_total", "node", "R")).Value(); got != 0 {
+		t.Errorf("evictions counter = %d, want 0", got)
+	}
+	if got := reg.Counter(telemetry.ID("ndn_cs_tier2_writes_total", "node", "R")).Value(); got != 0 {
+		t.Errorf("tier writes counter = %d, want 0", got)
+	}
+	var last telemetry.Event
+	for _, ev := range rec.Events() {
+		if ev.Type == telemetry.EvCSEvict {
+			last = ev
+		}
+	}
+	if last.Name != "/t/a" || last.Action != string(cache.ReasonCapacity) {
+		t.Errorf("eviction event = %+v, want /t/a with action capacity", last)
+	}
+}
+
 func TestPromotionPreservesAlgorithmState(t *testing.T) {
 	s := ramStore(t, 1)
 	a := mkData(t, "/t/a")
@@ -326,7 +375,7 @@ func TestPromotionPreservesAlgorithmState(t *testing.T) {
 func TestRefreshOfDemotedEntryKeepsAlgorithmState(t *testing.T) {
 	s := ramStore(t, 1)
 	rec := telemetry.NewRecorder()
-	s.Instrument(nil, rec, "R")
+	s.Attach(telemetry.NewTap(telemetry.Hooks{Sink: rec}, "R"))
 	a := mkData(t, "/t/a")
 	entry := s.Insert(a, 0, 7*time.Millisecond)
 	entry.ForwardCount = 5
@@ -370,7 +419,7 @@ func TestTelemetryEventsAndCounters(t *testing.T) {
 	s := ramStore(t, 1)
 	reg := telemetry.NewRegistry()
 	rec := telemetry.NewRecorder()
-	s.Instrument(reg, rec, "R")
+	s.Attach(telemetry.NewTap(telemetry.Hooks{Registry: reg, Sink: rec}, "R"))
 
 	s.Insert(mkData(t, "/t/a"), 0, 0)
 	s.Insert(mkData(t, "/t/b"), time.Millisecond, 0)       // demote /t/a
@@ -406,7 +455,7 @@ func TestTelemetryEventsAndCounters(t *testing.T) {
 func TestResidencySpansSurviveTierMovement(t *testing.T) {
 	s := ramStore(t, 1)
 	tr := span.NewTracer(1)
-	s.InstrumentSpans(tr, "R")
+	s.Attach(telemetry.NewTap(telemetry.Hooks{Tracer: tr}, "R"))
 
 	s.Insert(mkData(t, "/t/a"), 0, 0)
 	s.Insert(mkData(t, "/t/b"), time.Millisecond, 0)        // demote /t/a

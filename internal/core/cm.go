@@ -29,7 +29,6 @@ import (
 	"ndnprivacy/internal/cache"
 	"ndnprivacy/internal/ndn"
 	"ndnprivacy/internal/telemetry"
-	"ndnprivacy/internal/telemetry/span"
 )
 
 // Action says how the router must respond to an interest that matched
@@ -91,22 +90,12 @@ type CacheManager interface {
 	Name() string
 }
 
-// TraceInstrumentable is implemented by cache managers with internal
-// randomized decisions worth tracing (the Random-Cache family's
-// threshold coin). The forwarder — and the trace replayer — wire the
-// sink automatically when telemetry is enabled; the node label stamps
-// the manager's events.
-type TraceInstrumentable interface {
-	SetTraceSink(sink telemetry.Sink, node string)
-}
-
-// SpanInstrumentable is implemented by cache managers that record their
-// randomized decisions as causal spans (the Random-Cache family's
-// threshold coin becomes a cm_coin child of the triggering interest's
-// hop). The forwarder wires the tracer automatically when span tracing
-// is enabled.
-type SpanInstrumentable interface {
-	SetSpanTracer(tr *span.Tracer, node string)
+// Observable is implemented by cache managers with stage outcomes of
+// their own: the Random-Cache family's threshold coin, recorded as a
+// cm_coin event and a span under the triggering packet. The forwarder
+// and the trace replayer attach their node's tap.
+type Observable interface {
+	Attach(tap *telemetry.Tap)
 }
 
 // NoPrivacy is the baseline CM: every cache hit is revealed immediately.

@@ -73,9 +73,7 @@ type GroupedRandomCache struct {
 	rng    *rand.Rand
 	groups map[string]*groupState
 	group  GroupFunc
-	sink   telemetry.Sink
-	node   string
-	spans  *span.Tracer
+	tap    *telemetry.Tap
 }
 
 var _ CacheManager = (*GroupedRandomCache)(nil)
@@ -99,19 +97,9 @@ func NewGroupedRandomCache(dist KDistribution, rng *rand.Rand, group GroupFunc) 
 	}, nil
 }
 
-// SetTraceSink implements TraceInstrumentable: cm_coin events record
-// every fresh per-group threshold draw.
-func (m *GroupedRandomCache) SetTraceSink(sink telemetry.Sink, node string) {
-	m.sink = sink
-	m.node = node
-}
-
-// SetSpanTracer implements SpanInstrumentable: per-group threshold
-// draws become cm_coin spans parented under the triggering packet.
-func (m *GroupedRandomCache) SetSpanTracer(tr *span.Tracer, node string) {
-	m.spans = tr
-	m.node = node
-}
+// Attach implements Observable: every fresh per-group threshold draw
+// is recorded.
+func (m *GroupedRandomCache) Attach(tap *telemetry.Tap) { m.tap = tap }
 
 // OnCacheHit implements CacheManager.
 func (m *GroupedRandomCache) OnCacheHit(entry *cache.Entry, interest *ndn.Interest, now time.Duration) Decision {
@@ -171,23 +159,12 @@ func (m *GroupedRandomCache) stateFor(entry *cache.Entry, now time.Duration) *gr
 		} else {
 			threshold := m.dist.Draw(m.rng)
 			m.groups[key] = &groupState{threshold: threshold, members: 1}
-			if m.sink != nil {
-				m.sink.Emit(telemetry.Event{
-					At:    int64(now),
-					Type:  telemetry.EvCMCoin,
-					Node:  m.node,
-					Name:  key,
-					Value: threshold,
-				})
-			}
-			if m.spans != nil {
-				// The cached Data carries the local hop's span context,
-				// so the draw parents under the hop that cached it.
-				if tid, sid := entry.Data.SpanContext(); tid != 0 {
-					m.spans.Span(span.Context{Trace: tid, Span: sid}, span.KindCoin,
-						m.node, key, "draw", int64(now), int64(now), threshold)
-				}
-			}
+			// The cached Data carries the local hop's span context, so
+			// the draw parents under the hop that cached it.
+			tid, sid := entry.Data.SpanContext()
+			coin := telemetry.Rec{Stage: telemetry.StageCoin, Name: key,
+				T0: int64(now), T1: int64(now), Value: threshold, Parent: span.Context{Trace: tid, Span: sid}}
+			m.tap.Record(&coin)
 		}
 	}
 	return m.groups[entry.GroupKey]

@@ -206,11 +206,9 @@ func (n *NaiveK) Name() string { return fmt.Sprintf("naive(k=%d)", n.k) }
 // point a fresh k_C is drawn, exactly as Algorithm 1 re-initializes
 // content not in T.
 type RandomCache struct {
-	dist  KDistribution
-	rng   *rand.Rand
-	sink  telemetry.Sink
-	node  string
-	spans *span.Tracer
+	dist KDistribution
+	rng  *rand.Rand
+	tap  *telemetry.Tap
 }
 
 var _ CacheManager = (*RandomCache)(nil)
@@ -226,19 +224,8 @@ func NewRandomCache(dist KDistribution, rng *rand.Rand) (*RandomCache, error) {
 	return &RandomCache{dist: dist, rng: rng}, nil
 }
 
-// SetTraceSink implements TraceInstrumentable: cm_coin events record
-// every fresh threshold draw.
-func (m *RandomCache) SetTraceSink(sink telemetry.Sink, node string) {
-	m.sink = sink
-	m.node = node
-}
-
-// SetSpanTracer implements SpanInstrumentable: threshold draws become
-// cm_coin spans parented under the triggering packet's span context.
-func (m *RandomCache) SetSpanTracer(tr *span.Tracer, node string) {
-	m.spans = tr
-	m.node = node
-}
+// Attach implements Observable: every fresh threshold draw is recorded.
+func (m *RandomCache) Attach(tap *telemetry.Tap) { m.tap = tap }
 
 // OnCacheHit implements CacheManager.
 //
@@ -274,19 +261,9 @@ func (m *RandomCache) ensureThreshold(entry *cache.Entry, now time.Duration, tid
 	entry.Counter = 0
 	entry.Threshold = m.dist.Draw(m.rng)
 	entry.ThresholdSet = true
-	if m.sink != nil {
-		m.sink.Emit(telemetry.Event{ //ndnlint:allow alloccheck — trace emission is opt-in instrumentation
-			At:    int64(now),
-			Type:  telemetry.EvCMCoin,
-			Node:  m.node,
-			Name:  entry.Data.Name.Key(),
-			Value: entry.Threshold,
-		})
-	}
-	if m.spans != nil && tid != 0 {
-		m.spans.Span(span.Context{Trace: tid, Span: sid}, span.KindCoin, m.node,
-			entry.Data.Name.Key(), "draw", int64(now), int64(now), entry.Threshold)
-	}
+	coin := telemetry.Rec{Stage: telemetry.StageCoin, Name: entry.Data.Name.Key(),
+		T0: int64(now), T1: int64(now), Value: entry.Threshold, Parent: span.Context{Trace: tid, Span: sid}}
+	m.tap.Record(&coin)
 }
 
 // Name implements CacheManager.

@@ -12,39 +12,78 @@ import (
 	"ndnprivacy/internal/telemetry/span"
 )
 
-// These tests pin the zero-allocation contract of the //ndnlint:hotpath
-// annotations on the forwarder's miss/drop accounting: the hit/miss
-// delay gap is the paper's attack signal, so the accounting on the miss
-// side must not add allocation jitter the hit side doesn't have.
-
-func TestMissTelemetryZeroAlloc(t *testing.T) {
-	// Registry-only instrumentation: counters are registered up front,
-	// the trace sink is absent (its emission path carries an explicit
-	// alloccheck waiver and is opt-in).
-	f, err := New(Config{Name: "n", Sim: netsim.New(1), Metrics: telemetry.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	interest := ndn.NewInterest(ndn.MustParseName("/alloc/miss"), 3)
-	if n := testing.AllocsPerRun(200, func() {
-		f.missTelemetry(interest, 1, 0)
-	}); n != 0 {
-		t.Errorf("missTelemetry (instrumented): %.0f allocs/run, want 0", n)
+// TestStageRecordZeroAlloc pins the zero-allocation contract of the
+// observation seam: every stage's one recording call costs nothing on
+// the heap, with counters attached and with nothing attached. The
+// hit/miss delay gap is the paper's attack signal, so the accounting on
+// either side must not add allocation jitter the other side doesn't
+// have. (Trace emission is opt-in and carries an alloccheck waiver.)
+func TestStageRecordZeroAlloc(t *testing.T) {
+	counted := netsim.New(1)
+	counted.SetTelemetry(telemetry.NewRegistry(), nil)
+	for _, attached := range []struct {
+		name string
+		sim  *netsim.Simulator
+	}{{"counters", counted}, {"nothing", netsim.New(1)}} {
+		f, err := New(Config{Name: "n", Sim: attached.sim})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Give the node every stage's counter, not only the forwarder's.
+		f.tap.Register(0, telemetry.NumStages-1)
+		for s := telemetry.Stage(0); s < telemetry.NumStages; s++ {
+			r := telemetry.Rec{Stage: s, Name: "/alloc/stage", Face: 1, Action: "x", T0: 1, T1: 2, Value: 3}
+			if n := testing.AllocsPerRun(200, func() { f.rec(&r) }); n != 0 {
+				t.Errorf("%s attached, %s: %.0f allocs/run, want 0", attached.name, s, n)
+			}
+		}
 	}
 }
 
-func TestDropTelemetryZeroAlloc(t *testing.T) {
-	f, err := New(Config{Name: "n", Sim: netsim.New(1), Metrics: telemetry.NewRegistry()})
+// countedForwarder builds a node whose simulator carries a metrics
+// registry, so its stage outcomes reach registered counters.
+func countedForwarder(t *testing.T) *Forwarder {
+	t.Helper()
+	sim := netsim.New(1)
+	sim.SetTelemetry(telemetry.NewRegistry(), nil)
+	f, err := New(Config{Name: "n", Sim: sim})
 	if err != nil {
 		t.Fatal(err)
 	}
-	interest := ndn.NewInterest(ndn.MustParseName("/alloc/drop"), 4)
-	for _, reason := range []string{"scope", "dup_nonce", "pit_full", "no_route"} {
-		if n := testing.AllocsPerRun(200, func() {
-			f.dropTelemetry(interest, 1, 0, reason)
-		}); n != 0 {
-			t.Errorf("dropTelemetry(%s): %.0f allocs/run, want 0", reason, n)
+	return f
+}
+
+// TestMissTelemetryZeroAlloc pins the miss side of the attack signal:
+// recording a real Content Store miss, as the pipeline does, allocates
+// nothing with counters attached.
+func TestMissTelemetryZeroAlloc(t *testing.T) {
+	f := countedForwarder(t)
+	key := ndn.MustParseName("/alloc/miss").Key()
+	r := telemetry.Rec{Stage: telemetry.StageCSMiss, Name: key, Face: 1, T0: 3, T1: 3}
+	if n := testing.AllocsPerRun(200, func() { f.rec(&r) }); n != 0 {
+		t.Errorf("cs_miss (instrumented): %.0f allocs/run, want 0", n)
+	}
+	if f.Stats().RealMisses == 0 {
+		t.Error("cs_miss not tallied")
+	}
+}
+
+// TestDropTelemetryZeroAlloc pins the four ways an interest dies at a
+// node: each drop's recording allocates nothing with counters attached.
+func TestDropTelemetryZeroAlloc(t *testing.T) {
+	f := countedForwarder(t)
+	key := ndn.MustParseName("/alloc/drop").Key()
+	for _, stage := range []telemetry.Stage{
+		telemetry.StageDropScope, telemetry.StageDropDupNonce,
+		telemetry.StageDropPITFull, telemetry.StageDropNoRoute,
+	} {
+		r := telemetry.Rec{Stage: stage, Name: key, Face: 1, T0: 4, T1: 4}
+		if n := testing.AllocsPerRun(200, func() { f.rec(&r) }); n != 0 {
+			t.Errorf("%s: %.0f allocs/run, want 0", stage, n)
 		}
+	}
+	if s := f.Stats(); s.ScopeDropped == 0 || s.DuplicatesDropped == 0 || s.PITRejected == 0 || s.NoRouteDropped == 0 {
+		t.Errorf("drops not tallied: %+v", s)
 	}
 }
 
@@ -139,16 +178,20 @@ func TestProbeWireWithSpansZeroAlloc(t *testing.T) {
 }
 
 func TestTelemetryDisabledZeroAlloc(t *testing.T) {
+	// With nothing attached, an interest that misses a storeless node and
+	// dies for its scope records two stages and allocates nothing.
 	f, err := New(Config{Name: "n", Sim: netsim.New(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	interest := ndn.NewInterest(ndn.MustParseName("/alloc/off"), 5)
+	interest := ndn.NewInterest(ndn.MustParseName("/alloc/off"), 5).WithScope(ndn.ScopeLocal)
 	if n := testing.AllocsPerRun(200, func() {
-		f.missTelemetry(interest, 1, 0)
-		f.dropTelemetry(interest, 1, 0, "scope")
+		f.handleInterest(1, interest)
 	}); n != 0 {
 		t.Errorf("telemetry disabled: %.0f allocs/run, want 0", n)
+	}
+	if s := f.Stats(); s.RealMisses == 0 || s.ScopeDropped != s.RealMisses {
+		t.Fatalf("stats %+v, want every interest a miss dropped for its scope", s)
 	}
 }
 

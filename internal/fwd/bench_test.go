@@ -157,9 +157,9 @@ func (s *discardSink) Emit(telemetry.Event) { s.n++ }
 // BenchmarkEndToEndFetchHitTelemetry is BenchmarkEndToEndFetchHit with a
 // live registry and trace sink attached; the delta between the two
 // benchmarks is the full price of enabled telemetry. With telemetry
-// disabled the forwarder's tel field is nil and the hot path costs one
-// branch per site — TestDisabledPathAllocs in internal/telemetry pins
-// that path at zero allocations.
+// disabled the node's tap is nil and each stage costs one tally and one
+// branch — TestStageRecordZeroAlloc pins every stage at zero
+// allocations either way.
 func BenchmarkEndToEndFetchHitTelemetry(b *testing.B) {
 	sim := netsim.New(1)
 	sink := &discardSink{}

@@ -90,7 +90,7 @@ func (c *Consumer) fetch(interest *ndn.Interest, handler func(FetchResult)) {
 	// Open the trace root: this interest's admission at the consumer.
 	// The stamped copy propagates the context through the host
 	// forwarder and everything it causes.
-	if tr := c.fwd.spans; tr != nil {
+	if tr := c.fwd.tap.Tracer(); tr != nil {
 		root, ctx := tr.StartRoot(interest.Name.Hash(), c.fwd.name, key, int64(sentAt))
 		cp := *interest
 		cp.TraceID, cp.SpanID = ctx.Trace, ctx.Span
@@ -126,7 +126,7 @@ func (c *Consumer) timeout(arg any) {
 		c.pending[p.key] = waiters
 	}
 	now := c.fwd.Sim().Now()
-	c.fwd.spans.End(p.root, int64(now), "timeout")
+	c.fwd.tap.Tracer().End(p.root, int64(now), "timeout")
 	p.handler(FetchResult{TimedOut: true, RTT: now - p.sentAt})
 }
 
@@ -174,7 +174,7 @@ func (c *Consumer) deliver(pkt any) {
 				continue
 			}
 			p.done = true
-			c.fwd.spans.End(p.root, int64(now), "ok")
+			c.fwd.tap.Tracer().End(p.root, int64(now), "ok")
 			p.handler(FetchResult{Data: data, RTT: now - p.sentAt})
 		}
 		delete(c.pending, key)

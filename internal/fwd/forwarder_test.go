@@ -9,6 +9,8 @@ import (
 	"ndnprivacy/internal/core"
 	"ndnprivacy/internal/ndn"
 	"ndnprivacy/internal/netsim"
+	"ndnprivacy/internal/telemetry"
+	"ndnprivacy/internal/telemetry/span"
 )
 
 // lanTopology wires the paper's Figure 1 setup: user U and adversary A on
@@ -629,6 +631,63 @@ func TestNoRouteDropped(t *testing.T) {
 	}
 	if router.Stats().NoRouteDropped != 1 {
 		t.Errorf("NoRouteDropped = %d, want 1", router.Stats().NoRouteDropped)
+	}
+}
+
+// An interest whose only next hop is the face it arrived on has a route
+// but goes nowhere: it is neither forwarded nor dropped for want of a
+// route, and its hop span still ends "forward".
+func TestArrivalFaceOnlyNextHopIsNotNoRoute(t *testing.T) {
+	sim := netsim.New(1)
+	rec, tracer := telemetry.NewRecorder(), span.NewTracer(1)
+	sim.SetTelemetry(telemetry.NewRegistry(), rec)
+	sim.SetSpans(tracer)
+	router, err := NewRouter(sim, "R", 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, err := NewBareHost(sim, "U")
+	if err != nil {
+		t.Fatal(err)
+	}
+	uFace, rFace, _, err := Connect(sim, host, router, fastEthernet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := host.RegisterPrefix(ndn.MustParseName("/"), uFace); err != nil {
+		t.Fatal(err)
+	}
+	if err := router.RegisterPrefix(ndn.MustParseName("/"), rFace); err != nil {
+		t.Fatal(err)
+	}
+	consumer, err := NewConsumer(host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	interest := ndn.NewInterest(ndn.MustParseName("/back"), 0)
+	interest.Lifetime = 50 * time.Millisecond
+	consumer.Fetch(interest, func(FetchResult) {})
+	sim.Run()
+
+	if s := router.Stats(); s.InterestsReceived != 1 || s.Forwarded != 0 || s.NoRouteDropped != 0 {
+		t.Errorf("router stats %+v, want 1 interest, 0 forwarded, 0 no-route drops", s)
+	}
+	for _, ev := range rec.Events() {
+		if ev.Node == "R" && (ev.Type == telemetry.EvInterestDrop || ev.Type == telemetry.EvInterestForward) {
+			t.Errorf("router event %+v, want none for the interest's fate", ev)
+		}
+	}
+	hops := 0
+	for _, r := range tracer.Records() {
+		if r.Node == "R" && r.Kind == span.KindHop {
+			hops++
+			if r.Action != "forward" {
+				t.Errorf("router hop span action %q, want forward", r.Action)
+			}
+		}
+	}
+	if hops != 1 {
+		t.Errorf("%d router hop spans, want 1", hops)
 	}
 }
 

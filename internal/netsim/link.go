@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ndnprivacy/internal/telemetry"
-	"ndnprivacy/internal/telemetry/span"
 )
 
 // Handler consumes a delivered packet. Packets are opaque to the
@@ -113,13 +112,10 @@ type Link struct {
 	delivered uint64
 	dropped   uint64
 
-	// Telemetry, resolved at construction from the simulator's registry
-	// (nil when telemetry is disabled — increments are nil-safe, and the
-	// trace emit sits behind one branch).
-	txCounter   *telemetry.Counter
-	dropCounter *telemetry.Counter
-	sink        telemetry.Sink
-	label       string
+	// tap is built at construction from the simulator's telemetry; nil
+	// when none is attached. A link has no node name, so its counters
+	// are unlabeled and its events carry no node.
+	tap *telemetry.Tap
 }
 
 // Port is one end of a link.
@@ -151,23 +147,14 @@ func NewLink(sim *Simulator, cfg LinkConfig) (*Link, error) {
 	if cfg.LossProb < 0 || cfg.LossProb >= 1 {
 		return nil, fmt.Errorf("netsim: loss probability %g outside [0, 1)", cfg.LossProb)
 	}
-	l := &Link{sim: sim, cfg: cfg}
-	if reg := sim.Metrics(); reg != nil {
-		l.txCounter = reg.Counter("netsim_link_tx_total")
-		l.dropCounter = reg.Counter("netsim_link_dropped_total")
-	}
-	l.sink = sim.TraceSink()
+	l := &Link{sim: sim, cfg: cfg, tap: telemetry.NewTap(sim, "")}
+	l.tap.Register(telemetry.StageLinkTx, telemetry.StageLinkDrop)
 	for side := range l.ports {
 		p := &l.ports[side]
 		p.link, p.side, p.arrive = l, side, p.deliver
 	}
 	return l, nil
 }
-
-// SetLabel names the link in trace events (topology helpers label links
-// "A-B" after the nodes they join). Empty is fine: events then carry no
-// node field.
-func (l *Link) SetLabel(label string) { l.label = label }
 
 // Port returns the link's port on the given side (0 or 1).
 func (l *Link) Port(side int) *Port { return &l.ports[side] }
@@ -218,24 +205,15 @@ func (p *Port) Send(pkt any, size int) {
 	if l.cfg.Bandwidth > 0 && size > 0 {
 		delay += time.Duration(int64(size) * int64(time.Second) / l.cfg.Bandwidth)
 	}
-	l.txCounter.Inc()
-	if l.sink != nil {
-		l.sink.Emit(telemetry.Event{
-			At:      int64(l.sim.Now()),
-			Type:    telemetry.EvLinkTx,
-			Node:    l.label,
-			DelayNS: int64(delay),
-			Size:    size,
-		})
-	}
-	if tr := l.sim.Spans(); tr != nil {
-		if c, ok := pkt.(spanCarrier); ok {
-			if tid, sid := c.SpanContext(); tid != 0 {
-				now := int64(l.sim.Now())
-				tr.Span(span.Context{Trace: tid, Span: sid}, span.KindLink,
-					l.label, "", "tx", now, now+int64(delay), uint64(size))
+	if l.tap != nil {
+		now := int64(l.sim.Now())
+		tx := telemetry.Rec{Stage: telemetry.StageLinkTx, T0: now, T1: now + int64(delay), Value: uint64(size)}
+		if l.tap.Tracer() != nil {
+			if c, ok := pkt.(spanCarrier); ok {
+				tx.Parent.Trace, tx.Parent.Span = c.SpanContext()
 			}
 		}
+		l.tap.Record(&tx)
 	}
 	l.sim.ScheduleCall(delay, EventLink, p.Peer().arrive, pkt)
 }
@@ -252,14 +230,7 @@ func (p *Port) deliver(pkt any) {
 // drop accounts one lost packet.
 func (l *Link) drop(reason string, size int) {
 	l.dropped++
-	l.dropCounter.Inc()
-	if l.sink != nil {
-		l.sink.Emit(telemetry.Event{
-			At:     int64(l.sim.Now()),
-			Type:   telemetry.EvLinkDrop,
-			Node:   l.label,
-			Action: reason,
-			Size:   size,
-		})
-	}
+	now := int64(l.sim.Now())
+	drop := telemetry.Rec{Stage: telemetry.StageLinkDrop, Action: reason, T0: now, T1: now, Value: uint64(size)}
+	l.tap.Record(&drop)
 }

@@ -180,17 +180,6 @@ func runGuarded[R any](cell Cell[R], seed int64, prov telemetry.Provider) (out R
 	return cell.Run(seed, prov)
 }
 
-// cellProvider is the telemetry.Provider handed to one cell.
-type cellProvider struct {
-	reg   *telemetry.Registry
-	sink  telemetry.Sink
-	spans *span.Tracer
-}
-
-func (p cellProvider) Metrics() *telemetry.Registry { return p.reg }
-func (p cellProvider) TraceSink() telemetry.Sink    { return p.sink }
-func (p cellProvider) Spans() *span.Tracer          { return p.spans }
-
 // merger owns the per-cell telemetry buffers and flushes them into the
 // sweep-level registry/sink in cell order. Flushing is incremental — a
 // completed cell is flushed as soon as every earlier cell completed —
@@ -239,13 +228,13 @@ func newMerger(n int, metrics *telemetry.Registry, trace telemetry.Sink, spans *
 // worker: slot i is only ever written by complete(i), which runs after
 // the cell — and therefore after this call — finished.
 func (m *merger) provider(i int, seed int64) telemetry.Provider {
-	p := cellProvider{reg: m.regs[i]}
+	p := telemetry.Hooks{Registry: m.regs[i]}
 	if m.bufs[i] != nil {
-		p.sink = m.bufs[i]
+		p.Sink = m.bufs[i]
 	}
 	if m.cellS[i] != nil {
 		m.cellS[i].SetSeed(seed)
-		p.spans = m.cellS[i]
+		p.Tracer = m.cellS[i]
 	}
 	return p
 }

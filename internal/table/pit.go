@@ -56,10 +56,11 @@ type PIT struct {
 	t        *pcct.Table
 	capacity int
 	rejected uint64
-
-	expired *telemetry.Counter
-	sink    telemetry.Sink
-	node    string
+	expired  uint64
+	// tap is the node's observation seam, nil when nothing is attached:
+	// it records the entries that lapse unanswered. Refused admissions
+	// are the forwarder's drop_pit_full stage.
+	tap *telemetry.Tap
 
 	// facesBuf and tokensBuf are the reused, parallel result slices
 	// SatisfyByToken hands out: facesBuf[i] awaits the content and
@@ -80,25 +81,19 @@ func NewPIT() *PIT {
 // Content Store's table (cache.Store.Table), fusing both tables'
 // lookups into one probe.
 func NewPITOn(t *pcct.Table) *PIT {
-	return &PIT{t: t, expired: telemetry.NewCounter()}
+	return &PIT{t: t}
 }
 
-// Instrument registers the table's expiry counter on the registry under
-// a node label and attaches the trace sink for pit_expire events. Either
-// argument may be nil.
-func (p *PIT) Instrument(reg *telemetry.Registry, sink telemetry.Sink, node string) {
-	if reg != nil {
-		c := reg.Counter(telemetry.ID("ndn_pit_expired_total", "node", node))
-		c.Add(p.expired.Value())
-		p.expired = c
-	}
-	p.sink = sink
-	p.node = node
+// Attach connects the table to its node's tap, which records every
+// entry that lapses unanswered.
+func (p *PIT) Attach(tap *telemetry.Tap) {
+	p.tap = tap
+	tap.Register(telemetry.StagePITExpire, telemetry.StagePITExpire)
 }
 
 // Expired returns the running count of entries removed after lapsing
 // unanswered.
-func (p *PIT) Expired() uint64 { return p.expired.Value() }
+func (p *PIT) Expired() uint64 { return p.expired }
 
 // expireEntry removes one lapsed entry and accounts for it. The table
 // entry survives if a CS facet shares it.
@@ -106,15 +101,9 @@ func (p *PIT) expireEntry(e *pcct.Entry, now time.Duration) {
 	key := e.Name().Key()
 	p.t.DetachPIT(e)
 	p.t.ReleaseIfEmpty(e)
-	p.expired.Inc()
-	if p.sink != nil {
-		p.sink.Emit(telemetry.Event{ //ndnlint:allow alloccheck — trace emission is opt-in instrumentation
-			At:   int64(now),
-			Type: telemetry.EvPITExpire,
-			Node: p.node,
-			Name: key,
-		})
-	}
+	p.expired++
+	expire := telemetry.Rec{Stage: telemetry.StagePITExpire, Name: key, T0: int64(now), T1: int64(now)}
+	p.tap.Record(&expire)
 }
 
 // SetCapacity bounds the number of distinct pending names; 0 restores

@@ -181,6 +181,9 @@ func TestPITExpireSweep(t *testing.T) {
 	if p.Len() != 1 {
 		t.Errorf("Len = %d, want 1", p.Len())
 	}
+	if p.Expired() != 1 {
+		t.Errorf("Expired = %d, want 1", p.Expired())
+	}
 }
 
 func TestPITAggregationExtendsExpiry(t *testing.T) {

@@ -12,10 +12,8 @@ type Counter struct {
 	v atomic.Uint64
 }
 
-// NewCounter returns a standalone counter, not attached to any registry.
-// Components that must count unconditionally (cache.Store's eviction
-// counter) start with one and swap in a registered counter when
-// instrumented.
+// NewCounter returns a standalone counter, not attached to any registry
+// (what a nil Registry hands out).
 func NewCounter() *Counter { return &Counter{} }
 
 // Inc adds one.

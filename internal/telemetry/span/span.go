@@ -77,6 +77,15 @@ type Record struct {
 	Value  uint64 `json:"value,omitempty"`
 }
 
+// Context is r's position as a parent for children; zero for a nil
+// record (tracing disabled or the interest untraced).
+func (r *Record) Context() Context {
+	if r == nil {
+		return Context{}
+	}
+	return Context{Trace: r.Trace, Span: r.ID}
+}
+
 // chunkSize is the records-per-chunk growth quantum: span storage
 // grows by whole chunks so per-record appends never reallocate.
 const chunkSize = 256

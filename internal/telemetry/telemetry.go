@@ -5,8 +5,10 @@
 // every event is stamped with the virtual time its caller supplies, and
 // every exporter emits metrics in stable sorted order, so two runs with
 // the same seed produce byte-identical output. The package depends only
-// on the standard library; the rest of the stack hangs instrumentation
-// off it behind nil checks, keeping the uninstrumented hot path at one
+// on the standard library. The rest of the stack observes through one
+// seam, a node's Tap (tap.go): each pipeline stage hands it one record,
+// and the stage table turns that record into a counter increment, an
+// event and a span. A nil Tap keeps the uninstrumented hot path at one
 // predictable branch and zero allocations.
 //
 // There are deliberately no package-level registries: a Registry belongs
@@ -22,9 +24,9 @@ import (
 )
 
 // Provider is implemented by executors that carry telemetry for the
-// nodes running on them. netsim.Simulator implements it; forwarders and
-// endpoints inherit their registry and trace sink from their executor
-// unless explicitly configured.
+// nodes running on them. netsim.Simulator implements it; every
+// forwarder and link built on it records through a Tap built from it
+// (NewTap). Hooks is the plain implementation.
 type Provider interface {
 	// Metrics returns the run's registry, or nil when disabled.
 	Metrics() *Registry

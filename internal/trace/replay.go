@@ -26,15 +26,14 @@ type ReplayConfig struct {
 	// UpstreamDelay is the synthetic fetch delay recorded as γ_C for
 	// every miss (content-specific delay handling needs one).
 	UpstreamDelay time.Duration
-	// Metrics and Trace attach telemetry to the replayed store and — for
-	// managers with internal randomness — the cache manager. Either may
-	// be nil.
+	// Metrics, Trace and Spans attach telemetry to the replayed store
+	// and — for managers with internal randomness — the cache manager,
+	// through one tap. Any may be nil. Spans records cache-residency
+	// spans (insert → eviction) for every stored entry; open residencies
+	// are closed at the last request's timestamp when the replay ends.
 	Metrics *telemetry.Registry
 	Trace   telemetry.Sink
-	// Spans, when non-nil, records cache-residency spans (insert →
-	// eviction) for every stored entry; open residencies are closed at
-	// the last request's timestamp when the replay ends.
-	Spans *span.Tracer
+	Spans   *span.Tracer
 	// Node labels this replay's metrics and events; it defaults to the
 	// manager's name so algorithm sweeps sharing one registry stay
 	// distinguishable.
@@ -104,24 +103,14 @@ func replayStream(next func() (Request, bool, error), cfg ReplayConfig) (ReplayS
 	if err != nil {
 		return ReplayStats{}, err
 	}
-	if cfg.Metrics != nil || cfg.Trace != nil {
-		node := cfg.Node
-		if node == "" {
-			node = cfg.Manager.Name()
-		}
-		store.Instrument(cfg.Metrics, cfg.Trace, node)
-		if ti, instrumentable := cfg.Manager.(core.TraceInstrumentable); instrumentable {
-			ti.SetTraceSink(cfg.Trace, node)
-		}
+	node := cfg.Node
+	if node == "" {
+		node = cfg.Manager.Name()
 	}
-	if cfg.Spans != nil {
-		node := cfg.Node
-		if node == "" {
-			node = cfg.Manager.Name()
-		}
-		store.InstrumentSpans(cfg.Spans, node)
-		if si, instrumentable := cfg.Manager.(core.SpanInstrumentable); instrumentable {
-			si.SetSpanTracer(cfg.Spans, node)
+	if tap := telemetry.NewTap(telemetry.Hooks{Registry: cfg.Metrics, Sink: cfg.Trace, Tracer: cfg.Spans}, node); tap != nil {
+		store.Attach(tap)
+		if observable, isObservable := cfg.Manager.(core.Observable); isObservable {
+			observable.Attach(tap)
 		}
 	}
 	if grouped, isGrouped := cfg.Manager.(*core.GroupedRandomCache); isGrouped {
