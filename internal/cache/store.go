@@ -243,20 +243,26 @@ const (
 )
 
 // Insert caches data, making room per policy if the table is full: a
-// flat store evicts the victim, a tiered store demotes it. The content
-// is cloned so callers cannot mutate cached state. It returns the entry
-// for metadata updates. Content the store already holds — in either
-// tier — is refreshed: payload and timing are replaced, the counters
-// the cache-management algorithms keep on the entry survive.
+// flat store evicts the victim, a tiered store demotes it. It returns
+// the entry for metadata updates. Content the store already holds — in
+// either tier — is refreshed: payload and timing are replaced, the
+// counters the cache-management algorithms keep on the entry survive.
+//
+// The store keeps its own header copy of data, which it and the
+// forwarder re-stamp, and adopts data's Payload and Signature without
+// copying them: packet bytes are immutable once sent (see ndn.Data). A
+// caller holding an application buffer it may still write inserts a
+// Data.Clone, as Producer.Publish does.
 func (s *Store) Insert(data *ndn.Data, now, fetchDelay time.Duration) *Entry {
 	key := data.Name.Key()
 	e := s.t.Get(data.Name)
 	if e != nil && e.CS() != nil {
 		existing := e.CS().(*Entry)
 		// An entry refreshed with its own object (a generated miss
-		// re-inserting entry.Data) already holds the private copy.
+		// re-inserting entry.Data) already holds the store's header.
 		if data != existing.Data {
-			existing.Data = data.Clone()
+			cp := *data
+			existing.Data = &cp
 		}
 		existing.InsertedAt = now
 		existing.FetchDelay = fetchDelay
@@ -278,7 +284,8 @@ func (s *Store) Insert(data *ndn.Data, now, fetchDelay time.Duration) *Entry {
 		entry = s.newEntry()
 		entry.Private = data.IsPrivate()
 	}
-	entry.Data = data.Clone()
+	cp := *data
+	entry.Data = &cp
 	entry.InsertedAt = now
 	entry.FetchDelay = fetchDelay
 	if e == nil {

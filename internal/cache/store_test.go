@@ -60,14 +60,28 @@ func TestStoreInsertAndExact(t *testing.T) {
 	}
 }
 
-func TestStoreInsertClones(t *testing.T) {
+func TestStoreInsertSharesBytesNotHeader(t *testing.T) {
+	// Insert adopts the packet's immutable bytes but keeps a header of its
+	// own, which hops re-stamp — on a new entry and on a refresh alike.
 	s := MustNewStore(0, nil)
-	d := mkData(t, "/x")
-	s.Insert(d, 0, 0)
-	d.Payload[0] = 'Z'
-	entry, _ := s.Exact(ndn.MustParseName("/x"), 0)
-	if entry.Data.Payload[0] == 'Z' {
-		t.Error("store aliases caller's payload")
+	for i, d := range []*ndn.Data{mkData(t, "/x"), mkData(t, "/x")} { // insert, then refresh
+		d.Signature = []byte("sig")
+		d.TraceID, d.SpanID, d.PITToken = 1, 2, 3
+		entry := s.Insert(d, time.Duration(i), 0)
+		if entry.Data == d {
+			t.Fatalf("insert %d: the store holds the caller's header", i)
+		}
+		if &entry.Data.Payload[0] != &d.Payload[0] || &entry.Data.Signature[0] != &d.Signature[0] {
+			t.Errorf("insert %d: the store copied the packet's bytes", i)
+		}
+		d.TraceID, d.SpanID, d.PITToken = 7, 8, 9
+		if got := entry.Data; got.TraceID != 1 || got.SpanID != 2 || got.PITToken != 3 {
+			t.Errorf("insert %d: re-stamping the caller's header reached the entry: trace %d span %d token %d",
+				i, got.TraceID, got.SpanID, got.PITToken)
+		}
+	}
+	if s.Len() != 1 || s.Insertions() != 1 {
+		t.Errorf("Len %d, Insertions %d: want one entry, refreshed", s.Len(), s.Insertions())
 	}
 }
 

@@ -2,7 +2,6 @@ package fwd
 
 import (
 	"errors"
-	"slices"
 	"time"
 
 	"ndnprivacy/internal/cache"
@@ -16,29 +15,40 @@ import (
 // host forwarder and measures round-trip times — exactly what both
 // honest users and the paper's adversary do.
 type Consumer struct {
-	fwd     *Forwarder
-	faceID  table.FaceID
-	pending map[string][]*pendingFetch
-	// expire is c.timeout bound once, so arming a fetch's lifetime timer
-	// allocates no closure.
-	expire func(arg any)
+	fwd    *Forwarder
+	faceID table.FaceID
+	// pending maps a name key to its first unanswered fetch; later
+	// fetches of the same key chain behind it through next, in
+	// registration order.
+	pending map[string]*pendingFetch
+	// start and expire are c.fetch and c.timeout bound once, so entering
+	// the executor and arming a fetch's lifetime timer allocate no
+	// closure.
+	start, expire func(arg any)
 }
 
+// pendingFetch is one fetch from Fetch to its answer or timeout, and
+// the only allocation the consumer makes for it.
 type pendingFetch struct {
-	key     string // this fetch's key in Consumer.pending
-	sentAt  time.Duration
-	done    bool
-	handler func(FetchResult)
+	// interest is the fetch's own copy of the caller's interest, which
+	// the executor stamps (nonce, span context) and sends.
+	interest ndn.Interest
+	key      string // this fetch's key in Consumer.pending
+	sentAt   time.Duration
+	done     bool
+	handler  func(FetchResult)
 	// root is the fetch's open root span; nil when tracing is disabled.
 	root *span.Record
+	// next is the fetch registered after this one under the same key.
+	next *pendingFetch
 }
 
 // FetchResult reports the outcome of one fetch.
 type FetchResult struct {
 	// Data is the received content; nil on timeout. Its Payload and
 	// Signature are the bytes the network carried, shared with every
-	// other copy of the packet in flight: read them, copy them, but do
-	// not modify them (see ndn.Data).
+	// other copy of the packet in flight or cached: read them, copy them,
+	// but do not modify them (see ndn.Data).
 	Data *ndn.Data
 	// RTT is the observed interest→data round-trip time.
 	RTT time.Duration
@@ -53,9 +63,9 @@ func NewConsumer(host *Forwarder) (*Consumer, error) {
 	}
 	c := &Consumer{
 		fwd:     host,
-		pending: make(map[string][]*pendingFetch),
+		pending: make(map[string]*pendingFetch),
 	}
-	c.expire = c.timeout
+	c.start, c.expire = c.fetch, c.timeout
 	c.faceID = host.AttachApp(c.deliver)
 	return c, nil
 }
@@ -69,35 +79,42 @@ func (c *Consumer) Face() table.FaceID { return c.faceID }
 // nonces must be unique across consumers or routers treat concurrent
 // fetches as loops.
 //
-// All consumer state is touched inside executor callbacks, so Fetch is
-// safe to call from any goroutine when the host runs on a real-time
+// Fetch copies the interest, so the caller may reuse it on return. All
+// consumer state is touched inside executor callbacks, so Fetch is safe
+// to call from any goroutine when the host runs on a real-time
 // executor.
 func (c *Consumer) Fetch(interest *ndn.Interest, handler func(FetchResult)) {
-	c.fwd.schedule(0, netsim.EventApp, func() { c.fetch(interest, handler) })
+	c.fwd.scheduleCall(0, netsim.EventApp, c.start, &pendingFetch{interest: *interest, handler: handler})
 }
 
-// fetch runs inside the executor.
-func (c *Consumer) fetch(interest *ndn.Interest, handler func(FetchResult)) {
+// fetch runs inside the executor (arg is the fetch's *pendingFetch): it
+// draws the nonce there, so RNG order is event order, registers the
+// fetch, arms its lifetime timer and sends its interest.
+func (c *Consumer) fetch(arg any) {
+	p := arg.(*pendingFetch)
+	interest := &p.interest
 	if interest.Nonce == 0 {
-		cp := *interest
-		cp.Nonce = c.fwd.Sim().Rand().Uint64()
-		interest = &cp
+		interest.Nonce = c.fwd.Sim().Rand().Uint64()
 	}
-	sentAt := c.fwd.Sim().Now()
-	key := interest.Name.Key()
-	p := &pendingFetch{key: key, sentAt: sentAt, handler: handler}
+	p.sentAt = c.fwd.Sim().Now()
+	p.key = interest.Name.Key()
 
 	// Open the trace root: this interest's admission at the consumer.
-	// The stamped copy propagates the context through the host
+	// The stamped interest propagates the context through the host
 	// forwarder and everything it causes.
 	if tr := c.fwd.tap.Tracer(); tr != nil {
-		root, ctx := tr.StartRoot(interest.Name.Hash(), c.fwd.name, key, int64(sentAt))
-		cp := *interest
-		cp.TraceID, cp.SpanID = ctx.Trace, ctx.Span
-		interest = &cp
-		p.root = root
+		var ctx span.Context
+		p.root, ctx = tr.StartRoot(interest.Name.Hash(), c.fwd.name, p.key, int64(p.sentAt))
+		interest.TraceID, interest.SpanID = ctx.Trace, ctx.Span
 	}
-	c.pending[key] = append(c.pending[key], p)
+	if tail := c.pending[p.key]; tail == nil {
+		c.pending[p.key] = p
+	} else {
+		for tail.next != nil {
+			tail = tail.next
+		}
+		tail.next = p
+	}
 
 	lifetime := interest.Lifetime
 	if lifetime <= 0 {
@@ -116,14 +133,19 @@ func (c *Consumer) timeout(arg any) {
 		return
 	}
 	p.done = true
-	waiters := c.pending[p.key]
-	if i := slices.Index(waiters, p); i >= 0 {
-		waiters = slices.Delete(waiters, i, i+1)
-	}
-	if len(waiters) == 0 {
-		delete(c.pending, p.key)
+	if head := c.pending[p.key]; head == p {
+		if p.next == nil {
+			delete(c.pending, p.key)
+		} else {
+			c.pending[p.key] = p.next
+		}
 	} else {
-		c.pending[p.key] = waiters
+		for ; head != nil; head = head.next {
+			if head.next == p {
+				head.next = p.next
+				break
+			}
+		}
 	}
 	now := c.fwd.Sim().Now()
 	c.fwd.tap.Tracer().End(p.root, int64(now), "timeout")
@@ -165,14 +187,13 @@ func (c *Consumer) deliver(pkt any) {
 	for k := 0; k <= data.Name.Len(); k++ {
 		prefix := data.Name.Prefix(k)
 		key := prefix.Key()
-		waiters, found := c.pending[key]
+		head, found := c.pending[key]
 		if !found || !data.MatchesName(prefix) {
 			continue
 		}
-		for _, p := range waiters {
-			if p.done {
-				continue
-			}
+		// The chain holds exactly the key's unanswered fetches: a timeout
+		// unlinks its own.
+		for p := head; p != nil; p = p.next {
 			p.done = true
 			c.fwd.tap.Tracer().End(p.root, int64(now), "ok")
 			p.handler(FetchResult{Data: data, RTT: now - p.sentAt})
@@ -191,6 +212,9 @@ type Producer struct {
 	repo   *cache.Store
 	// ResponseDelay models content-generation cost per interest.
 	ResponseDelay time.Duration
+	// answer is p.respond bound once, so scheduling an answer allocates
+	// no closure.
+	answer func(arg any)
 
 	served uint64
 }
@@ -207,6 +231,7 @@ func NewProducer(host *Forwarder, prefix ndn.Name, signer *ndn.Signer) (*Produce
 		signer: signer,
 		repo:   cache.MustNewStore(0, nil),
 	}
+	p.answer = p.respond
 	p.faceID = host.AttachApp(p.deliver)
 	if err := host.RegisterPrefix(prefix, p.faceID); err != nil {
 		return nil, err
@@ -225,6 +250,8 @@ func (p *Producer) Served() uint64 { return p.served }
 
 // Publish signs (when a signer is configured) and stores content for
 // future interests. Content outside the producer's prefix is rejected.
+// It stores a deep copy: this is where application buffers enter the
+// network, so the caller may reuse data's buffers on return.
 func (p *Producer) Publish(data *ndn.Data) error {
 	if !p.prefix.IsPrefixOf(data.Name) {
 		return errors.New("fwd: content name outside producer prefix")
@@ -232,7 +259,7 @@ func (p *Producer) Publish(data *ndn.Data) error {
 	if p.signer != nil {
 		p.signer.Sign(data)
 	}
-	p.repo.Insert(data, p.fwd.Sim().Now(), 0)
+	p.repo.Insert(data.Clone(), p.fwd.Sim().Now(), 0)
 	return nil
 }
 
@@ -268,7 +295,11 @@ func (p *Producer) deliver(pkt any) {
 	data := *entry.Data
 	data.TraceID, data.SpanID = interest.TraceID, interest.SpanID
 	data.PITToken = interest.PITToken
-	p.fwd.schedule(p.ResponseDelay, netsim.EventApp, func() {
-		p.fwd.SendData(p.faceID, &data)
-	})
+	p.fwd.scheduleCall(p.ResponseDelay, netsim.EventApp, p.answer, &data)
+}
+
+// respond sends one answer (arg is its *ndn.Data) after the response
+// delay.
+func (p *Producer) respond(arg any) {
+	p.fwd.SendData(p.faceID, arg.(*ndn.Data))
 }

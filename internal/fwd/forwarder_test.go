@@ -246,20 +246,32 @@ func TestTimedOutFetchLeavesNoWaiter(t *testing.T) {
 		t.Fatalf("%d names still pending after the only waiter timed out", n)
 	}
 
-	// Two waiters on one name, one with a lifetime shorter than the
-	// round trip: it times out alone, the other still gets the Data.
+	// Three waiters on one name, the middle one with a lifetime shorter
+	// than the round trip: it times out alone, the other two still get
+	// the Data, in the order they asked.
 	dropInterests = false
 	first = nil
 	hasty := ndn.NewInterest(name, 0)
 	hasty.Lifetime = 150 * time.Microsecond
-	consumer.Fetch(ndn.NewInterest(name, 0), func(r FetchResult) { second = append(second, r) })
-	consumer.Fetch(hasty, func(r FetchResult) { first = append(first, r) })
+	var order []int
+	for i := 0; i < 2; i++ {
+		consumer.Fetch(ndn.NewInterest(name, 0), func(r FetchResult) {
+			second = append(second, r)
+			order = append(order, i)
+		})
+		if i == 0 {
+			consumer.Fetch(hasty, func(r FetchResult) { first = append(first, r) })
+		}
+	}
 	sim.Run()
 	if len(first) != 1 || !first[0].TimedOut {
 		t.Errorf("short-lived waiter: results %+v, want one timeout", first)
 	}
-	if len(second) != 1 || second[0].TimedOut || !second[0].Data.Name.Equal(name) {
-		t.Errorf("later fetch of the same name: results %+v, want the Data once", second)
+	if len(second) != 2 || second[0].TimedOut || second[1].TimedOut || !second[0].Data.Name.Equal(name) {
+		t.Errorf("other fetches of the same name: results %+v, want the Data once each", second)
+	}
+	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
+		t.Errorf("waiters answered in order %v, want registration order [0 1]", order)
 	}
 	if n := len(consumer.pending); n != 0 {
 		t.Errorf("%d names still pending at the end", n)

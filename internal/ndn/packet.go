@@ -131,10 +131,10 @@ func (i *Interest) String() string {
 // writes through its Payload or Signature again. The forwarding plane
 // relies on it — each hop stamps the simulation-local header fields
 // (TraceID, SpanID, PITToken) on a struct copy that shares those two
-// slices with the packet it received, so a fetched Data's bytes alias
-// every other in-flight copy. The boundaries to application-owned
-// buffers copy deeply instead: NewData, Clone, and every Content Store
-// insert.
+// slices with the packet it received, and each Content Store caches a
+// header copy of the same kind, so a fetched Data's bytes alias every
+// other in-flight and cached copy. The boundaries to application-owned
+// buffers copy deeply instead: NewData, Clone, and Producer.Publish.
 type Data struct {
 	// Name is the full content name.
 	Name Name
@@ -217,9 +217,10 @@ func (d *Data) String() string {
 	return fmt.Sprintf("Data(%s %dB producer=%s private=%t)", d.Name, len(d.Payload), d.Producer, d.IsPrivate())
 }
 
-// Clone returns a deep copy of the Data packet, so routers can cache
-// content without aliasing consumer-visible buffers. Forwarding hops
-// that only re-stamp header fields copy the struct instead (see Data).
+// Clone returns a deep copy of the Data packet, for bytes that must not
+// alias a buffer its owner may still write — an application's, when
+// Producer.Publish takes content in. Forwarding hops and Content Stores
+// copy only the struct (see Data).
 func (d *Data) Clone() *Data {
 	cp := *d
 	cp.Payload = make([]byte, len(d.Payload))

@@ -1,6 +1,9 @@
 package netface
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -250,6 +253,84 @@ func TestTCPRouterTopology(t *testing.T) {
 	waitForStat(t, top.router, func(s fwd.Stats) bool { return s.CacheHits >= 1 })
 	if served := top.served(t); served != 1 {
 		t.Errorf("producer served %d interests, want 1 (cache absorbed the second)", served)
+	}
+}
+
+// TestCachedPayloadSurvivesLaterReads: a router caches the bytes a face
+// reads — the Content Store adopts a received Data's payload without
+// copying it — so the face's reader must never reuse a packet's buffer.
+// The peer on the far end of a pipe answers four interests with
+// same-sized Data; the first one cached must still hold its own bytes
+// after the face has read the other three.
+func TestCachedPayloadSurvivesLaterReads(t *testing.T) {
+	f, _ := newRTForwarder(t, "cache", true)
+	left, right := net.Pipe()
+	t.Cleanup(func() { right.Close() })
+	face, err := Attach(f, left, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { face.Close() })
+	var consumer *fwd.Consumer
+	if err := RunOn(f, func() error {
+		if err := f.RegisterPrefix(ndn.MustParseName("/c"), face.ID()); err != nil {
+			return err
+		}
+		consumer, err = fwd.NewConsumer(f)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	const objects = 4
+	payload := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i)}, 256) }
+	peerDone := make(chan error, 1)
+	go func() {
+		reader, writer := ndn.NewPacketReader(right), ndn.NewPacketWriter(right)
+		for i := 0; i < objects; i++ {
+			pkt, err := reader.Next()
+			if err != nil || pkt.Interest == nil {
+				peerDone <- fmt.Errorf("peer read %d: %+v, %v", i, pkt, err)
+				return
+			}
+			d, err := ndn.NewData(pkt.Interest.Name, payload(i))
+			if err == nil {
+				err = writer.Write(ndn.Packet{Data: d})
+			}
+			if err != nil {
+				peerDone <- err
+				return
+			}
+		}
+		peerDone <- nil
+	}()
+
+	var first fwd.FetchResult
+	for i := 0; i < objects; i++ {
+		res := fetchOverRT(t, consumer, ndn.MustParseName(fmt.Sprintf("/c/%d", i)), 2*time.Second)
+		if res.TimedOut || !bytes.Equal(res.Data.Payload, payload(i)) {
+			t.Fatalf("fetch %d: %+v", i, res)
+		}
+		if i == 0 {
+			first = res
+		}
+	}
+	if err := <-peerDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := RunOn(f, func() error {
+		entry, found := f.Store().Exact(first.Data.Name, f.Sim().Now())
+		switch {
+		case !found:
+			return errors.New("the first object is not cached")
+		case &entry.Data.Payload[0] != &first.Data.Payload[0]:
+			return errors.New("the store copied the received payload: the consumer's Data does not share it")
+		case !bytes.Equal(entry.Data.Payload, payload(0)):
+			return fmt.Errorf("cached payload changed to %q after three more reads", entry.Data.Payload[:8])
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -27,7 +27,8 @@ type Compiled struct {
 type compiledObject struct {
 	rank int
 	// data carries the object's name and private bit and doubles as the
-	// fetched content every replay inserts (the store clones it).
+	// fetched content every replay inserts (each store takes its own
+	// header copy and shares the immutable payload).
 	data ndn.Data
 }
 

@@ -173,7 +173,8 @@ func replayStream(next func() (Request, bool, error), cfg ReplayConfig) (ReplayS
 }
 
 // unitPayload is every replayed object's content: size is uniform in
-// the evaluation. Read-only; stores cache their own copy.
+// the evaluation. Read-only: every compiled object carries it, and every
+// store that caches one shares it.
 var unitPayload = []byte("x")
 
 func insertFetched(store *cache.Store, manager core.CacheManager, req Request, fetchDelay time.Duration) {
