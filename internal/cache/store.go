@@ -14,8 +14,14 @@ import (
 // Entry is one cached content object plus the metadata the paper's cache
 // management algorithms consult.
 type Entry struct {
-	// Data is the cached content object.
+	// Data is the cached content object: the packet the store was
+	// handed, shared and never written (see ndn.Data).
 	Data *ndn.Data
+	// Fetch is the span context of the hop that fetched the object, set
+	// by the forwarder on each insert; cache-manager state changes on
+	// later cached-draw paths (coin spans) parent under it. Zero when
+	// untraced.
+	Fetch span.Context
 	// InsertedAt is the virtual time the object entered the cache.
 	InsertedAt time.Duration
 	// FetchDelay records the original interest-in→content-out delay γ_C —
@@ -245,25 +251,20 @@ const (
 // Insert caches data, making room per policy if the table is full: a
 // flat store evicts the victim, a tiered store demotes it. It returns
 // the entry for metadata updates. Content the store already holds — in
-// either tier — is refreshed: payload and timing are replaced, the
+// either tier — is refreshed: the packet and timing are replaced, the
 // counters the cache-management algorithms keep on the entry survive.
 //
-// The store keeps its own header copy of data, which it and the
-// forwarder re-stamp, and adopts data's Payload and Signature without
-// copying them: packet bytes are immutable once sent (see ndn.Data). A
-// caller holding an application buffer it may still write inserts a
-// Data.Clone, as Producer.Publish does.
+// The store keeps data itself, copying nothing: a packet is immutable
+// once handed to a forwarder or a store (see ndn.Data), so the entry
+// may share it with in-flight hops and with other stores. A caller
+// holding a packet or buffer it may still write inserts a Data.Clone,
+// as Producer.Publish does.
 func (s *Store) Insert(data *ndn.Data, now, fetchDelay time.Duration) *Entry {
 	key := data.Name.Key()
-	e := s.t.Get(data.Name)
-	if e != nil && e.CS() != nil {
+	p := s.t.Probe(data.Name)
+	if e := p.Entry; e != nil && e.CS() != nil {
 		existing := e.CS().(*Entry)
-		// An entry refreshed with its own object (a generated miss
-		// re-inserting entry.Data) already holds the store's header.
-		if data != existing.Data {
-			cp := *data
-			existing.Data = &cp
-		}
+		existing.Data = data
 		existing.InsertedAt = now
 		existing.FetchDelay = fetchDelay
 		s.t.CSRefresh(e)
@@ -284,15 +285,12 @@ func (s *Store) Insert(data *ndn.Data, now, fetchDelay time.Duration) *Entry {
 		entry = s.newEntry()
 		entry.Private = data.IsPrivate()
 	}
-	cp := *data
-	entry.Data = &cp
+	entry.Data = data
 	entry.InsertedAt = now
 	entry.FetchDelay = fetchDelay
-	if e == nil {
-		// Making room may have mutated the table; Put re-probes.
-		e = s.t.Put(data.Name)
-	}
-	s.t.AttachCS(e, entry)
+	// Making room may have mutated the table; PutProbed re-probes only
+	// then.
+	s.t.AttachCS(s.t.PutProbed(&p, data.Name), entry)
 	// A new entry opens its residency span, which lives outside any
 	// trace: one entry serves many fetches across its cache lifetime.
 	if residency := s.rec(&telemetry.Rec{Stage: stage, Name: key, T0: int64(now), T1: int64(now)}); residency != nil {

@@ -60,24 +60,30 @@ func TestStoreInsertAndExact(t *testing.T) {
 	}
 }
 
-func TestStoreInsertSharesBytesNotHeader(t *testing.T) {
-	// Insert adopts the packet's immutable bytes but keeps a header of its
-	// own, which hops re-stamp — on a new entry and on a refresh alike.
+func TestStoreInsertKeepsThePacket(t *testing.T) {
+	// Insert keeps the packet it is handed, copying nothing — on a new
+	// entry and on a refresh alike. A refresh with another packet of the
+	// same name swaps the pointer and keeps the Algorithm 1 counters;
+	// the fetching hop's span context is the forwarder's to set.
 	s := MustNewStore(0, nil)
+	var first *Entry
 	for i, d := range []*ndn.Data{mkData(t, "/x"), mkData(t, "/x")} { // insert, then refresh
-		d.Signature = []byte("sig")
 		d.TraceID, d.SpanID, d.PITToken = 1, 2, 3
 		entry := s.Insert(d, time.Duration(i), 0)
-		if entry.Data == d {
-			t.Fatalf("insert %d: the store holds the caller's header", i)
+		if entry.Data != d {
+			t.Errorf("insert %d: the store holds %p, not the packet it was handed (%p)", i, entry.Data, d)
 		}
-		if &entry.Data.Payload[0] != &d.Payload[0] || &entry.Data.Signature[0] != &d.Signature[0] {
-			t.Errorf("insert %d: the store copied the packet's bytes", i)
+		if entry.Fetch != (span.Context{}) {
+			t.Errorf("insert %d: Fetch = %+v, want zero: the store took the packet's hop stamps", i, entry.Fetch)
 		}
-		d.TraceID, d.SpanID, d.PITToken = 7, 8, 9
-		if got := entry.Data; got.TraceID != 1 || got.SpanID != 2 || got.PITToken != 3 {
-			t.Errorf("insert %d: re-stamping the caller's header reached the entry: trace %d span %d token %d",
-				i, got.TraceID, got.SpanID, got.PITToken)
+		if i == 0 {
+			first = entry
+			entry.Counter, entry.Threshold, entry.ThresholdSet = 2, 5, true
+			continue
+		}
+		if entry != first || !entry.ThresholdSet || entry.Counter != 2 || entry.Threshold != 5 {
+			t.Errorf("refresh: entry %p (c=%d k=%d set=%t), want %p with c=2 k=5 kept",
+				entry, entry.Counter, entry.Threshold, entry.ThresholdSet, first)
 		}
 	}
 	if s.Len() != 1 || s.Insertions() != 1 {

@@ -8,7 +8,6 @@ import (
 	"ndnprivacy/internal/cache"
 	"ndnprivacy/internal/ndn"
 	"ndnprivacy/internal/telemetry"
-	"ndnprivacy/internal/telemetry/span"
 )
 
 // Section VI, "Addressing Content Correlation": Random-Cache assumes
@@ -159,11 +158,9 @@ func (m *GroupedRandomCache) stateFor(entry *cache.Entry, now time.Duration) *gr
 		} else {
 			threshold := m.dist.Draw(m.rng)
 			m.groups[key] = &groupState{threshold: threshold, members: 1}
-			// The cached Data carries the local hop's span context, so
-			// the draw parents under the hop that cached it.
-			tid, sid := entry.Data.SpanContext()
+			// The draw parents under the hop that cached the entry.
 			coin := telemetry.Rec{Stage: telemetry.StageCoin, Name: key,
-				T0: int64(now), T1: int64(now), Value: threshold, Parent: span.Context{Trace: tid, Span: sid}}
+				T0: int64(now), T1: int64(now), Value: threshold, Parent: entry.Fetch}
 			m.tap.Record(&coin)
 		}
 	}

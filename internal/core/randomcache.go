@@ -235,7 +235,7 @@ func (m *RandomCache) OnCacheHit(entry *cache.Entry, interest *ndn.Interest, now
 	if !EffectivePrivacy(entry, interest) {
 		return serveNow()
 	}
-	m.ensureThreshold(entry, now, interest.TraceID, interest.SpanID)
+	m.ensureThreshold(entry, now, span.Context{Trace: interest.TraceID, Span: interest.SpanID})
 	entry.Counter++
 	if entry.Counter <= entry.Threshold {
 		return Decision{Action: ActionMiss}
@@ -247,14 +247,12 @@ func (m *RandomCache) OnCacheHit(entry *cache.Entry, interest *ndn.Interest, now
 func (m *RandomCache) OnContentCached(entry *cache.Entry, _ time.Duration, now time.Duration) {
 	// The initial fetch is Algorithm 1's unconditional first miss; it
 	// initializes c_C = 0 and draws k_C. Re-fetches caused by disguised
-	// misses land on the same live entry and must not redraw. The
-	// cached Data carries the local hop's span context, so the coin
+	// misses land on the same live entry and must not redraw. The coin
 	// span parents under the hop that fetched the content.
-	tid, sid := entry.Data.SpanContext()
-	m.ensureThreshold(entry, now, tid, sid)
+	m.ensureThreshold(entry, now, entry.Fetch)
 }
 
-func (m *RandomCache) ensureThreshold(entry *cache.Entry, now time.Duration, tid, sid uint64) {
+func (m *RandomCache) ensureThreshold(entry *cache.Entry, now time.Duration, parent span.Context) {
 	if entry.ThresholdSet {
 		return
 	}
@@ -262,7 +260,7 @@ func (m *RandomCache) ensureThreshold(entry *cache.Entry, now time.Duration, tid
 	entry.Threshold = m.dist.Draw(m.rng)
 	entry.ThresholdSet = true
 	coin := telemetry.Rec{Stage: telemetry.StageCoin, Name: entry.Data.Name.Key(),
-		T0: int64(now), T1: int64(now), Value: entry.Threshold, Parent: span.Context{Trace: tid, Span: sid}}
+		T0: int64(now), T1: int64(now), Value: entry.Threshold, Parent: parent}
 	m.tap.Record(&coin)
 }
 

@@ -553,8 +553,8 @@ func (f *Forwarder) serveHit(from table.FaceID, interest *ndn.Interest, entry *c
 }
 
 // serveCopy is the Data a cache hit answers with: a header copy of the
-// cached packet — Payload and Signature shared, since packet bytes are
-// immutable once sent (see ndn.Data) — stamped with this hop's span
+// cached packet — Payload and Signature shared, and the cached packet
+// itself never written (see ndn.Data) — stamped with this hop's span
 // context and the requester's PIT token (see ndn.Data.PITToken).
 func (f *Forwarder) serveCopy(entry *cache.Entry, interest *ndn.Interest, hopCtx span.Context) *ndn.Data {
 	data := *entry.Data
@@ -587,14 +587,13 @@ func (f *Forwarder) handleData(from table.FaceID, data *ndn.Data) {
 	// let the manager initialize privacy state.
 	if f.cs != nil {
 		fetchDelay := now - res.FirstCreated
+		// The store keeps the arriving packet as is, upstream's hop stamps
+		// included; serve paths stamp their own on a header copy. The
+		// local hop's span context goes on the entry, so cache-manager
+		// state changes on later cached-draw paths (coin spans) parent
+		// under the hop that fetched the content.
 		entry := f.cs.Insert(data, now, fetchDelay)
-		// Re-stamp the cached copy with the local hop's span context, so
-		// cache-manager state changes on later cached-draw paths (coin
-		// spans) parent under the hop that fetched the content.
-		entry.Data.TraceID, entry.Data.SpanID = res.Trace, res.Span
-		// The cached copy keeps no PIT token: tokens are hop-local and
-		// serve paths stamp the requester's own token on each response.
-		entry.Data.PITToken = 0
+		entry.Fetch = span.Context{Trace: res.Trace, Span: res.Span}
 		if res.PrivacyRequested && !entry.NonPrivateTrigger {
 			// Consumer-driven marking (Section V).
 			entry.Private = true

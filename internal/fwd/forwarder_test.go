@@ -3,6 +3,7 @@ package fwd
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -279,13 +280,25 @@ func TestTimedOutFetchLeavesNoWaiter(t *testing.T) {
 }
 
 func TestForwardedDataAliasingContract(t *testing.T) {
-	// Forwarding hops copy the Data header and share the payload; the
-	// deep copies sit at the boundaries to application buffers. So the
-	// producer scribbling over its own buffer after Publish changes
-	// nothing R serves, and the per-hop header stamps on a served copy
-	// never reach the cached entry.
+	// Forwarding hops copy the Data header and share the payload, and R's
+	// store keeps the packet that arrived; the deep copies sit at the
+	// boundaries to application buffers. So the producer scribbling over
+	// its own buffer after Publish changes nothing R serves, and a hit
+	// stamps the requester's token on a copy, never on the cached packet.
 	sim := netsim.New(1)
 	chain := buildURP(t, sim, nil)
+	// Watch the U — R link: the interests U sends and the Data R answers.
+	var sentInterest *ndn.Interest
+	var sentData *ndn.Data
+	chain.edge.SetFaultInjector(func(pkt any) bool {
+		switch p := pkt.(type) {
+		case *ndn.Interest:
+			sentInterest = p
+		case *ndn.Data:
+			sentData = p
+		}
+		return false
+	})
 	name := ndn.MustParseName("/p/immutable")
 	want := []byte("published bytes")
 	buf := append([]byte(nil), want...)
@@ -296,10 +309,17 @@ func TestForwardedDataAliasingContract(t *testing.T) {
 		buf[i] = 'X'
 	}
 	var got []FetchResult
-	for i := 0; i < 2; i++ { // a miss through to P, then a hit at R
+	fetch := func() {
 		chain.consumer.FetchName(name, func(r FetchResult) { got = append(got, r) })
 		sim.Run()
 	}
+	fetch() // a miss through to P
+	entry, found := chain.router.Store().Exact(name, sim.Now())
+	if !found {
+		t.Fatal("R does not hold the content")
+	}
+	cached := *entry.Data
+	fetch() // a hit at R
 	if served, hits := chain.producer.Served(), chain.router.Stats().CacheHits; served != 1 || hits != 1 {
 		t.Fatalf("producer served %d and R hit %d, want 1 and 1", served, hits)
 	}
@@ -308,18 +328,19 @@ func TestForwardedDataAliasingContract(t *testing.T) {
 			t.Fatalf("fetch %d: %+v, want payload %q", i, r, want)
 		}
 	}
-	entry, found := chain.router.Store().Exact(name, sim.Now())
-	if !found {
-		t.Fatal("R does not hold the content")
+	if !reflect.DeepEqual(*entry.Data, cached) || &entry.Data.Payload[0] != &cached.Payload[0] {
+		t.Errorf("the hit wrote to R's cached packet: %+v, was %+v", *entry.Data, cached)
 	}
-	hit := got[1].Data
-	if hit == entry.Data {
-		t.Error("R served its cached packet itself, not a copy")
+	if sentData == nil || sentData == entry.Data {
+		t.Fatalf("R answered the hit with %p, want a copy of its cached packet %p", sentData, entry.Data)
 	}
-	if entry.Data.PITToken != 0 {
-		t.Errorf("cached entry carries PIT token %#x: a hop's stamp reached the store", entry.Data.PITToken)
+	if sentInterest == nil || sentInterest.PITToken == 0 {
+		t.Fatalf("U sent %+v to R, want an interest carrying U's PIT token", sentInterest)
 	}
-	if &hit.Payload[0] != &entry.Data.Payload[0] {
+	if sentData.PITToken != sentInterest.PITToken {
+		t.Errorf("served copy carries PIT token %#x, want the requester's %#x", sentData.PITToken, sentInterest.PITToken)
+	}
+	if &sentData.Payload[0] != &entry.Data.Payload[0] {
 		t.Error("a header-only copy shares the cached payload; R deep-copied on the serve path")
 	}
 }

@@ -126,15 +126,17 @@ func (i *Interest) String() string {
 // producer (Section II); verification uses the producer's key via the
 // Signer in sign.go.
 //
-// Packet bytes are immutable once sent: after a Data has been handed to
-// a forwarder (Producer.Publish, Forwarder.SendData, a face), nobody
-// writes through its Payload or Signature again. The forwarding plane
-// relies on it — each hop stamps the simulation-local header fields
-// (TraceID, SpanID, PITToken) on a struct copy that shares those two
-// slices with the packet it received, and each Content Store caches a
-// header copy of the same kind, so a fetched Data's bytes alias every
-// other in-flight and cached copy. The boundaries to application-owned
-// buffers copy deeply instead: NewData, Clone, and Producer.Publish.
+// A packet is immutable once handed on: after a Data has been given to
+// a forwarder (Producer.Publish, Forwarder.SendData, a face) or a
+// Content Store (cache.Store.Insert), nobody writes to it again — not
+// its header fields, not through its Payload or Signature. The
+// forwarding plane relies on it: each hop stamps the simulation-local
+// header fields (TraceID, SpanID, PITToken) on a struct copy that
+// shares those two slices with the packet it received, and each Content
+// Store keeps the very packet it was handed, so one fetched Data may be
+// cached by every store on its path and by parallel trace replays at
+// once. The boundaries to application-owned packets and buffers copy
+// deeply instead: NewData, Clone, and Producer.Publish.
 type Data struct {
 	// Name is the full content name.
 	Name Name
@@ -219,8 +221,8 @@ func (d *Data) String() string {
 
 // Clone returns a deep copy of the Data packet, for bytes that must not
 // alias a buffer its owner may still write — an application's, when
-// Producer.Publish takes content in. Forwarding hops and Content Stores
-// copy only the struct (see Data).
+// Producer.Publish takes content in. Forwarding hops copy only the
+// struct and Content Stores copy nothing (see Data).
 func (d *Data) Clone() *Data {
 	cp := *d
 	cp.Payload = make([]byte, len(d.Payload))

@@ -27,8 +27,8 @@ type Compiled struct {
 type compiledObject struct {
 	rank int
 	// data carries the object's name and private bit and doubles as the
-	// fetched content every replay inserts (each store takes its own
-	// header copy and shares the immutable payload).
+	// fetched content every replay inserts: each store keeps a pointer
+	// to this very packet, which nothing writes (see ndn.Data).
 	data ndn.Data
 }
 

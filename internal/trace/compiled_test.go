@@ -3,9 +3,12 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"ndnprivacy/internal/core"
+	"ndnprivacy/internal/ndn"
 	"ndnprivacy/internal/telemetry"
 	"ndnprivacy/internal/telemetry/span"
 )
@@ -115,6 +118,65 @@ func testManagers(t *testing.T) map[string]func() core.CacheManager {
 			}
 			return m
 		},
+	}
+}
+
+// TestCompiledReplaysDoNotWritePackets pins the sharing a sweep relies
+// on: every store that caches a compiled object keeps that object's own
+// Data, so concurrent replays of one trace must leave every packet
+// exactly as Compile built it. Run under -race, a write to a shared
+// packet from any replay is also a reported data race.
+func TestCompiledReplaysDoNotWritePackets(t *testing.T) {
+	cfg := DefaultGeneratorConfig(3, 20000)
+	cfg.PrivateFraction = 0.3
+	compiled, err := Compile(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := make([]ndn.Data, len(compiled.objects))
+	for i := range compiled.objects {
+		before[i] = compiled.objects[i].data
+	}
+	managers := testManagers(t)
+	grouped := func() core.CacheManager {
+		m, err := core.NewGroupedRandomCache(core.NewNaiveK(3), rand.New(rand.NewSource(7)), core.PrefixGroup(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	cells := []ReplayConfig{
+		{CacheSize: 0, Manager: managers["no-privacy"]()},
+		{CacheSize: 500, Manager: managers["always-delay"]()},
+		{CacheSize: 200, Manager: managers["random-cache"]()},
+		{CacheSize: 50, Manager: grouped()},
+	}
+	stats := make([]ReplayStats, len(cells))
+	errs := make([]error, len(cells))
+	var wg sync.WaitGroup
+	for i := range cells {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			stats[i], errs[i] = compiled.Replay(cells[i])
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("%s: %v", cells[i].Manager.Name(), err)
+		}
+		if stats[i].Requests != uint64(cfg.Requests) || stats[i].RealMisses == 0 {
+			t.Errorf("%s: %+v, want %d requests with real misses", cells[i].Manager.Name(), stats[i], cfg.Requests)
+		}
+	}
+	if stats[2].GeneratedMisses == 0 || stats[3].GeneratedMisses == 0 {
+		t.Errorf("random-cache %+v, grouped %+v: want generated misses refreshing cached packets", stats[2], stats[3])
+	}
+	for i := range compiled.objects {
+		if got := &compiled.objects[i].data; !reflect.DeepEqual(*got, before[i]) {
+			t.Fatalf("object %d: packet %+v after the replays, compiled as %+v", i, *got, before[i])
+		}
 	}
 }
 
