@@ -33,7 +33,7 @@ type ConversationConfig struct {
 	// Parallel bounds the worker pool running trials; 0 or 1 is serial.
 	// Accuracies tally in trial order, so the result is identical for
 	// every value.
-	Parallel int
+	Parallel int `json:"-"`
 }
 
 func (c *ConversationConfig) setDefaults() {

@@ -38,7 +38,7 @@ type AblationConfig struct {
 	// Parallel bounds the worker pool; 0 or 1 is serial. Every cell
 	// replays the identical Seed-derived workload, so rows are the same
 	// for every value.
-	Parallel int
+	Parallel int `json:"-"`
 }
 
 // RunEvictionAblation replays the default trace under each policy. The

@@ -46,7 +46,7 @@ type CorrelationConfig struct {
 	// Parallel bounds the worker pool; 0 or 1 is serial. Each set size
 	// draws from its own derived-seed RNG, so rows are identical for
 	// every value.
-	Parallel int
+	Parallel int `json:"-"`
 }
 
 func (c *CorrelationConfig) setDefaults() {

@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation. Each experiment returns structured rows/series plus a
-// Render method producing the human-readable report; cmd/* binaries and
-// the benchmark harness both call into this package, so the numbers in
-// EXPERIMENTS.md come from exactly this code.
+// Render method producing the human-readable report. Table lists every
+// experiment in report order; cmd/ndnsim runs it and the benchmark
+// harness calls into this package, so the numbers in EXPERIMENTS.md come
+// from exactly this code.
 package experiments
 
 import (

@@ -184,6 +184,61 @@ func (r *Figure4bResult) Render() string {
 	return b.String()
 }
 
+// BoundsResult is the Theorem VI.1/VI.3 guarantee and the utility of
+// both Random-Cache schemes sized for one (k, ε, δ).
+type BoundsResult struct {
+	UniformK    uint64
+	Uniform     core.PrivacyBound
+	Expo        string
+	Exponential core.PrivacyBound
+	Rows        []BoundsRow
+}
+
+// BoundsRow is both schemes' utility at request count C.
+type BoundsRow struct {
+	C                    uint64
+	Uniform, Exponential float64
+}
+
+// Bounds sizes Uniform-Random-Cache for (k, δ) and
+// Exponential-Random-Cache for (k, ε, δ), and reports what each
+// guarantees and its utility at a few request counts up to maxC.
+func Bounds(k uint64, eps, delta float64, maxC uint64) (*BoundsResult, error) {
+	uni, err := core.NewUniformForPrivacy(k, delta)
+	if err != nil {
+		return nil, err
+	}
+	expo, err := core.NewGeometricForPrivacy(k, eps, delta)
+	if err != nil {
+		return nil, err
+	}
+	out := &BoundsResult{
+		UniformK:    uni.DomainSize(),
+		Uniform:     core.UniformPrivacy(k, uni.DomainSize()),
+		Expo:        expo.Name(),
+		Exponential: core.ExponentialPrivacy(k, expo.Alpha(), expo.DomainSize()),
+	}
+	for _, c := range []uint64{1, 2, 5, 10, 20, 50, maxC} {
+		if c <= maxC {
+			out.Rows = append(out.Rows, BoundsRow{C: c, Uniform: core.Utility(uni, c), Exponential: core.Utility(expo, c)})
+		}
+	}
+	return out, nil
+}
+
+// Render prints both guarantees and the utility table. It ends without
+// a newline: the Reporter adds one.
+func (r *BoundsResult) Render() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Uniform-Random-Cache with K=%d: %v\n", r.UniformK, r.Uniform)
+	fmt.Fprintf(&b, "Exponential-Random-Cache %s: %v\n", r.Expo, r.Exponential)
+	fmt.Fprintf(&b, "\n%8s  %18s  %18s", "c", "u(c) uniform", "u(c) exponential")
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "\n%8d  %18.4f  %18.4f", row.C, row.Uniform, row.Exponential)
+	}
+	return b.String()
+}
+
 func utilityCurve(dist core.KDistribution, maxC uint64) []float64 {
 	out := make([]float64, maxC)
 	for c := uint64(1); c <= maxC; c++ {

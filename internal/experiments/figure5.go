@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"strings"
 
 	"ndnprivacy/internal/core"
@@ -32,7 +33,7 @@ type Figure5Config struct {
 	// serial. Every cell's workload and manager randomness derive from
 	// Seed and the cell's labels, so the tables are identical for every
 	// value.
-	Parallel int
+	Parallel int `json:"-"`
 	// Metrics and Trace, when non-nil, attach telemetry to every replay;
 	// each (algorithm, cache size) cell is labeled distinctly and merged
 	// in grid order. The JSON marshaller must skip them — they are
@@ -299,6 +300,64 @@ func (r *Figure5bResult) Render() string {
 		r.Config.Requests)
 	renderFigure5Table(&b, r.Rows, r.Config.CacheSizes)
 	b.WriteString("(paper: hit rate decreases as the private fraction grows)\n")
+	return b.String()
+}
+
+// SquidResult is a real proxy log's hit rate under three of the
+// Section VII algorithms at one cache size.
+type SquidResult struct {
+	Path            string
+	CacheSize       int
+	PrivateFraction float64
+	K               uint64
+	Epsilon         float64
+	Rows            []SquidRow
+}
+
+// SquidRow is one algorithm's replay of the log.
+type SquidRow struct {
+	Algorithm string
+	Stats     trace.ReplayStats
+}
+
+// ReplaySquid replays the Squid/IRCache access log at path through a
+// cacheSize-entry store (0 = unlimited) under No Privacy, Always Delay
+// and Exponential-Random-Cache. cfg supplies the seed, k, ε, the private
+// fraction and the telemetry.
+func ReplaySquid(path string, cacheSize int, cfg Figure5Config) (*SquidResult, error) {
+	out := &SquidResult{Path: path, CacheSize: cacheSize, PrivateFraction: cfg.PrivateFraction, K: cfg.K, Epsilon: cfg.Epsilon}
+	for _, algo := range []string{"No Privacy", "Always Delay Private Content", "Exponential-Random-Cache"} {
+		manager, err := buildAlgorithm(cfg, algo, SeededRNG(cfg.Seed))
+		if err != nil {
+			return nil, err
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		stats, err := trace.ReplaySquidLog(f, trace.SquidOptions{PrivateFraction: cfg.PrivateFraction, Seed: cfg.Seed},
+			trace.ReplayConfig{CacheSize: cacheSize, Manager: manager, Metrics: cfg.Metrics, Trace: cfg.Trace, Node: "squid/" + algo})
+		if closeErr := f.Close(); err == nil {
+			err = closeErr
+		}
+		if err != nil {
+			return nil, err
+		}
+		out.Rows = append(out.Rows, SquidRow{Algorithm: algo, Stats: stats})
+	}
+	return out, nil
+}
+
+// Render prints one hit-rate line per algorithm. It ends without a
+// newline: the Reporter adds one.
+func (r *SquidResult) Render() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "replaying %s (cache %d, %.0f%% private, k=%d, ε=%g)",
+		r.Path, r.CacheSize, r.PrivateFraction*100, r.K, r.Epsilon)
+	for _, row := range r.Rows {
+		fmt.Fprintf(&b, "\n%-30s hit rate %6.2f%%  (%d requests, %d private)",
+			row.Algorithm, row.Stats.HitRate(), row.Stats.Requests, row.Stats.PrivateRequests)
+	}
 	return b.String()
 }
 

@@ -33,7 +33,7 @@ type LossRecoveryConfig struct {
 	// Parallel bounds the worker pool; 0 or 1 is serial. Both rows are
 	// deterministic functions of Seed, so the result is identical for
 	// every value.
-	Parallel int
+	Parallel int `json:"-"`
 }
 
 func (c *LossRecoveryConfig) setDefaults() {

@@ -13,11 +13,10 @@ import (
 // observeGolden pins the three observability outputs — Prometheus text,
 // event NDJSON and span NDJSON — of one small run per pipeline: the
 // Figure 3(a) forwarder sweep, the E15 tiered run and a Figure 5(a)
-// trace replay. Each hash covers the bytes ndnsim's and tracesim's
-// -metrics, -trace and -spans flags would write for that run, so any
-// change to what a stage records, or in which order, shows up here. The
-// Figure 5(a) hashes equal those of `tracesim -fig 5a -requests 20000
-// -seed 1`.
+// trace replay. Each hash covers the bytes ndnsim's -metrics, -trace and
+// -spans flags would write for that run, so any change to what a stage
+// records, or in which order, shows up here. The Figure 5(a) hashes
+// equal those of `ndnsim -fig 5a -requests 20000 -seed 1`.
 var observeGolden = []struct {
 	name                string
 	run                 func(reg *telemetry.Registry, sink telemetry.Sink, spans *span.Tracer) error

@@ -55,7 +55,7 @@ type PlacementConfig struct {
 	// Parallel bounds the worker pool; 0 or 1 is serial. Each policy
 	// runs on its own derived seed, so rows are identical for every
 	// value.
-	Parallel int
+	Parallel int `json:"-"`
 }
 
 func (c *PlacementConfig) setDefaults() {

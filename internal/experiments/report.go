@@ -11,7 +11,6 @@ type Renderable interface{ Render() string }
 
 // Reporter collects experiment results and emits them either as rendered
 // tables (streamed as they arrive) or as one JSON document on Flush.
-// The cmd/* binaries share it so -json behaves identically everywhere.
 type Reporter struct {
 	out      io.Writer
 	jsonMode bool

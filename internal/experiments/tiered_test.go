@@ -9,9 +9,11 @@ import (
 )
 
 // e15Golden is the sha256 of `ndnsim -fig tier -seed 1` (E15 at the CLI
-// defaults), recorded before the second tier was folded into cache.Store.
-// The figure depends on every modeled disk cost and every tier movement,
-// so the hash pins the tiered store's behaviour end to end.
+// defaults, the "tier" entry of Table), recorded before the second tier
+// was folded into cache.Store. The figure depends on every modeled disk
+// cost and every tier movement, so the hash pins the tiered store's
+// behaviour end to end; cmd/ndnsim's whole-paper golden covers the same
+// entry at a smaller scale.
 const e15Golden = "3273ce71dcc15600d332683dc226ca6304a8f3a686df3d11f1b92218e9aca097"
 
 func TestTieredTimingGolden(t *testing.T) {
