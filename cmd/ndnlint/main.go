@@ -1,20 +1,14 @@
 // Command ndnlint runs ndnprivacy's project-specific static analysis
 // over the packages matching the given go-list patterns (default ./...):
-// simulator determinism, seeded randomness, map-iteration order, lock
-// copying, wire-format error hygiene, inferred mutex guard discipline,
-// seed taint flow, shadowed errors, duration unit provenance, the
-// interprocedural //ndnlint:hotpath allocation check, and the viewsafe
-// escape/retention analysis for //ndnlint:viewtype zero-copy wire views.
-// See internal/lint for the individual checks and the //ndnlint:allow
-// suppression syntax.
+// simulator determinism (no wall clock), no global math/rand,
+// map-iteration order, wire-format error hygiene, seed flow, and the
+// viewsafe escape/retention analysis for //ndnlint:viewtype zero-copy
+// wire views. See internal/lint for the individual checks and the
+// //ndnlint:allow suppression syntax.
 //
 // Usage:
 //
-//	ndnlint [-json] [-sarif] [-list] [-checks check[,check]] [-allocreport] [packages...]
-//
-// -allocreport emits the machine-readable allocation budget for every
-// annotated hot path (the committed ALLOC_BUDGET.json baseline) instead
-// of findings.
+//	ndnlint [-json] [-sarif] [-list] [-checks check[,check]] [packages...]
 //
 // Exit status is 0 when the tree is clean, 1 when findings were
 // reported, and 2 when analysis itself failed.
@@ -40,7 +34,6 @@ func run(args []string, stdout io.Writer) int {
 	jsonOut := flags.Bool("json", false, "emit findings as a JSON array for tooling")
 	sarifOut := flags.Bool("sarif", false, "emit findings as SARIF 2.1.0 for code scanning")
 	list := flags.Bool("list", false, "list available checks and exit")
-	allocReport := flags.Bool("allocreport", false, "emit the hot-path allocation budget as JSON and exit")
 	var only string
 	flags.StringVar(&only, "checks", "", "comma-separated checks to run (default: all)")
 	flags.StringVar(&only, "c", "", "shorthand for -checks")
@@ -74,22 +67,7 @@ func run(args []string, stdout io.Writer) int {
 		return 2
 	}
 
-	if *allocReport {
-		if len(pkgs) == 0 {
-			fmt.Fprintln(os.Stderr, "ndnlint: no packages matched")
-			return 2
-		}
-		budget := lint.BuildAllocBudget(pkgs[0].Fset, lint.Units(pkgs))
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(budget); err != nil {
-			fmt.Fprintf(os.Stderr, "ndnlint: %v\n", err)
-			return 2
-		}
-		return 0
-	}
-
-	// One whole-tree pass: interprocedural checks (alloccheck) follow
+	// One whole-tree pass: interprocedural checks (viewsafe) follow
 	// calls across package boundaries only when every package is
 	// analyzed together.
 	findings := lint.CheckAll(pkgs, checks)

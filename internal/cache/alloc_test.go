@@ -6,11 +6,11 @@ import (
 	"ndnprivacy/internal/ndn"
 )
 
-// These tests pin the zero-allocation contract of the //ndnlint:hotpath
-// annotations on Store.Exact and Store.Touch: the exact-match lookup is
-// the operation whose latency distribution the paper's cache-timing
-// adversary measures (BenchmarkStoreExactHit reports 0 allocs/op; this
-// makes the regression fail `go test`, not just the bench eyeball).
+// These tests pin the zero-allocation contract of Store.Exact and
+// Store.Touch: the exact-match lookup is the operation whose latency
+// distribution the paper's cache-timing adversary measures
+// (BenchmarkStoreExactHit reports 0 allocs/op; this makes the
+// regression fail `go test`, not just the bench eyeball).
 
 func TestStoreExactHitZeroAlloc(t *testing.T) {
 	s := MustNewStore(0, nil)

@@ -179,8 +179,6 @@ func (s *Store) Attach(tap *telemetry.Tap) {
 
 // rec is the store's one recording call per stage outcome: it tallies
 // the outcome for the accessors and hands it to the tap.
-//
-//ndnlint:hotpath — every lookup outcome; must not allocate
 func (s *Store) rec(r *telemetry.Rec) *span.Record {
 	s.counts[r.Stage]++
 	if s.tap == nil {
@@ -329,12 +327,10 @@ func (s *Store) newEntry() *Entry {
 
 // Exact returns the entry whose name equals name exactly, if fresh. A
 // second-tier hit promotes the entry into the table.
-//
-//ndnlint:hotpath — the lookup latency the cache-timing adversary measures; the table path must not allocate
 func (s *Store) Exact(name ndn.Name, now time.Duration) (*Entry, bool) {
 	entry, found := s.lookupExact(name, now)
 	if !found && s.second != nil {
-		entry, _, found = s.readSecond(name, nil, now, true) //ndnlint:allow alloccheck — second-tier read is off the table hit path
+		entry, _, found = s.readSecond(name, nil, now, true)
 	}
 	s.countLookup(found)
 	return entry, found
@@ -342,16 +338,12 @@ func (s *Store) Exact(name ndn.Name, now time.Duration) (*Entry, bool) {
 
 // ExactView is Exact for a zero-copy name view, and like every view
 // lookup a pure probe (see ProbeView).
-//
-//ndnlint:hotpath — the lookup latency the cache-timing adversary measures; must not allocate
 func (s *Store) ExactView(v *ndn.NameView, now time.Duration) (*Entry, bool) {
 	entry, cached, _ := s.ProbeView(v, now)
 	return entry, cached
 }
 
 // lookupExact is the table half of Exact, without hit/miss accounting.
-//
-//ndnlint:hotpath — called per probe from Exact; must not allocate
 func (s *Store) lookupExact(name ndn.Name, now time.Duration) (*Entry, bool) {
 	e := s.t.Get(name)
 	if e == nil || e.CS() == nil {
@@ -359,7 +351,7 @@ func (s *Store) lookupExact(name ndn.Name, now time.Duration) (*Entry, bool) {
 	}
 	entry := e.CS().(*Entry)
 	if entry.IsStale(now) {
-		s.removeEntry(e, now, ReasonStale) //ndnlint:allow alloccheck — stale purge is off the steady-state hit path
+		s.removeEntry(e, now, ReasonStale)
 		return nil, false
 	}
 	return entry, true
@@ -378,8 +370,6 @@ func (s *Store) countLookup(hit bool) {
 // probe once per arriving interest and feeds it to MatchProbed and then
 // the PIT's InsertProbed, so the CS check, the PIT aggregate check and
 // the PIT insert cost a single probe.
-//
-//ndnlint:hotpath — the one probe per arriving interest; must not allocate
 func (s *Store) ProbeName(name ndn.Name) pcct.Probe { return s.t.Probe(name) }
 
 // ProbeView resolves both facets of the composite table with one hash
@@ -393,22 +383,20 @@ func (s *Store) ProbeName(name ndn.Name) pcct.Probe { return s.t.Probe(name) }
 // whether a live PIT facet awaits the name at virtual time now. Pending
 // state is read before any stale purge, which may release the table
 // entry.
-//
-//ndnlint:hotpath — wire-probe path; must not allocate
 func (s *Store) ProbeView(v *ndn.NameView, now time.Duration) (entry *Entry, cached, pending bool) {
 	if e := s.t.GetView(v); e != nil {
 		pending = e.PITActive() && now < e.PIT().Expires
 		if e.CS() != nil {
 			ce := e.CS().(*Entry)
 			if ce.IsStale(now) {
-				s.removeEntry(e, now, ReasonStale) //ndnlint:allow alloccheck — stale purge is off the steady-state hit path
+				s.removeEntry(e, now, ReasonStale)
 			} else {
 				entry, cached = ce, true
 			}
 		}
 	}
 	if !cached && s.second != nil {
-		entry, cached = s.peekSecondView(v, now) //ndnlint:allow alloccheck — second-tier read is off the table hit path
+		entry, cached = s.peekSecondView(v, now)
 	}
 	s.countLookup(cached)
 	return entry, cached, pending
@@ -433,8 +421,6 @@ func (s *Store) Match(interest *ndn.Interest, now time.Duration) (*Entry, bool) 
 // interest.Name. On a tiered store a miss here is not yet a store miss
 // and is left uncounted: the caller follows with MatchSecond, which
 // settles the lookup's outcome.
-//
-//ndnlint:hotpath — the interest pipeline's CS check; must not allocate on the exact-hit path
 func (s *Store) MatchProbed(interest *ndn.Interest, p *pcct.Probe, now time.Duration) (*Entry, bool) {
 	if !p.Valid(s.t) {
 		*p = s.t.Probe(interest.Name)
@@ -446,7 +432,7 @@ func (s *Store) MatchProbed(interest *ndn.Interest, p *pcct.Probe, now time.Dura
 			s.countLookup(true)
 			return entry, true
 		}
-		s.removeEntry(e, now, ReasonStale) //ndnlint:allow alloccheck — stale purge is off the steady-state hit path
+		s.removeEntry(e, now, ReasonStale)
 	}
 	// Prefix range: all names under interest.Name form a contiguous,
 	// sorted run of the index, so the first fresh match is the
@@ -466,7 +452,7 @@ func (s *Store) MatchProbed(interest *ndn.Interest, p *pcct.Probe, now time.Dura
 		if entry.IsStale(now) {
 			// Removal closes the index gap; the next candidate slides
 			// into position i.
-			s.removeEntry(e, now, ReasonStale) //ndnlint:allow alloccheck — stale purge is off the steady-state hit path
+			s.removeEntry(e, now, ReasonStale)
 			continue
 		}
 		if entry.Data.Matches(interest) {
@@ -486,8 +472,6 @@ func (s *Store) MatchProbed(interest *ndn.Interest, p *pcct.Probe, now time.Dura
 // misses (Section VII: delayed responses still refresh the entry). Only
 // the table tracks recency; promotion is what refreshes a demoted
 // object's.
-//
-//ndnlint:hotpath — runs on every cache hit; must not allocate
 func (s *Store) Touch(name ndn.Name) {
 	if e := s.t.Get(name); e != nil && e.CS() != nil {
 		s.t.CSAccess(e)

@@ -6,11 +6,11 @@ import (
 	"ndnprivacy/internal/ndn"
 )
 
-// These tests pin the //ndnlint:hotpath zero-allocation contract on the
-// tiered store's RAM-front exact lookup — the latency floor of the
-// three-way timing channel. The second-tier fallback is explicitly
-// waived (it allocates in backends), so the pins cover RAM hits and
-// clean misses, the two cases that stay on the verified path.
+// These tests pin the zero-allocation contract on the tiered store's
+// RAM-front exact lookup — the latency floor of the three-way timing
+// channel. The second-tier fallback allocates in its backends, so the
+// pins cover RAM hits and clean misses, the two cases that stay on the
+// allocation-free path.
 
 func TestTieredExactRAMHitZeroAlloc(t *testing.T) {
 	s := tieredStore(t, 8, NewDiskModel(DiskModelConfig{}))

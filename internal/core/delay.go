@@ -128,8 +128,6 @@ func NewDelayManager(strategy DelayStrategy) (*DelayManager, error) {
 }
 
 // OnCacheHit implements CacheManager.
-//
-//ndnlint:hotpath — per-hit privacy decision inside the latency the adversary measures
 func (m *DelayManager) OnCacheHit(entry *cache.Entry, interest *ndn.Interest, now time.Duration) Decision {
 	entry.ForwardCount++
 	if !EffectivePrivacy(entry, interest) {

@@ -228,8 +228,6 @@ func NewRandomCache(dist KDistribution, rng *rand.Rand) (*RandomCache, error) {
 func (m *RandomCache) Attach(tap *telemetry.Tap) { m.tap = tap }
 
 // OnCacheHit implements CacheManager.
-//
-//ndnlint:hotpath — per-hit privacy decision (Algorithm 1) inside the latency the adversary measures
 func (m *RandomCache) OnCacheHit(entry *cache.Entry, interest *ndn.Interest, now time.Duration) Decision {
 	entry.ForwardCount++
 	if !EffectivePrivacy(entry, interest) {

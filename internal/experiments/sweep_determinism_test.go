@@ -81,9 +81,8 @@ func TestSweepDeterminismFigure5a(t *testing.T) {
 // TestSweepDeterminismSharedTrace replays one compiled trace from eight
 // goroutines at once — what a parallel Figure 5 sweep does with its
 // shared workload — and demands each replay's statistics and event
-// stream equal the same cell replayed alone. Under -race (CI runs the
-// TestSweepDeterminism* set there) it also proves the sharing is
-// read-only.
+// stream equal the same cell replayed alone. Under -race (scripts/check.sh
+// runs every test there) it also proves the sharing is read-only.
 func TestSweepDeterminismSharedTrace(t *testing.T) {
 	cfg := Figure5Config{Seed: 5, Requests: 3000}
 	cfg.setDefaults()

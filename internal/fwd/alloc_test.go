@@ -20,7 +20,7 @@ import (
 // the heap, with counters attached and with nothing attached. The
 // hit/miss delay gap is the paper's attack signal, so the accounting on
 // either side must not add allocation jitter the other side doesn't
-// have. (Trace emission is opt-in and carries an alloccheck waiver.)
+// have. (Trace emission is opt-in and allocates its events.)
 func TestStageRecordZeroAlloc(t *testing.T) {
 	counted := netsim.New(1)
 	counted.SetTelemetry(telemetry.NewRegistry(), nil)
@@ -132,6 +132,7 @@ func TestProbeWireZeroAlloc(t *testing.T) {
 			router.Store().Insert(d, 0, 0)
 			hitWire := ndn.EncodeInterest(ndn.NewInterest(d.Name, 1))
 			missWire := ndn.EncodeInterest(ndn.NewInterest(ndn.MustParseName("/probe/cold"), 2))
+			truncated := hitWire[:len(hitWire)-1]
 			hits := 0
 			if n := testing.AllocsPerRun(200, func() {
 				if cached, _ := router.ProbeWire(hitWire, 0); cached {
@@ -140,8 +141,11 @@ func TestProbeWireZeroAlloc(t *testing.T) {
 				if cached, _ := router.ProbeWire(missWire, 0); cached {
 					t.Fatal("cold probe reported cached")
 				}
+				if cached, pending := router.ProbeWire(truncated, 0); cached || pending {
+					t.Fatal("malformed probe reported a table hit")
+				}
 			}); n != 0 {
-				t.Errorf("ProbeWire (hit + miss): %.0f allocs/run, want 0", n)
+				t.Errorf("ProbeWire (hit + miss + malformed): %.0f allocs/run, want 0", n)
 			}
 			if hits == 0 {
 				t.Fatal("hot probe unexpectedly missed")
@@ -202,7 +206,8 @@ func TestFusedInterestStepZeroAlloc(t *testing.T) {
 	// The interest step — one ProbeName shared by the CS check
 	// (MatchProbed, then MatchSecond on a miss) and the PIT admission
 	// (InsertProbed), then Data satisfaction by the returned token — must
-	// not allocate in steady state, on the hit leg or the miss leg.
+	// not allocate in steady state, on the hit leg, the prefix leg or the
+	// miss leg.
 	for _, kind := range storeKinds {
 		t.Run(kind.name, func(t *testing.T) {
 			store := kind.build(t)
@@ -211,8 +216,22 @@ func TestFusedInterestStepZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// A session object under an unpredictable name sorts before the
+			// hot name, so a prefix interest for /step passes over it — a
+			// shorter prefix must not be answered with it (footnote 5) —
+			// before the sorted index answers with the hot name.
+			secret, err := ndn.NewSharedSecret([]byte("step"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			session, err := ndn.NewData(secret.UnpredictableName(ndn.MustParseName("/step/a"), 1), []byte("x"))
+			if err != nil {
+				t.Fatal(err)
+			}
 			store.Insert(hot, 0, 0)
+			store.Insert(session, 0, 0)
 			hitInterest := ndn.NewInterest(hot.Name, 7)
+			prefixInterest := ndn.NewInterest(ndn.MustParseName("/step"), 9)
 			cold := ndn.MustParseName("/step/cold")
 			missInterest := ndn.NewInterest(cold, 8)
 			coldData, err := ndn.NewData(cold, []byte("x"))
@@ -221,8 +240,11 @@ func TestFusedInterestStepZeroAlloc(t *testing.T) {
 			}
 			// Prime one pending lifecycle so the table arena, facet pool
 			// and result buffers reach steady state (first admission
-			// allocates by design).
-			pr := store.ProbeName(cold)
+			// allocates by design), and the first prefix lookup, which
+			// builds the sorted index once.
+			pr := store.ProbeName(prefixInterest.Name)
+			store.MatchProbed(prefixInterest, &pr, 0)
+			pr = store.ProbeName(cold)
 			pit.InsertProbed(missInterest, 1, 0, &pr)
 			if _, ok := pit.SatisfyByToken(coldData, 0, 0); !ok {
 				t.Fatal("prime satisfaction failed")
@@ -234,6 +256,11 @@ func TestFusedInterestStepZeroAlloc(t *testing.T) {
 					t.Fatal("hot name missed")
 				}
 				store.Touch(hot.Name)
+				// Prefix leg: no exact entry, the sorted index answers.
+				p = store.ProbeName(prefixInterest.Name)
+				if entry, found := store.MatchProbed(prefixInterest, &p, 0); !found || entry.Data != hot {
+					t.Fatal("prefix interest not answered by the hot name")
+				}
 				// Miss leg: the same probe feeds CS check and PIT
 				// admission; the token satisfies without a hash sweep.
 				p = store.ProbeName(cold)

@@ -216,8 +216,6 @@ func (f *Forwarder) Stats() Stats {
 
 // rec is the node's one recording call per stage outcome: it tallies
 // the outcome for Stats and hands it to the node's tap.
-//
-//ndnlint:hotpath — every pipeline stage; must not allocate
 func (f *Forwarder) rec(r *telemetry.Rec) *span.Record {
 	f.counts[r.Stage]++
 	if f.tap == nil {
@@ -362,8 +360,6 @@ func (f *Forwarder) dispatch(from table.FaceID, pkt any) {
 // manager decision, no PIT mutation. Oversized names (ErrViewCapacity) and
 // malformed wire report neither cached nor pending; callers needing the
 // full pipeline decode and use handleInterest.
-//
-//ndnlint:hotpath — wire→CS/PIT-lookup fast path; must not allocate
 func (f *Forwarder) ProbeWire(wire []byte, now time.Duration) (cached, pending bool) {
 	v, err := ndn.InterestNameView(wire)
 	if err != nil {

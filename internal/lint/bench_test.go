@@ -6,31 +6,11 @@ import (
 	"ndnprivacy/internal/lint"
 )
 
-// BenchmarkAlloccheckWholeTree times the interprocedural allocation
-// analysis over the entire module — the load/type-check cost is measured
-// separately from the analysis so the 60-second CI lint budget has a
-// number to point at. It doubles as a compile-check that the whole-tree
-// alloccheck run stays clean (CI runs it at -benchtime=1x).
-func BenchmarkAlloccheckWholeTree(b *testing.B) {
-	pkgs, err := lint.Load("../..", "./...")
-	if err != nil {
-		b.Fatal(err)
-	}
-	units := lint.Units(pkgs)
-	fset := pkgs[0].Fset
-	checks := []*lint.Analyzer{lint.AllocCheck}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		findings := lint.CheckUnits(fset, units, checks)
-		if len(findings) != 0 {
-			b.Fatalf("whole-tree alloccheck not clean: %d findings, first: %s", len(findings), findings[0])
-		}
-	}
-}
-
 // BenchmarkViewsafeWholeTree times the escape/retention analysis for
-// view types over the entire module, load cost excluded, and doubles as
-// a compile-check that the tree stays viewsafe-clean.
+// view types over the entire module — the load/type-check cost is
+// excluded so the 60-second CI lint budget has a number to point at. It
+// doubles as a check that the tree stays viewsafe-clean (CI runs it at
+// -benchtime=1x).
 func BenchmarkViewsafeWholeTree(b *testing.B) {
 	pkgs, err := lint.Load("../..", "./...")
 	if err != nil {

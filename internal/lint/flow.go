@@ -101,12 +101,43 @@ func parentMap(root ast.Node) map[ast.Node]ast.Node {
 	return parents
 }
 
-// exprLabel renders a short label for a flagged operand.
-func exprLabel(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.Ident:
-		return x.Name
-	default:
-		return "..."
-	}
+// withinNode reports whether inner lies within outer's span.
+func withinNode(outer ast.Node, inner ast.Node) bool {
+	return inner.Pos() >= outer.Pos() && inner.End() <= outer.End()
 }
+
+// calleeIdent extracts the identifier a call expression names, through
+// selectors and generic instantiations.
+func calleeIdent(fun ast.Expr) *ast.Ident {
+	switch x := ast.Unparen(fun).(type) {
+	case *ast.Ident:
+		return x
+	case *ast.SelectorExpr:
+		return x.Sel
+	case *ast.IndexExpr:
+		return calleeIdent(x.X)
+	case *ast.IndexListExpr:
+		return calleeIdent(x.X)
+	}
+	return nil
+}
+
+// pkgLevelVar reports whether v is declared at package scope.
+func pkgLevelVar(v *types.Var) bool {
+	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
+}
+
+// shortFuncName renders fn as pkg.Func or (recv).Method without import
+// paths, for finding messages.
+func shortFuncName(fn *types.Func) string {
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+		return "(" + types.TypeString(sig.Recv().Type(), shortQualifier) + ")." + fn.Name()
+	}
+	if fn.Pkg() != nil {
+		return fn.Pkg().Name() + "." + fn.Name()
+	}
+	return fn.Name()
+}
+
+// shortQualifier renders package names without import paths.
+func shortQualifier(p *types.Package) string { return p.Name() }

@@ -3,10 +3,11 @@
 // simulator being bit-for-bit deterministic under a fixed seed, so the
 // invariants that convention alone used to guard — no wall clock inside
 // simulated packages, no global math/rand, no map-iteration order
-// leaking into event schedules or reports, no locks copied by value, no
-// silently dropped wire-format errors — are mechanized here on top of
-// the standard library go/ast + go/types toolchain (no external
-// dependencies, offline-buildable).
+// leaking into event schedules or reports, no silently dropped
+// wire-format errors, no RNG seed that bypasses the seed parameter, no
+// zero-copy wire view outliving the buffer it aliases — are mechanized
+// here on top of the standard library go/ast + go/types toolchain (no
+// external dependencies, offline-buildable).
 //
 // Each check is a self-contained *Analyzer; future checks are one file
 // implementing Run over a type-checked package and one entry in All.
@@ -40,8 +41,8 @@ type Analyzer struct {
 	// Nil for module-level analyzers.
 	Run func(*Pass)
 	// RunModule, when set, runs once over every loaded package together.
-	// It is how whole-program analyses (alloccheck's interprocedural
-	// call graph) see across package boundaries; Run may be nil then.
+	// It is how whole-program analyses (viewsafe's cross-package
+	// summaries) see across package boundaries; Run may be nil then.
 	RunModule func(*ModulePass)
 }
 
@@ -126,15 +127,13 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // All is every check this linter ships, in reporting order. The first
 // four are single-node AST checks; seedflow is flow-sensitive, built on
 // the internal/lint/cfg reaching-definitions engine (as is viewsafe);
-// alloccheck and viewsafe are the module-level (interprocedural)
-// analyses.
+// viewsafe is the module-level (interprocedural) analysis.
 var All = []*Analyzer{
 	SimDeterminism,
 	GlobalRand,
 	MapOrder,
 	WireErr,
 	SeedFlow,
-	AllocCheck,
 	ViewSafe,
 }
 
@@ -158,9 +157,9 @@ func Check(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *typ
 
 // CheckUnits runs every analyzer over the given set of type-checked
 // packages: per-package analyzers run once per unit, module-level
-// analyzers once over all units together (the call graph alloccheck
-// propagates over is only as complete as the unit set, so whole-tree
-// invocations should pass every module package). Suppressed findings
+// analyzers once over all units together (viewsafe's summaries are only
+// as complete as the unit set, so whole-tree invocations should pass
+// every module package). Suppressed findings
 // are dropped, the rest sorted by position then check name.
 func CheckUnits(fset *token.FileSet, units []*Unit, checks []*Analyzer) []Finding {
 	var findings []Finding

@@ -38,9 +38,6 @@ var fixtures = map[string]string{
 	"seedflow_violation":   "ndnprivacy/internal/netsim",
 	"seedflow_clean":       "ndnprivacy/internal/netsim",
 	"seedflow_allow":       "ndnprivacy/internal/netsim",
-	"alloccheck_violation": "ndnprivacy/internal/util",
-	"alloccheck_clean":     "ndnprivacy/internal/util",
-	"alloccheck_allow":     "ndnprivacy/internal/util",
 	"filescope_allow":      "ndnprivacy/internal/util",
 }
 
@@ -52,7 +49,6 @@ var expectFiring = map[string]string{
 	"maporder_violation":   "maporder",
 	"wireerr_violation":    "wireerr",
 	"seedflow_violation":   "seedflow",
-	"alloccheck_violation": "alloccheck",
 	"viewsafe_violation":   "viewsafe",
 }
 
@@ -61,7 +57,7 @@ var expectFiring = map[string]string{
 var expectClean = []string{
 	"clean", "simdet_allow", "simdet_rtexempt", "maporder_clean",
 	"seedflow_clean", "seedflow_allow",
-	"alloccheck_clean", "alloccheck_allow", "filescope_allow",
+	"filescope_allow",
 	"viewsafe_clean", "viewsafe_viewcopy", "viewsafe_allow", "viewsafe_filescope",
 }
 
@@ -219,8 +215,8 @@ func TestRepoLintsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One whole-tree pass, exactly like cmd/ndnlint: alloccheck's call
-	// graph needs every package at once to follow cross-package calls.
+	// One whole-tree pass, exactly like cmd/ndnlint: viewsafe's summaries
+	// need every package at once to follow cross-package calls.
 	for _, f := range lint.CheckAll(pkgs, lint.All) {
 		t.Errorf("%s", f)
 	}

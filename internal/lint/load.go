@@ -33,7 +33,7 @@ func (p *Package) Check(checks []*Analyzer) []Finding {
 }
 
 // CheckAll runs the given analyzers over every loaded package at once:
-// per-package checks per package, module-level checks (alloccheck) over
+// per-package checks per package, module-level checks (viewsafe) over
 // the whole set, which is what lets them propagate facts across package
 // boundaries. All packages must come from one Load call (shared
 // FileSet).
@@ -141,7 +141,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 // packages built earlier in the same Load call (go list -deps emits
 // dependencies before dependents), falling back to compiled export data
 // for the standard library. Sharing one object world across packages is
-// what lets alloccheck follow a call from internal/cache into
+// what lets viewsafe follow a call from internal/cache into
 // internal/ndn by object identity.
 type moduleImporter struct {
 	base  types.Importer

@@ -433,9 +433,8 @@ const (
 	viewCallInline
 )
 
-// resolveCall identifies the call target, mirroring alloccheck's
-// resolution: static functions, concrete and interface methods,
-// builtins, and dynamic function values.
+// resolveCall identifies the call target: static functions, concrete
+// and interface methods, builtins, and dynamic function values.
 func (f *viewFlow) resolveCall(call *ast.CallExpr) (*types.Func, ast.Expr, int) {
 	fun := ast.Unparen(call.Fun)
 	if _, ok := fun.(*ast.FuncLit); ok {

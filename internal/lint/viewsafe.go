@@ -31,7 +31,7 @@ import (
 //     calls to a fixpoint, so a view smuggled through a plain []byte
 //     parameter chain is still caught — and reported with a witness
 //     chain "f → g → h" naming the functions the view traveled
-//     through, mirroring alloccheck's hot-path chains.
+//     through.
 //
 // Structural rules back the dataflow: a named type embedding a view
 // type must itself be annotated //ndnlint:viewtype, package variables
@@ -192,8 +192,7 @@ func (vs *viewSafe) collectDirectives(u *Unit, file *ast.File) {
 }
 
 // directiveOn reports whether the directive appears in doc or on the
-// line directly above pos — the same placement rule as
-// //ndnlint:hotpath.
+// line directly above pos.
 func (vs *viewSafe) directiveOn(file *ast.File, doc *ast.CommentGroup, pos token.Pos, directive string) bool {
 	if doc != nil {
 		for _, com := range doc.List {

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// These tests pin the zero-allocation contract of the //ndnlint:hotpath
-// annotations on the view parse path: a NameView is fixed-size arrays
+// These tests pin the zero-allocation contract of the view parse path
+// and the lookup helpers under it: a NameView is fixed-size arrays
 // plus one slice header aliasing the caller's buffer, so parsing,
 // hashing, and component access must never touch the heap. The bench
 // numbers show the win; these make the regression fail `go test`.
@@ -29,13 +29,21 @@ func TestParseNameViewZeroAlloc(t *testing.T) {
 }
 
 func TestInterestNameViewZeroAlloc(t *testing.T) {
-	wire := EncodeInterest(NewInterest(MustParseName("/cnn/news/2013may20"), 7))
+	name := MustParseName("/cnn/news/2013may20")
+	d, err := NewData(name, []byte("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	interestWire, dataWire := EncodeInterest(NewInterest(name, 7)), EncodeData(d)
 	if n := testing.AllocsPerRun(200, func() {
-		if _, err := InterestNameView(wire); err != nil {
+		if _, err := InterestNameView(interestWire); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DataNameView(dataWire); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("InterestNameView: %.0f allocs/run, want 0", n)
+		t.Errorf("InterestNameView + DataNameView: %.0f allocs/run, want 0", n)
 	}
 }
 

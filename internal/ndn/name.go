@@ -119,7 +119,6 @@ func (n Name) Component(i int) Component {
 // when the bytes must outlive the lookup.
 //
 //ndnlint:viewprop — propagates a view of the name's backing storage
-//ndnlint:hotpath — per-component lookup access; must not allocate
 func (n Name) ComponentRef(i int) ComponentView {
 	return ComponentView(n.components[i])
 }
@@ -152,8 +151,6 @@ func (n Name) AppendString(components ...string) Name {
 // clamped to [0, Len()]. The result shares the receiver's components
 // and URI string: escaping is per component, so the prefix's canonical
 // URI is the leading bytes of the parent's and nothing is re-rendered.
-//
-//ndnlint:hotpath — Consumer.deliver walks every prefix of each arriving Data; must not allocate
 func (n Name) Prefix(k int) Name {
 	if k > len(n.components) {
 		k = len(n.components)
@@ -244,8 +241,6 @@ func (n Name) Key() string { return n.uri }
 // for the same name on the wire. Constructed names return the cached
 // value; a literal zero-value Name recomputes (the root hash is the
 // non-zero seed, so a zero hash field can only mean "not cached").
-//
-//ndnlint:hotpath — CS/PIT hash-table probe key; must not allocate
 func (n Name) Hash() uint64 {
 	if n.hash != 0 {
 		return n.hash

@@ -55,8 +55,6 @@ func NameHashSeed() uint64 { return nameHashBasis }
 // components 0..k-1 of a name from NameHashSeed yields the same value as
 // Prefix(k).Hash() and as NameView.PrefixHash(k); PIT longest-prefix
 // lookups exploit this to probe every prefix length in one pass.
-//
-//ndnlint:hotpath — rolling PIT prefix probe; must not allocate
 func MixComponentHash(h uint64, c []byte) uint64 {
 	h = (h ^ uint64(len(c))) * nameHashPrime
 	for _, b := range c {
@@ -116,7 +114,6 @@ type NameView struct {
 // keeps the buffer alive and unmodified.
 //
 //ndnlint:viewprop — propagates a view of the argument buffer
-//ndnlint:hotpath — the per-interest parse the timing adversary measures; must not allocate
 func ParseNameView(wire []byte) (NameView, error) {
 	var v NameView
 	typ, value, n, err := readTLV(wire)
@@ -135,7 +132,6 @@ func ParseNameView(wire []byte) (NameView, error) {
 // viewNameValue indexes the component TLVs inside a Name TLV's value.
 //
 //ndnlint:viewprop — propagates a view of the argument buffer
-//ndnlint:hotpath — shared by every view parse entry point; must not allocate
 func viewNameValue(value []byte) (NameView, error) {
 	var v NameView
 	if len(value) > 0xFFFF {
@@ -173,7 +169,6 @@ func viewNameValue(value []byte) (NameView, error) {
 // raw interest buffer alone.
 //
 //ndnlint:viewprop — propagates a view of the argument buffer
-//ndnlint:hotpath — wire→CS-lookup fast path; must not allocate
 func InterestNameView(wire []byte) (NameView, error) {
 	return packetNameView(wire, tlvInterest)
 }
@@ -182,7 +177,6 @@ func InterestNameView(wire []byte) (NameView, error) {
 // views it in place.
 //
 //ndnlint:viewprop — propagates a view of the argument buffer
-//ndnlint:hotpath — wire→PIT-lookup fast path; must not allocate
 func DataNameView(wire []byte) (NameView, error) {
 	return packetNameView(wire, tlvData)
 }
@@ -191,7 +185,6 @@ func DataNameView(wire []byte) (NameView, error) {
 // type and views it.
 //
 //ndnlint:viewprop — propagates a view of the argument buffer
-//ndnlint:hotpath — shared wire→lookup fast path; must not allocate
 func packetNameView(wire []byte, outer uint64) (NameView, error) {
 	var v NameView
 	typ, value, _, err := readTLV(wire)
@@ -218,14 +211,10 @@ func packetNameView(wire []byte, outer uint64) (NameView, error) {
 func (v *NameView) Len() int { return v.n }
 
 // Hash returns the full-name hash, equal to Clone().Hash().
-//
-//ndnlint:hotpath — hash-indexed CS/PIT probe key; must not allocate
 func (v *NameView) Hash() uint64 { return v.hash[v.n] }
 
 // PrefixHash returns the hash of the first k components; k is clamped to
 // [0, Len()]. PrefixHash(k) equals Clone().Prefix(k).Hash().
-//
-//ndnlint:hotpath — PIT longest-prefix probe key; must not allocate
 func (v *NameView) PrefixHash(k int) uint64 {
 	if k < 0 {
 		k = 0
@@ -239,14 +228,11 @@ func (v *NameView) PrefixHash(k int) uint64 {
 // Component returns a view of component i, aliasing the wire buffer.
 //
 //ndnlint:viewprop — propagates a view of the underlying buffer
-//ndnlint:hotpath — per-component lookup access; must not allocate
 func (v *NameView) Component(i int) ComponentView {
 	return ComponentView(v.wire[v.start[i]:v.end[i]])
 }
 
 // EqualName reports whether the viewed name equals the owned name.
-//
-//ndnlint:hotpath — hash-bucket verification on the lookup path; must not allocate
 func (v *NameView) EqualName(n Name) bool {
 	if v.n != len(n.components) {
 		return false

@@ -201,8 +201,6 @@ func (d *Data) Matches(interest *Interest) bool {
 // MatchesName is Matches for a bare interest name, so lookup paths that
 // track only the pending name (the PIT) can test satisfaction without
 // materializing a synthetic Interest.
-//
-//ndnlint:hotpath — PIT satisfaction test on every data arrival; must not allocate
 func (d *Data) MatchesName(name Name) bool {
 	if !name.IsPrefixOf(d.Name) {
 		return false

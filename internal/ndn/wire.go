@@ -408,8 +408,6 @@ func nameValueSize(n Name) int {
 func nameTLVSize(n Name) int { return tlvSize(tlvName, nameValueSize(n)) }
 
 // InterestWireSize returns len(EncodeInterest(i)) without encoding.
-//
-//ndnlint:hotpath — sizes every forwarded interest; must not allocate
 func InterestWireSize(i *Interest) int { return tlvSize(tlvInterest, interestValueSize(i)) }
 
 // interestValueSize is the length of the Interest element's value.
@@ -428,8 +426,6 @@ func interestValueSize(i *Interest) int {
 }
 
 // DataWireSize returns len(EncodeData(d)) without encoding.
-//
-//ndnlint:hotpath — sizes every Data transmission; must not allocate
 func DataWireSize(d *Data) int { return tlvSize(tlvData, dataValueSize(d)) }
 
 // dataValueSize is the length of the Data element's value.

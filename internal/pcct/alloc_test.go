@@ -7,9 +7,8 @@ import (
 	"ndnprivacy/internal/ndn"
 )
 
-// These tests cross-validate the static //ndnlint:hotpath verdicts with
-// the runtime allocator: the composite table's probe paths and its
-// steady-state churn must not allocate.
+// These tests pin the composite table's zero-allocation contract: its
+// probe paths and its steady-state churn must not allocate.
 
 func TestLookupPathsZeroAlloc(t *testing.T) {
 	tb := New(PolicyLRU)
@@ -39,53 +38,60 @@ func TestLookupPathsZeroAlloc(t *testing.T) {
 		if p.Entry == nil {
 			t.Fatal("Probe missed")
 		}
+		if tb.LenPIT() != 0 {
+			t.Fatal("LenPIT counts a facet-less table")
+		}
 	}); n != 0 {
 		t.Errorf("lookup paths: %.0f allocs/run, want 0", n)
 	}
 }
 
 // TestChurnZeroAllocSteadyState churns one-depth names through the CS
-// facet in both index states: never ordered (exact-only traffic, where
-// the churn must also leave the index unbuilt) and ordered up front
-// (every attach and detach maintains the sorted slice).
+// facet under every eviction policy, in both index states: never ordered
+// (exact-only traffic, where the churn must also leave the index
+// unbuilt) and ordered up front (every attach and detach maintains the
+// sorted slice). LFU's frequency buckets come from a pool, so a hit that
+// opens a new frequency allocates nothing either.
 func TestChurnZeroAllocSteadyState(t *testing.T) {
-	for _, ordered := range []bool{false, true} {
-		tb := New(PolicyLRU)
-		names := make([]ndn.Name, 32)
-		for i := range names {
-			names[i] = ndn.MustParseName(fmt.Sprintf("/churn/%d", i))
-		}
-		if ordered {
-			tb.CSLowerBound(names[0])
-		}
-		// Warm the arena, the bucket array and the prefix index.
-		for i := range names {
-			e := tb.Put(names[i])
-			tb.AttachCS(e, i)
-		}
-		for i := range names {
-			e := tb.Get(names[i])
-			tb.DetachCS(e)
-			tb.ReleaseIfEmpty(e)
-		}
-		i := 0
-		if n := testing.AllocsPerRun(200, func() {
-			nm := names[i%len(names)]
-			i++
-			e := tb.Put(nm)
-			tb.AttachCS(e, i)
-			tb.CSAccess(e)
-			if tb.CSLongerThan(nm.Len()) {
-				t.Fatal("one-depth table reports a longer name")
+	for _, policy := range []PolicyKind{PolicyLRU, PolicyFIFO, PolicyLFU} {
+		for _, ordered := range []bool{false, true} {
+			tb := New(policy)
+			names := make([]ndn.Name, 32)
+			for i := range names {
+				names[i] = ndn.MustParseName(fmt.Sprintf("/churn/%d", i))
 			}
-			v := tb.CSVictim()
-			tb.DetachCS(v)
-			tb.ReleaseIfEmpty(v)
-		}); n != 0 {
-			t.Errorf("ordered=%t: steady-state CS churn: %.0f allocs/run, want 0", ordered, n)
-		}
-		if tb.csOrdered != ordered || (!ordered && tb.csOrder != nil) {
-			t.Errorf("ordered=%t: after exact-only churn csOrdered=%t, index cap %d", ordered, tb.csOrdered, cap(tb.csOrder))
+			if ordered {
+				tb.CSLowerBound(names[0])
+			}
+			// Warm the arena, the bucket array and the prefix index.
+			for i := range names {
+				e := tb.Put(names[i])
+				tb.AttachCS(e, i)
+			}
+			for i := range names {
+				e := tb.Get(names[i])
+				tb.DetachCS(e)
+				tb.ReleaseIfEmpty(e)
+			}
+			i := 0
+			if n := testing.AllocsPerRun(200, func() {
+				nm := names[i%len(names)]
+				i++
+				e := tb.Put(nm)
+				tb.AttachCS(e, i)
+				tb.CSAccess(e)
+				if tb.CSLongerThan(nm.Len()) {
+					t.Fatal("one-depth table reports a longer name")
+				}
+				v := tb.CSVictim()
+				tb.DetachCS(v)
+				tb.ReleaseIfEmpty(v)
+			}); n != 0 {
+				t.Errorf("%s, ordered=%t: steady-state CS churn: %.0f allocs/run, want 0", policy, ordered, n)
+			}
+			if tb.csOrdered != ordered || (!ordered && tb.csOrder != nil) {
+				t.Errorf("%s, ordered=%t: after exact-only churn csOrdered=%t, index cap %d", policy, ordered, tb.csOrdered, cap(tb.csOrder))
+			}
 		}
 	}
 }

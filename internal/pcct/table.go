@@ -110,13 +110,9 @@ func (e *Entry) Hash() uint64 { return e.hash }
 
 // CS returns the Content Store payload, nil when the CS facet is
 // absent.
-//
-//ndnlint:hotpath — facet check on every lookup; must not allocate
 func (e *Entry) CS() any { return e.csData }
 
 // PITActive reports whether the PIT facet is live.
-//
-//ndnlint:hotpath — facet check on every lookup; must not allocate
 func (e *Entry) PITActive() bool { return e.pit.Active }
 
 // PIT returns the PIT facet for in-place mutation. Callers must have
@@ -195,8 +191,6 @@ func (t *Table) LenCS() int { return t.nCS }
 func (t *Table) LenPIT() int { return t.nPIT }
 
 // at returns the arena entry for id.
-//
-//ndnlint:hotpath — arena indexing under every probe; must not allocate
 func (t *Table) at(id int32) *Entry {
 	return &t.chunks[id>>chunkShift][id&chunkMask]
 }
@@ -204,8 +198,6 @@ func (t *Table) at(id int32) *Entry {
 // Get returns the live entry for exactly name, or nil. The precomputed
 // name hash selects the probe start; membership is verified by full
 // name comparison.
-//
-//ndnlint:hotpath — the one probe per arriving interest; must not allocate
 func (t *Table) Get(name ndn.Name) *Entry {
 	h := name.Hash()
 	i := uint32(h) & t.mask
@@ -224,8 +216,6 @@ func (t *Table) Get(name ndn.Name) *Entry {
 
 // GetView is Get for a zero-copy name view: the wire-facing probe,
 // taken without materializing an owned name.
-//
-//ndnlint:hotpath — wire probe; must not allocate
 func (t *Table) GetView(v *ndn.NameView) *Entry {
 	h := v.Hash()
 	i := uint32(h) & t.mask
@@ -246,8 +236,6 @@ func (t *Table) GetView(v *ndn.NameView) *Entry {
 // components of "of", given that prefix's rolling hash h (see
 // ndn.MixComponentHash), or nil. This is the PIT longest-prefix probe:
 // no prefix name is ever materialized.
-//
-//ndnlint:hotpath — per-prefix probe on every Data arrival; must not allocate
 func (t *Table) GetPrefix(h uint64, k int, of ndn.Name) *Entry {
 	i := uint32(h) & t.mask
 	for {
@@ -279,8 +267,6 @@ type Probe struct {
 // PutProbed needs no second hash probe. This is the interest
 // pipeline's primitive: the forwarder probes once per arriving interest and
 // resolves CS-check, PIT-aggregate and PIT-insert from the result.
-//
-//ndnlint:hotpath — the one probe per arriving interest; must not allocate
 func (t *Table) Probe(name ndn.Name) Probe {
 	h := name.Hash()
 	i := uint32(h) & t.mask
@@ -439,8 +425,6 @@ func (t *Table) TokenOf(e *Entry) uint64 {
 
 // ByToken resolves a token to its live entry, or nil when the token is
 // zero, malformed, or from a previous lifetime of the slot.
-//
-//ndnlint:hotpath — token-carrying Data fast path; must not allocate
 func (t *Table) ByToken(tok uint64) *Entry {
 	if tok == 0 {
 		return nil
@@ -501,7 +485,7 @@ func (t *Table) AttachPIT(e *Entry) *PITFacet {
 // count, extending it to a depth not seen before.
 func countLen(lens []int32, k int) []int32 {
 	for len(lens) <= k {
-		lens = append(lens, 0) //ndnlint:allow alloccheck — grows once per new max name depth
+		lens = append(lens, 0)
 	}
 	lens[k]++
 	return lens
@@ -524,8 +508,6 @@ func (t *Table) DetachPIT(e *Entry) {
 // PITLenAt reports how many active PIT facets have names of exactly k
 // components. Data satisfaction skips prefix lengths reporting zero
 // without probing the table.
-//
-//ndnlint:hotpath — consulted per prefix length on every Data arrival
 func (t *Table) PITLenAt(k int) int {
 	if k >= len(t.pitLens) {
 		return 0
@@ -549,8 +531,6 @@ func (t *Table) ForEachPIT(fn func(*Entry)) {
 // components. Only such a name can match an interest for a k-component
 // name it does not equal, so a false answer settles a prefix lookup
 // without the sorted index.
-//
-//ndnlint:hotpath — guards the prefix-range scan on every CS miss
 func (t *Table) CSLongerThan(k int) bool {
 	for k++; k < len(t.csLens); k++ {
 		if t.csLens[k] != 0 {
@@ -565,11 +545,9 @@ func (t *Table) CSLongerThan(k int) bool {
 func (t *Table) CSIndexLen() int { return t.nCS }
 
 // CSIndex returns the i-th CS-faceted entry in sorted name order.
-//
-//ndnlint:hotpath — prefix-range scan step in Match; must not allocate
 func (t *Table) CSIndex(i int) *Entry {
 	if !t.csOrdered {
-		t.buildOrder() //ndnlint:allow alloccheck — one-time index build on the first ordered access, never again for this table
+		t.buildOrder()
 	}
 	return t.at(t.csOrder[i])
 }
@@ -578,11 +556,9 @@ func (t *Table) CSIndex(i int) *Entry {
 // compares >= prefix. Every name under the prefix forms a contiguous
 // run starting there (component-wise order sorts a prefix immediately
 // before its extensions).
-//
-//ndnlint:hotpath — prefix-range entry point in Match; must not allocate
 func (t *Table) CSLowerBound(prefix ndn.Name) int {
 	if !t.csOrdered {
-		t.buildOrder() //ndnlint:allow alloccheck — one-time index build on the first prefix lookup, never again for this table
+		t.buildOrder()
 	}
 	lo, hi := 0, len(t.csOrder)
 	for lo < hi {
@@ -616,7 +592,7 @@ func (t *Table) buildOrder() {
 // orderInsert places e into the sorted prefix index.
 func (t *Table) orderInsert(e *Entry) {
 	i := t.CSLowerBound(e.name)
-	t.csOrder = append(t.csOrder, 0) //ndnlint:allow alloccheck — amortized index growth, backing array reused across churn
+	t.csOrder = append(t.csOrder, 0)
 	copy(t.csOrder[i+1:], t.csOrder[i:])
 	t.csOrder[i] = e.id
 }

@@ -118,8 +118,6 @@ func (f *FIB) Lookup(name ndn.Name) ([]FaceID, error) {
 // table's own face list — read-only, valid until the next Insert or
 // Remove — and nil when no prefix covers name, so a per-interest lookup
 // copies and allocates nothing.
-//
-//ndnlint:hotpath — per-forwarded-interest route lookup; must not allocate
 func (f *FIB) NextHops(name ndn.Name) []FaceID {
 	node := f.root
 	best := node.faces

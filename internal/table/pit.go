@@ -127,8 +127,6 @@ func (p *PIT) Len() int { return p.t.LenPIT() }
 // Probe captures one hash probe of the PIT's table for name, for use
 // with InsertProbed. A forwarder with a Content Store reuses the store's
 // probe of the shared table instead.
-//
-//ndnlint:hotpath — the one probe per arriving interest; must not allocate
 func (p *PIT) Probe(name ndn.Name) pcct.Probe { return p.t.Probe(name) }
 
 // InsertProbed records that interest arrived on face at virtual time
@@ -137,11 +135,9 @@ func (p *PIT) Probe(name ndn.Name) pcct.Probe { return p.t.Probe(name) }
 // re-hashing. It returns the entry's direct-access token (for
 // InsertedNew and Aggregated outcomes): the forwarder stamps it on the
 // upstream copy so the answering Data can come back with a table
-// handle. Only admitting a new pending name may allocate (each
-// allocation is waived below), so aggregation and duplicate-nonce
-// handling stay allocation-free.
-//
-//ndnlint:hotpath — runs on every arriving Interest; admission allocations waived below
+// handle. Only admitting a new pending name may allocate — and once the
+// table's arena and the facet's slices have grown, not even that — so
+// aggregation and duplicate-nonce handling stay allocation-free.
 func (p *PIT) InsertProbed(interest *ndn.Interest, face FaceID, now time.Duration, pr *pcct.Probe) (InsertOutcome, uint64) {
 	lifetime := interest.Lifetime
 	if lifetime <= 0 {
@@ -160,21 +156,21 @@ func (p *PIT) InsertProbed(interest *ndn.Interest, face FaceID, now time.Duratio
 	if e == nil || !e.PITActive() {
 		if p.capacity > 0 && p.t.LenPIT() >= p.capacity {
 			// Reclaim expired entries before refusing admission.
-			p.Expire(now) //ndnlint:allow alloccheck — capacity reclaim is the slow path
+			p.Expire(now)
 			if p.t.LenPIT() >= p.capacity {
 				p.rejected++
 				return RejectedFull, 0
 			}
 		}
-		e = p.t.PutProbed(pr, interest.Name) //ndnlint:allow alloccheck — new-entry admission allocates by design
+		e = p.t.PutProbed(pr, interest.Name)
 		pf := p.t.AttachPIT(e)
 		pf.Expires = now + lifetime
 		pf.Created = now
 		pf.Privacy = interest.Privacy == ndn.PrivacyRequested
 		pf.Trace = interest.TraceID
 		pf.Span = interest.SpanID
-		pf.Faces = append(pf.Faces, pcct.FaceRec{Face: int64(face), Token: interest.PITToken}) //ndnlint:allow alloccheck — new-entry admission; backing array reused across lifecycles
-		pf.Nonces = append(pf.Nonces, interest.Nonce)                                          //ndnlint:allow alloccheck — new-entry admission; backing array reused across lifecycles
+		pf.Faces = append(pf.Faces, pcct.FaceRec{Face: int64(face), Token: interest.PITToken})
+		pf.Nonces = append(pf.Nonces, interest.Nonce)
 		return InsertedNew, p.t.TokenOf(e)
 	}
 	pf := e.PIT()
@@ -183,7 +179,7 @@ func (p *PIT) InsertProbed(interest *ndn.Interest, face FaceID, now time.Duratio
 			return DuplicateNonce, 0
 		}
 	}
-	pf.Nonces = append(pf.Nonces, interest.Nonce) //ndnlint:allow alloccheck — nonce list bounded by in-flight retransmissions
+	pf.Nonces = append(pf.Nonces, interest.Nonce)
 	recorded := false
 	for i := range pf.Faces {
 		if pf.Faces[i].Face == int64(face) {
@@ -195,7 +191,7 @@ func (p *PIT) InsertProbed(interest *ndn.Interest, face FaceID, now time.Duratio
 		}
 	}
 	if !recorded {
-		pf.Faces = append(pf.Faces, pcct.FaceRec{Face: int64(face), Token: interest.PITToken}) //ndnlint:allow alloccheck — face list bounded by the node's degree
+		pf.Faces = append(pf.Faces, pcct.FaceRec{Face: int64(face), Token: interest.PITToken})
 	}
 	if exp := now + lifetime; exp > pf.Expires {
 		pf.Expires = exp
@@ -245,8 +241,6 @@ type SatisfyResult struct {
 // probes lengths with nothing pending. The result's face and token
 // slices are reused buffers: sorted by face, deduplicated, valid until
 // the next SatisfyByToken call — steady-state satisfaction allocates nothing.
-//
-//ndnlint:hotpath — runs on every arriving Data; must not allocate in steady state
 func (p *PIT) SatisfyByToken(data *ndn.Data, tok uint64, now time.Duration) (SatisfyResult, bool) {
 	var tokEntry *pcct.Entry
 	if tok != 0 {
@@ -327,8 +321,6 @@ func (p *PIT) SatisfyByToken(data *ndn.Data, tok uint64, now time.Duration) (Sat
 // deduplicating across consumed entries. The first nonzero token for a
 // face wins (any of the downstream node's live tokens serves as a
 // satisfaction hint there).
-//
-//ndnlint:hotpath — per-face step of Data satisfaction; must not allocate
 func (p *PIT) addFace(f FaceID, tok uint64) {
 	for i := range p.facesBuf {
 		if p.facesBuf[i] == f {
@@ -356,10 +348,10 @@ func (p *PIT) growFaceBufs() {
 	if nc == 0 {
 		nc = 8
 	}
-	faces := make([]FaceID, len(p.facesBuf), nc) //ndnlint:allow alloccheck — amortized one-time buffer growth
+	faces := make([]FaceID, len(p.facesBuf), nc)
 	copy(faces, p.facesBuf)
 	p.facesBuf = faces
-	tokens := make([]uint64, len(p.tokensBuf), nc) //ndnlint:allow alloccheck — amortized one-time buffer growth
+	tokens := make([]uint64, len(p.tokensBuf), nc)
 	copy(tokens, p.tokensBuf)
 	p.tokensBuf = tokens
 }
@@ -368,8 +360,6 @@ func (p *PIT) growFaceBufs() {
 // the viewed name: the pending probe taken directly over the wire
 // buffer, keyed by the view's precomputed hash and verified by full
 // component comparison.
-//
-//ndnlint:hotpath — loop-detection probe on the wire Interest path; must not allocate
 func (p *PIT) HasPendingView(v *ndn.NameView, now time.Duration) bool {
 	e := p.t.GetView(v)
 	return e != nil && e.PITActive() && now < e.PIT().Expires

@@ -2,9 +2,8 @@ package telemetry
 
 import "testing"
 
-// These tests pin the zero-allocation contract that the //ndnlint:hotpath
-// annotations in metrics.go declare and alloccheck enforces statically:
-// counter increments and histogram observations sit inside the latency
+// These tests pin the zero-allocation contract of metrics.go: counter
+// increments and histogram observations sit inside the latency
 // the paper's adversary measures, so a regression here is experimental
 // noise, not just a slowdown.
 

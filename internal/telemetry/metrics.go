@@ -17,8 +17,6 @@ type Counter struct {
 func NewCounter() *Counter { return &Counter{} }
 
 // Inc adds one.
-//
-//ndnlint:hotpath — incremented on every forwarded Interest/Data
 func (c *Counter) Inc() {
 	if c == nil {
 		return
@@ -27,8 +25,6 @@ func (c *Counter) Inc() {
 }
 
 // Add adds n.
-//
-//ndnlint:hotpath
 func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return
@@ -54,8 +50,6 @@ type Gauge struct {
 func NewGauge() *Gauge { return &Gauge{} }
 
 // Set stores v.
-//
-//ndnlint:hotpath
 func (g *Gauge) Set(v int64) {
 	if g == nil {
 		return
@@ -64,8 +58,6 @@ func (g *Gauge) Set(v int64) {
 }
 
 // Add adds delta (may be negative).
-//
-//ndnlint:hotpath
 func (g *Gauge) Add(delta int64) {
 	if g == nil {
 		return
@@ -120,8 +112,6 @@ func ExponentialBounds(start, growth float64, n int) []float64 {
 }
 
 // Observe records one sample. Nil-safe.
-//
-//ndnlint:hotpath — latency observation must not perturb the latency
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return

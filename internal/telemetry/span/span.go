@@ -152,8 +152,6 @@ func (t *Tracer) capacity() int {
 // alloc appends one zero record and returns a pointer into chunk
 // storage. Growth happens one chunk at a time, so the amortized
 // per-record cost is a bump append into pre-sized backing.
-//
-//ndnlint:hotpath — every span record lands here
 func (t *Tracer) alloc() *Record {
 	if n := len(t.chunks); n > 0 {
 		last := t.chunks[n-1]
@@ -164,8 +162,8 @@ func (t *Tracer) alloc() *Record {
 			return &last[len(last)-1]
 		}
 	}
-	ch := make([]Record, 1, chunkSize) //ndnlint:allow alloccheck — chunk-amortized pool growth
-	t.chunks = append(t.chunks, ch)    //ndnlint:allow alloccheck — chunk-amortized pool growth
+	ch := make([]Record, 1, chunkSize)
+	t.chunks = append(t.chunks, ch)
 	t.count++
 	return &ch[0]
 }
@@ -174,8 +172,6 @@ func (t *Tracer) alloc() *Record {
 // mixes the tracer seed, the content-name hash, and the per-tracer
 // issue sequence through SplitMix64, so identical seeds yield
 // identical IDs and distinct issues never collide in practice.
-//
-//ndnlint:hotpath — consumer interest-admission path
 func (t *Tracer) StartRoot(nameHash uint64, node, name string, at int64) (*Record, Context) {
 	if t == nil {
 		return nil, Context{}
@@ -204,8 +200,6 @@ func (t *Tracer) StartRoot(nameHash uint64, node, name string, at int64) (*Recor
 // trace-scoped kinds pass the propagated context; residency spans pass
 // a zero context (no trace). Returns nil and a zero context when the
 // tracer is disabled.
-//
-//ndnlint:hotpath — forwarder interest/data paths
 func (t *Tracer) Begin(parent Context, kind, node, name string, at int64) (*Record, Context) {
 	if t == nil {
 		return nil, Context{}
@@ -225,8 +219,6 @@ func (t *Tracer) Begin(parent Context, kind, node, name string, at int64) (*Reco
 
 // End closes r at virtual time at with the given terminal action.
 // Safe on a nil tracer or a nil record.
-//
-//ndnlint:hotpath — forwarder interest/data paths
 func (t *Tracer) End(r *Record, at int64, action string) {
 	if t == nil || r == nil {
 		return
@@ -238,8 +230,6 @@ func (t *Tracer) End(r *Record, at int64, action string) {
 // Span records a completed child span in one call — the common case
 // for point-in-time or precomputed-interval stages (CS lookups,
 // countermeasure decisions, link traversals).
-//
-//ndnlint:hotpath — forwarder interest/data paths
 func (t *Tracer) Span(parent Context, kind, node, name, action string, start, end int64, value uint64) Context {
 	if t == nil {
 		return Context{}

@@ -227,8 +227,6 @@ func (t *Tap) Tracer() *span.Tracer {
 // increments the stage's counter, emits the stage's event, records the
 // stage's span — begun and returned for an open kind — and ends r.Span.
 // It returns nil when no span was begun. Nil-safe.
-//
-//ndnlint:hotpath — one call per pipeline stage; must not allocate
 func (t *Tap) Record(r *Rec) *span.Record {
 	if t == nil {
 		return nil
@@ -248,7 +246,7 @@ func (t *Tap) Record(r *Rec) *span.Record {
 		case valueDelay:
 			ev.DelayNS = int64(r.Value)
 		}
-		t.sink.Emit(ev) //ndnlint:allow alloccheck — trace emission is opt-in instrumentation
+		t.sink.Emit(ev)
 	}
 	if t.spans == nil {
 		return nil
