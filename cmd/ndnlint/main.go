@@ -1,10 +1,9 @@
 // Command ndnlint runs ndnprivacy's project-specific static analysis
 // over the packages matching the given go-list patterns (default ./...):
 // simulator determinism (no wall clock), no global math/rand,
-// map-iteration order, wire-format error hygiene, seed flow, and the
-// viewsafe escape/retention analysis for //ndnlint:viewtype zero-copy
-// wire views. See internal/lint for the individual checks and the
-// //ndnlint:allow suppression syntax.
+// map-iteration order, wire-format error hygiene and seed flow. See
+// internal/lint for the individual checks and the //ndnlint:allow
+// suppression syntax.
 //
 // Usage:
 //
@@ -67,9 +66,6 @@ func run(args []string, stdout io.Writer) int {
 		return 2
 	}
 
-	// One whole-tree pass: interprocedural checks (viewsafe) follow
-	// calls across package boundaries only when every package is
-	// analyzed together.
 	findings := lint.CheckAll(pkgs, checks)
 
 	switch {

@@ -41,7 +41,7 @@ func TestStoreExactMissZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestStoreExactViewZeroAlloc(t *testing.T) {
+func TestStoreProbeViewZeroAlloc(t *testing.T) {
 	s := MustNewStore(0, nil)
 	d := benchData(1)
 	s.Insert(d, 0, 0)
@@ -53,16 +53,16 @@ func TestStoreExactViewZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, found := s.ExactView(&v, 0); found {
+		if _, found, _ := s.ProbeView(v, 0); found {
 			hits++
 		}
 		m, err := ndn.ParseNameView(missWire)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.ExactView(&m, 0)
+		s.ProbeView(m, 0)
 	}); n != 0 {
-		t.Errorf("Store.ExactView (wire parse + hit + miss): %.0f allocs/run, want 0", n)
+		t.Errorf("Store.ProbeView (wire parse + hit + miss): %.0f allocs/run, want 0", n)
 	}
 	if hits == 0 {
 		t.Fatal("lookups unexpectedly missed")

@@ -52,7 +52,7 @@ type SecondTier interface {
 }
 
 // demotedRef is one second-tier resident as the store knows it. The name
-// serves view probes, Names and Clear; the open residency span waits
+// serves wire probes, Names and Clear; the open residency span waits
 // here rather than on the demoted Entry because a serializing backend
 // hands back a reconstruction, not the pointer it was given.
 type demotedRef struct {
@@ -149,12 +149,12 @@ func (s *Store) readSecond(name ndn.Name, interest *ndn.Interest, now time.Durat
 	return entry, cost, true
 }
 
-// peekSecondView is the pure second-tier probe for a zero-copy name
-// view: the demoted index resolves the view to an owned name by hash
-// without materializing a key on the miss path.
-func (s *Store) peekSecondView(v *ndn.NameView, now time.Duration) (*Entry, bool) {
-	for _, ref := range s.demoted[v.Hash()] {
-		if v.EqualName(ref.name) {
+// peekSecondView is the pure second-tier probe for a name that may be
+// borrowed: the demoted index resolves it by hash to the owned name the
+// store keeps, without materializing a key on the miss path.
+func (s *Store) peekSecondView(name ndn.Name, now time.Duration) (*Entry, bool) {
+	for _, ref := range s.demoted[name.Hash()] {
+		if ref.name.Equal(name) {
 			entry, _, found := s.readSecond(ref.name, nil, now, false)
 			return entry, found
 		}

@@ -336,13 +336,6 @@ func (s *Store) Exact(name ndn.Name, now time.Duration) (*Entry, bool) {
 	return entry, found
 }
 
-// ExactView is Exact for a zero-copy name view, and like every view
-// lookup a pure probe (see ProbeView).
-func (s *Store) ExactView(v *ndn.NameView, now time.Duration) (*Entry, bool) {
-	entry, cached, _ := s.ProbeView(v, now)
-	return entry, cached
-}
-
 // lookupExact is the table half of Exact, without hit/miss accounting.
 func (s *Store) lookupExact(name ndn.Name, now time.Duration) (*Entry, bool) {
 	e := s.t.Get(name)
@@ -373,18 +366,17 @@ func (s *Store) countLookup(hit bool) {
 func (s *Store) ProbeName(name ndn.Name) pcct.Probe { return s.t.Probe(name) }
 
 // ProbeView resolves both facets of the composite table with one hash
-// probe over a zero-copy name view — the hit/miss decision the timing
-// adversary measures, taken directly over the wire buffer without
-// materializing an owned name. The view's precomputed rolling hash
-// selects the probe start and full component comparison verifies
-// membership. cached follows Exact semantics (stale purge, hit/miss
-// accounting) except that a second-tier hit is reported without
-// promoting, so probing cannot reshape tier placement; pending reports
-// whether a live PIT facet awaits the name at virtual time now. Pending
-// state is read before any stale purge, which may release the table
-// entry.
-func (s *Store) ProbeView(v *ndn.NameView, now time.Duration) (entry *Entry, cached, pending bool) {
-	if e := s.t.GetView(v); e != nil {
+// probe — the hit/miss decision the timing adversary measures, taken
+// over a name that may be borrowed straight off the wire buffer: the
+// probe keeps nothing of it. The name's hash selects the probe start and
+// a comparison of the names' bytes verifies membership. cached follows
+// Exact semantics (stale purge, hit/miss accounting) except that a
+// second-tier hit is reported without promoting, so probing cannot
+// reshape tier placement; pending reports whether a live PIT facet
+// awaits the name at virtual time now. Pending state is read before any
+// stale purge, which may release the table entry.
+func (s *Store) ProbeView(name ndn.Name, now time.Duration) (entry *Entry, cached, pending bool) {
+	if e := s.t.Get(name); e != nil {
 		pending = e.PITActive() && now < e.PIT().Expires
 		if e.CS() != nil {
 			ce := e.CS().(*Entry)
@@ -396,7 +388,7 @@ func (s *Store) ProbeView(v *ndn.NameView, now time.Duration) (entry *Entry, cac
 		}
 	}
 	if !cached && s.second != nil {
-		entry, cached = s.peekSecondView(v, now)
+		entry, cached = s.peekSecondView(name, now)
 	}
 	s.countLookup(cached)
 	return entry, cached, pending

@@ -30,7 +30,7 @@ func TestTieredExactRAMHitZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestTieredExactViewZeroAlloc(t *testing.T) {
+func TestTieredProbeViewZeroAlloc(t *testing.T) {
 	s := tieredStore(t, 8, NewDiskModel(DiskModelConfig{}))
 	d := mustData("/bench/a")
 	s.Insert(d, 0, 0)
@@ -42,16 +42,16 @@ func TestTieredExactViewZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, found := s.ExactView(&v, 0); found {
+		if _, found, _ := s.ProbeView(v, 0); found {
 			hits++
 		}
 		m, err := ndn.ParseNameView(missWire)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.ExactView(&m, 0)
+		s.ProbeView(m, 0)
 	}); n != 0 {
-		t.Errorf("tiered ExactView (wire parse + RAM hit + miss): %.0f allocs/run, want 0", n)
+		t.Errorf("tiered ProbeView (wire parse + RAM hit + miss): %.0f allocs/run, want 0", n)
 	}
 	if hits == 0 {
 		t.Fatal("lookups unexpectedly missed")

@@ -32,7 +32,7 @@ func BenchmarkTieredExactRAMHit(b *testing.B) {
 	}
 }
 
-func BenchmarkTieredExactViewRAMHit(b *testing.B) {
+func BenchmarkTieredProbeViewRAMHit(b *testing.B) {
 	s := benchStore(b, 16)
 	d := mustData("/bench/ram")
 	s.Insert(d, 0, 0)
@@ -44,14 +44,14 @@ func BenchmarkTieredExactViewRAMHit(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, found := s.ExactView(&v, 0); !found {
+		if _, found, _ := s.ProbeView(v, 0); !found {
 			b.Fatal("miss")
 		}
 	}
 }
 
-func BenchmarkTieredExactViewDiskHit(b *testing.B) {
-	// ExactView is a pure probe (no promotion), so a disk-resident
+func BenchmarkTieredProbeViewDiskHit(b *testing.B) {
+	// ProbeView is a pure probe (no promotion), so a disk-resident
 	// entry stays disk-resident across iterations.
 	s := benchStore(b, 1)
 	d := mustData("/bench/disk")
@@ -65,7 +65,7 @@ func BenchmarkTieredExactViewDiskHit(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, found := s.ExactView(&v, 0); !found {
+		if _, found, _ := s.ProbeView(v, 0); !found {
 			b.Fatal("miss")
 		}
 	}

@@ -139,7 +139,7 @@ func TestDemotionAndPromotion(t *testing.T) {
 	}
 }
 
-func TestExactViewIsPureProbe(t *testing.T) {
+func TestProbeViewIsPureProbe(t *testing.T) {
 	s := ramStore(t, 1)
 	a, b := mkData(t, "/t/a"), mkData(t, "/t/b")
 	s.Insert(a, 0, 0)
@@ -151,17 +151,17 @@ func TestExactViewIsPureProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	for probe := 0; probe < 2; probe++ {
-		if _, found := s.ExactView(&v, 2*time.Millisecond); !found {
-			t.Fatalf("probe %d: disk-resident entry not visible to view lookup", probe)
+		if _, found, _ := s.ProbeView(v, 2*time.Millisecond); !found {
+			t.Fatalf("probe %d: disk-resident entry not visible to the wire probe", probe)
 		}
-		// Still a disk hit on the second probe: the view probe must not
+		// Still a disk hit on the second probe: the wire probe must not
 		// have promoted.
 		if got := s.DiskHits(); got != uint64(probe+1) {
 			t.Fatalf("probe %d: disk hits = %d, want %d (probe must not promote)", probe, got, probe+1)
 		}
 	}
 	if got := s.Promotions(); got != 0 {
-		t.Errorf("Promotions after view probes = %d, want 0", got)
+		t.Errorf("Promotions after wire probes = %d, want 0", got)
 	}
 
 	// RAM-resident entry probes as a RAM hit.
@@ -170,8 +170,8 @@ func TestExactViewIsPureProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, found := s.ExactView(&bv, 2*time.Millisecond); !found {
-		t.Fatal("RAM-resident entry not visible to view lookup")
+	if _, found, _ := s.ProbeView(bv, 2*time.Millisecond); !found {
+		t.Fatal("RAM-resident entry not visible to the wire probe")
 	}
 	if hits, disk := s.Hits(), s.DiskHits(); hits != 3 || disk != 2 {
 		t.Errorf("hits/disk hits = %d/%d, want 3/2 (third probe served from RAM)", hits, disk)

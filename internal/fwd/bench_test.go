@@ -124,7 +124,7 @@ func BenchmarkEndToEndFetchHit(b *testing.B) {
 }
 
 // BenchmarkProbeWire measures the wire-facing hit/miss classification:
-// raw encoded Interest → zero-copy name view → hash-indexed CS and PIT
+// raw encoded Interest → borrowed name → hash-indexed CS and PIT
 // probes, with no packet decode and no owned name. This is the latency
 // surface the paper's timing adversary samples, end to end.
 func BenchmarkProbeWire(b *testing.B) {

@@ -33,7 +33,6 @@ type pendingFetch struct {
 	// interest is the fetch's own copy of the caller's interest, which
 	// the executor stamps (nonce, span context) and sends.
 	interest ndn.Interest
-	key      string // this fetch's key in Consumer.pending
 	sentAt   time.Duration
 	done     bool
 	handler  func(FetchResult)
@@ -97,18 +96,18 @@ func (c *Consumer) fetch(arg any) {
 		interest.Nonce = c.fwd.Sim().Rand().Uint64()
 	}
 	p.sentAt = c.fwd.Sim().Now()
-	p.key = interest.Name.Key()
+	key := interest.Name.Key()
 
 	// Open the trace root: this interest's admission at the consumer.
 	// The stamped interest propagates the context through the host
 	// forwarder and everything it causes.
 	if tr := c.fwd.tap.Tracer(); tr != nil {
 		var ctx span.Context
-		p.root, ctx = tr.StartRoot(interest.Name.Hash(), c.fwd.name, p.key, int64(p.sentAt))
+		p.root, ctx = tr.StartRoot(interest.Name.Hash(), c.fwd.name, key, int64(p.sentAt))
 		interest.TraceID, interest.SpanID = ctx.Trace, ctx.Span
 	}
-	if tail := c.pending[p.key]; tail == nil {
-		c.pending[p.key] = p
+	if tail := c.pending[key]; tail == nil {
+		c.pending[key] = p
 	} else {
 		for tail.next != nil {
 			tail = tail.next
@@ -133,11 +132,12 @@ func (c *Consumer) timeout(arg any) {
 		return
 	}
 	p.done = true
-	if head := c.pending[p.key]; head == p {
+	key := p.interest.Name.Key()
+	if head := c.pending[key]; head == p {
 		if p.next == nil {
-			delete(c.pending, p.key)
+			delete(c.pending, key)
 		} else {
-			c.pending[p.key] = p.next
+			c.pending[key] = p.next
 		}
 	} else {
 		for ; head != nil; head = head.next {

@@ -352,35 +352,34 @@ func (f *Forwarder) dispatch(from table.FaceID, pkt any) {
 }
 
 // ProbeWire classifies an encoded Interest against this node's tables
-// directly from the raw wire buffer: a zero-copy name view probes the
-// hash-indexed Content Store and PIT without decoding the packet or
-// materializing an owned name. This is the wire-facing fast path — the
-// hit/miss decision whose latency the paper's timing adversary measures
-// — and it must not allocate. It is a pure probe: no Touch, no cache-
-// manager decision, no PIT mutation. Oversized names (ErrViewCapacity) and
-// malformed wire report neither cached nor pending; callers needing the
+// directly from the raw wire buffer: the interest's name, borrowed from
+// the buffer, probes the hash-indexed Content Store and PIT without
+// decoding the packet or copying the name. This is the wire-facing fast
+// path — the hit/miss decision whose latency the paper's timing
+// adversary measures — and it must not allocate. It is a pure probe: no
+// Touch, no cache-manager decision, no PIT mutation, and nothing keeps
+// the borrowed name, so the caller may reuse wire as soon as it returns.
+// Malformed wire reports neither cached nor pending; callers needing the
 // full pipeline decode and use handleInterest.
 func (f *Forwarder) ProbeWire(wire []byte, now time.Duration) (cached, pending bool) {
-	v, err := ndn.InterestNameView(wire)
+	name, err := ndn.InterestNameView(wire)
 	if err != nil {
 		return false, false
 	}
-	// View lookups are read-only: the view is compared against cached
-	// names and never retained past the call, so it stays on the stack.
 	if f.cs != nil {
 		// The store's table is also the PIT's (see New): one probe
 		// resolves both the CS and the pending facet.
-		_, cached, pending = f.cs.ProbeView(&v, now) //ndnlint:allow viewsafe — ProbeView reads the view, never retains it
+		_, cached, pending = f.cs.ProbeView(name, now)
 	} else {
-		pending = f.pit.HasPendingView(&v, now)
+		pending = f.pit.HasPending(name, now)
 	}
-	// Wire probes have no propagated context, and the name stays
-	// un-materialized: a traceless point span carries the view's hash.
+	// Wire probes have no propagated context, and the name is never
+	// rendered: a traceless point span carries its hash.
 	action := "view-miss"
 	if cached {
 		action = "view-hit"
 	}
-	probe := telemetry.Rec{Stage: telemetry.StageProbeWire, Action: action, T0: int64(now), T1: int64(now), Value: v.Hash()}
+	probe := telemetry.Rec{Stage: telemetry.StageProbeWire, Action: action, T0: int64(now), T1: int64(now), Value: name.Hash()}
 	f.rec(&probe)
 	return cached, pending
 }

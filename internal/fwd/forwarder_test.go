@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -205,6 +206,26 @@ func TestProbeWireClassifiesFromRawWire(t *testing.T) {
 	// Malformed wire classifies as neither, never panics.
 	if cached, pending := topo.router.ProbeWire([]byte{0xFF, 0x00}, topo.sim.Now()); cached || pending {
 		t.Errorf("malformed probe = (%v, %v), want (false, false)", cached, pending)
+	}
+	// So does /p/doc with "doc"'s length in three bytes: a name has one
+	// encoding, and the decoders reject every other.
+	name := []byte{0x08, 0x01, 'p', 0x08, 0xFD, 0x00, 0x03, 'd', 'o', 'c'}
+	inner := append(append([]byte{0x07, byte(len(name))}, name...), 0x0A, 0x01, 99)
+	longLength := append([]byte{0x05, byte(len(inner))}, inner...)
+	if cached, pending := topo.router.ProbeWire(longLength, topo.sim.Now()); cached || pending {
+		t.Errorf("probe of a non-minimal encoding = (%v, %v), want (false, false)", cached, pending)
+	}
+
+	// The probe sees every name the tables hold, however long.
+	long := publish(t, topo.producer, "/p"+strings.Repeat("/c", 40), false).Name
+	longWire := ndn.EncodeInterest(ndn.NewInterest(long, 100))
+	topo.user.FetchName(long, func(FetchResult) {})
+	topo.sim.Run()
+	if _, found := topo.router.Store().Exact(long, topo.sim.Now()); !found {
+		t.Fatalf("%d-component name not cached after its fetch", long.Len())
+	}
+	if cached, pending := topo.router.ProbeWire(longWire, topo.sim.Now()); !cached || pending {
+		t.Errorf("%d-component probe = (%v, %v), want (true, false)", long.Len(), cached, pending)
 	}
 }
 

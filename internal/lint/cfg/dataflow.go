@@ -203,19 +203,3 @@ func ParamVars(info *types.Info, recv *ast.FieldList, ftype *ast.FuncType) []*ty
 	collect(ftype.Results)
 	return vars
 }
-
-// ResultVars collects only the named result variables.
-func ResultVars(info *types.Info, ftype *ast.FuncType) []*types.Var {
-	var vars []*types.Var
-	if ftype.Results == nil {
-		return vars
-	}
-	for _, f := range ftype.Results.List {
-		for _, name := range f.Names {
-			if v, ok := info.Defs[name].(*types.Var); ok {
-				vars = append(vars, v)
-			}
-		}
-	}
-	return vars
-}

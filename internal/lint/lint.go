@@ -4,10 +4,9 @@
 // invariants that convention alone used to guard — no wall clock inside
 // simulated packages, no global math/rand, no map-iteration order
 // leaking into event schedules or reports, no silently dropped
-// wire-format errors, no RNG seed that bypasses the seed parameter, no
-// zero-copy wire view outliving the buffer it aliases — are mechanized
-// here on top of the standard library go/ast + go/types toolchain (no
-// external dependencies, offline-buildable).
+// wire-format errors, no RNG seed that bypasses the seed parameter — are
+// mechanized here on top of the standard library go/ast + go/types
+// toolchain (no external dependencies, offline-buildable).
 //
 // Each check is a self-contained *Analyzer; future checks are one file
 // implementing Run over a type-checked package and one entry in All.
@@ -38,12 +37,7 @@ type Analyzer struct {
 	// Hint tells a developer how to fix a finding from this check.
 	Hint string
 	// Run inspects one package and reports findings through the pass.
-	// Nil for module-level analyzers.
 	Run func(*Pass)
-	// RunModule, when set, runs once over every loaded package together.
-	// It is how whole-program analyses (viewsafe's cross-package
-	// summaries) see across package boundaries; Run may be nil then.
-	RunModule func(*ModulePass)
 }
 
 // A Pass carries one type-checked package through one analyzer.
@@ -55,39 +49,6 @@ type Pass struct {
 
 	analyzer *Analyzer
 	findings *[]Finding
-}
-
-// A Unit is one type-checked package inside a module-level pass. All
-// units of one pass share a single token.FileSet.
-type Unit struct {
-	Files []*ast.File
-	Pkg   *types.Package
-	Info  *types.Info
-}
-
-// A ModulePass carries every loaded package through one module-level
-// analyzer at once.
-type ModulePass struct {
-	Fset  *token.FileSet
-	Units []*Unit
-
-	analyzer *Analyzer
-	findings *[]Finding
-}
-
-// Reportf records a module-pass finding at pos using the analyzer's
-// default hint.
-func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	*p.findings = append(*p.findings, Finding{
-		Check:   p.analyzer.Name,
-		Pos:     position,
-		File:    position.Filename,
-		Line:    position.Line,
-		Column:  position.Column,
-		Message: fmt.Sprintf(format, args...),
-		Hint:    p.analyzer.Hint,
-	})
 }
 
 // A Finding is one rule violation at one source position.
@@ -126,15 +87,13 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All is every check this linter ships, in reporting order. The first
 // four are single-node AST checks; seedflow is flow-sensitive, built on
-// the internal/lint/cfg reaching-definitions engine (as is viewsafe);
-// viewsafe is the module-level (interprocedural) analysis.
+// the internal/lint/cfg reaching-definitions engine.
 var All = []*Analyzer{
 	SimDeterminism,
 	GlobalRand,
 	MapOrder,
 	WireErr,
 	SeedFlow,
-	ViewSafe,
 }
 
 // ByName returns the named analyzer, or nil.
@@ -149,47 +108,26 @@ func ByName(name string) *Analyzer {
 
 // Check runs every analyzer in checks over one type-checked package and
 // returns surviving findings: suppressed ones are dropped, the rest are
-// sorted by position then check name. Module-level analyzers see the
-// single package as the whole program.
+// sorted by position then check name.
 func Check(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, checks []*Analyzer) []Finding {
-	return CheckUnits(fset, []*Unit{{Files: files, Pkg: pkg, Info: info}}, checks)
-}
-
-// CheckUnits runs every analyzer over the given set of type-checked
-// packages: per-package analyzers run once per unit, module-level
-// analyzers once over all units together (viewsafe's summaries are only
-// as complete as the unit set, so whole-tree invocations should pass
-// every module package). Suppressed findings
-// are dropped, the rest sorted by position then check name.
-func CheckUnits(fset *token.FileSet, units []*Unit, checks []*Analyzer) []Finding {
 	var findings []Finding
 	for _, a := range checks {
-		if a.Run != nil {
-			for _, u := range units {
-				a.Run(&Pass{
-					Fset:     fset,
-					Files:    u.Files,
-					Pkg:      u.Pkg,
-					Info:     u.Info,
-					analyzer: a,
-					findings: &findings,
-				})
-			}
-		}
-		if a.RunModule != nil {
-			a.RunModule(&ModulePass{
-				Fset:     fset,
-				Units:    units,
-				analyzer: a,
-				findings: &findings,
-			})
-		}
+		a.Run(&Pass{
+			Fset:     fset,
+			Files:    files,
+			Pkg:      pkg,
+			Info:     info,
+			analyzer: a,
+			findings: &findings,
+		})
 	}
-	var allFiles []*ast.File
-	for _, u := range units {
-		allFiles = append(allFiles, u.Files...)
-	}
-	findings = suppress(fset, allFiles, findings)
+	findings = suppress(fset, files, findings)
+	sortFindings(findings)
+	return findings
+}
+
+// sortFindings orders findings by position, then check name.
+func sortFindings(findings []Finding) {
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.File != b.File {
@@ -203,7 +141,6 @@ func CheckUnits(fset *token.FileSet, units []*Unit, checks []*Analyzer) []Findin
 		}
 		return a.Check < b.Check
 	})
-	return findings
 }
 
 // allowDirective is the comment prefix that suppresses findings.

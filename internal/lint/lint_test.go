@@ -28,11 +28,6 @@ var fixtures = map[string]string{
 	"globalrand_violation": "ndnprivacy/internal/util",
 	"maporder_violation":   "ndnprivacy/internal/fwd",
 	"maporder_clean":       "ndnprivacy/internal/fwd",
-	"viewsafe_violation":   "ndnprivacy/internal/util",
-	"viewsafe_clean":       "ndnprivacy/internal/util",
-	"viewsafe_viewcopy":    "ndnprivacy/internal/util",
-	"viewsafe_allow":       "ndnprivacy/internal/util",
-	"viewsafe_filescope":   "ndnprivacy/internal/util",
 	"wireerr_violation":    "ndnprivacy/internal/fwd",
 	"clean":                "ndnprivacy/internal/netsim",
 	"seedflow_violation":   "ndnprivacy/internal/netsim",
@@ -49,7 +44,6 @@ var expectFiring = map[string]string{
 	"maporder_violation":   "maporder",
 	"wireerr_violation":    "wireerr",
 	"seedflow_violation":   "seedflow",
-	"viewsafe_violation":   "viewsafe",
 }
 
 // expectClean names the fixtures that must stay silent: clean idiomatic
@@ -58,7 +52,6 @@ var expectClean = []string{
 	"clean", "simdet_allow", "simdet_rtexempt", "maporder_clean",
 	"seedflow_clean", "seedflow_allow",
 	"filescope_allow",
-	"viewsafe_clean", "viewsafe_viewcopy", "viewsafe_allow", "viewsafe_filescope",
 }
 
 func TestGolden(t *testing.T) {
@@ -215,8 +208,6 @@ func TestRepoLintsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One whole-tree pass, exactly like cmd/ndnlint: viewsafe's summaries
-	// need every package at once to follow cross-package calls.
 	for _, f := range lint.CheckAll(pkgs, lint.All) {
 		t.Errorf("%s", f)
 	}

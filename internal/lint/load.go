@@ -25,33 +25,20 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Check runs the given analyzers over the package. Module-level
-// analyzers see just this package; prefer CheckAll for whole-tree runs
-// so interprocedural analyses can follow cross-package calls.
+// Check runs the given analyzers over the package.
 func (p *Package) Check(checks []*Analyzer) []Finding {
 	return Check(p.Fset, p.Files, p.Types, p.Info, checks)
 }
 
-// CheckAll runs the given analyzers over every loaded package at once:
-// per-package checks per package, module-level checks (viewsafe) over
-// the whole set, which is what lets them propagate facts across package
-// boundaries. All packages must come from one Load call (shared
-// FileSet).
+// CheckAll runs the given analyzers over every loaded package and
+// returns the findings of all of them, sorted by position.
 func CheckAll(pkgs []*Package, checks []*Analyzer) []Finding {
-	if len(pkgs) == 0 {
-		return nil
+	var findings []Finding
+	for _, p := range pkgs {
+		findings = append(findings, p.Check(checks)...)
 	}
-	return CheckUnits(pkgs[0].Fset, Units(pkgs), checks)
-}
-
-// Units converts loaded packages to module-pass units (shared FileSet
-// assumed, as produced by one Load call).
-func Units(pkgs []*Package) []*Unit {
-	units := make([]*Unit, len(pkgs))
-	for i, p := range pkgs {
-		units[i] = &Unit{Files: p.Files, Pkg: p.Types, Info: p.Info}
-	}
-	return units
+	sortFindings(findings)
+	return findings
 }
 
 // listedPackage is the subset of `go list -json` output the loader
@@ -114,16 +101,13 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 
 	fset := token.NewFileSet()
-	imp := &moduleImporter{
-		base: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-			file, ok := exports[path]
-			if !ok {
-				return nil, fmt.Errorf("lint: no export data for %q", path)
-			}
-			return os.Open(file)
-		}),
-		built: make(map[string]*types.Package),
-	}
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("lint: no export data for %q", path)
+		}
+		return os.Open(file)
+	})
 
 	var pkgs []*Package
 	for _, target := range targets {
@@ -131,28 +115,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		imp.built[pkg.Path] = pkg.Types
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
-}
-
-// moduleImporter resolves module-internal imports to the source-checked
-// packages built earlier in the same Load call (go list -deps emits
-// dependencies before dependents), falling back to compiled export data
-// for the standard library. Sharing one object world across packages is
-// what lets viewsafe follow a call from internal/cache into
-// internal/ndn by object identity.
-type moduleImporter struct {
-	base  types.Importer
-	built map[string]*types.Package
-}
-
-func (m *moduleImporter) Import(path string) (*types.Package, error) {
-	if pkg, ok := m.built[path]; ok {
-		return pkg, nil
-	}
-	return m.base.Import(path)
 }
 
 func typeCheck(fset *token.FileSet, imp types.Importer, target listedPackage) (*Package, error) {

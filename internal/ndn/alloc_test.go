@@ -2,14 +2,16 @@ package ndn
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+	"unsafe"
 )
 
-// These tests pin the zero-allocation contract of the view parse path
-// and the lookup helpers under it: a NameView is fixed-size arrays
-// plus one slice header aliasing the caller's buffer, so parsing,
-// hashing, and component access must never touch the heap. The bench
-// numbers show the win; these make the regression fail `go test`.
+// These tests pin the zero-allocation contract of the borrowed-name
+// parse path and the lookups over it: a borrowed Name aliases the
+// caller's buffer, so parsing, hashing, comparing and walking it must
+// never touch the heap. The bench numbers show the win; these make the
+// regression fail `go test`.
 
 func TestParseNameViewZeroAlloc(t *testing.T) {
 	wire := EncodeName(nil, MustParseName("/youtube/alice/video-749.avi/137"))
@@ -56,20 +58,52 @@ func TestNameViewAccessZeroAlloc(t *testing.T) {
 	}
 	total := 0
 	if n := testing.AllocsPerRun(200, func() {
-		for i := 0; i < v.Len(); i++ {
-			total += len(v.Component(i))
+		for it := v.Components(); it.Next(); {
+			total += len(it.Component())
 		}
+		total += len(v.ComponentRef(v.Len() - 1))
 		for k := 0; k <= v.Len(); k++ {
-			total += int(v.PrefixHash(k) & 1)
+			total += int(v.Prefix(k).Hash() & 1)
 		}
-		if !v.EqualName(name) {
-			t.Fatal("EqualName mismatch")
+		if !v.Equal(name) || !name.Equal(v) || v.Compare(name) != 0 || !v.IsPrefixOf(name) {
+			t.Fatal("borrowed and owned names disagree")
 		}
 	}); n != 0 {
-		t.Errorf("NameView access: %.0f allocs/run, want 0", n)
+		t.Errorf("borrowed Name access: %.0f allocs/run, want 0", n)
 	}
 	if total == 0 {
 		t.Fatal("accessors unexpectedly read nothing")
+	}
+}
+
+// Decoding a packet's name costs one copy of its bytes and one rendered
+// URI, however many components it has: with the packet itself, an
+// Interest decode is three allocations.
+func TestDecodeInterestAllocs(t *testing.T) {
+	long := MustParseName("/a")
+	for i := 1; i < 20; i++ {
+		long = long.AppendString(fmt.Sprintf("c%d", i))
+	}
+	for _, name := range []Name{MustParseName("/cnn/news/2013may20"), long} {
+		wire := EncodeInterest(NewInterest(name, 0xDEADBEEF))
+		if n := testing.AllocsPerRun(200, func() {
+			if _, err := DecodeInterest(wire); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 3 {
+			t.Errorf("DecodeInterest(%d-component name): %.0f allocs/run, want <= 3", name.Len(), n)
+		}
+	}
+}
+
+// The packet headers stay in the Go size classes they had when a name
+// was a slice of components: each cached fetch copies them.
+func TestPacketHeaderSizes(t *testing.T) {
+	if got := unsafe.Sizeof(Interest{}); got > 112 {
+		t.Errorf("unsafe.Sizeof(Interest{}) = %d, want <= 112", got)
+	}
+	if got := unsafe.Sizeof(Data{}); got > 176 {
+		t.Errorf("unsafe.Sizeof(Data{}) = %d, want <= 176", got)
 	}
 }
 
@@ -94,7 +128,7 @@ func TestWireSizeZeroAlloc(t *testing.T) {
 }
 
 func TestNamePrefixZeroAlloc(t *testing.T) {
-	// Prefix shares the parent's components and slices its URI, so
+	// Prefix shares the parent's bytes and slices its URI, so
 	// walking every prefix of a name (Consumer.deliver does, per
 	// arriving Data) never renders a string.
 	name := MustParseName("/p/o/%00escaped%2F/1234")
@@ -136,8 +170,9 @@ func TestEncodersAllocateOnce(t *testing.T) {
 
 // The stream reader frames a packet in scratch it owns and reads it into
 // one buffer of its own, which the packet keeps: Next costs the decode
-// plus that buffer, less the copies the decode would make of a Data's
-// Payload and Signature — Next slices them from the buffer instead.
+// plus that buffer, less the copies the decode would make of the name's
+// bytes and a Data's Payload and Signature — Next slices them from the
+// buffer instead.
 func TestPacketReaderFramingAllocatesOnlyThePacket(t *testing.T) {
 	name := MustParseName("/youtube/alice/video-749.avi/137")
 	d, err := NewData(name, make([]byte, 1024)) // 1 KB: the Length field takes the three-byte form
@@ -152,8 +187,8 @@ func TestPacketReaderFramingAllocatesOnlyThePacket(t *testing.T) {
 		// saved is what the owned decode does not copy.
 		saved float64
 	}{
-		{"Interest", EncodeInterest(NewInterest(name, 7)), func(w []byte) error { _, err := DecodeInterest(w); return err }, 0},
-		{"Data", EncodeData(d), func(w []byte) error { _, err := DecodeData(w); return err }, 2},
+		{"Interest", EncodeInterest(NewInterest(name, 7)), func(w []byte) error { _, err := DecodeInterest(w); return err }, 1},
+		{"Data", EncodeData(d), func(w []byte) error { _, err := DecodeData(w); return err }, 3},
 	} {
 		decode := testing.AllocsPerRun(200, func() {
 			if err := tc.decode(tc.wire); err != nil {
@@ -169,7 +204,7 @@ func TestPacketReaderFramingAllocatesOnlyThePacket(t *testing.T) {
 			}
 		})
 		if want := decode + 1 - tc.saved; next != want {
-			t.Errorf("%s: Next %.0f allocs/run, want %.0f: decoding alone %.0f, +1 packet buffer, -%.0f payload/signature copies", tc.kind, next, want, decode, tc.saved)
+			t.Errorf("%s: Next %.0f allocs/run, want %.0f: decoding alone %.0f, +1 packet buffer, -%.0f name/payload/signature copies", tc.kind, next, want, decode, tc.saved)
 		}
 	}
 }

@@ -14,10 +14,9 @@ func BenchmarkParseName(b *testing.B) {
 	}
 }
 
-// BenchmarkParseNameView is the zero-copy counterpart of
+// BenchmarkParseNameView is the borrowed counterpart of
 // BenchmarkParseName: the same name, parsed in place over its wire form
-// instead of from the URI. The gap between the two is the data-plane win
-// the view layer exists for (target: 0 allocs/op, ≥10× faster).
+// instead of from the URI (target: 0 allocs/op, ≥10× faster).
 func BenchmarkParseNameView(b *testing.B) {
 	wire := EncodeName(nil, MustParseName("/youtube/alice/video-749.avi/137"))
 	b.ReportAllocs()
@@ -30,7 +29,7 @@ func BenchmarkParseNameView(b *testing.B) {
 }
 
 // BenchmarkInterestNameView measures the wire→lookup-key fast path: find
-// and view the Name inside a full encoded Interest without decoding it.
+// and borrow the Name inside a full encoded Interest without decoding it.
 func BenchmarkInterestNameView(b *testing.B) {
 	wire := EncodeInterest(NewInterest(MustParseName("/cnn/news/2013may20"), 0xDEADBEEF))
 	b.ReportAllocs()

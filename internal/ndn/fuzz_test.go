@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -131,79 +132,83 @@ func FuzzPacketStream(f *testing.F) {
 	})
 }
 
-// FuzzParseNameView differentially tests the zero-copy view parser
-// against the owned decode path on arbitrary wire input: whenever the
-// view parser accepts a buffer, the owned path must accept it too and
-// agree on component count, per-component bytes, every prefix hash, and
-// the canonical URI; whenever the view parser rejects, the owned path
-// must reject as well — except for ErrViewCapacity, the sanctioned
-// fallback for names beyond the view's fixed-size index.
+// FuzzParseNameView differentially tests the three ways a name is read:
+// the borrowed parse of a Name TLV, the packet decoders' owned decode of
+// its value, and ParseName of the URI either renders. They must accept
+// and reject the same bytes, and agree on length, components, every
+// prefix hash, URI and equality, for any number of components.
 func FuzzParseNameView(f *testing.F) {
 	f.Add(EncodeName(nil, MustParseName("/a/b/c")))
 	f.Add(EncodeName(nil, MustParseName("/")))
 	f.Add(EncodeName(nil, MustParseName("/%41%42/xyz")))
 	f.Add(EncodeName(nil, MustParseName("/youtube/alice/video-749.avi/137")))
+	f.Add(EncodeName(nil, MustParseName(strings.Repeat("/c", 41))))
+	f.Add(EncodeName(nil, NewName(make([]byte, 300))))
 	f.Add([]byte{0x07, 0x00})
 	f.Add([]byte{0x07, 0x02, 0x08, 0x00})
+	f.Add([]byte{0x07, 0x05, 0x08, 0xFD, 0x00, 0x01, 0x61}) // non-minimal component length
+	f.Add([]byte{0x07, 0x05, 0xFD, 0x00, 0x08, 0x01, 0x61}) // non-minimal component type
+	f.Add([]byte{0x07, 0xFD, 0x00, 0x03, 0x08, 0x01, 0x61}) // non-minimal Name length: the same name
 	f.Add([]byte{0x08, 0x01, 0x61})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, wire []byte) {
 		v, verr := ParseNameView(wire)
 
 		// Decode the same buffer on the owned path: one Name TLV spanning
-		// the whole input, then its component list.
+		// the whole input, then its value.
 		var own Name
 		oerr := errors.New("not a name TLV")
 		if typ, value, n, err := readTLV(wire); err == nil && typ == tlvName && n == len(wire) {
-			own, oerr = decodeName(value)
+			own, oerr = decodeName(value, false)
 		}
-
+		if (verr == nil) != (oerr == nil) {
+			t.Fatalf("borrowed parse error %v, owned decode error %v", verr, oerr)
+		}
 		if verr != nil {
-			if errors.Is(verr, ErrViewCapacity) {
-				return // owned fallback may still accept; that is the contract
-			}
-			if oerr == nil {
-				t.Fatalf("view parse rejected (%v) wire the owned path accepts as %q", verr, own)
-			}
 			return
 		}
-		if oerr != nil {
-			t.Fatalf("view parse accepted wire the owned path rejects: %v", oerr)
-		}
 
-		if v.Len() != own.Len() {
-			t.Fatalf("component count: view %d, owned %d", v.Len(), own.Len())
+		names := []Name{v, own, v.Clone()}
+		empty := false
+		for it := own.Components(); it.Next(); {
+			empty = empty || len(it.Component()) == 0
 		}
-		for i := 0; i < v.Len(); i++ {
-			if !bytes.Equal(v.Component(i), ComponentView(own.Component(i))) {
-				t.Fatalf("component %d: view %x, owned %x", i, v.Component(i), own.Component(i))
+		if !empty {
+			// The URI form cannot spell an empty component.
+			parsed, err := ParseName(own.String())
+			if err != nil {
+				t.Fatalf("URI %q of an accepted name does not parse: %v", own.String(), err)
+			}
+			names = append(names, parsed)
+		}
+		for i, n := range names[1:] {
+			if n.Len() != v.Len() {
+				t.Fatalf("form %d: %d components, borrowed %d", i+1, n.Len(), v.Len())
+			}
+			for k := 0; k < v.Len(); k++ {
+				if !bytes.Equal(n.ComponentRef(k), v.ComponentRef(k)) {
+					t.Fatalf("form %d: component %d %x, borrowed %x", i+1, k, n.ComponentRef(k), v.ComponentRef(k))
+				}
+			}
+			for k := 0; k <= v.Len(); k++ {
+				if n.Prefix(k).Hash() != v.Prefix(k).Hash() {
+					t.Fatalf("form %d: prefix hash %d %#x, borrowed %#x", i+1, k, n.Prefix(k).Hash(), v.Prefix(k).Hash())
+				}
+			}
+			if n.String() != v.String() || n.Key() != v.Key() {
+				t.Fatalf("form %d: URI %q, borrowed %q", i+1, n, v)
+			}
+			if !n.Equal(v) || !v.Equal(n) || n.Compare(v) != 0 {
+				t.Fatalf("form %d: %q not equal to the borrowed name", i+1, n)
 			}
 		}
-		for k := 0; k <= v.Len(); k++ {
-			if v.PrefixHash(k) != own.Prefix(k).Hash() {
-				t.Fatalf("prefix hash %d: view %#x, owned %#x", k, v.PrefixHash(k), own.Prefix(k).Hash())
-			}
-		}
-		if v.Hash() != own.Hash() {
-			t.Fatalf("hash: view %#x, owned %#x", v.Hash(), own.Hash())
-		}
-		if v.URI() != own.String() {
-			t.Fatalf("URI: view %q, owned %q", v.URI(), own.String())
-		}
-		if !v.EqualName(own) {
-			t.Fatal("EqualName(owned) = false for equal names")
-		}
-		clone := v.Clone()
-		if !clone.Equal(own) {
-			t.Fatalf("Clone mismatch: %q vs %q", clone, own)
-		}
-		// The clone's canonical wire must re-parse to an identical view.
-		back, err := ParseNameView(EncodeName(nil, clone))
+		// The canonical encoding re-parses to the same name.
+		back, err := ParseNameView(EncodeName(nil, own))
 		if err != nil {
-			t.Fatalf("re-encoded clone unparsable: %v", err)
+			t.Fatalf("re-encoded name unparsable: %v", err)
 		}
-		if back.Hash() != v.Hash() || back.URI() != v.URI() {
-			t.Fatalf("re-encode round trip mismatch: %q vs %q", back.URI(), v.URI())
+		if back.Hash() != v.Hash() || !back.Equal(v) {
+			t.Fatalf("re-encode round trip mismatch: %q vs %q", back, v)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package ndn
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -273,5 +274,137 @@ func TestNameCompareAntisymmetricProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Every spelling of the root is one name: the zero value, the parsed
+// and built roots, and the root a prefix walk or Parent reaches agree on
+// Equal, Key, String, Compare and Hash — a table that verifies a hash hit
+// with Equal must find any of them under any other.
+func TestRootNameForms(t *testing.T) {
+	one := MustParseName("/a")
+	parent, _ := one.Parent()
+	rootParent, _ := MustParseName("/").Parent()
+	forms := []struct {
+		label string
+		name  Name
+	}{
+		{"Name{}", Name{}},
+		{`MustParseName("/")`, MustParseName("/")},
+		{"NewName()", NewName()},
+		{"Prefix(0)", MustParseName("/a/b").Prefix(0)},
+		{"Parent() of /a", parent},
+		{"Parent() of /", rootParent},
+		{"Name{}.Clone()", Name{}.Clone()},
+	}
+	for _, a := range forms {
+		if a.name.String() != "/" || a.name.Key() != "/" {
+			t.Errorf("%s: String %q, Key %q, want /", a.label, a.name.String(), a.name.Key())
+		}
+		if !a.name.IsEmpty() || a.name.Len() != 0 {
+			t.Errorf("%s: %d components, want 0", a.label, a.name.Len())
+		}
+		if !a.name.IsPrefixOf(one) {
+			t.Errorf("%s is not a prefix of /a", a.label)
+		}
+		for _, b := range forms {
+			if !a.name.Equal(b.name) || a.name.Compare(b.name) != 0 || a.name.Hash() != b.name.Hash() {
+				t.Errorf("%s and %s: Equal %t, Compare %d, Hash %#x / %#x", a.label, b.label,
+					a.name.Equal(b.name), a.name.Compare(b.name), a.name.Hash(), b.name.Hash())
+			}
+		}
+	}
+}
+
+// A name has one wire encoding. The codec reads VAR-NUMBERs of any
+// width, so a component length could be spelled 0xFD 0x00 0x01 as well
+// as 0x01 — and a flat name compared byte for byte would be two names.
+// Every decoder of a name (borrowed parse, owned decode, the forwarder's
+// wire probe through InterestNameView) rejects the long spelling; one
+// outside the name's value — the Name or Interest TLV's own length —
+// changes nothing and decodes to the canonical name.
+func TestNameHasOneEncoding(t *testing.T) {
+	canonical := MustParseName("/a/bc")
+	for _, tc := range []struct {
+		label string
+		value []byte
+	}{
+		{"three-byte component length", []byte{0x08, 0x01, 'a', 0x08, 0xFD, 0x00, 0x02, 'b', 'c'}},
+		{"five-byte component length", []byte{0x08, 0xFE, 0x00, 0x00, 0x00, 0x01, 'a', 0x08, 0x02, 'b', 'c'}},
+		{"three-byte component type", []byte{0x08, 0x01, 'a', 0xFD, 0x00, 0x08, 0x02, 'b', 'c'}},
+	} {
+		nameWire := appendTLV(nil, tlvName, tc.value)
+		if n, err := ParseNameView(nameWire); err == nil {
+			t.Errorf("%s: ParseNameView accepted %q", tc.label, n)
+		}
+		interest := appendTLV(nil, tlvInterest, appendUintTLV(nameWire, tlvNonce, 1))
+		if n, err := InterestNameView(interest); err == nil {
+			t.Errorf("%s: InterestNameView accepted %q", tc.label, n)
+		}
+		if i, err := DecodeInterest(interest); err == nil {
+			t.Errorf("%s: DecodeInterest accepted %q", tc.label, i.Name)
+		}
+		data := appendTLV(nil, tlvData, appendTLV(nameWire, tlvPayload, []byte("x")))
+		if d, err := DecodeData(data); err == nil {
+			t.Errorf("%s: DecodeData accepted %q", tc.label, d.Name)
+		}
+	}
+
+	// A long Name length and a long Interest length wrap the same value.
+	value := EncodeName(nil, canonical)[2:]
+	long := append([]byte{0x07, 0xFD, 0x00, byte(len(value))}, value...)
+	long = appendUintTLV(long, tlvNonce, 1)
+	long = append([]byte{0x05, 0xFD, 0x00, byte(len(long))}, long...)
+	borrowed, err := InterestNameView(long)
+	if err != nil {
+		t.Fatalf("InterestNameView: %v", err)
+	}
+	decoded, err := DecodeInterest(long)
+	if err != nil {
+		t.Fatalf("DecodeInterest: %v", err)
+	}
+	for _, n := range []Name{borrowed, decoded.Name} {
+		if !n.Equal(canonical) || n.Hash() != canonical.Hash() || n.Key() != canonical.Key() {
+			t.Errorf("%q under a long outer length: Equal %t, Hash %#x, want %#x", n, n.Equal(canonical), n.Hash(), canonical.Hash())
+		}
+	}
+}
+
+// A borrowed name is the same type as an owned one and aliases the
+// buffer it was parsed from; Clone is the one copy that outlives it.
+func TestBorrowedNameClone(t *testing.T) {
+	wire := EncodeName(nil, MustParseName("/p/doc/1"))
+	v, err := ParseNameView(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := v.Clone()
+	for i := range wire {
+		wire[i] = 0xA5
+	}
+	if owned.String() != "/p/doc/1" || owned.Len() != 3 || owned.Hash() != MustParseName("/p/doc/1").Hash() {
+		t.Errorf("Clone changed with the buffer: %q", owned)
+	}
+	if again := owned.Clone(); again.String() != owned.String() {
+		t.Errorf("Clone of an owned name = %q, want %q", again, owned)
+	}
+}
+
+func TestComponentIter(t *testing.T) {
+	n := NewName([]byte("a"), []byte{}, make([]byte, 300), []byte("%/"))
+	var got [][]byte
+	for it := n.Components(); it.Next(); {
+		got = append(got, it.Component())
+	}
+	if len(got) != n.Len() {
+		t.Fatalf("iterated %d components of %d", len(got), n.Len())
+	}
+	for i, c := range got {
+		if !bytes.Equal(c, n.ComponentRef(i)) {
+			t.Errorf("component %d: iterator %x, ComponentRef %x", i, c, n.ComponentRef(i))
+		}
+	}
+	if it := (Name{}).Components(); it.Next() {
+		t.Error("the root has a component")
 	}
 }

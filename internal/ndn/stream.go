@@ -35,7 +35,8 @@ type Packet struct {
 // packet owns its bytes.
 func DecodePacket(wire []byte) (Packet, error) { return decodePacket(wire, false) }
 
-// decodePacket is DecodePacket; owned is decodeData's.
+// decodePacket is DecodePacket; owned is decodeData's and
+// decodeInterest's.
 func decodePacket(wire []byte, owned bool) (Packet, error) {
 	typ, _, _, err := readTLV(wire)
 	if err != nil {
@@ -43,7 +44,7 @@ func decodePacket(wire []byte, owned bool) (Packet, error) {
 	}
 	switch typ {
 	case tlvInterest:
-		i, err := DecodeInterest(wire)
+		i, err := decodeInterest(wire, owned)
 		if err != nil {
 			return Packet{}, err
 		}
@@ -109,8 +110,9 @@ func NewPacketReader(r io.Reader) *PacketReader {
 // io.ErrUnexpectedEOF when the stream ends mid-packet.
 //
 // Every packet gets a buffer of its own, which the reader never touches
-// again, so a Data's Payload and Signature are slices of it rather than
-// second copies: the packet is read into memory once.
+// again, so a packet's name bytes and a Data's Payload and Signature are
+// slices of it rather than second copies: the packet is read into memory
+// once.
 func (pr *PacketReader) Next() (Packet, error) {
 	typ, typLen, err := pr.readVarNum(0, false)
 	if err != nil {

@@ -118,33 +118,11 @@ func readTLV(b []byte) (typ uint64, value []byte, n int, err error) {
 	return typ, b[start:end], end, nil
 }
 
-// EncodeName appends the Name TLV encoding of n to b. The result is a
-// valid input for ParseNameView, which is how lookup benchmarks and the
-// forwarder's wire fast path obtain view-parseable buffers.
+// EncodeName appends the Name TLV encoding of n to b: the header and the
+// value n already holds.
 func EncodeName(b []byte, n Name) []byte {
-	inner := nameValueSize(n)
-	b = slices.Grow(b, tlvSize(tlvName, inner))
-	b = appendTLVHeader(b, tlvName, inner)
-	for _, c := range n.components {
-		b = appendTLV(b, tlvComponent, c)
-	}
-	return b
-}
-
-func decodeName(value []byte) (Name, error) {
-	comps := make([][]byte, 0, 8)
-	for len(value) > 0 {
-		typ, v, n, err := readTLV(value)
-		if err != nil {
-			return Name{}, err
-		}
-		if typ != tlvComponent {
-			return Name{}, fmt.Errorf("%w: unexpected type %#x inside Name", ErrBadTLV, typ)
-		}
-		comps = append(comps, v)
-		value = value[n:]
-	}
-	return NewName(comps...), nil
+	b = slices.Grow(b, nameTLVSize(n))
+	return appendTLV(b, tlvName, n.value)
 }
 
 func appendUintTLV(b []byte, typ, v uint64) []byte {
@@ -203,8 +181,12 @@ func AppendInterest(b []byte, i *Interest) []byte {
 	return b
 }
 
-// DecodeInterest parses a serialized interest.
-func DecodeInterest(wire []byte) (*Interest, error) {
+// DecodeInterest parses a serialized interest. The result owns its
+// bytes: wire may be reused once it returns.
+func DecodeInterest(wire []byte) (*Interest, error) { return decodeInterest(wire, false) }
+
+// decodeInterest parses an interest; owned is decodeData's.
+func decodeInterest(wire []byte, owned bool) (*Interest, error) {
 	typ, value, n, err := readTLV(wire)
 	if err != nil {
 		return nil, err
@@ -224,7 +206,7 @@ func DecodeInterest(wire []byte) (*Interest, error) {
 		}
 		switch ityp {
 		case tlvName:
-			out.Name, err = decodeName(v)
+			out.Name, err = decodeName(v, owned)
 			sawName = true
 		case tlvNonce:
 			out.Nonce, err = decodeUint(v)
@@ -296,9 +278,9 @@ func AppendData(b []byte, d *Data) []byte {
 func DecodeData(wire []byte) (*Data, error) { return decodeData(wire, false) }
 
 // decodeData parses a Data packet. With owned set the caller hands wire
-// over — it never reuses or writes the buffer again — so Payload and
-// Signature are sliced from it (capped, so an append cannot reach the
-// bytes after them) instead of copied out.
+// over — it never reuses or writes the buffer again — so the name's
+// bytes, Payload and Signature are sliced from it (capped, so an append
+// cannot reach the bytes after them) instead of copied out.
 func decodeData(wire []byte, owned bool) (*Data, error) {
 	typ, value, n, err := readTLV(wire)
 	if err != nil {
@@ -319,7 +301,7 @@ func decodeData(wire []byte, owned bool) (*Data, error) {
 		}
 		switch ityp {
 		case tlvName:
-			out.Name, err = decodeName(v)
+			out.Name, err = decodeName(v, owned)
 			sawName = true
 		case tlvPayload:
 			out.Payload = ownBytes(v, owned)
@@ -395,17 +377,8 @@ func uintTLVSize(typ, v uint64) int {
 	return tlvSize(typ, max(1, (bits.Len64(v)+7)/8))
 }
 
-// nameValueSize is the length of a Name element's value: its components.
-func nameValueSize(n Name) int {
-	inner := 0
-	for _, c := range n.components {
-		inner += tlvSize(tlvComponent, len(c))
-	}
-	return inner
-}
-
 // nameTLVSize is the encoded length of EncodeName(n).
-func nameTLVSize(n Name) int { return tlvSize(tlvName, nameValueSize(n)) }
+func nameTLVSize(n Name) int { return tlvSize(tlvName, len(n.value)) }
 
 // InterestWireSize returns len(EncodeInterest(i)) without encoding.
 func InterestWireSize(i *Interest) int { return tlvSize(tlvInterest, interestValueSize(i)) }

@@ -28,8 +28,8 @@ func TestLookupPathsZeroAlloc(t *testing.T) {
 		if tb.Get(hot) == nil {
 			t.Fatal("Get missed")
 		}
-		if tb.GetView(&v) == nil {
-			t.Fatal("GetView missed")
+		if tb.Get(v) == nil {
+			t.Fatal("Get of the borrowed name missed")
 		}
 		if tb.ByToken(tok) == nil {
 			t.Fatal("ByToken missed")

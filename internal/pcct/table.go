@@ -1,9 +1,8 @@
 // Package pcct implements the PIT-CS composite table: a single
-// open-addressing hash table, keyed by the rolling-FNV name hashes the
-// zero-copy NameView layer precomputes, whose entries carry two
-// independent facets — a Content Store facet (payload + intrusive
-// eviction-policy links) and a PIT facet (downstream faces, nonces,
-// expiry). The design follows ndn-dpdk's PCCT (csrc/pcct): one hash
+// open-addressing hash table, keyed by the rolling-FNV name hash every
+// ndn.Name carries, whose entries carry two independent facets — a
+// Content Store facet (payload + intrusive eviction-policy links) and a
+// PIT facet (downstream faces, nonces, expiry). The design follows ndn-dpdk's PCCT (csrc/pcct): one hash
 // probe per arriving interest resolves CS-check, PIT-aggregate and
 // PIT-insert, and a Data packet can carry a direct entry token back
 // instead of re-probing.
@@ -196,8 +195,9 @@ func (t *Table) at(id int32) *Entry {
 }
 
 // Get returns the live entry for exactly name, or nil. The precomputed
-// name hash selects the probe start; membership is verified by full
-// name comparison.
+// name hash selects the probe start; membership is verified by comparing
+// the names' bytes. name may be borrowed: the wire-facing probe takes it
+// straight off the packet buffer, and Get keeps nothing of it.
 func (t *Table) Get(name ndn.Name) *Entry {
 	h := name.Hash()
 	i := uint32(h) & t.mask
@@ -208,24 +208,6 @@ func (t *Table) Get(name ndn.Name) *Entry {
 		}
 		e := t.at(id)
 		if e.hash == h && e.name.Equal(name) {
-			return e
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-// GetView is Get for a zero-copy name view: the wire-facing probe,
-// taken without materializing an owned name.
-func (t *Table) GetView(v *ndn.NameView) *Entry {
-	h := v.Hash()
-	i := uint32(h) & t.mask
-	for {
-		id := t.buckets[i]
-		if id == nilID {
-			return nil
-		}
-		e := t.at(id)
-		if e.hash == h && v.EqualName(e.name) {
 			return e
 		}
 		i = (i + 1) & t.mask

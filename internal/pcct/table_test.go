@@ -53,7 +53,9 @@ func TestReleaseKeepsFacetedEntries(t *testing.T) {
 	}
 }
 
-func TestGetView(t *testing.T) {
+// Get serves a borrowed name — the wire probe's, aliasing the packet —
+// exactly as it serves the owned name the entry was made with.
+func TestGetBorrowedName(t *testing.T) {
 	tb := New(PolicyLRU)
 	n := name("/view/probe/x")
 	e := tb.Put(n)
@@ -62,16 +64,16 @@ func TestGetView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tb.GetView(&v); got != e {
-		t.Fatalf("GetView = %v, want %v", got, e)
+	if got := tb.Get(v); got != e {
+		t.Fatalf("Get(borrowed) = %v, want %v", got, e)
 	}
 	missWire := ndn.EncodeInterest(ndn.NewInterest(name("/view/probe/y"), 2))
 	mv, err := ndn.InterestNameView(missWire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.GetView(&mv) != nil {
-		t.Fatal("GetView of absent name returned an entry")
+	if tb.Get(mv) != nil {
+		t.Fatal("Get of an absent borrowed name returned an entry")
 	}
 }
 

@@ -8,12 +8,12 @@ import (
 )
 
 // These tests pin the allocation-free PIT operations: the steady-state
-// probe (HasPendingView) and the duplicate-nonce drop path run on every
+// probe (HasPending) and the duplicate-nonce drop path run on every
 // looped or retransmitted Interest and must not allocate, and a steady
 // admit-then-satisfy or admit-then-lapse cycle reuses what the first
 // admission allocated.
 
-func TestPITHasPendingViewZeroAlloc(t *testing.T) {
+func TestPITHasPendingZeroAlloc(t *testing.T) {
 	p := NewPIT()
 	name := ndn.MustParseName("/alloc/pending/view")
 	insert(p, ndn.NewInterest(name, 1), 1, 0)
@@ -24,11 +24,11 @@ func TestPITHasPendingViewZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.HasPendingView(&v, time.Millisecond) {
+		if p.HasPending(v, time.Millisecond) {
 			found++
 		}
 	}); n != 0 {
-		t.Errorf("PIT.HasPendingView: %.0f allocs/run, want 0", n)
+		t.Errorf("PIT.HasPending (wire parse + probe): %.0f allocs/run, want 0", n)
 	}
 	if found == 0 {
 		t.Fatal("entry unexpectedly absent")

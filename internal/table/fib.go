@@ -51,8 +51,8 @@ func (f *FIB) Insert(prefix ndn.Name, faces ...FaceID) error {
 		return fmt.Errorf("table: prefix %s needs at least one next hop", prefix)
 	}
 	node := f.root
-	for i := 0; i < prefix.Len(); i++ {
-		key := string(prefix.ComponentRef(i))
+	for it := prefix.Components(); it.Next(); {
+		key := string(it.Component())
 		if node.children == nil {
 			node.children = make(map[string]*fibNode, 1)
 		}
@@ -79,8 +79,8 @@ func (f *FIB) Remove(prefix ndn.Name) bool {
 	}
 	path := make([]step, 0, prefix.Len())
 	node := f.root
-	for i := 0; i < prefix.Len(); i++ {
-		key := string(prefix.ComponentRef(i))
+	for it := prefix.Components(); it.Next(); {
+		key := string(it.Component())
 		child, found := node.children[key]
 		if !found {
 			return false
@@ -121,8 +121,8 @@ func (f *FIB) Lookup(name ndn.Name) ([]FaceID, error) {
 func (f *FIB) NextHops(name ndn.Name) []FaceID {
 	node := f.root
 	best := node.faces
-	for i := 0; i < name.Len(); i++ {
-		child, found := node.children[string(name.ComponentRef(i))]
+	for it := name.Components(); it.Next(); {
+		child, found := node.children[string(it.Component())]
 		if !found {
 			break
 		}
@@ -139,16 +139,17 @@ func (f *FIB) NextHops(name ndn.Name) []FaceID {
 func (f *FIB) LookupPrefixLen(name ndn.Name) ([]FaceID, int, error) {
 	node := f.root
 	best := node.faces
-	bestLen := 0
-	for i := 0; i < name.Len(); i++ {
-		child, found := node.children[string(name.ComponentRef(i))]
+	bestLen, depth := 0, 0
+	for it := name.Components(); it.Next(); {
+		child, found := node.children[string(it.Component())]
 		if !found {
 			break
 		}
 		node = child
+		depth++
 		if node.faces != nil {
 			best = node.faces
-			bestLen = i + 1
+			bestLen = depth
 		}
 	}
 	if best == nil {
@@ -157,24 +158,21 @@ func (f *FIB) LookupPrefixLen(name ndn.Name) ([]FaceID, int, error) {
 	return append([]FaceID(nil), best...), bestLen, nil
 }
 
-// Prefixes returns every registered prefix in sorted order, mainly for
-// tests and debugging.
+// Prefixes returns the canonical URI of every registered prefix in
+// sorted order, mainly for tests and debugging. Each is rendered from
+// the name its trie path spells, so component bytes are escaped.
 func (f *FIB) Prefixes() []string {
 	var out []string
-	var walk func(node *fibNode, prefix string)
-	walk = func(node *fibNode, prefix string) {
+	var walk func(node *fibNode, prefix ndn.Name)
+	walk = func(node *fibNode, prefix ndn.Name) {
 		if node.faces != nil {
-			p := prefix
-			if p == "" {
-				p = "/"
-			}
-			out = append(out, p)
+			out = append(out, prefix.String())
 		}
 		for key, child := range node.children {
-			walk(child, prefix+"/"+key)
+			walk(child, prefix.AppendString(key))
 		}
 	}
-	walk(f.root, "")
+	walk(f.root, ndn.Name{})
 	sort.Strings(out)
 	return out
 }

@@ -164,6 +164,26 @@ func TestFIBPrefixesSorted(t *testing.T) {
 	}
 }
 
+// Prefixes renders each prefix from its name: a component holding a
+// slash or a space is escaped, so the one-component prefix "a/b" and the
+// two-component /a/b stay two lines.
+func TestFIBPrefixesRenderNames(t *testing.T) {
+	f := NewFIB()
+	for _, p := range []ndn.Name{
+		ndn.NewName([]byte("a/b")),
+		ndn.MustParseName("/a/b"),
+		ndn.NewName([]byte("x y")),
+	} {
+		if err := f.Insert(p, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"/a%2Fb", "/a/b", "/x%20y"}
+	if got := f.Prefixes(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Prefixes = %q, want %q", got, want)
+	}
+}
+
 // Property: after inserting a set of prefixes, looking up any inserted
 // prefix returns its own faces (exact match wins over shorter ones).
 func TestFIBExactMatchProperty(t *testing.T) {

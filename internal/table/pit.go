@@ -257,6 +257,7 @@ func (p *PIT) SatisfyByToken(data *ndn.Data, tok uint64, now time.Duration) (Sat
 	// prefix name: folding component k takes the k-prefix hash to the
 	// (k+1)-prefix hash, matching what Insert cached via Name.Hash.
 	h := ndn.NameHashSeed()
+	comps := data.Name.Components()
 	for k := 0; ; k++ {
 		var hit *pcct.Entry
 		switch {
@@ -292,10 +293,10 @@ func (p *PIT) SatisfyByToken(data *ndn.Data, tok uint64, now time.Duration) (Sat
 				p.t.ReleaseIfEmpty(hit)
 			}
 		}
-		if k == data.Name.Len() {
+		if !comps.Next() {
 			break
 		}
-		h = ndn.MixComponentHash(h, data.Name.ComponentRef(k))
+		h = ndn.MixComponentHash(h, comps.Component())
 	}
 	if !matched {
 		return SatisfyResult{}, false
@@ -356,12 +357,11 @@ func (p *PIT) growFaceBufs() {
 	p.tokensBuf = tokens
 }
 
-// HasPendingView reports whether an unexpired entry exists for exactly
-// the viewed name: the pending probe taken directly over the wire
-// buffer, keyed by the view's precomputed hash and verified by full
-// component comparison.
-func (p *PIT) HasPendingView(v *ndn.NameView, now time.Duration) bool {
-	e := p.t.GetView(v)
+// HasPending reports whether an unexpired entry exists for exactly name:
+// the pending probe a storeless node takes over a name borrowed straight
+// off the wire buffer, keeping nothing of it.
+func (p *PIT) HasPending(name ndn.Name, now time.Duration) bool {
+	e := p.t.Get(name)
 	return e != nil && e.PITActive() && now < e.PIT().Expires
 }
 

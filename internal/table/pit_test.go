@@ -46,7 +46,7 @@ func hasPending(p *PIT, name ndn.Name, now time.Duration) bool {
 	if err != nil {
 		panic(err)
 	}
-	return p.HasPendingView(&v, now)
+	return p.HasPending(v, now)
 }
 
 func TestPITInsertNew(t *testing.T) {
