@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -152,6 +153,37 @@ func TestAuditGeometricRandomCacheBoundedByTheorem(t *testing.T) {
 	// Allow Monte-Carlo noise: ε slack 0.1 on the ratio bound, 0.05 on δ.
 	if got := out.DeltaAt(bound.Epsilon + 0.1); got > bound.Delta+0.05 {
 		t.Errorf("empirical δ = %g exceeds theorem δ = %g at ε = %g", got, bound.Delta, bound.Epsilon)
+	}
+}
+
+// The seed reaches the managers Audit builds: one seed gives the same
+// outcome distributions twice, another seed different ones.
+func TestAuditSeedReachesManager(t *testing.T) {
+	audit := func(seed int64) [2]Distribution {
+		out, err := Audit(AuditConfig{
+			Build: func(rng *rand.Rand) (CacheManager, error) {
+				dist, err := NewUniformK(20)
+				if err != nil {
+					return nil, err
+				}
+				return NewRandomCache(dist, rng)
+			},
+			PriorRequests: 2,
+			Probes:        24,
+			Trials:        200,
+			Seed:          seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [2]Distribution{out.Baseline, out.Prior}
+	}
+	one, again, two := audit(1), audit(1), audit(2)
+	if !reflect.DeepEqual(one, again) {
+		t.Errorf("seed 1 audited twice gave %v, then %v", one, again)
+	}
+	if reflect.DeepEqual(one, two) {
+		t.Errorf("seeds 1 and 2 gave the same outcomes %v: the seed does not reach the manager", one)
 	}
 }
 

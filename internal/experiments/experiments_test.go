@@ -1,10 +1,16 @@
 package experiments
 
 import (
+	"bytes"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"ndnprivacy/internal/trace"
 )
 
 func small3() Figure3Config { return Figure3Config{Seed: 1, Objects: 40, Runs: 2} }
@@ -258,6 +264,47 @@ func TestFigure5b(t *testing.T) {
 	}
 	if !strings.Contains(res.Render(), "Figure 5(b)") {
 		t.Error("render missing title")
+	}
+}
+
+// The seed reaches ReplaySquid's managers: seed 1 replays the same rows
+// twice, and seed 2 moves Exponential-Random-Cache's row but not No
+// Privacy's. Every URL is private, so which requests are private does
+// not depend on the seed.
+func TestReplaySquidSeedReachesManager(t *testing.T) {
+	gen, err := trace.NewGenerator(trace.DefaultGeneratorConfig(1, 4000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log bytes.Buffer
+	if err := trace.WriteSquidLog(&log, gen); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "access.log")
+	if err := os.WriteFile(path, log.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	replay := func(seed int64) map[string]trace.ReplayStats {
+		res, err := ReplaySquid(path, 0, Figure5Config{Seed: seed, K: 5, Epsilon: 0.005, PrivateFraction: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make(map[string]trace.ReplayStats)
+		for _, row := range res.Rows {
+			rows[row.Algorithm] = row.Stats
+		}
+		return rows
+	}
+	one, again, two := replay(1), replay(1), replay(2)
+	if !reflect.DeepEqual(one, again) {
+		t.Errorf("seed 1 replayed twice gave %+v, then %+v", one, again)
+	}
+	const erc = "Exponential-Random-Cache"
+	if two[erc] == one[erc] {
+		t.Errorf("seeds 1 and 2 gave %s the same row %+v: the seed does not reach its manager", erc, one[erc])
+	}
+	if two["No Privacy"] != one["No Privacy"] {
+		t.Errorf("seed moved No Privacy's row: %+v vs %+v", one["No Privacy"], two["No Privacy"])
 	}
 }
 

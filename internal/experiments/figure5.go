@@ -327,7 +327,7 @@ type SquidRow struct {
 func ReplaySquid(path string, cacheSize int, cfg Figure5Config) (*SquidResult, error) {
 	out := &SquidResult{Path: path, CacheSize: cacheSize, PrivateFraction: cfg.PrivateFraction, K: cfg.K, Epsilon: cfg.Epsilon}
 	for _, algo := range []string{"No Privacy", "Always Delay Private Content", "Exponential-Random-Cache"} {
-		manager, err := buildAlgorithm(cfg, algo, SeededRNG(cfg.Seed))
+		manager, err := buildAlgorithm(cfg, algo, rand.New(rand.NewSource(cfg.Seed)))
 		if err != nil {
 			return nil, err
 		}

@@ -1,17 +1,11 @@
 package experiments
 
 import (
-	"math/rand"
 	"time"
 
 	"ndnprivacy/internal/cache"
 	"ndnprivacy/internal/ndn"
 )
-
-// SeededRNG returns a deterministic random source for experiment use.
-func SeededRNG(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
-}
 
 func privateEntryWithDelay(name string, fetchDelay time.Duration) *cache.Entry {
 	d, err := ndn.NewData(ndn.MustParseName(name), []byte("x"))

@@ -55,12 +55,3 @@ func TestSegmentResultRender(t *testing.T) {
 		t.Error("SegmentResult render missing content")
 	}
 }
-
-func TestSeededRNGDeterministic(t *testing.T) {
-	a, b := SeededRNG(5), SeededRNG(5)
-	for i := 0; i < 10; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatal("same seed diverged")
-		}
-	}
-}

@@ -9,8 +9,9 @@ import (
 // (not just the deterministic packages): the global source is shared
 // mutable state seeded outside any experiment's control, so one
 // rand.Intn in a helper makes two runs with the same -seed diverge.
-// Constructing an injected source (rand.New, rand.NewSource, rand.NewZipf)
-// remains legal, as do methods on a *rand.Rand value.
+// Constructing an injected source (rand.New, rand.NewSource, rand.NewZipf,
+// and math/rand/v2's rand.NewPCG and rand.NewChaCha8) remains legal, as
+// do methods on a *rand.Rand value.
 var GlobalRand = &Analyzer{
 	Name: "globalrand",
 	Doc:  "forbid top-level math/rand functions; randomness must flow through an injected seeded *rand.Rand",
@@ -18,12 +19,15 @@ var GlobalRand = &Analyzer{
 	Run:  runGlobalRand,
 }
 
-// globalRandAllowed are the math/rand package-level functions that build
-// injectable sources rather than touching the global one.
+// globalRandAllowed are the math/rand and math/rand/v2 package-level
+// functions that build injectable sources rather than touching the
+// global one.
 var globalRandAllowed = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewZipf":   true,
+	"New":        true,
+	"NewSource":  true, // math/rand
+	"NewZipf":    true,
+	"NewPCG":     true, // math/rand/v2
+	"NewChaCha8": true, // math/rand/v2
 }
 
 func runGlobalRand(pass *Pass) {

@@ -4,9 +4,9 @@
 // invariants that convention alone used to guard — no wall clock inside
 // simulated packages, no global math/rand, no map-iteration order
 // leaking into event schedules or reports, no silently dropped
-// wire-format errors, no RNG seed that bypasses the seed parameter — are
-// mechanized here on top of the standard library go/ast + go/types
-// toolchain (no external dependencies, offline-buildable).
+// wire-format errors — are mechanized here on top of the standard
+// library go/ast + go/types toolchain (no external dependencies,
+// offline-buildable).
 //
 // Each check is a self-contained *Analyzer; future checks are one file
 // implementing Run over a type-checked package and one entry in All.
@@ -53,13 +53,12 @@ type Pass struct {
 
 // A Finding is one rule violation at one source position.
 type Finding struct {
-	Check   string         `json:"check"`
-	Pos     token.Position `json:"-"`
-	File    string         `json:"file"`
-	Line    int            `json:"line"`
-	Column  int            `json:"column"`
-	Message string         `json:"message"`
-	Hint    string         `json:"hint,omitempty"`
+	Check   string
+	File    string
+	Line    int
+	Column  int
+	Message string
+	Hint    string
 }
 
 // String renders the finding in the conventional file:line:col form.
@@ -76,7 +75,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	*p.findings = append(*p.findings, Finding{
 		Check:   p.analyzer.Name,
-		Pos:     position,
 		File:    position.Filename,
 		Line:    position.Line,
 		Column:  position.Column,
@@ -85,15 +83,13 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// All is every check this linter ships, in reporting order. The first
-// four are single-node AST checks; seedflow is flow-sensitive, built on
-// the internal/lint/cfg reaching-definitions engine.
+// All is every check this linter ships, in reporting order. Each is a
+// single-node AST check over one package.
 var All = []*Analyzer{
 	SimDeterminism,
 	GlobalRand,
 	MapOrder,
 	WireErr,
-	SeedFlow,
 }
 
 // ByName returns the named analyzer, or nil.
@@ -146,25 +142,14 @@ func sortFindings(findings []Finding) {
 // allowDirective is the comment prefix that suppresses findings.
 const allowDirective = "//ndnlint:allow"
 
-// An allowIndex records every //ndnlint:allow directive in a file set:
-// statement-scoped directives by file and line, file-scoped directives
-// (any directive above the package clause, for generated or fixture
-// files) by file alone.
-type allowIndex struct {
-	// lines maps file → line → set of allowed check names.
-	lines map[string]map[int]map[string]bool
-	// files maps file → set of check names allowed for the whole file.
-	files map[string]map[string]bool
-}
+// allowIndex maps file → line → the set of check names an
+// //ndnlint:allow directive on that line names.
+type allowIndex map[string]map[int]map[string]bool
 
 // collectAllows indexes the allow directives of every file.
-func collectAllows(fset *token.FileSet, files []*ast.File) *allowIndex {
-	ix := &allowIndex{
-		lines: make(map[string]map[int]map[string]bool),
-		files: make(map[string]map[string]bool),
-	}
+func collectAllows(fset *token.FileSet, files []*ast.File) allowIndex {
+	ix := make(allowIndex)
 	for _, f := range files {
-		pkgLine := fset.Position(f.Package).Line
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				checks, ok := parseAllow(c.Text)
@@ -172,22 +157,10 @@ func collectAllows(fset *token.FileSet, files []*ast.File) *allowIndex {
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				if pos.Line < pkgLine {
-					// Above the package clause: file-scoped.
-					set := ix.files[pos.Filename]
-					if set == nil {
-						set = make(map[string]bool)
-						ix.files[pos.Filename] = set
-					}
-					for _, name := range checks {
-						set[name] = true
-					}
-					continue
-				}
-				byLine := ix.lines[pos.Filename]
+				byLine := ix[pos.Filename]
 				if byLine == nil {
 					byLine = make(map[int]map[string]bool)
-					ix.lines[pos.Filename] = byLine
+					ix[pos.Filename] = byLine
 				}
 				if byLine[pos.Line] == nil {
 					byLine[pos.Line] = make(map[string]bool)
@@ -201,20 +174,15 @@ func collectAllows(fset *token.FileSet, files []*ast.File) *allowIndex {
 	return ix
 }
 
-// allows reports whether a finding of check at file:line is suppressed:
-// by a directive on the same line, on the line directly above, or by a
-// file-scoped directive.
-func (ix *allowIndex) allows(file string, line int, check string) bool {
-	if lineAllows(ix.files[file], check) {
-		return true
-	}
-	byLine := ix.lines[file]
+// allows reports whether a finding of check at file:line is suppressed
+// by a directive on the same line or on the line directly above.
+func (ix allowIndex) allows(file string, line int, check string) bool {
+	byLine := ix[file]
 	return lineAllows(byLine[line], check) || lineAllows(byLine[line-1], check)
 }
 
 // suppress drops findings covered by an //ndnlint:allow comment on the
-// same line, the line directly above, or above the file's package
-// clause (file scope).
+// same line or the line directly above.
 func suppress(fset *token.FileSet, files []*ast.File, findings []Finding) []Finding {
 	ix := collectAllows(fset, files)
 	kept := findings[:0]
@@ -228,7 +196,7 @@ func suppress(fset *token.FileSet, files []*ast.File, findings []Finding) []Find
 }
 
 func lineAllows(set map[string]bool, check string) bool {
-	return set != nil && (set[check] || set["all"])
+	return set[check] || set["all"]
 }
 
 // parseAllow extracts the check names from an //ndnlint:allow comment.

@@ -30,10 +30,6 @@ var fixtures = map[string]string{
 	"maporder_clean":       "ndnprivacy/internal/fwd",
 	"wireerr_violation":    "ndnprivacy/internal/fwd",
 	"clean":                "ndnprivacy/internal/netsim",
-	"seedflow_violation":   "ndnprivacy/internal/netsim",
-	"seedflow_clean":       "ndnprivacy/internal/netsim",
-	"seedflow_allow":       "ndnprivacy/internal/netsim",
-	"filescope_allow":      "ndnprivacy/internal/util",
 }
 
 // expectFiring names the fixtures that must produce at least one finding
@@ -43,15 +39,12 @@ var expectFiring = map[string]string{
 	"globalrand_violation": "globalrand",
 	"maporder_violation":   "maporder",
 	"wireerr_violation":    "wireerr",
-	"seedflow_violation":   "seedflow",
 }
 
 // expectClean names the fixtures that must stay silent: clean idiomatic
 // code, the suppression negative fixtures, and the rt boundary.
 var expectClean = []string{
 	"clean", "simdet_allow", "simdet_rtexempt", "maporder_clean",
-	"seedflow_clean", "seedflow_allow",
-	"filescope_allow",
 }
 
 func TestGolden(t *testing.T) {

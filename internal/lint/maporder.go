@@ -64,7 +64,7 @@ func stmtLists(file *ast.File) [][]ast.Stmt {
 type mapEffect struct {
 	pos    token.Pos
 	desc   string
-	target string // non-empty for appends: the slice being grown
+	target types.Object // for appends: the variable or field being grown
 }
 
 func checkMapRange(pass *Pass, rs *ast.RangeStmt, tail []ast.Stmt) {
@@ -80,7 +80,7 @@ func checkMapRange(pass *Pass, rs *ast.RangeStmt, tail []ast.Stmt) {
 				effects = append(effects, mapEffect{
 					pos:    call.Pos(),
 					desc:   "appends to " + types.ExprString(call.Args[0]),
-					target: types.ExprString(call.Args[0]),
+					target: sliceObj(pass.Info, call.Args[0]),
 				})
 			}
 		case *ast.SelectorExpr:
@@ -98,16 +98,29 @@ func checkMapRange(pass *Pass, rs *ast.RangeStmt, tail []ast.Stmt) {
 		return true
 	})
 	for _, e := range effects {
-		if e.target != "" && sortedAfter(pass, tail, e.target) {
+		if e.target != nil && sortedAfter(pass, tail, e.target) {
 			continue
 		}
 		pass.Reportf(e.pos, "iteration over map %s is order-randomized but the body %s", types.ExprString(rs.X), e.desc)
 	}
 }
 
-// sortedAfter reports whether a statement after the range sorts the
-// collected slice, which restores determinism.
-func sortedAfter(pass *Pass, tail []ast.Stmt, target string) bool {
+// sliceObj resolves the slice an append grows to the variable or field
+// it names, or nil.
+func sliceObj(info *types.Info, e ast.Expr) types.Object {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return info.ObjectOf(x)
+	case *ast.SelectorExpr:
+		return info.ObjectOf(x.Sel)
+	}
+	return nil
+}
+
+// sortedAfter reports whether a statement after the range passes the
+// collected slice to a sort or slices function, which restores
+// determinism.
+func sortedAfter(pass *Pass, tail []ast.Stmt, target types.Object) bool {
 	for _, stmt := range tail {
 		found := false
 		ast.Inspect(stmt, func(n ast.Node) bool {
@@ -124,7 +137,7 @@ func sortedAfter(pass *Pass, tail []ast.Stmt, target string) bool {
 				return true
 			}
 			for _, arg := range call.Args {
-				if strings.Contains(types.ExprString(arg), target) {
+				if names(pass.Info, arg, target) {
 					found = true
 				}
 			}
@@ -135,4 +148,19 @@ func sortedAfter(pass *Pass, tail []ast.Stmt, target string) bool {
 		}
 	}
 	return false
+}
+
+// names reports whether e refers to obj, possibly under a conversion
+// (sort.Sort(byName(keys))). Function literals are skipped: a less
+// function that reads obj does not sort it.
+func names(info *types.Info, e ast.Expr, obj types.Object) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && info.ObjectOf(id) == obj {
+			found = true
+		}
+		_, lit := n.(*ast.FuncLit)
+		return !found && !lit
+	})
+	return found
 }

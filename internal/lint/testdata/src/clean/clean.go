@@ -5,6 +5,7 @@ package netsim
 
 import (
 	"math/rand"
+	randv2 "math/rand/v2"
 	"sort"
 	"sync"
 	"time"
@@ -30,6 +31,14 @@ func (s *Sim) Advance(d time.Duration) time.Duration {
 	defer s.mu.Unlock()
 	s.now += d
 	return s.now
+}
+
+// NewV2 builds math/rand/v2 generators from the seed: New, NewPCG,
+// NewChaCha8 and NewZipf construct injected sources, like v1's New and
+// NewSource.
+func NewV2(seed uint64, key [32]byte) (*randv2.Rand, *randv2.Zipf) {
+	r := randv2.New(randv2.NewPCG(seed, seed))
+	return randv2.New(randv2.NewChaCha8(key)), randv2.NewZipf(r, 1.1, 1, 100)
 }
 
 // Jitter draws from the injected source, never the global one.

@@ -2,7 +2,10 @@
 // package. Checked under the import path ndnprivacy/internal/fwd.
 package fwd
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Sim is a stand-in scheduler; the check matches the method name.
 type Sim struct{}
@@ -31,4 +34,15 @@ func Dump(hits map[string]int) {
 	for name, n := range hits {
 		fmt.Println(name, n)
 	}
+}
+
+// CollectSortOther appends to s but sorts a different slice, keys,
+// whose name merely contains "s": one finding.
+func CollectSortOther(set map[string]int, keys []string) []string {
+	var s []string
+	for k := range set {
+		s = append(s, k)
+	}
+	sort.Strings(keys)
+	return s
 }
