@@ -84,7 +84,7 @@ func (p *Prober) emitProbe(name ndn.Name, action string, rtt time.Duration) {
 		At:      int64(p.sim.Now()),
 		Type:    telemetry.EvProbe,
 		Node:    p.host,
-		Name:    name.Key(),
+		Name:    name.String(),
 		Action:  action,
 		DelayNS: int64(rtt),
 	})

@@ -225,7 +225,7 @@ func newRefStore(capacity int, policyName string, sink telemetry.Sink) *refStore
 }
 
 func (s *refStore) insert(data *ndn.Data, now time.Duration) {
-	key := data.Name.Key()
+	key := data.Name.String()
 	if existing, found := s.entries[key]; found {
 		existing.data = data.Clone()
 		existing.insertedAt = now
@@ -250,12 +250,12 @@ func (s *refStore) insert(data *ndn.Data, now time.Duration) {
 }
 
 func (s *refStore) lookupExact(name ndn.Name, now time.Duration) (*refEntry, bool) {
-	entry, found := s.entries[name.Key()]
+	entry, found := s.entries[name.String()]
 	if !found {
 		return nil, false
 	}
 	if entry.isStale(now) {
-		s.removeKey(name.Key(), now, ReasonStale)
+		s.removeKey(name.String(), now, ReasonStale)
 		return nil, false
 	}
 	return entry, true
@@ -273,7 +273,7 @@ func (s *refStore) probe(name ndn.Name, now time.Duration) (*refEntry, bool) {
 			continue
 		}
 		if entry.isStale(now) {
-			s.removeKey(entry.data.Name.Key(), now, ReasonStale)
+			s.removeKey(entry.data.Name.String(), now, ReasonStale)
 			s.countLookup(false)
 			return nil, false
 		}
@@ -290,12 +290,12 @@ func (s *refStore) match(interest *ndn.Interest, now time.Duration) (*refEntry, 
 		return entry, true
 	}
 	for _, full := range s.index.under(interest.Name) {
-		entry, found := s.entries[full.Key()]
+		entry, found := s.entries[full.String()]
 		if !found {
 			continue
 		}
 		if entry.isStale(now) {
-			s.removeKey(full.Key(), now, ReasonStale)
+			s.removeKey(full.String(), now, ReasonStale)
 			continue
 		}
 		if entry.data.Matches(interest) {
@@ -315,19 +315,19 @@ func (s *refStore) countLookup(hit bool) {
 	}
 }
 
-func (s *refStore) touch(name ndn.Name) { s.policy.onAccess(name.Key()) }
+func (s *refStore) touch(name ndn.Name) { s.policy.onAccess(name.String()) }
 
 func (s *refStore) remove(name ndn.Name, now time.Duration) bool {
-	if _, found := s.entries[name.Key()]; !found {
+	if _, found := s.entries[name.String()]; !found {
 		return false
 	}
-	s.removeKey(name.Key(), now, ReasonRemove)
+	s.removeKey(name.String(), now, ReasonRemove)
 	return true
 }
 
 func (s *refStore) clear(now time.Duration) {
 	for _, name := range s.index.all() {
-		s.removeKey(name.Key(), now, ReasonClear)
+		s.removeKey(name.String(), now, ReasonClear)
 	}
 }
 

@@ -24,10 +24,12 @@ import (
 // deterministic virtual-time disk, FileTier a real append-log file store
 // for cmd/ndnd.
 
-// SecondTier is the storage contract of the large second tier. Keys are
-// full-name keys (ndn.Name.Key). Implementations own entry storage but
-// not entry lifecycle: eviction events, spans, and hooks stay with the
-// Store, which is why Put and Remove hand entries back.
+// SecondTier is the storage contract of the large second tier. Entries
+// are found by full name, by hash and bytes: the name a lookup is given
+// may be borrowed, and an implementation keeps the entry's own.
+// Implementations own entry storage but not entry lifecycle: eviction
+// events, spans, and hooks stay with the Store, which is why Put and
+// Remove hand entries back.
 type SecondTier interface {
 	// Name names the backend for diagnostics ("disk-model", "file").
 	Name() string
@@ -39,25 +41,16 @@ type SecondTier interface {
 	// reading it at virtual time now, without removing it. Deterministic
 	// backends advance their device-queue state; real backends report
 	// zero cost (their I/O time is physically observable).
-	Peek(key string, now time.Duration) (*Entry, time.Duration, bool)
+	Peek(name ndn.Name, now time.Duration) (*Entry, time.Duration, bool)
 	// Remove deletes the entry without modeling a read, returning it for
 	// lifecycle bookkeeping.
-	Remove(key string) (*Entry, bool)
+	Remove(name ndn.Name) (*Entry, bool)
 	// Len returns the number of stored objects; Capacity the configured
 	// bound (0 = unlimited).
 	Len() int
 	Capacity() int
 	// Close releases backend resources (files); harmless on models.
 	Close() error
-}
-
-// demotedRef is one second-tier resident as the store knows it. The name
-// serves wire probes, Names and Clear; the open residency span waits
-// here rather than on the demoted Entry because a serializing backend
-// hands back a reconstruction, not the pointer it was given.
-type demotedRef struct {
-	name      ndn.Name
-	residency *span.Record
 }
 
 // NewTieredStore creates a store whose table is a RAM front of
@@ -75,7 +68,6 @@ func NewTieredStore(ramCapacity int, policy Policy, second SecondTier) (*Store, 
 		return nil, err
 	}
 	s.second = second
-	s.demoted = make(map[uint64][]demotedRef)
 	return s, nil
 }
 
@@ -128,13 +120,12 @@ func (s *Store) MatchSecond(interest *ndn.Interest, now time.Duration) (*Entry, 
 // against the interest when given, and promote on hit unless the caller
 // is a pure probe.
 func (s *Store) readSecond(name ndn.Name, interest *ndn.Interest, now time.Duration, promote bool) (*Entry, time.Duration, bool) {
-	key := name.Key()
-	entry, cost, found := s.second.Peek(key, now)
+	entry, cost, found := s.second.Peek(name, now)
 	if !found {
 		return nil, 0, false
 	}
 	if entry.IsStale(now) {
-		s.second.Remove(key)
+		s.second.Remove(name)
 		entry.residency = s.dropDemoted(name)
 		s.finish(entry, telemetry.StageEvict, ReasonStale, now)
 		return nil, 0, false
@@ -150,16 +141,14 @@ func (s *Store) readSecond(name ndn.Name, interest *ndn.Interest, now time.Durat
 }
 
 // peekSecondView is the pure second-tier probe for a name that may be
-// borrowed: the demoted index resolves it by hash to the owned name the
-// store keeps, without materializing a key on the miss path.
+// borrowed: only a name the store demoted reaches the backend, and
+// nothing on the way keeps it.
 func (s *Store) peekSecondView(name ndn.Name, now time.Duration) (*Entry, bool) {
-	for _, ref := range s.demoted[name.Hash()] {
-		if ref.name.Equal(name) {
-			entry, _, found := s.readSecond(ref.name, nil, now, false)
-			return entry, found
-		}
+	if _, demoted := s.demoted.Get(name); !demoted {
+		return nil, false
 	}
-	return nil, false
+	entry, _, found := s.readSecond(name, nil, now, false)
+	return entry, found
 }
 
 // promote moves a second-tier entry into the table after a hit. The
@@ -169,9 +158,8 @@ func (s *Store) peekSecondView(name ndn.Name, now time.Duration) (*Entry, bool) 
 // trace event.
 func (s *Store) promote(entry *Entry, now, cost time.Duration) {
 	name := entry.Data.Name
-	key := name.Key()
-	s.rec(&telemetry.Rec{Stage: telemetry.StagePromote, Name: key, T0: int64(now), T1: int64(now), Value: uint64(cost)})
-	s.second.Remove(key)
+	s.rec(&telemetry.Rec{Stage: telemetry.StagePromote, Name: &entry.Data.Name, T0: int64(now), T1: int64(now), Value: uint64(cost)})
+	s.second.Remove(name)
 	entry.residency = s.dropDemoted(name)
 	s.makeRoom(now)
 	s.t.AttachCS(s.t.Put(name), entry)
@@ -185,7 +173,7 @@ func (s *Store) demote(victim *pcct.Entry, now time.Duration) {
 		s.finish(entry, telemetry.StageEvict, ReasonStale, now)
 		return
 	}
-	s.rec(&telemetry.Rec{Stage: telemetry.StageDemote, Name: entry.Data.Name.Key(), T0: int64(now), T1: int64(now)})
+	s.rec(&telemetry.Rec{Stage: telemetry.StageDemote, Name: &entry.Data.Name, T0: int64(now), T1: int64(now)})
 	evicted, err := s.second.Put(entry, now)
 	if err != nil {
 		// A failed second-tier write loses the entry (the table has
@@ -195,8 +183,10 @@ func (s *Store) demote(victim *pcct.Entry, now time.Duration) {
 		return
 	}
 	s.rec(&telemetry.Rec{Stage: telemetry.StageTierWrite})
-	h := entry.Data.Name.Hash()
-	s.demoted[h] = append(s.demoted[h], demotedRef{name: entry.Data.Name, residency: entry.residency})
+	// The residency span waits in the index, not on the demoted Entry: a
+	// serializing backend hands back a reconstruction, not the pointer it
+	// was given.
+	s.demoted.Put(entry.Data.Name, entry.residency)
 	entry.residency = nil
 	for _, overflow := range evicted {
 		overflow.residency = s.dropDemoted(overflow.Data.Name)
@@ -207,7 +197,7 @@ func (s *Store) demote(victim *pcct.Entry, now time.Duration) {
 // takeSecond removes name from the second tier and hands the entry back
 // with its residency span reattached; nil when the tier does not hold it.
 func (s *Store) takeSecond(name ndn.Name) *Entry {
-	entry, had := s.second.Remove(name.Key())
+	entry, had := s.second.Remove(name)
 	if !had {
 		return nil
 	}
@@ -216,24 +206,8 @@ func (s *Store) takeSecond(name ndn.Name) *Entry {
 }
 
 // dropDemoted removes name from the demoted index and returns the
-// residency span it held (swap-with-last; lookups verify full equality,
-// so bucket order is irrelevant).
+// residency span it held.
 func (s *Store) dropDemoted(name ndn.Name) *span.Record {
-	h := name.Hash()
-	bucket := s.demoted[h]
-	for i, ref := range bucket {
-		if !ref.name.Equal(name) {
-			continue
-		}
-		last := len(bucket) - 1
-		bucket[i] = bucket[last]
-		bucket[last] = demotedRef{}
-		if last == 0 {
-			delete(s.demoted, h)
-		} else {
-			s.demoted[h] = bucket[:last]
-		}
-		return ref.residency
-	}
-	return nil
+	residency, _ := s.demoted.Delete(name)
+	return residency
 }

@@ -87,9 +87,9 @@ type Store struct {
 	// second is the optional large tier behind the table; nil for a flat
 	// store. An object lives in exactly one tier: the table (the RAM
 	// front) or second. demoted indexes the second tier's residents by
-	// name hash (see second.go).
+	// name, holding each one's open residency span (see second.go).
 	second  SecondTier
-	demoted map[uint64][]demotedRef
+	demoted ndn.NameMap[*span.Record]
 
 	// counts tallies the store's stage outcomes for the accessors below,
 	// whether or not a tap is attached; tap is the node's observation
@@ -203,16 +203,12 @@ func (s *Store) FinishSpans(now time.Duration) {
 			entry.residency = nil
 		}
 	}
-	// Ending a span mutates its record in place, so the walk order over
-	// the demoted index does not reach the output.
-	for _, bucket := range s.demoted {
-		for i := range bucket {
-			if end.Span = bucket[i].residency; end.Span != nil {
-				s.rec(&end)
-				bucket[i].residency = nil
-			}
+	s.demoted.Range(func(name ndn.Name, residency *span.Record) {
+		if end.Span = residency; end.Span != nil {
+			s.rec(&end)
+			s.demoted.Put(name, nil)
 		}
-	}
+	})
 }
 
 // PolicyName returns the eviction policy's name; a tiered store names
@@ -258,7 +254,6 @@ const (
 // holding a packet or buffer it may still write inserts a Data.Clone,
 // as Producer.Publish does.
 func (s *Store) Insert(data *ndn.Data, now, fetchDelay time.Duration) *Entry {
-	key := data.Name.Key()
 	p := s.t.Probe(data.Name)
 	if e := p.Entry; e != nil && e.CS() != nil {
 		existing := e.CS().(*Entry)
@@ -266,7 +261,7 @@ func (s *Store) Insert(data *ndn.Data, now, fetchDelay time.Duration) *Entry {
 		existing.InsertedAt = now
 		existing.FetchDelay = fetchDelay
 		s.t.CSRefresh(e)
-		s.rec(&telemetry.Rec{Stage: telemetry.StageRefresh, Name: key, T0: int64(now), T1: int64(now)})
+		s.rec(&telemetry.Rec{Stage: telemetry.StageRefresh, Name: &data.Name, T0: int64(now), T1: int64(now)})
 		return existing
 	}
 	// A refresh can also find the object demoted (a prefix interest
@@ -291,7 +286,7 @@ func (s *Store) Insert(data *ndn.Data, now, fetchDelay time.Duration) *Entry {
 	s.t.AttachCS(s.t.PutProbed(&p, data.Name), entry)
 	// A new entry opens its residency span, which lives outside any
 	// trace: one entry serves many fetches across its cache lifetime.
-	if residency := s.rec(&telemetry.Rec{Stage: stage, Name: key, T0: int64(now), T1: int64(now)}); residency != nil {
+	if residency := s.rec(&telemetry.Rec{Stage: stage, Name: &data.Name, T0: int64(now), T1: int64(now)}); residency != nil {
 		entry.residency = residency
 	}
 	return entry
@@ -508,14 +503,10 @@ func (s *Store) Names() []ndn.Name {
 	for i := range out {
 		out[i] = s.t.CSIndex(i).Name()
 	}
-	if len(s.demoted) == 0 {
+	if s.demoted.Len() == 0 {
 		return out
 	}
-	for _, bucket := range s.demoted {
-		for _, ref := range bucket {
-			out = append(out, ref.name)
-		}
-	}
+	s.demoted.Range(func(name ndn.Name, _ *span.Record) { out = append(out, name) })
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
@@ -550,7 +541,7 @@ func (s *Store) detach(e *pcct.Entry) *Entry {
 // residency span), then the eviction hook. StageEvictCapacity is for
 // objects dropped to make room, the only removals Evictions counts.
 func (s *Store) finish(entry *Entry, stage telemetry.Stage, reason RemoveReason, now time.Duration) {
-	s.rec(&telemetry.Rec{Stage: stage, Name: entry.Data.Name.Key(), Action: string(reason),
+	s.rec(&telemetry.Rec{Stage: stage, Name: &entry.Data.Name, Action: string(reason),
 		T0: int64(now), T1: int64(now), Span: entry.residency})
 	entry.residency = nil
 	if s.onEvict != nil {

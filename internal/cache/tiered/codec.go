@@ -75,7 +75,8 @@ func encodeEntryPayload(e *cache.Entry) []byte {
 	return buf
 }
 
-// encodeTombstonePayload serializes a deletion marker for key.
+// encodeTombstonePayload serializes a deletion marker for the name whose
+// URI is key.
 func encodeTombstonePayload(key string) []byte {
 	buf := make([]byte, 0, 2+len(key))
 	buf = append(buf, flagTombstone)

@@ -50,10 +50,10 @@ type diskRec struct {
 }
 
 // fifoSlot is one pending eviction candidate; stale slots (seq no
-// longer current for the key) are skipped on pop.
+// longer current for the name) are skipped on pop.
 type fifoSlot struct {
-	key string
-	seq uint64
+	name ndn.Name
+	seq  uint64
 }
 
 // DiskModel is the simulator's second tier: a virtual-time disk with a
@@ -69,7 +69,7 @@ type fifoSlot struct {
 // structure the three-way classifier has to cope with.
 type DiskModel struct {
 	cfg       DiskModelConfig
-	entries   map[string]diskRec
+	entries   ndn.NameMap[diskRec]
 	queue     []fifoSlot
 	nextSeq   uint64
 	busyUntil time.Duration
@@ -84,17 +84,14 @@ var _ cache.SecondTier = (*DiskModel)(nil)
 // NewDiskModel builds a deterministic disk model.
 func NewDiskModel(cfg DiskModelConfig) *DiskModel {
 	cfg.setDefaults()
-	return &DiskModel{
-		cfg:     cfg,
-		entries: make(map[string]diskRec),
-	}
+	return &DiskModel{cfg: cfg}
 }
 
 // Name implements cache.SecondTier.
 func (d *DiskModel) Name() string { return "disk-model" }
 
 // Len implements cache.SecondTier.
-func (d *DiskModel) Len() int { return len(d.entries) }
+func (d *DiskModel) Len() int { return d.entries.Len() }
 
 // Capacity implements cache.SecondTier.
 func (d *DiskModel) Capacity() int { return d.cfg.Capacity }
@@ -124,17 +121,17 @@ func (d *DiskModel) occupy(now, fixed time.Duration, size int) time.Duration {
 // burst delays reads queued behind it) and evict oldest-written
 // objects past capacity.
 func (d *DiskModel) Put(e *cache.Entry, now time.Duration) ([]*cache.Entry, error) {
-	key := e.Data.Name.Key()
+	name := e.Data.Name
 	size := ndn.WireSize(e.Data)
 	d.writes++
 	d.occupy(now, d.cfg.WriteLatency, size)
 	d.nextSeq++
-	d.entries[key] = diskRec{entry: e, size: size, seq: d.nextSeq}
-	d.queue = append(d.queue, fifoSlot{key: key, seq: d.nextSeq})
+	d.entries.Put(name, diskRec{entry: e, size: size, seq: d.nextSeq})
+	d.queue = append(d.queue, fifoSlot{name: name, seq: d.nextSeq})
 	var evicted []*cache.Entry
 	if d.cfg.Capacity > 0 {
-		for len(d.entries) > d.cfg.Capacity {
-			victim, ok := d.popOldest(key)
+		for d.entries.Len() > d.cfg.Capacity {
+			victim, ok := d.popOldest(name)
 			if !ok {
 				break
 			}
@@ -146,15 +143,15 @@ func (d *DiskModel) Put(e *cache.Entry, now time.Duration) ([]*cache.Entry, erro
 
 // popOldest removes the oldest-written live object other than keep,
 // skipping lazy-deleted queue slots.
-func (d *DiskModel) popOldest(keep string) (*cache.Entry, bool) {
+func (d *DiskModel) popOldest(keep ndn.Name) (*cache.Entry, bool) {
 	for len(d.queue) > 0 {
 		slot := d.queue[0]
 		d.queue = d.queue[1:]
-		rec, live := d.entries[slot.key]
-		if !live || rec.seq != slot.seq || slot.key == keep {
+		rec, live := d.entries.Get(slot.name)
+		if !live || rec.seq != slot.seq || slot.name.Equal(keep) {
 			continue
 		}
-		delete(d.entries, slot.key)
+		d.entries.Delete(slot.name)
 		return rec.entry, true
 	}
 	return nil, false
@@ -163,8 +160,8 @@ func (d *DiskModel) popOldest(keep string) (*cache.Entry, bool) {
 // Peek implements cache.SecondTier: returns the entry and the modeled read
 // cost at virtual time now. The read occupies the device, so
 // back-to-back disk hits queue behind each other.
-func (d *DiskModel) Peek(key string, now time.Duration) (*cache.Entry, time.Duration, bool) {
-	rec, ok := d.entries[key]
+func (d *DiskModel) Peek(name ndn.Name, now time.Duration) (*cache.Entry, time.Duration, bool) {
+	rec, ok := d.entries.Get(name)
 	if !ok {
 		return nil, 0, false
 	}
@@ -174,17 +171,16 @@ func (d *DiskModel) Peek(key string, now time.Duration) (*cache.Entry, time.Dura
 }
 
 // Remove implements cache.SecondTier. Metadata-only: no device time.
-func (d *DiskModel) Remove(key string) (*cache.Entry, bool) {
-	rec, ok := d.entries[key]
+func (d *DiskModel) Remove(name ndn.Name) (*cache.Entry, bool) {
+	rec, ok := d.entries.Delete(name)
 	if !ok {
 		return nil, false
 	}
-	delete(d.entries, key)
 	return rec.entry, true
 }
 
 // String summarizes device state for diagnostics.
 func (d *DiskModel) String() string {
 	return fmt.Sprintf("disk-model{objects=%d reads=%d writes=%d busy=%s}",
-		len(d.entries), d.reads, d.writes, d.busyUntil)
+		d.entries.Len(), d.reads, d.writes, d.busyUntil)
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ndnprivacy/internal/cache"
+	"ndnprivacy/internal/ndn"
 )
 
 // FileTierConfig parameterizes the file-backed second tier.
@@ -31,7 +32,7 @@ type fileSlot struct {
 }
 
 // FileTier is cmd/ndnd's second tier: a crash-tolerant append-only log
-// with an in-memory index. Every Put appends a framed record (deletes
+// with an in-memory index by name. Every Put appends a framed record (deletes
 // append tombstones), so the file is only ever written at its end and a
 // crash can corrupt at most the final record; Open replays the log,
 // rebuilds the index, and truncates any torn tail. Peek reports zero
@@ -49,7 +50,7 @@ type FileTier struct {
 	cfg     FileTierConfig
 	f       *os.File
 	size    int64
-	index   map[string]fileSlot
+	index   ndn.NameMap[fileSlot]
 	queue   []fifoSlot
 	nextSeq uint64
 }
@@ -64,11 +65,7 @@ func OpenFileTier(cfg FileTierConfig) (*FileTier, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tiered: opening log: %w", err)
 	}
-	t := &FileTier{
-		cfg:   cfg,
-		f:     f,
-		index: make(map[string]fileSlot),
-	}
+	t := &FileTier{cfg: cfg, f: f}
 	if err := t.replay(wallClock()); err != nil {
 		f.Close()
 		return nil, err
@@ -77,7 +74,8 @@ func OpenFileTier(cfg FileTierConfig) (*FileTier, error) {
 }
 
 // replay scans the log from the start, indexing the last record per
-// key (later records shadow earlier ones; tombstones delete), then
+// name (later records shadow earlier ones; tombstones, which hold the
+// name's URI, delete), then
 // truncates at the first torn or corrupt frame. Reopened insertion
 // times are taken relative to opened, the wall-clock time of the open:
 // this process's executor started about then.
@@ -98,12 +96,12 @@ func (t *FileTier) replay(opened time.Duration) error {
 			break // corrupt payload that passed CRC — treat as tail damage
 		}
 		if entry != nil {
-			key := entry.Data.Name.Key()
+			name := entry.Data.Name
 			t.nextSeq++
-			t.index[key] = fileSlot{off: int64(off), len: frameLen, seq: t.nextSeq, shift: -opened}
-			t.queue = append(t.queue, fifoSlot{key: key, seq: t.nextSeq})
-		} else {
-			delete(t.index, tombstoneKey)
+			t.index.Put(name, fileSlot{off: int64(off), len: frameLen, seq: t.nextSeq, shift: -opened})
+			t.queue = append(t.queue, fifoSlot{name: name, seq: t.nextSeq})
+		} else if name, err := ndn.ParseName(tombstoneKey); err == nil {
+			t.index.Delete(name)
 		}
 		off += frameLen
 		valid = int64(off)
@@ -124,7 +122,7 @@ func (t *FileTier) replay(opened time.Duration) error {
 func (t *FileTier) Name() string { return "file" }
 
 // Len implements cache.SecondTier.
-func (t *FileTier) Len() int { return len(t.index) }
+func (t *FileTier) Len() int { return t.index.Len() }
 
 // Capacity implements cache.SecondTier.
 func (t *FileTier) Capacity() int { return t.cfg.Capacity }
@@ -154,7 +152,7 @@ func (t *FileTier) appendFrame(payload []byte) (off int64, frameLen int, err err
 // its insertion time moved onto the wall clock; the store mutates an
 // entry only while it is in the RAM front, so nothing is lost.
 func (t *FileTier) Put(e *cache.Entry, now time.Duration) ([]*cache.Entry, error) {
-	key := e.Data.Name.Key()
+	name := e.Data.Name
 	shift := now - wallClock()
 	stored := *e
 	stored.InsertedAt -= shift
@@ -163,12 +161,12 @@ func (t *FileTier) Put(e *cache.Entry, now time.Duration) ([]*cache.Entry, error
 		return nil, err
 	}
 	t.nextSeq++
-	t.index[key] = fileSlot{off: off, len: frameLen, seq: t.nextSeq, shift: shift}
-	t.queue = append(t.queue, fifoSlot{key: key, seq: t.nextSeq})
+	t.index.Put(name, fileSlot{off: off, len: frameLen, seq: t.nextSeq, shift: shift})
+	t.queue = append(t.queue, fifoSlot{name: name, seq: t.nextSeq})
 	var evicted []*cache.Entry
 	if t.cfg.Capacity > 0 {
-		for len(t.index) > t.cfg.Capacity {
-			victim, ok := t.evictOldest(key)
+		for t.index.Len() > t.cfg.Capacity {
+			victim, ok := t.evictOldest(name)
 			if !ok {
 				break
 			}
@@ -181,20 +179,20 @@ func (t *FileTier) Put(e *cache.Entry, now time.Duration) ([]*cache.Entry, error
 // evictOldest removes the oldest-written live object other than keep,
 // reading it back for the caller's lifecycle bookkeeping and logging a
 // tombstone so the eviction survives reopen.
-func (t *FileTier) evictOldest(keep string) (*cache.Entry, bool) {
+func (t *FileTier) evictOldest(keep ndn.Name) (*cache.Entry, bool) {
 	for len(t.queue) > 0 {
 		slot := t.queue[0]
 		t.queue = t.queue[1:]
-		live, ok := t.index[slot.key]
-		if !ok || live.seq != slot.seq || slot.key == keep {
+		live, ok := t.index.Get(slot.name)
+		if !ok || live.seq != slot.seq || slot.name.Equal(keep) {
 			continue
 		}
 		victim, err := t.readSlot(live)
-		delete(t.index, slot.key)
+		t.index.Delete(slot.name)
 		// A tombstone write failure leaves a resurrectable record in the
 		// log; accept that (reopen resurrects it into the index, and
 		// capacity enforcement evicts it again) rather than fail eviction.
-		t.appendFrame(encodeTombstonePayload(slot.key))
+		t.appendFrame(encodeTombstonePayload(slot.name.String()))
 		if err != nil {
 			continue // unreadable victim: nothing to hand back
 		}
@@ -235,8 +233,8 @@ func wallClock() time.Duration {
 // Peek implements cache.SecondTier: reads the entry back from the log.
 // Reported cost is zero — the real I/O latency is wall-clock
 // observable, not modeled.
-func (t *FileTier) Peek(key string, now time.Duration) (*cache.Entry, time.Duration, bool) {
-	slot, ok := t.index[key]
+func (t *FileTier) Peek(name ndn.Name, now time.Duration) (*cache.Entry, time.Duration, bool) {
+	slot, ok := t.index.Get(name)
 	if !ok {
 		return nil, 0, false
 	}
@@ -244,7 +242,7 @@ func (t *FileTier) Peek(key string, now time.Duration) (*cache.Entry, time.Durat
 	if err != nil {
 		// The record rotted under us (torn by an external writer, bad
 		// sector). Drop it from the index so the failure is not sticky.
-		delete(t.index, key)
+		t.index.Delete(name)
 		return nil, 0, false
 	}
 	return entry, 0, true
@@ -252,14 +250,13 @@ func (t *FileTier) Peek(key string, now time.Duration) (*cache.Entry, time.Durat
 
 // Remove implements cache.SecondTier, logging a tombstone so the removal
 // survives reopen.
-func (t *FileTier) Remove(key string) (*cache.Entry, bool) {
-	slot, ok := t.index[key]
+func (t *FileTier) Remove(name ndn.Name) (*cache.Entry, bool) {
+	slot, ok := t.index.Delete(name)
 	if !ok {
 		return nil, false
 	}
 	entry, err := t.readSlot(slot)
-	delete(t.index, key)
-	if _, _, werr := t.appendFrame(encodeTombstonePayload(key)); werr != nil && err == nil {
+	if _, _, werr := t.appendFrame(encodeTombstonePayload(name.String())); werr != nil && err == nil {
 		err = werr
 	}
 	if err != nil {

@@ -1,12 +1,15 @@
 package tiered
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"ndnprivacy/internal/cache"
+	"ndnprivacy/internal/ndn"
 )
 
 func openTier(t *testing.T, path string, capacity int) *FileTier {
@@ -44,14 +47,14 @@ func TestFileTierRoundTrip(t *testing.T) {
 	if _, err := tier.Put(want, 0); err != nil {
 		t.Fatal(err)
 	}
-	got, cost, found := tier.Peek("/f/a", time.Millisecond)
+	got, cost, found := tier.Peek(ndn.MustParseName("/f/a"), time.Millisecond)
 	if !found {
 		t.Fatal("stored entry not found")
 	}
 	if cost != 0 {
 		t.Errorf("file tier reported modeled cost %v, want 0 (real I/O is wall-clock)", cost)
 	}
-	if got.Data.Name.Key() != "/f/a" || string(got.Data.Payload) != "payload-/f/a" {
+	if got.Data.Name.String() != "/f/a" || string(got.Data.Payload) != "payload-/f/a" {
 		t.Errorf("payload mismatch: %+v", got.Data)
 	}
 	if got.Data.Freshness != want.Data.Freshness {
@@ -78,7 +81,7 @@ func TestFileTierReopenRestoresIndex(t *testing.T) {
 	if _, err := tier.Put(fileEntry(t, "/f/a"), time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tier.Remove("/f/b"); !ok {
+	if _, ok := tier.Remove(ndn.MustParseName("/f/b")); !ok {
 		t.Fatal("Remove reported absent")
 	}
 	if err := tier.Close(); err != nil {
@@ -89,16 +92,16 @@ func TestFileTierReopenRestoresIndex(t *testing.T) {
 	if got := reopened.Len(); got != 2 {
 		t.Fatalf("reopened Len = %d, want 2", got)
 	}
-	if _, _, found := reopened.Peek("/f/b", 0); found {
+	if _, _, found := reopened.Peek(ndn.MustParseName("/f/b"), 0); found {
 		t.Error("tombstoned entry resurrected on reopen")
 	}
 	for _, name := range []string{"/f/a", "/f/c"} {
-		e, _, found := reopened.Peek(name, 0)
+		e, _, found := reopened.Peek(ndn.MustParseName(name), 0)
 		if !found {
 			t.Fatalf("%s lost on reopen", name)
 		}
-		if e.Data.Name.Key() != name {
-			t.Errorf("entry under %s decodes as %s", name, e.Data.Name.Key())
+		if e.Data.Name.String() != name {
+			t.Errorf("entry under %s decodes as %s", name, e.Data.Name.String())
 		}
 	}
 }
@@ -136,7 +139,7 @@ func TestFileTierReopenRebasesInsertionTime(t *testing.T) {
 		name  string
 		stale bool
 	}{{"/f/short", true}, {"/f/long", false}} {
-		e, _, found := reopened.Peek(want.name, 0)
+		e, _, found := reopened.Peek(ndn.MustParseName(want.name), 0)
 		if !found {
 			t.Fatalf("%s lost on reopen", want.name)
 		}
@@ -173,14 +176,14 @@ func TestFileTierTruncatesTornTail(t *testing.T) {
 	if reopened.Size() != intact {
 		t.Errorf("log size = %d after recovery, want truncated to %d", reopened.Size(), intact)
 	}
-	if _, _, found := reopened.Peek("/f/a", 0); !found {
+	if _, _, found := reopened.Peek(ndn.MustParseName("/f/a"), 0); !found {
 		t.Error("intact record lost during tail recovery")
 	}
 	// The log must accept appends again after recovery.
 	if _, err := reopened.Put(fileEntry(t, "/f/c"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, found := reopened.Peek("/f/c", 0); !found {
+	if _, _, found := reopened.Peek(ndn.MustParseName("/f/c"), 0); !found {
 		t.Error("post-recovery append not readable")
 	}
 }
@@ -228,7 +231,7 @@ func TestFileTierCapacityEvictsOldest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(evicted) != 1 || evicted[0].Data.Name.Key() != "/f/a" {
+	if len(evicted) != 1 || evicted[0].Data.Name.String() != "/f/a" {
 		t.Fatalf("evicted %v, want [/f/a]", evicted)
 	}
 	if got := tier.Len(); got != 2 {
@@ -242,7 +245,7 @@ func TestFileTierCapacityEvictsOldest(t *testing.T) {
 
 	// Eviction tombstones persist: /f/a stays gone after reopen.
 	reopened := openTier(t, path, 2)
-	if _, _, found := reopened.Peek("/f/a", 0); found {
+	if _, _, found := reopened.Peek(ndn.MustParseName("/f/a"), 0); found {
 		t.Error("capacity-evicted entry resurrected on reopen")
 	}
 }
@@ -265,5 +268,51 @@ func TestFileTierBackedStoreServesAfterRAMEviction(t *testing.T) {
 	}
 	if servedBy != tierDisk || cost != 0 {
 		t.Errorf("served from %v at %v, want disk tier at zero modeled cost", servedBy, cost)
+	}
+}
+
+// A log written while the index was keyed by URI strings reopens with the
+// same contents: the records are the same bytes, and a tombstone's URI
+// parses back to the name it deletes. testdata/uri-index.log holds five
+// puts (one name with escaped bytes, one with a 300-byte component), a
+// refresh of /f/a and the removal of /f/d.
+func TestFileTierReopensURIKeyedLog(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "uri-index.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "cs.log")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tier := openTier(t, path, 0)
+	if tier.Size() != int64(len(raw)) || tier.Len() != 4 {
+		t.Fatalf("reopened %d of %d bytes holding %d objects, want all of it and 4", tier.Size(), len(raw), tier.Len())
+	}
+	long := "/f/" + strings.Repeat("l", 300)
+	for uri, payload := range map[string]string{
+		"/f/a":                  "payload-/f/a-refreshed",
+		"/f/%00escaped%2Fslash": "payload-/f/%00escaped%2Fslash",
+		"/f/private/c":          "payload-/f/private/c",
+		long:                    "payload-" + long,
+	} {
+		e, _, found := tier.Peek(ndn.MustParseName(uri), 0)
+		if !found {
+			t.Errorf("%s lost on reopen", uri)
+			continue
+		}
+		if e.Data.Name.String() != uri || string(e.Data.Payload) != payload {
+			t.Errorf("%s reopened as %s holding %q", uri, e.Data.Name, e.Data.Payload)
+		}
+		if e.Data.IsPrivate() != strings.Contains(uri, "/private/") {
+			t.Errorf("%s: private %t", uri, e.Data.IsPrivate())
+		}
+	}
+	if _, _, found := tier.Peek(ndn.MustParseName("/f/d"), 0); found {
+		t.Error("/f/d's tombstone did not survive reopen")
+	}
+	// The log ends with that tombstone, the bytes this code writes for it.
+	if tomb := frameRecord(encodeTombstonePayload(ndn.MustParseName("/f/d").String())); !bytes.HasSuffix(raw, tomb) {
+		t.Error("the tombstone for /f/d is not the bytes the log holds")
 	}
 }

@@ -190,8 +190,8 @@ func TestMatchPrefixServesRAMOnly(t *testing.T) {
 	if !found {
 		t.Fatal("prefix interest unmatched despite RAM-resident candidate")
 	}
-	if got := e.Data.Name.Key(); got != b.Name.Key() {
-		t.Errorf("prefix match = %s, want RAM-resident %s", got, b.Name.Key())
+	if got := e.Data.Name.String(); got != b.Name.String() {
+		t.Errorf("prefix match = %s, want RAM-resident %s", got, b.Name.String())
 	}
 
 	// An exact interest reaches the disk tier and promotes.
@@ -211,7 +211,7 @@ func TestMatchPrefixServesRAMOnly(t *testing.T) {
 func TestStaleContentDiesInBothTiers(t *testing.T) {
 	s := ramStore(t, 1)
 	var evicted []string
-	s.SetEvictionHook(func(e *cache.Entry) { evicted = append(evicted, e.Data.Name.Key()) })
+	s.SetEvictionHook(func(e *cache.Entry) { evicted = append(evicted, e.Data.Name.String()) })
 
 	a := mkData(t, "/t/a")
 	a.Freshness = 10 * time.Millisecond
@@ -239,7 +239,7 @@ func TestStaleContentDiesInBothTiers(t *testing.T) {
 func TestRemoveAndClearSpanBothTiers(t *testing.T) {
 	s := ramStore(t, 1)
 	var evicted []string
-	s.SetEvictionHook(func(e *cache.Entry) { evicted = append(evicted, e.Data.Name.Key()) })
+	s.SetEvictionHook(func(e *cache.Entry) { evicted = append(evicted, e.Data.Name.String()) })
 
 	s.Insert(mkData(t, "/t/a"), 0, 0)
 	s.Insert(mkData(t, "/t/b"), time.Millisecond, 0) // /t/a on disk, /t/b in RAM
@@ -273,7 +273,7 @@ func TestRemoveAndClearSpanBothTiers(t *testing.T) {
 func TestSecondTierOverflowEvicts(t *testing.T) {
 	s := tieredStore(t, 1, NewDiskModel(DiskModelConfig{Capacity: 2}))
 	var evicted []string
-	s.SetEvictionHook(func(e *cache.Entry) { evicted = append(evicted, e.Data.Name.Key()) })
+	s.SetEvictionHook(func(e *cache.Entry) { evicted = append(evicted, e.Data.Name.String()) })
 
 	for i, name := range []string{"/t/a", "/t/b", "/t/c", "/t/d"} {
 		s.Insert(mkData(t, name), time.Duration(i)*time.Millisecond, 0)
@@ -307,7 +307,7 @@ func TestFailedDemotionIsNotAnEviction(t *testing.T) {
 	rec := telemetry.NewRecorder()
 	s.Attach(telemetry.NewTap(telemetry.Hooks{Registry: reg, Sink: rec}, "R"))
 	var evicted []string
-	s.SetEvictionHook(func(e *cache.Entry) { evicted = append(evicted, e.Data.Name.Key()) })
+	s.SetEvictionHook(func(e *cache.Entry) { evicted = append(evicted, e.Data.Name.String()) })
 
 	s.Insert(mkData(t, "/t/a"), 0, 0)
 	s.Insert(mkData(t, "/t/b"), time.Millisecond, 0) // demoting /t/a fails: /t/a is lost
@@ -509,8 +509,8 @@ func TestNamesSortedAcrossTiers(t *testing.T) {
 		t.Fatalf("Names = %d entries, want 3", len(names))
 	}
 	for i, want := range []string{"/t/a", "/t/b", "/t/c"} {
-		if names[i].Key() != want {
-			t.Errorf("Names[%d] = %s, want %s", i, names[i].Key(), want)
+		if names[i].String() != want {
+			t.Errorf("Names[%d] = %s, want %s", i, names[i].String(), want)
 		}
 	}
 }
@@ -522,7 +522,7 @@ func TestDiskModelDeterministicQueueing(t *testing.T) {
 		d.Put(e, 0)
 		var costs []time.Duration
 		for i := 0; i < 3; i++ {
-			_, cost, ok := d.Peek("/q/a", 10*time.Millisecond)
+			_, cost, ok := d.Peek(ndn.MustParseName("/q/a"), 10*time.Millisecond)
 			if !ok {
 				panic("entry missing")
 			}

@@ -28,10 +28,7 @@ type GroupFunc func(data *ndn.Data) string
 func PrefixGroup(depth int) GroupFunc {
 	return func(data *ndn.Data) string {
 		name := data.Name
-		if name.Len() <= depth {
-			return name.Key()
-		}
-		return name.Prefix(depth).Key()
+		return name.Prefix(depth).String()
 	}
 }
 
@@ -53,17 +50,23 @@ func ContentIDGroup(fallback GroupFunc) GroupFunc {
 // ExactGroup degenerates to plain RandomCache. Useful as the
 // ContentIDGroup fallback.
 func ExactGroup() GroupFunc {
-	return func(data *ndn.Data) string { return data.Name.Key() }
+	return func(data *ndn.Data) string { return data.Name.String() }
 }
 
 // groupState is the shared Algorithm 1 state of one correlation group.
 type groupState struct {
+	// key is the group's key, what its threshold draw is recorded under.
+	key       string
 	counter   uint64
 	threshold uint64
 	// members counts live cache entries in the group, so state can be
 	// garbage-collected when the group leaves the cache entirely.
 	members int
 }
+
+// String returns the group's key: a group is the name its draw is
+// recorded under.
+func (g *groupState) String() string { return g.key }
 
 // GroupedRandomCache runs Algorithm 1 with one (c_C, k_C) pair per
 // correlation group instead of per content.
@@ -106,7 +109,7 @@ func (m *GroupedRandomCache) OnCacheHit(entry *cache.Entry, interest *ndn.Intere
 	if !EffectivePrivacy(entry, interest) {
 		return serveNow()
 	}
-	state := m.stateFor(entry, now)
+	state, _ := m.stateFor(entry, now)
 	state.counter++
 	if state.counter <= state.threshold {
 		return Decision{Action: ActionMiss}
@@ -124,10 +127,7 @@ func (m *GroupedRandomCache) OnContentCached(entry *cache.Entry, _ time.Duration
 	if entry.GroupKey != "" {
 		return // refresh of a known member
 	}
-	key := m.group(entry.Data)
-	_, existed := m.groups[key]
-	state := m.stateFor(entry, now)
-	if existed {
+	if state, created := m.stateFor(entry, now); !created {
 		state.counter++
 	}
 }
@@ -149,22 +149,26 @@ func (m *GroupedRandomCache) OnContentEvicted(entry *cache.Entry) {
 	}
 }
 
-func (m *GroupedRandomCache) stateFor(entry *cache.Entry, now time.Duration) *groupState {
-	key := m.group(entry.Data)
-	if entry.GroupKey == "" {
-		entry.GroupKey = key
-		if state, found := m.groups[key]; found {
-			state.members++
-		} else {
-			threshold := m.dist.Draw(m.rng)
-			m.groups[key] = &groupState{threshold: threshold, members: 1}
-			// The draw parents under the hop that cached the entry.
-			coin := telemetry.Rec{Stage: telemetry.StageCoin, Name: key,
-				T0: int64(now), T1: int64(now), Value: threshold, Parent: entry.Fetch}
-			m.tap.Record(&coin)
-		}
+// stateFor returns entry's group state. An entry not yet in a group
+// joins the one its group function names, which is created — drawing its
+// threshold — when it does not exist yet; created reports that.
+func (m *GroupedRandomCache) stateFor(entry *cache.Entry, now time.Duration) (state *groupState, created bool) {
+	if entry.GroupKey != "" {
+		return m.groups[entry.GroupKey], false
 	}
-	return m.groups[entry.GroupKey]
+	key := m.group(entry.Data)
+	entry.GroupKey = key
+	if state, found := m.groups[key]; found {
+		state.members++
+		return state, false
+	}
+	state = &groupState{key: key, threshold: m.dist.Draw(m.rng), members: 1}
+	m.groups[key] = state
+	// The draw parents under the hop that cached the entry.
+	coin := telemetry.Rec{Stage: telemetry.StageCoin, Name: state,
+		T0: int64(now), T1: int64(now), Value: state.threshold, Parent: entry.Fetch}
+	m.tap.Record(&coin)
+	return state, true
 }
 
 // Groups returns the number of live correlation groups, for tests.

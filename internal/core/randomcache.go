@@ -257,7 +257,7 @@ func (m *RandomCache) ensureThreshold(entry *cache.Entry, now time.Duration, par
 	entry.Counter = 0
 	entry.Threshold = m.dist.Draw(m.rng)
 	entry.ThresholdSet = true
-	coin := telemetry.Rec{Stage: telemetry.StageCoin, Name: entry.Data.Name.Key(),
+	coin := telemetry.Rec{Stage: telemetry.StageCoin, Name: &entry.Data.Name,
 		T0: int64(now), T1: int64(now), Value: entry.Threshold, Parent: parent}
 	m.tap.Record(&coin)
 }

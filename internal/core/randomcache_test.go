@@ -3,11 +3,13 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"ndnprivacy/internal/cache"
 	"ndnprivacy/internal/ndn"
+	"ndnprivacy/internal/telemetry"
 )
 
 func TestUniformKValidation(t *testing.T) {
@@ -535,4 +537,37 @@ func mustGeometric(t *testing.T, alpha float64, k uint64) *GeometricK {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// A threshold draw is recorded under what it was drawn for: Random-Cache
+// names the content, Grouped Random-Cache the group's key — a prefix, or
+// a content-id that is no name at all.
+func TestCoinRecordNamesTheDraw(t *testing.T) {
+	events := telemetry.NewRecorder()
+	tap := telemetry.NewTap(telemetry.Hooks{Sink: events}, "R")
+	plain, err := NewRandomCache(NewNaiveK(2), rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	grouped, err := NewGroupedRandomCache(NewNaiveK(2), rand.New(rand.NewSource(1)), ContentIDGroup(PrefixGroup(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain.Attach(tap)
+	grouped.Attach(tap)
+	plain.OnContentCached(privateEntry(t, "/site/a%2Fb/1"), 0, 0)
+	grouped.OnContentCached(privateEntry(t, "/site/page/1"), 0, 0)
+	grouped.OnContentCached(privateEntry(t, "/site/page/2"), 0, 0) // joins /site: no draw
+	linked := privateEntry(t, "/other/page")
+	linked.Data.ContentID = "story-42"
+	grouped.OnContentCached(linked, 0, 0)
+	var got []string
+	for _, ev := range events.Events() {
+		if ev.Type == telemetry.EvCMCoin {
+			got = append(got, ev.Name)
+		}
+	}
+	if want := []string{"/site/a%2Fb/1", "/site", "cid:story-42"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("coin events name %q, want %q", got, want)
+	}
 }

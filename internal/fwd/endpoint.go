@@ -17,10 +17,9 @@ import (
 type Consumer struct {
 	fwd    *Forwarder
 	faceID table.FaceID
-	// pending maps a name key to its first unanswered fetch; later
-	// fetches of the same key chain behind it through next, in
-	// registration order.
-	pending map[string]*pendingFetch
+	// pending maps a name to its first unanswered fetch; later fetches of
+	// the same name chain behind it through next, in registration order.
+	pending ndn.NameMap[*pendingFetch]
 	// start and expire are c.fetch and c.timeout bound once, so entering
 	// the executor and arming a fetch's lifetime timer allocate no
 	// closure.
@@ -38,7 +37,7 @@ type pendingFetch struct {
 	handler  func(FetchResult)
 	// root is the fetch's open root span; nil when tracing is disabled.
 	root *span.Record
-	// next is the fetch registered after this one under the same key.
+	// next is the fetch registered after this one under the same name.
 	next *pendingFetch
 }
 
@@ -60,10 +59,7 @@ func NewConsumer(host *Forwarder) (*Consumer, error) {
 	if host == nil {
 		return nil, errors.New("fwd: consumer requires a host forwarder")
 	}
-	c := &Consumer{
-		fwd:     host,
-		pending: make(map[string]*pendingFetch),
-	}
+	c := &Consumer{fwd: host}
 	c.start, c.expire = c.fetch, c.timeout
 	c.faceID = host.AttachApp(c.deliver)
 	return c, nil
@@ -96,18 +92,17 @@ func (c *Consumer) fetch(arg any) {
 		interest.Nonce = c.fwd.Sim().Rand().Uint64()
 	}
 	p.sentAt = c.fwd.Sim().Now()
-	key := interest.Name.Key()
 
 	// Open the trace root: this interest's admission at the consumer.
 	// The stamped interest propagates the context through the host
 	// forwarder and everything it causes.
 	if tr := c.fwd.tap.Tracer(); tr != nil {
 		var ctx span.Context
-		p.root, ctx = tr.StartRoot(interest.Name.Hash(), c.fwd.name, key, int64(p.sentAt))
+		p.root, ctx = tr.StartRoot(interest.Name.Hash(), c.fwd.name, interest.Name.String(), int64(p.sentAt))
 		interest.TraceID, interest.SpanID = ctx.Trace, ctx.Span
 	}
-	if tail := c.pending[key]; tail == nil {
-		c.pending[key] = p
+	if tail, found := c.pending.Get(interest.Name); !found {
+		c.pending.Put(interest.Name, p)
 	} else {
 		for tail.next != nil {
 			tail = tail.next
@@ -132,12 +127,12 @@ func (c *Consumer) timeout(arg any) {
 		return
 	}
 	p.done = true
-	key := p.interest.Name.Key()
-	if head := c.pending[key]; head == p {
+	name := p.interest.Name
+	if head, _ := c.pending.Get(name); head == p {
 		if p.next == nil {
-			delete(c.pending, key)
+			c.pending.Delete(name)
 		} else {
-			c.pending[key] = p.next
+			c.pending.Put(name, p.next)
 		}
 	} else {
 		for ; head != nil; head = head.next {
@@ -182,23 +177,28 @@ func (c *Consumer) deliver(pkt any) {
 		return
 	}
 	now := c.fwd.Sim().Now()
-	// Resolve every pending fetch whose name is a prefix of the data
-	// name (the NDN matching rule).
-	for k := 0; k <= data.Name.Len(); k++ {
-		prefix := data.Name.Prefix(k)
-		key := prefix.Key()
-		head, found := c.pending[key]
-		if !found || !data.MatchesName(prefix) {
-			continue
+	// Resolve every pending fetch whose name is a prefix of the data name
+	// (the NDN matching rule): one pass over its components folds the
+	// hash of each prefix and probes the pending set with it.
+	h := ndn.NameHashSeed()
+	comps := data.Name.Components()
+	for k := 0; ; k++ {
+		if head, found := c.pending.GetPrefix(h, k, data.Name); found {
+			if prefix := data.Name.Prefix(k); data.MatchesName(prefix) {
+				// The chain holds exactly the name's unanswered fetches: a
+				// timeout unlinks its own.
+				for p := head; p != nil; p = p.next {
+					p.done = true
+					c.fwd.tap.Tracer().End(p.root, int64(now), "ok")
+					p.handler(FetchResult{Data: data, RTT: now - p.sentAt})
+				}
+				c.pending.Delete(prefix)
+			}
 		}
-		// The chain holds exactly the key's unanswered fetches: a timeout
-		// unlinks its own.
-		for p := head; p != nil; p = p.next {
-			p.done = true
-			c.fwd.tap.Tracer().End(p.root, int64(now), "ok")
-			p.handler(FetchResult{Data: data, RTT: now - p.sentAt})
+		if !comps.Next() {
+			break
 		}
-		delete(c.pending, key)
+		h = ndn.MixComponentHash(h, comps.Component())
 	}
 }
 

@@ -386,13 +386,13 @@ func (f *Forwarder) ProbeWire(wire []byte, now time.Duration) (cached, pending b
 
 func (f *Forwarder) handleInterest(from table.FaceID, interest *ndn.Interest) {
 	now := f.sim.Now()
-	t, key, in := int64(now), interest.Name.Key(), uint64(from)
+	t, name, in := int64(now), &interest.Name, uint64(from)
 
 	// Open this node's hop span and re-parent the interest under it, so
 	// every stage recorded below — and everything the forwarded copy
 	// causes upstream — hangs off this hop. The span covers the node's
 	// processing window: arrival (now − processing delay) to terminal.
-	hop := f.rec(&telemetry.Rec{Stage: telemetry.StageInterest, Name: key, T0: int64(now - f.delay),
+	hop := f.rec(&telemetry.Rec{Stage: telemetry.StageInterest, Name: name, T0: int64(now - f.delay),
 		Parent: span.Context{Trace: interest.TraceID, Span: interest.SpanID}})
 	hopCtx := hop.Context()
 	if hop != nil {
@@ -419,7 +419,7 @@ func (f *Forwarder) handleInterest(from table.FaceID, interest *ndn.Interest) {
 		lookupCtx = hopCtx
 	}
 	if entry == nil {
-		f.rec(&telemetry.Rec{Stage: telemetry.StageCSMiss, Name: key, Face: in, T0: t, T1: t, Parent: lookupCtx})
+		f.rec(&telemetry.Rec{Stage: telemetry.StageCSMiss, Name: name, Face: in, T0: t, T1: t, Parent: lookupCtx})
 	} else if f.serveHit(from, interest, entry, diskCost, now, hop) {
 		return
 	}
@@ -430,7 +430,7 @@ func (f *Forwarder) handleInterest(from table.FaceID, interest *ndn.Interest) {
 	// state — a dangling PIT entry would wrongly collapse later honest
 	// interests for the same name.
 	if interest.Scope == 1 {
-		f.rec(&telemetry.Rec{Stage: telemetry.StageDropScope, Name: key, Face: in, T0: t, T1: t, Span: hop})
+		f.rec(&telemetry.Rec{Stage: telemetry.StageDropScope, Name: name, Face: in, T0: t, T1: t, Span: hop})
 		return
 	}
 
@@ -439,7 +439,7 @@ func (f *Forwarder) handleInterest(from table.FaceID, interest *ndn.Interest) {
 	// outcome but a new entry ends the interest here.
 	outcome, tok := f.pit.InsertProbed(interest, from, now, &probe)
 	if outcome != table.InsertedNew {
-		f.rec(&telemetry.Rec{Stage: pitStages[outcome], Name: key, Face: in, T0: t, T1: t, Parent: hopCtx, Span: hop})
+		f.rec(&telemetry.Rec{Stage: pitStages[outcome], Name: name, Face: in, T0: t, T1: t, Parent: hopCtx, Span: hop})
 		return
 	}
 
@@ -462,7 +462,7 @@ func (f *Forwarder) handleInterest(from table.FaceID, interest *ndn.Interest) {
 	// next hops are all unusable ends its hop unforwarded.
 	nextHops := f.fib.NextHops(interest.Name)
 	if nextHops == nil {
-		f.rec(&telemetry.Rec{Stage: telemetry.StageDropNoRoute, Name: key, Face: in, T0: t, T1: t, Span: hop})
+		f.rec(&telemetry.Rec{Stage: telemetry.StageDropNoRoute, Name: name, Face: in, T0: t, T1: t, Span: hop})
 		return
 	}
 	forwarded := false
@@ -472,7 +472,7 @@ func (f *Forwarder) handleInterest(from table.FaceID, interest *ndn.Interest) {
 			continue
 		}
 		forwarded = true
-		f.rec(&telemetry.Rec{Stage: telemetry.StageForward, Name: key, Face: uint64(next), T0: t, T1: t, Span: hop})
+		f.rec(&telemetry.Rec{Stage: telemetry.StageForward, Name: name, Face: uint64(next), T0: t, T1: t, Span: hop})
 		outFace.send(upstream, ndn.InterestWireSize(upstream))
 	}
 	if !forwarded {
@@ -504,7 +504,7 @@ func (f *Forwarder) match(from table.FaceID, interest *ndn.Interest, probe *pcct
 		return nil, 0
 	}
 	t := int64(now)
-	f.rec(&telemetry.Rec{Stage: telemetry.StageDiskRead, Name: interest.Name.Key(), Face: uint64(from),
+	f.rec(&telemetry.Rec{Stage: telemetry.StageDiskRead, Name: &interest.Name, Face: uint64(from),
 		T0: t, T1: t + int64(diskCost), Value: uint64(diskCost), Parent: hopCtx})
 	return entry, diskCost
 }
@@ -512,8 +512,8 @@ func (f *Forwarder) match(from table.FaceID, interest *ndn.Interest, probe *pcct
 // serveHit runs a cache hit past the cache manager and reports whether
 // the cache answered; a miss the manager generates goes on to the PIT.
 func (f *Forwarder) serveHit(from table.FaceID, interest *ndn.Interest, entry *cache.Entry, diskCost, now time.Duration, hop *span.Record) bool {
-	t, key, in, hopCtx := int64(now), interest.Name.Key(), uint64(from), hop.Context()
-	f.rec(&telemetry.Rec{Stage: telemetry.StageCSHit, Name: key, Face: in, T0: t, T1: t, Parent: hopCtx})
+	t, name, in, hopCtx := int64(now), &interest.Name, uint64(from), hop.Context()
+	f.rec(&telemetry.Rec{Stage: telemetry.StageCSHit, Name: name, Face: in, T0: t, T1: t, Parent: hopCtx})
 	// Section VII: a hit refreshes the entry even when the response is
 	// disguised.
 	f.cs.Touch(entry.Data.Name)
@@ -521,7 +521,7 @@ func (f *Forwarder) serveHit(from table.FaceID, interest *ndn.Interest, entry *c
 	// The decision's span covers the artificial delay the countermeasure
 	// added: zero-width for serve/miss.
 	delay := decision.Delay
-	f.rec(&telemetry.Rec{Stage: telemetry.StageCMDecision, Name: key, Face: in, Action: decision.Action.String(),
+	f.rec(&telemetry.Rec{Stage: telemetry.StageCMDecision, Name: name, Face: in, Action: decision.Action.String(),
 		T0: t, T1: t + int64(delay), Value: uint64(delay), Parent: hopCtx})
 	switch decision.Action {
 	case core.ActionServe:
@@ -560,7 +560,7 @@ func (f *Forwarder) serveCopy(entry *cache.Entry, interest *ndn.Interest, hopCtx
 
 func (f *Forwarder) handleData(from table.FaceID, data *ndn.Data) {
 	now := f.sim.Now()
-	t, key := int64(now), data.Name.Key()
+	t, name := int64(now), &data.Name
 	f.rec(&telemetry.Rec{Stage: telemetry.StageData})
 
 	// The Data's PIT token — stamped by this node onto the upstream
@@ -568,14 +568,14 @@ func (f *Forwarder) handleData(from table.FaceID, data *ndn.Data) {
 	// stale token degrades to the plain hash-probe sweep.
 	res, matched := f.pit.SatisfyByToken(data, data.PITToken, now)
 	if !matched {
-		f.rec(&telemetry.Rec{Stage: telemetry.StageUnsolicited, Name: key, Face: uint64(from), T0: t, T1: t})
+		f.rec(&telemetry.Rec{Stage: telemetry.StageUnsolicited, Name: name, Face: uint64(from), T0: t, T1: t})
 		return
 	}
 
 	// The upstream span covers this node's wait for the content: PIT
 	// admission of the earliest pending interest to Data arrival. Its
 	// parent is that interest's hop span, recorded via the PIT entry.
-	f.rec(&telemetry.Rec{Stage: telemetry.StageUpstream, Name: key, T0: int64(res.FirstCreated), T1: t,
+	f.rec(&telemetry.Rec{Stage: telemetry.StageUpstream, Name: name, T0: int64(res.FirstCreated), T1: t,
 		Parent: span.Context{Trace: res.Trace, Span: res.Span}})
 
 	// Cache unconditionally (the paper's routers cache all content) and

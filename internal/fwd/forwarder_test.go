@@ -264,7 +264,7 @@ func TestTimedOutFetchLeavesNoWaiter(t *testing.T) {
 	if len(first) != 1 || !first[0].TimedOut {
 		t.Fatalf("lost interest: results %+v, want one timeout", first)
 	}
-	if n := len(consumer.pending); n != 0 {
+	if n := consumer.pending.Len(); n != 0 {
 		t.Fatalf("%d names still pending after the only waiter timed out", n)
 	}
 
@@ -295,7 +295,7 @@ func TestTimedOutFetchLeavesNoWaiter(t *testing.T) {
 	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
 		t.Errorf("waiters answered in order %v, want registration order [0 1]", order)
 	}
-	if n := len(consumer.pending); n != 0 {
+	if n := consumer.pending.Len(); n != 0 {
 		t.Errorf("%d names still pending at the end", n)
 	}
 }

@@ -71,7 +71,7 @@ func runHubWorkload(t *testing.T, store *cache.Store, probe bool) (Stats, []byte
 	names := make([]ndn.Name, objects)
 	for i := range names {
 		names[i] = ndn.MustParseName(fmt.Sprintf("/p/o%d", i))
-		publish(t, producer, names[i].Key(), i%2 == 0)
+		publish(t, producer, names[i].String(), i%2 == 0)
 	}
 	consumers := make([]*Consumer, len(leaves)-1)
 	for i := range consumers {

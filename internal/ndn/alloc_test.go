@@ -76,9 +76,9 @@ func TestNameViewAccessZeroAlloc(t *testing.T) {
 	}
 }
 
-// Decoding a packet's name costs one copy of its bytes and one rendered
-// URI, however many components it has: with the packet itself, an
-// Interest decode is three allocations.
+// Decoding a packet's name costs one copy of its bytes and renders
+// nothing, however many components it has: with the packet itself, an
+// Interest decode is two allocations.
 func TestDecodeInterestAllocs(t *testing.T) {
 	long := MustParseName("/a")
 	for i := 1; i < 20; i++ {
@@ -90,20 +90,24 @@ func TestDecodeInterestAllocs(t *testing.T) {
 			if _, err := DecodeInterest(wire); err != nil {
 				t.Fatal(err)
 			}
-		}); n > 3 {
-			t.Errorf("DecodeInterest(%d-component name): %.0f allocs/run, want <= 3", name.Len(), n)
+		}); n > 2 {
+			t.Errorf("DecodeInterest(%d-component name): %.0f allocs/run, want <= 2", name.Len(), n)
 		}
 	}
 }
 
-// The packet headers stay in the Go size classes they had when a name
-// was a slice of components: each cached fetch copies them.
+// A name is its bytes, hash, count and privacy marker — 40 bytes, no
+// URI — so the packet headers each cached fetch copies sit one Go size
+// class lower than when a name carried its rendering.
 func TestPacketHeaderSizes(t *testing.T) {
-	if got := unsafe.Sizeof(Interest{}); got > 112 {
-		t.Errorf("unsafe.Sizeof(Interest{}) = %d, want <= 112", got)
+	if got := unsafe.Sizeof(Name{}); got > 40 {
+		t.Errorf("unsafe.Sizeof(Name{}) = %d, want <= 40", got)
 	}
-	if got := unsafe.Sizeof(Data{}); got > 176 {
-		t.Errorf("unsafe.Sizeof(Data{}) = %d, want <= 176", got)
+	if got := unsafe.Sizeof(Interest{}); got > 96 {
+		t.Errorf("unsafe.Sizeof(Interest{}) = %d, want <= 96", got)
+	}
+	if got := unsafe.Sizeof(Data{}); got > 160 {
+		t.Errorf("unsafe.Sizeof(Data{}) = %d, want <= 160", got)
 	}
 }
 
@@ -128,14 +132,29 @@ func TestWireSizeZeroAlloc(t *testing.T) {
 }
 
 func TestNamePrefixZeroAlloc(t *testing.T) {
-	// Prefix shares the parent's bytes and slices its URI, so
-	// walking every prefix of a name (Consumer.deliver does, per
-	// arriving Data) never renders a string.
+	// Prefix shares the parent's bytes, and a NameMap probe compares
+	// them, so walking every prefix of a name and looking each up — by
+	// Prefix or by a rolling hash, as a FIB or a consumer does per
+	// packet — renders and allocates nothing.
 	name := MustParseName("/p/o/%00escaped%2F/1234")
+	var m NameMap[int]
+	m.Put(name.Prefix(2), 2)
+	m.Put(name, name.Len())
 	total := 0
 	if n := testing.AllocsPerRun(200, func() {
+		h := NameHashSeed()
+		it := name.Components()
 		for k := 0; k <= name.Len(); k++ {
-			total += len(name.Prefix(k).Key())
+			p := name.Prefix(k)
+			byName, _ := m.Get(p)
+			byHash, _ := m.GetPrefix(h, k, name)
+			if byName != byHash || p.Hash() != h {
+				t.Fatalf("prefix %d: Get %d, GetPrefix %d", k, byName, byHash)
+			}
+			total += byName + int(p.Hash()&1)
+			if it.Next() {
+				h = MixComponentHash(h, it.Component())
+			}
 		}
 	}); n != 0 {
 		t.Errorf("Name.Prefix walk: %.0f allocs/run, want 0", n)
@@ -172,7 +191,8 @@ func TestEncodersAllocateOnce(t *testing.T) {
 // one buffer of its own, which the packet keeps: Next costs the decode
 // plus that buffer, less the copies the decode would make of the name's
 // bytes and a Data's Payload and Signature — Next slices them from the
-// buffer instead.
+// buffer instead. What is left is the packet struct and its buffer: no
+// rendered name.
 func TestPacketReaderFramingAllocatesOnlyThePacket(t *testing.T) {
 	name := MustParseName("/youtube/alice/video-749.avi/137")
 	d, err := NewData(name, make([]byte, 1024)) // 1 KB: the Length field takes the three-byte form
@@ -184,11 +204,12 @@ func TestPacketReaderFramingAllocatesOnlyThePacket(t *testing.T) {
 		kind   string
 		wire   []byte
 		decode func([]byte) error
-		// saved is what the owned decode does not copy.
-		saved float64
+		// saved is what the owned decode does not copy; next is what Next
+		// costs.
+		saved, next float64
 	}{
-		{"Interest", EncodeInterest(NewInterest(name, 7)), func(w []byte) error { _, err := DecodeInterest(w); return err }, 1},
-		{"Data", EncodeData(d), func(w []byte) error { _, err := DecodeData(w); return err }, 3},
+		{"Interest", EncodeInterest(NewInterest(name, 7)), func(w []byte) error { _, err := DecodeInterest(w); return err }, 1, 2},
+		{"Data", EncodeData(d), func(w []byte) error { _, err := DecodeData(w); return err }, 3, 2},
 	} {
 		decode := testing.AllocsPerRun(200, func() {
 			if err := tc.decode(tc.wire); err != nil {
@@ -203,8 +224,8 @@ func TestPacketReaderFramingAllocatesOnlyThePacket(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if want := decode + 1 - tc.saved; next != want {
-			t.Errorf("%s: Next %.0f allocs/run, want %.0f: decoding alone %.0f, +1 packet buffer, -%.0f name/payload/signature copies", tc.kind, next, want, decode, tc.saved)
+		if want := decode + 1 - tc.saved; next != want || next != tc.next {
+			t.Errorf("%s: Next %.0f allocs/run, want %.0f: decoding alone %.0f, +1 packet buffer, -%.0f name/payload/signature copies", tc.kind, next, tc.next, decode, tc.saved)
 		}
 	}
 }

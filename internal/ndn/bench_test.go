@@ -153,7 +153,7 @@ func BenchmarkSegmentReassemble(b *testing.B) {
 	}
 }
 
-func BenchmarkNameKeyMapInsert(b *testing.B) {
+func BenchmarkNameMapPut(b *testing.B) {
 	names := make([]Name, 1000)
 	for i := range names {
 		names[i] = MustParseName(fmt.Sprintf("/site/%d/obj/%d", i%17, i))
@@ -161,9 +161,9 @@ func BenchmarkNameKeyMapInsert(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		m := make(map[string]int, len(names))
+		var m NameMap[int]
 		for i, name := range names {
-			m[name.Key()] = i
+			m.Put(name, i)
 		}
 	}
 }

@@ -168,6 +168,14 @@ func FuzzParseNameView(f *testing.F) {
 			return
 		}
 
+		marked := false
+		for it := v.Components(); it.Next(); {
+			marked = marked || string(it.Component()) == PrivateComponent
+		}
+		if v.HasPrivateMarker() != marked {
+			t.Fatalf("borrowed name %q: private marker %t, its components say %t", v, v.HasPrivateMarker(), marked)
+		}
+
 		names := []Name{v, own, v.Clone()}
 		empty := false
 		for it := own.Components(); it.Next(); {
@@ -195,7 +203,7 @@ func FuzzParseNameView(f *testing.F) {
 					t.Fatalf("form %d: prefix hash %d %#x, borrowed %#x", i+1, k, n.Prefix(k).Hash(), v.Prefix(k).Hash())
 				}
 			}
-			if n.String() != v.String() || n.Key() != v.Key() {
+			if n.String() != v.String() || n.HasPrivateMarker() != v.HasPrivateMarker() {
 				t.Fatalf("form %d: URI %q, borrowed %q", i+1, n, v)
 			}
 			if !n.Equal(v) || !v.Equal(n) || n.Compare(v) != 0 {

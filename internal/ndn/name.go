@@ -42,34 +42,35 @@ var (
 
 // Name is an immutable hierarchical content name, kept in one flat form:
 // the value of its Name TLV (every component as a Component TLV in its
-// one canonical encoding), the component count, the full-name hash, and
-// the canonical URI. The zero value is the root name "/".
+// one canonical encoding), the component count, the full-name hash and
+// whether a component is the privacy marker. The zero value is the root
+// name "/". Tables key a name by its hash and compare its bytes; nothing
+// on the packet path renders its URI, which String builds on each call.
 //
 // An owned Name — from ParseName, NewName, Append, the packet decoders or
-// Clone — holds bytes nobody writes, and renders its URI when it is
-// built, so String and Key cost nothing. A borrowed Name — from
+// Clone — holds bytes nobody writes. A borrowed Name — from
 // ParseNameView, InterestNameView or DataNameView — is the same type
 // aliasing the caller's buffer: parsing it allocates nothing, and it is
-// valid only while that buffer is unchanged. Its URI is rendered on each
-// call. Whatever keeps a name past the buffer's lifetime keeps its Clone.
+// valid only while that buffer is unchanged. Whatever keeps a name past
+// the buffer's lifetime keeps its Clone.
 type Name struct {
 	// value is the Name TLV's value: the component TLVs, each with the
 	// one-byte type 0x08 and its length in the shortest encoding, so one
 	// name has exactly one value and byte equality is name equality.
 	value []byte
-	// uri is the canonical rendering, rendered once for an owned name;
-	// empty for a borrowed name and for the zero value.
-	uri string
 	// hash is the rolling component hash of the whole name (see
 	// MixComponentHash); zero in the zero value.
 	hash uint64
 	// n is the component count.
-	n int
+	n int32
+	// private records that a component equals PrivateComponent; the walk
+	// that builds the name finds it.
+	private bool
 }
 
-// rootName is the owned root, what every constructor returns for a name
-// with no components.
-var rootName = Name{uri: "/", hash: nameHashBasis}
+// rootName is the root with its hash, what every constructor returns for
+// a name with no components.
+var rootName = Name{hash: nameHashBasis}
 
 // Name hashing: every component is folded through an FNV-1a-style mix in
 // order. The length mix makes component boundaries significant: /ab/c
@@ -111,9 +112,8 @@ func ParseName(uri string) (Name, error) {
 	// A component's TLV header is two bytes where the URI has one '/'
 	// (three more when the component is 253 bytes or longer).
 	value := make([]byte, 0, len(uri)+strings.Count(uri, "/"))
-	h := nameHashBasis
-	count := 0
-	for rest, more := uri[1:], true; more; count++ {
+	n := Name{hash: nameHashBasis}
+	for rest, more := uri[1:], true; more; n.n++ {
 		var part string
 		part, rest, more = strings.Cut(rest, "/")
 		if part == "" {
@@ -127,9 +127,10 @@ func ParseName(uri string) (Name, error) {
 		if value, err = appendUnescaped(value, part); err != nil {
 			return Name{}, fmt.Errorf("%w: %q: %v", ErrBadURI, uri, err)
 		}
-		h = MixComponentHash(h, value[len(value)-size:])
+		n.add(value[len(value)-size:])
 	}
-	return adopt(value, count, h), nil
+	n.value = value
+	return n, nil
 }
 
 // MustParseName is ParseName that panics on error, for use with constant
@@ -196,9 +197,8 @@ func packetName(wire []byte, outer uint64) (Name, error) {
 // 0x08 in one byte, length in its shortest form — so a name has one
 // value, and two encodings of it can never become two table entries.
 func parseNameValue(value []byte) (Name, error) {
-	h := nameHashBasis
-	count := 0
-	for rest := value; len(rest) > 0; count++ {
+	n := Name{value: value, hash: nameHashBasis}
+	for rest := value; len(rest) > 0; n.n++ {
 		if rest[0] != byte(tlvComponent) {
 			return Name{}, errNotComponent
 		}
@@ -214,10 +214,17 @@ func parseNameValue(value []byte) (Name, error) {
 			return Name{}, ErrTruncated
 		}
 		end := start + int(length)
-		h = MixComponentHash(h, rest[start:end])
+		n.add(rest[start:end])
 		rest = rest[end:]
 	}
-	return Name{value: value, hash: h, n: count}, nil
+	return n, nil
+}
+
+// add folds one more component into the name's hash and privacy marker;
+// the caller counts it.
+func (n *Name) add(c []byte) {
+	n.hash = MixComponentHash(n.hash, c)
+	n.private = n.private || string(c) == PrivateComponent
 }
 
 // decodeName parses a Name TLV's value into an owned name: over a copy
@@ -227,45 +234,41 @@ func decodeName(value []byte, owned bool) (Name, error) {
 	if err != nil {
 		return Name{}, err
 	}
-	return adopt(ownBytes(value, owned), n.n, n.hash), nil
-}
-
-// adopt makes the owned name over value, which nobody else writes: it
-// renders the URI.
-func adopt(value []byte, count int, h uint64) Name {
-	if len(value) == 0 {
-		return rootName
+	if n.n == 0 {
+		return rootName, nil
 	}
-	return Name{value: value, uri: renderURI(value), hash: h, n: count}
+	n.value = ownBytes(value, owned)
+	return n, nil
 }
 
-// appendComponents returns n extended by components, copied: one buffer
-// for the value and one for the URI.
+// appendComponents returns n extended by components, copied into one
+// buffer.
 func appendComponents[C ~[]byte | ~string](n Name, components []C) Name {
 	size := len(n.value)
 	for _, c := range components {
 		size += tlvSize(tlvComponent, len(c))
 	}
-	value := append(make([]byte, 0, size), n.value...)
-	h := n.Hash()
+	out := Name{value: append(make([]byte, 0, size), n.value...), hash: n.Hash(), n: n.n, private: n.private}
 	for _, c := range components {
-		value = appendTLV(value, tlvComponent, c)
-		h = MixComponentHash(h, value[len(value)-len(c):])
+		out.value = appendTLV(out.value, tlvComponent, c)
+		out.add(out.value[len(out.value)-len(c):])
+		out.n++
 	}
-	return adopt(value, n.n+len(components), h)
+	return out
 }
 
-// Clone returns n owning its bytes: a borrowed name is copied once and
-// its URI rendered; an owned name is returned as it is.
+// Clone returns n over a copy of its bytes: the one copy a borrowed name
+// needs to outlive its buffer.
 func (n Name) Clone() Name {
-	if n.uri != "" || len(n.value) == 0 {
-		return n
+	if n.n == 0 {
+		return rootName
 	}
-	return adopt(bytes.Clone(n.value), n.n, n.hash)
+	n.value = bytes.Clone(n.value)
+	return n
 }
 
 // Len returns the number of components.
-func (n Name) Len() int { return n.n }
+func (n Name) Len() int { return int(n.n) }
 
 // IsEmpty reports whether the name has no components.
 func (n Name) IsEmpty() bool { return n.n == 0 }
@@ -317,7 +320,7 @@ func (n Name) Component(i int) Component { return bytes.Clone(n.ComponentRef(i))
 // the name's bytes, which for a borrowed name are the caller's buffer.
 // Walking every component is Components' job; this finds one.
 func (n Name) ComponentRef(i int) Component {
-	if i < 0 || i >= n.n {
+	if i < 0 || i >= n.Len() {
 		panic(fmt.Sprintf("ndn: component %d of a %d-component name", i, n.n))
 	}
 	it := n.Components()
@@ -334,31 +337,24 @@ func (n Name) Append(components ...[]byte) Name { return appendComponents(n, com
 func (n Name) AppendString(components ...string) Name { return appendComponents(n, components) }
 
 // Prefix returns the name truncated to its first k components. k is
-// clamped to [0, Len()]. The result shares the receiver's bytes and, for
-// an owned name, its URI string: escaping is per component, so the
-// prefix's canonical URI is the leading bytes of the parent's and nothing
-// is re-rendered.
+// clamped to [0, Len()]. The result shares the receiver's bytes, so
+// walking every prefix of a name allocates nothing.
 func (n Name) Prefix(k int) Name {
-	if k >= n.n {
+	if k >= n.Len() {
 		return n
 	}
 	if k <= 0 {
 		return rootName
 	}
+	p := Name{hash: nameHashBasis, n: int32(k)}
 	rest := n.value
-	h := nameHashBasis
-	uriLen := 0
 	for i := 0; i < k; i++ {
 		var c []byte
 		c, rest = nextComponent(rest)
-		h = MixComponentHash(h, c)
-		uriLen += 1 + escapedLen(c)
+		p.add(c)
 	}
 	end := len(n.value) - len(rest)
-	p := Name{value: n.value[:end:end], hash: h, n: k}
-	if n.uri != "" {
-		p.uri = n.uri[:uriLen]
-	}
+	p.value = n.value[:end:end]
 	return p
 }
 
@@ -368,7 +364,7 @@ func (n Name) Parent() (Name, bool) {
 	if n.n == 0 {
 		return rootName, false
 	}
-	return n.Prefix(n.n - 1), true
+	return n.Prefix(n.Len() - 1), true
 }
 
 // Equal reports whether two names have identical components.
@@ -403,37 +399,14 @@ func (n Name) Compare(other Name) int {
 	}
 }
 
-// privateTLV is the encoding of the PrivateComponent component.
-var privateTLV = appendTLV(nil, tlvComponent, PrivateComponent)
-
 // HasPrivateMarker reports whether any component equals the reserved
 // producer-driven privacy marker (Section V, "producer-driven" marking).
-// Most names do not hold the marker's encoding anywhere, which one search
-// of the bytes settles; a name that does is walked, since the bytes may
-// sit inside a longer component.
-func (n Name) HasPrivateMarker() bool {
-	if !bytes.Contains(n.value, privateTLV) {
-		return false
-	}
-	for it := n.Components(); it.Next(); {
-		if string(it.Component()) == PrivateComponent {
-			return true
-		}
-	}
-	return false
-}
+// The walk that built the name found it, so asking costs nothing.
+func (n Name) HasPrivateMarker() bool { return n.private }
 
-// String returns the canonical URI form.
-func (n Name) String() string {
-	if n.uri != "" {
-		return n.uri
-	}
-	return renderURI(n.value)
-}
-
-// Key returns a map key uniquely identifying the name. It is the
-// canonical URI, which is injective because escaping is canonical.
-func (n Name) Key() string { return n.String() }
+// String returns the canonical URI form, rendered on each call: it is
+// for output, and no table keys on it.
+func (n Name) String() string { return renderURI(n.value) }
 
 // Hash returns the name's rolling component hash — the key the
 // hash-indexed CS and PIT tables use. Every constructor computes it; the

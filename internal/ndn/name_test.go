@@ -162,15 +162,43 @@ func TestNameCompare(t *testing.T) {
 	}
 }
 
+// The marker is found by the walk that builds a name, whichever builds
+// it: parsing a URI, appending components, decoding a packet owned or
+// borrowed, taking a prefix.
 func TestHasPrivateMarker(t *testing.T) {
-	if !MustParseName("/bob/docs/private/tax").HasPrivateMarker() {
-		t.Error("name with /private/ component not detected")
+	marked := MustParseName("/bob/docs/private/tax")
+	wire := EncodeInterest(NewInterest(marked, 1))
+	decoded, err := DecodeInterest(wire)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if MustParseName("/bob/docs/privateer").HasPrivateMarker() {
-		t.Error("false positive: component merely containing 'private'")
+	borrowed, err := InterestNameView(wire)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if MustParseName("/").HasPrivateMarker() {
-		t.Error("root name reported private")
+	for label, n := range map[string]Name{
+		"ParseName":      marked,
+		"AppendString":   MustParseName("/bob/docs").AppendString("private", "tax"),
+		"NewName":        NewName([]byte("private")),
+		"DecodeInterest": decoded.Name,
+		"borrowed":       borrowed,
+		"Prefix(3)":      marked.Prefix(3),
+		"Clone":          borrowed.Clone(),
+	} {
+		if !n.HasPrivateMarker() {
+			t.Errorf("%s: %s has a /private/ component, not detected", label, n)
+		}
+	}
+	for _, n := range []Name{
+		MustParseName("/bob/docs/privateer"),
+		MustParseName("/bob/private%00"),
+		NewName([]byte("a/private")),
+		MustParseName("/"),
+		marked.Prefix(2),
+	} {
+		if n.HasPrivateMarker() {
+			t.Errorf("%s reported private", n)
+		}
 	}
 }
 
@@ -203,9 +231,10 @@ func TestNameRenderParseProperty(t *testing.T) {
 	}
 }
 
-// Prefix slices the parent's URI instead of rendering; every k must
-// agree with a name built from the same components the slow way, for
-// names whose URI bytes and wire bytes differ (percent-escapes).
+// Prefix slices the parent's bytes and re-derives hash and privacy
+// marker; every k must agree with a name built from the same components
+// the slow way, for names whose URI bytes and wire bytes differ
+// (percent-escapes) and whose marker sits at different depths.
 func TestNamePrefixMatchesRendered(t *testing.T) {
 	names := []Name{
 		{},
@@ -213,6 +242,7 @@ func TestNamePrefixMatchesRendered(t *testing.T) {
 		MustParseName("/a/b/c"),
 		MustParseName("/%00/a%2Fb/%25/%FF%FE/plain"),
 		NewName([]byte("%"), []byte{0, 1, 2}, []byte("~-._"), []byte("a b/c"), []byte{0xC3, 0xA9}),
+		MustParseName("/bob/private/tax/2013"),
 	}
 	for _, n := range names {
 		for k := -1; k <= n.Len()+1; k++ {
@@ -229,7 +259,7 @@ func TestNamePrefixMatchesRendered(t *testing.T) {
 			}
 			want := NewName(raw...)
 			got := n.Prefix(k)
-			if got.String() != want.String() || got.Key() != want.Key() {
+			if got.String() != want.String() || got.HasPrivateMarker() != want.HasPrivateMarker() {
 				t.Errorf("%q.Prefix(%d): URI %q, want %q", n, k, got, want)
 			}
 			if got.Hash() != want.Hash() {
@@ -279,7 +309,7 @@ func TestNameCompareAntisymmetricProperty(t *testing.T) {
 
 // Every spelling of the root is one name: the zero value, the parsed
 // and built roots, and the root a prefix walk or Parent reaches agree on
-// Equal, Key, String, Compare and Hash — a table that verifies a hash hit
+// Equal, String, Compare and Hash — a table that verifies a hash hit
 // with Equal must find any of them under any other.
 func TestRootNameForms(t *testing.T) {
 	one := MustParseName("/a")
@@ -298,8 +328,8 @@ func TestRootNameForms(t *testing.T) {
 		{"Name{}.Clone()", Name{}.Clone()},
 	}
 	for _, a := range forms {
-		if a.name.String() != "/" || a.name.Key() != "/" {
-			t.Errorf("%s: String %q, Key %q, want /", a.label, a.name.String(), a.name.Key())
+		if a.name.String() != "/" || a.name.HasPrivateMarker() {
+			t.Errorf("%s: String %q, private %t, want / and not private", a.label, a.name.String(), a.name.HasPrivateMarker())
 		}
 		if !a.name.IsEmpty() || a.name.Len() != 0 {
 			t.Errorf("%s: %d components, want 0", a.label, a.name.Len())
@@ -364,7 +394,7 @@ func TestNameHasOneEncoding(t *testing.T) {
 		t.Fatalf("DecodeInterest: %v", err)
 	}
 	for _, n := range []Name{borrowed, decoded.Name} {
-		if !n.Equal(canonical) || n.Hash() != canonical.Hash() || n.Key() != canonical.Key() {
+		if !n.Equal(canonical) || n.Hash() != canonical.Hash() || n.String() != canonical.String() {
 			t.Errorf("%q under a long outer length: Equal %t, Hash %#x, want %#x", n, n.Equal(canonical), n.Hash(), canonical.Hash())
 		}
 	}
@@ -385,7 +415,7 @@ func TestBorrowedNameClone(t *testing.T) {
 	if owned.String() != "/p/doc/1" || owned.Len() != 3 || owned.Hash() != MustParseName("/p/doc/1").Hash() {
 		t.Errorf("Clone changed with the buffer: %q", owned)
 	}
-	if again := owned.Clone(); again.String() != owned.String() {
+	if again := owned.Clone(); !again.Equal(owned) || again.Hash() != owned.Hash() {
 		t.Errorf("Clone of an owned name = %q, want %q", again, owned)
 	}
 }

@@ -22,7 +22,7 @@ func evict(tb *Table) string {
 	if v == nil {
 		return ""
 	}
-	uri := v.Name().Key()
+	uri := v.Name().String()
 	tb.DetachCS(v)
 	tb.ReleaseIfEmpty(v)
 	return uri
@@ -34,14 +34,14 @@ func TestLRUOrder(t *testing.T) {
 	insertCS(tb, "/b")
 	insertCS(tb, "/c")
 	tb.CSAccess(tb.Get(ndn.MustParseName("/a")))
-	if v := tb.CSVictim(); v.Name().Key() != "/b" {
-		t.Fatalf("victim = %s, want /b", v.Name().Key())
+	if v := tb.CSVictim(); v.Name().String() != "/b" {
+		t.Fatalf("victim = %s, want /b", v.Name().String())
 	}
 	b := tb.Get(ndn.MustParseName("/b"))
 	tb.DetachCS(b)
 	tb.ReleaseIfEmpty(b)
-	if v := tb.CSVictim(); v.Name().Key() != "/c" {
-		t.Fatalf("victim after removing /b = %s, want /c", v.Name().Key())
+	if v := tb.CSVictim(); v.Name().String() != "/c" {
+		t.Fatalf("victim after removing /b = %s, want /c", v.Name().String())
 	}
 	if got := evict(tb); got != "/c" {
 		t.Fatalf("evicted %s, want /c", got)
@@ -59,8 +59,8 @@ func TestLRUReinsertMovesToFront(t *testing.T) {
 	a := insertCS(tb, "/a")
 	insertCS(tb, "/b")
 	tb.CSRefresh(a) // re-insert of existing content
-	if v := tb.CSVictim(); v.Name().Key() != "/b" {
-		t.Fatalf("victim = %s, want /b", v.Name().Key())
+	if v := tb.CSVictim(); v.Name().String() != "/b" {
+		t.Fatalf("victim = %s, want /b", v.Name().String())
 	}
 }
 
@@ -69,8 +69,8 @@ func TestFIFOIgnoresAccess(t *testing.T) {
 	a := insertCS(tb, "/a")
 	insertCS(tb, "/b")
 	tb.CSAccess(a)
-	if v := tb.CSVictim(); v.Name().Key() != "/a" {
-		t.Fatalf("victim = %s, want /a (FIFO ignores access)", v.Name().Key())
+	if v := tb.CSVictim(); v.Name().String() != "/a" {
+		t.Fatalf("victim = %s, want /a (FIFO ignores access)", v.Name().String())
 	}
 }
 
@@ -79,13 +79,13 @@ func TestFIFOReinsertKeepsPosition(t *testing.T) {
 	a := insertCS(tb, "/a")
 	insertCS(tb, "/b")
 	tb.CSRefresh(a)
-	if v := tb.CSVictim(); v.Name().Key() != "/a" {
-		t.Fatalf("victim = %s, want /a (FIFO re-insert keeps position)", v.Name().Key())
+	if v := tb.CSVictim(); v.Name().String() != "/a" {
+		t.Fatalf("victim = %s, want /a (FIFO re-insert keeps position)", v.Name().String())
 	}
 	tb.DetachCS(a)
 	tb.ReleaseIfEmpty(a)
-	if v := tb.CSVictim(); v.Name().Key() != "/b" {
-		t.Fatalf("victim = %s, want /b", v.Name().Key())
+	if v := tb.CSVictim(); v.Name().String() != "/b" {
+		t.Fatalf("victim = %s, want /b", v.Name().String())
 	}
 }
 
@@ -95,8 +95,8 @@ func TestLFUEvictsLeastFrequent(t *testing.T) {
 	insertCS(tb, "/cold")
 	tb.CSAccess(hot)
 	tb.CSAccess(hot)
-	if v := tb.CSVictim(); v.Name().Key() != "/cold" {
-		t.Fatalf("victim = %s, want /cold", v.Name().Key())
+	if v := tb.CSVictim(); v.Name().String() != "/cold" {
+		t.Fatalf("victim = %s, want /cold", v.Name().String())
 	}
 }
 
@@ -105,8 +105,8 @@ func TestLFUTieBreaksByLeastRecency(t *testing.T) {
 	insertCS(tb, "/first")
 	insertCS(tb, "/second")
 	// Same frequency: the earlier-touched entry is evicted first.
-	if v := tb.CSVictim(); v.Name().Key() != "/first" {
-		t.Fatalf("victim = %s, want /first", v.Name().Key())
+	if v := tb.CSVictim(); v.Name().String() != "/first" {
+		t.Fatalf("victim = %s, want /first", v.Name().String())
 	}
 }
 
@@ -125,8 +125,8 @@ func TestLFURemoveCleansBuckets(t *testing.T) {
 	tb.CSAccess(b)
 	tb.CSAccess(b)
 	insertCS(tb, "/c")
-	if v := tb.CSVictim(); v.Name().Key() != "/c" {
-		t.Fatalf("victim = %s, want /c", v.Name().Key())
+	if v := tb.CSVictim(); v.Name().String() != "/c" {
+		t.Fatalf("victim = %s, want /c", v.Name().String())
 	}
 }
 
@@ -135,8 +135,8 @@ func TestLFUReinsertCountsAsAccess(t *testing.T) {
 	a := insertCS(tb, "/a")
 	insertCS(tb, "/b")
 	tb.CSRefresh(a) // refresh bumps frequency
-	if v := tb.CSVictim(); v.Name().Key() != "/b" {
-		t.Fatalf("victim = %s, want /b (re-insert counts as access)", v.Name().Key())
+	if v := tb.CSVictim(); v.Name().String() != "/b" {
+		t.Fatalf("victim = %s, want /b (re-insert counts as access)", v.Name().String())
 	}
 }
 

@@ -168,20 +168,20 @@ func TestChurnAgainstMap(t *testing.T) {
 		switch rng.Intn(3) {
 		case 0:
 			e := tb.Put(n)
-			if prev, ok := ref[n.Key()]; ok && prev != e {
+			if prev, ok := ref[n.String()]; ok && prev != e {
 				t.Fatalf("op %d: Put(%s) returned a different entry", op, n)
 			}
-			ref[n.Key()] = e
+			ref[n.String()] = e
 		case 1:
 			e := tb.Get(n)
-			want := ref[n.Key()]
+			want := ref[n.String()]
 			if e != want {
 				t.Fatalf("op %d: Get(%s) = %v, want %v", op, n, e, want)
 			}
 		case 2:
-			if e, ok := ref[n.Key()]; ok {
+			if e, ok := ref[n.String()]; ok {
 				tb.ReleaseIfEmpty(e)
-				delete(ref, n.Key())
+				delete(ref, n.String())
 			}
 		}
 		if tb.Len() != len(ref) {
@@ -198,7 +198,7 @@ func TestChurnAgainstMap(t *testing.T) {
 func csNames(tb *Table) []string {
 	out := make([]string, 0, tb.CSIndexLen())
 	for i := 0; i < tb.CSIndexLen(); i++ {
-		out = append(out, tb.CSIndex(i).Name().Key())
+		out = append(out, tb.CSIndex(i).Name().String())
 	}
 	return out
 }
@@ -226,7 +226,7 @@ func TestPrefixIndexSortedAndRanged(t *testing.T) {
 		if !prefix.IsPrefixOf(e.Name()) {
 			break
 		}
-		under = append(under, e.Name().Key())
+		under = append(under, e.Name().String())
 	}
 	wantUnder := []string{"/a/b", "/a/b/c", "/a/b/d"}
 	if len(under) != len(wantUnder) {

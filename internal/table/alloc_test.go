@@ -7,11 +7,11 @@ import (
 	"ndnprivacy/internal/ndn"
 )
 
-// These tests pin the allocation-free PIT operations: the steady-state
-// probe (HasPending) and the duplicate-nonce drop path run on every
-// looped or retransmitted Interest and must not allocate, and a steady
-// admit-then-satisfy or admit-then-lapse cycle reuses what the first
-// admission allocated.
+// These tests pin the allocation-free FIB lookup and PIT operations: the
+// steady-state probe (HasPending) and the duplicate-nonce drop path run
+// on every looped or retransmitted Interest and must not allocate, and a
+// steady admit-then-satisfy or admit-then-lapse cycle reuses what the
+// first admission allocated.
 
 func TestPITHasPendingZeroAlloc(t *testing.T) {
 	p := NewPIT()
@@ -32,6 +32,29 @@ func TestPITHasPendingZeroAlloc(t *testing.T) {
 	}
 	if found == 0 {
 		t.Fatal("entry unexpectedly absent")
+	}
+}
+
+// A FIB lookup, hit or miss, is one rolling pass over the name and one
+// hash probe per registered prefix length, on the stack: NextHops runs
+// once per forwarded interest.
+func TestFIBNextHopsZeroAlloc(t *testing.T) {
+	f := NewFIB()
+	for i, prefix := range []string{"/", "/p", "/p/o", "/q/r/s"} {
+		if err := f.Insert(ndn.MustParseName(prefix), FaceID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deep := ndn.MustParseName("/p/o/%00escaped%2F/1/2/3/4/5/6/7/8/9")
+	other := ndn.MustParseName("/q/r/t")
+	hops := 0
+	if n := testing.AllocsPerRun(200, func() {
+		hops += len(f.NextHops(deep)) + len(f.NextHops(other))
+	}); n != 0 {
+		t.Errorf("FIB.NextHops: %.0f allocs/run, want 0", n)
+	}
+	if got := f.NextHops(deep); len(got) != 1 || got[0] != 2 || hops == 0 {
+		t.Fatalf("NextHops(%s) = %v, want [2]", deep, got)
 	}
 }
 

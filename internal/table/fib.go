@@ -1,6 +1,6 @@
 // Package table implements the two router-side tables of the NDN node
 // model besides the Content Store: the Forwarding Information Base (FIB),
-// a longest-prefix-match trie from name prefixes to outgoing faces, and
+// a longest-prefix-match table from name prefixes to outgoing faces, and
 // the Pending Interest Table (PIT), which records not-yet-satisfied
 // interests and collapses duplicates.
 package table
@@ -19,87 +19,53 @@ var ErrNoRoute = errors.New("table: no FIB entry matches")
 // FaceID identifies a face (interface) of the node owning the table.
 type FaceID int
 
-// fibNode is one trie node keyed by name components.
-type fibNode struct {
-	children map[string]*fibNode
-	// faces holds next-hop faces if a prefix terminates here; nil when
-	// this node exists only as an interior node.
-	faces []FaceID
-}
-
-// FIB is a name-prefix routing table with longest-prefix-match lookup.
-// The zero value is not usable; construct with NewFIB. FIB is not safe
-// for concurrent use; in this codebase each simulated node runs on a
-// single event-loop goroutine.
+// FIB is a name-prefix routing table with longest-prefix-match lookup:
+// a map from each registered prefix, by hash and bytes, to its next
+// hops. A lookup folds the name's components into a rolling hash once
+// (ndn.MixComponentHash) and probes only the prefix lengths some route
+// has, longest first, so it costs at most one hash probe per such length
+// and renders nothing. The zero value is an empty FIB, as NewFIB's is.
+// FIB is not safe for concurrent use; in this codebase each simulated
+// node runs on a single event-loop goroutine.
 type FIB struct {
-	root    *fibNode
-	entries int
+	routes ndn.NameMap[[]FaceID]
+	// lens[k] counts the registered prefixes of k components; it ends at
+	// the longest one.
+	lens []int
 }
 
 // NewFIB returns an empty FIB.
-func NewFIB() *FIB {
-	return &FIB{root: &fibNode{}}
-}
+func NewFIB() *FIB { return &FIB{} }
 
 // Len returns the number of registered prefixes.
-func (f *FIB) Len() int { return f.entries }
+func (f *FIB) Len() int { return f.routes.Len() }
 
 // Insert registers faces as next hops for the given prefix. Inserting an
 // existing prefix replaces its face list. At least one face is required.
+// The table keeps copies of prefix and faces.
 func (f *FIB) Insert(prefix ndn.Name, faces ...FaceID) error {
 	if len(faces) == 0 {
 		return fmt.Errorf("table: prefix %s needs at least one next hop", prefix)
 	}
-	node := f.root
-	for it := prefix.Components(); it.Next(); {
-		key := string(it.Component())
-		if node.children == nil {
-			node.children = make(map[string]*fibNode, 1)
+	if _, found := f.routes.Get(prefix); !found {
+		for len(f.lens) <= prefix.Len() {
+			f.lens = append(f.lens, 0)
 		}
-		child, found := node.children[key]
-		if !found {
-			child = &fibNode{}
-			node.children[key] = child
-		}
-		node = child
+		f.lens[prefix.Len()]++
 	}
-	if node.faces == nil {
-		f.entries++
-	}
-	node.faces = append([]FaceID(nil), faces...)
+	f.routes.Put(prefix.Clone(), append([]FaceID(nil), faces...))
 	return nil
 }
 
 // Remove deletes the entry for exactly the given prefix. It reports
-// whether an entry existed. Interior trie nodes left empty are pruned.
+// whether an entry existed.
 func (f *FIB) Remove(prefix ndn.Name) bool {
-	type step struct {
-		node *fibNode
-		key  string
-	}
-	path := make([]step, 0, prefix.Len())
-	node := f.root
-	for it := prefix.Components(); it.Next(); {
-		key := string(it.Component())
-		child, found := node.children[key]
-		if !found {
-			return false
-		}
-		path = append(path, step{node: node, key: key})
-		node = child
-	}
-	if node.faces == nil {
+	if _, found := f.routes.Delete(prefix); !found {
 		return false
 	}
-	node.faces = nil
-	f.entries--
-	// Prune empty leaves bottom-up.
-	for i := len(path) - 1; i >= 0; i-- {
-		child := path[i].node.children[path[i].key]
-		if child.faces != nil || len(child.children) > 0 {
-			break
-		}
-		delete(path[i].node.children, path[i].key)
+	f.lens[prefix.Len()]--
+	for len(f.lens) > 0 && f.lens[len(f.lens)-1] == 0 {
+		f.lens = f.lens[:len(f.lens)-1]
 	}
 	return true
 }
@@ -119,60 +85,60 @@ func (f *FIB) Lookup(name ndn.Name) ([]FaceID, error) {
 // Remove — and nil when no prefix covers name, so a per-interest lookup
 // copies and allocates nothing.
 func (f *FIB) NextHops(name ndn.Name) []FaceID {
-	node := f.root
-	best := node.faces
-	for it := name.Components(); it.Next(); {
-		child, found := node.children[string(it.Component())]
-		if !found {
-			break
-		}
-		node = child
-		if node.faces != nil {
-			best = node.faces
-		}
-	}
+	best, _ := f.longest(name)
 	return best
 }
 
 // LookupPrefixLen returns, alongside Lookup's result, the length of the
 // matched prefix, for diagnostics.
 func (f *FIB) LookupPrefixLen(name ndn.Name) ([]FaceID, int, error) {
-	node := f.root
-	best := node.faces
-	bestLen, depth := 0, 0
-	for it := name.Components(); it.Next(); {
-		child, found := node.children[string(it.Component())]
-		if !found {
-			break
-		}
-		node = child
-		depth++
-		if node.faces != nil {
-			best = node.faces
-			bestLen = depth
-		}
-	}
+	best, k := f.longest(name)
 	if best == nil {
 		return nil, 0, fmt.Errorf("%w: %s", ErrNoRoute, name)
 	}
-	return append([]FaceID(nil), best...), bestLen, nil
+	return append([]FaceID(nil), best...), k, nil
+}
+
+// prefixProbe is one prefix length a lookup probes, with the hash of
+// the name's prefix of that length.
+type prefixProbe struct {
+	h uint64
+	k int
+}
+
+// longest returns the next hops of name's longest registered prefix and
+// that prefix's length; nil when no prefix covers name. One pass over
+// name's components hashes every prefix length some route has, and the
+// probes then run from the longest down, so the first hit is the
+// answer. Sixteen such lengths fit on the stack.
+func (f *FIB) longest(name ndn.Name) ([]FaceID, int) {
+	var buf [16]prefixProbe
+	probes := buf[:0]
+	h := ndn.NameHashSeed()
+	comps := name.Components()
+	for k := 0; k < len(f.lens); k++ {
+		if f.lens[k] > 0 {
+			probes = append(probes, prefixProbe{h: h, k: k})
+		}
+		if !comps.Next() {
+			break
+		}
+		h = ndn.MixComponentHash(h, comps.Component())
+	}
+	for i := len(probes) - 1; i >= 0; i-- {
+		if faces, found := f.routes.GetPrefix(probes[i].h, probes[i].k, name); found {
+			return faces, probes[i].k
+		}
+	}
+	return nil, 0
 }
 
 // Prefixes returns the canonical URI of every registered prefix in
-// sorted order, mainly for tests and debugging. Each is rendered from
-// the name its trie path spells, so component bytes are escaped.
+// sorted order, mainly for tests and debugging; component bytes are
+// escaped.
 func (f *FIB) Prefixes() []string {
 	var out []string
-	var walk func(node *fibNode, prefix ndn.Name)
-	walk = func(node *fibNode, prefix ndn.Name) {
-		if node.faces != nil {
-			out = append(out, prefix.String())
-		}
-		for key, child := range node.children {
-			walk(child, prefix.AppendString(key))
-		}
-	}
-	walk(f.root, ndn.Name{})
+	f.routes.Range(func(prefix ndn.Name, _ []FaceID) { out = append(out, prefix.String()) })
 	sort.Strings(out)
 	return out
 }

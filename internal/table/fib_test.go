@@ -121,8 +121,8 @@ func TestFIBRemovePrunes(t *testing.T) {
 	if got := f.Prefixes(); len(got) != 0 {
 		t.Errorf("Prefixes after full removal = %v, want empty", got)
 	}
-	if len(f.root.children) != 0 {
-		t.Error("trie not pruned after removal")
+	if f.Len() != 0 || len(f.lens) != 0 {
+		t.Errorf("after removal: %d routes, per-length counts %v; want none", f.Len(), f.lens)
 	}
 }
 

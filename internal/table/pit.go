@@ -98,12 +98,16 @@ func (p *PIT) Expired() uint64 { return p.expired }
 // expireEntry removes one lapsed entry and accounts for it. The table
 // entry survives if a CS facet shares it.
 func (p *PIT) expireEntry(e *pcct.Entry, now time.Duration) {
-	key := e.Name().Key()
+	name := e.Name()
 	p.t.DetachPIT(e)
 	p.t.ReleaseIfEmpty(e)
 	p.expired++
-	expire := telemetry.Rec{Stage: telemetry.StagePITExpire, Name: key, T0: int64(now), T1: int64(now)}
-	p.tap.Record(&expire)
+	if p.tap != nil {
+		// The record hands the name to the tap's consumers, so it is
+		// copied out of the released entry only when some are attached.
+		lapsed := name
+		p.tap.Record(&telemetry.Rec{Stage: telemetry.StagePITExpire, Name: &lapsed, T0: int64(now), T1: int64(now)})
+	}
 }
 
 // SetCapacity bounds the number of distinct pending names; 0 restores
@@ -366,9 +370,9 @@ func (p *PIT) HasPending(name ndn.Name, now time.Duration) bool {
 }
 
 // Expire removes every entry whose lifetime has passed and returns the
-// number removed. Lapsed entries are collected and sorted by name key
-// before removal so the pit_expire trace events come out in a
-// seed-stable order.
+// number removed. Lapsed entries are collected and sorted by URI before
+// removal so the pit_expire trace events come out in a seed-stable
+// order. The sort renders each lapsed name, off the packet path.
 func (p *PIT) Expire(now time.Duration) int {
 	p.expireBuf = p.expireBuf[:0]
 	p.t.ForEachPIT(func(e *pcct.Entry) {
@@ -377,7 +381,7 @@ func (p *PIT) Expire(now time.Duration) int {
 		}
 	})
 	sort.Slice(p.expireBuf, func(i, j int) bool {
-		return p.expireBuf[i].Name().Key() < p.expireBuf[j].Name().Key()
+		return p.expireBuf[i].Name().String() < p.expireBuf[j].Name().String()
 	})
 	removed := len(p.expireBuf)
 	for i, e := range p.expireBuf {

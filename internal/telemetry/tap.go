@@ -1,6 +1,10 @@
 package telemetry
 
-import "ndnprivacy/internal/telemetry/span"
+import (
+	"fmt"
+
+	"ndnprivacy/internal/telemetry/span"
+)
 
 // Stage names one outcome of one pipeline stage: a Content Store hit, a
 // cache-manager decision, an interest dropped for its scope, a packet
@@ -71,8 +75,11 @@ func (s Stage) String() string {
 // consumer reads is fixed by the stage's row in the table.
 type Rec struct {
 	Stage Stage
-	// Name is the content name (ndn.Name.Key) the outcome concerns.
-	Name string
+	// Name is the content name the outcome concerns, nil for none: an
+	// *ndn.Name, or a cache manager's correlation-group key. Only a
+	// consumer that writes it — the event sink, the span tracer — renders
+	// it, once per record, so recording it costs no string.
+	Name fmt.Stringer
 	// Face is the face the packet arrived on, or left by for forwards.
 	Face uint64
 	// Action is the outcome's detail where the stage leaves it open: a
@@ -233,8 +240,14 @@ func (t *Tap) Record(r *Rec) *span.Record {
 	}
 	t.counters[r.Stage].Inc()
 	row := &stageTable[r.Stage]
-	if t.sink != nil && row.event != "" {
-		ev := Event{At: r.T0, Type: row.event, Node: t.node, Name: r.Name, Face: r.Face, Action: row.action, DelayNS: r.T1 - r.T0}
+	emit := t.sink != nil && row.event != ""
+	spanned := t.spans != nil && row.kind != "" && (row.untraced || r.Parent.Trace != 0)
+	name := ""
+	if r.Name != nil && (emit || spanned) {
+		name = r.Name.String()
+	}
+	if emit {
+		ev := Event{At: r.T0, Type: row.event, Node: t.node, Name: name, Face: r.Face, Action: row.action, DelayNS: r.T1 - r.T0}
 		if ev.Action == "" {
 			ev.Action = r.Action
 		}
@@ -256,11 +269,11 @@ func (t *Tap) Record(r *Rec) *span.Record {
 		action = r.Action
 	}
 	var opened *span.Record
-	if row.kind != "" && (row.untraced || r.Parent.Trace != 0) {
+	if spanned {
 		if row.open {
-			opened, _ = t.spans.Begin(r.Parent, row.kind, t.node, r.Name, r.T0)
+			opened, _ = t.spans.Begin(r.Parent, row.kind, t.node, name, r.T0)
 		} else {
-			t.spans.Span(r.Parent, row.kind, t.node, r.Name, action, r.T0, r.T1, r.Value)
+			t.spans.Span(r.Parent, row.kind, t.node, name, action, r.T0, r.T1, r.Value)
 		}
 	}
 	if r.Span != nil {

@@ -57,7 +57,7 @@ func TestCompiledTraceMatchesGenerator(t *testing.T) {
 			}
 			got.Fetched = nil
 			if got.At != want.At || got.User != want.User || got.Object != want.Object ||
-				got.Private != want.Private || !got.Name.Equal(want.Name) || got.Name.Key() != want.Name.Key() {
+				got.Private != want.Private || !got.Name.Equal(want.Name) || got.Name.String() != want.Name.String() {
 				t.Fatalf("%+v: request %d: compiled %+v, generator %+v", tc, i, got, want)
 			}
 		}
