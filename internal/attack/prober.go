@@ -1,9 +1,9 @@
 // Package attack implements the cache-privacy attacks of Section III and
 // the measurement machinery to evaluate them: the timing prober (probe C,
 // then double-probe a reference object to learn the definite cache-hit
-// RTT), the scope-field prober, the multi-segment amplification of weak
-// probes, and scenario builders for all four Figure 3 topologies plus the
-// Section VI correlation attack.
+// RTT), the multi-segment amplification of weak probes, and scenario
+// builders for all four Figure 3 topologies plus the Section VI
+// correlation attack.
 package attack
 
 import (
@@ -48,27 +48,18 @@ func (p *Prober) Consumer() *fwd.Consumer { return p.consumer }
 
 // Probe fetches name once and returns the observed RTT.
 func (p *Prober) Probe(name ndn.Name) (time.Duration, error) {
-	return p.probe(ndn.NewInterest(name, 0))
-}
-
-// ProbePrivate fetches name once with the consumer privacy bit set.
-func (p *Prober) ProbePrivate(name ndn.Name) (time.Duration, error) {
-	return p.probe(ndn.NewInterest(name, 0).WithPrivacy(ndn.PrivacyRequested))
-}
-
-func (p *Prober) probe(interest *ndn.Interest) (time.Duration, error) {
 	var res fwd.FetchResult
 	resolved := false
-	p.consumer.Fetch(interest, func(r fwd.FetchResult) {
+	p.consumer.Fetch(ndn.NewInterest(name, 0), func(r fwd.FetchResult) {
 		res = r
 		resolved = true
 	})
 	p.sim.Run()
 	if !resolved || res.TimedOut {
-		p.emitProbe(interest.Name, "timeout", 0)
+		p.emitProbe(name, "timeout", 0)
 		return 0, ErrProbeFailed
 	}
-	p.emitProbe(interest.Name, "ok", res.RTT)
+	p.emitProbe(name, "ok", res.RTT)
 	return res.RTT, nil
 }
 
@@ -104,31 +95,6 @@ func (p *Prober) DoubleProbe(name ndn.Name) (first, second time.Duration, err er
 		return 0, 0, err
 	}
 	return first, second, nil
-}
-
-// ScopeProbe issues a scope-2 interest for name: if any data returns, the
-// content was cached at the first-hop router, regardless of timing. The
-// boolean reports whether content was received.
-func (p *Prober) ScopeProbe(name ndn.Name) (bool, error) {
-	interest := ndn.NewInterest(name, 0).WithScope(ndn.ScopeNextHop)
-	interest.Lifetime = 500 * time.Millisecond
-	var res fwd.FetchResult
-	resolved := false
-	p.consumer.Fetch(interest, func(r fwd.FetchResult) {
-		res = r
-		resolved = true
-	})
-	p.sim.Run()
-	if !resolved {
-		p.emitProbe(name, "timeout", 0)
-		return false, ErrProbeFailed
-	}
-	if res.TimedOut {
-		p.emitProbe(name, "scope-miss", 0)
-	} else {
-		p.emitProbe(name, "scope-hit", res.RTT)
-	}
-	return !res.TimedOut, nil
 }
 
 // SegmentSuccessProbability implements the Section III amplification: if

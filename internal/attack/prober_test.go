@@ -3,7 +3,6 @@ package attack
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"ndnprivacy/internal/core"
 	"ndnprivacy/internal/fwd"
@@ -36,54 +35,6 @@ func TestProbeFailsOnUnroutableName(t *testing.T) {
 	}
 	if _, err := prober.Probe(ndn.MustParseName("/nowhere")); !errors.Is(err, ErrProbeFailed) {
 		t.Errorf("err = %v, want ErrProbeFailed", err)
-	}
-}
-
-func TestProbePrivateSetsPrivacyBit(t *testing.T) {
-	// Build a one-router topology and verify a private probe marks the
-	// cached entry (consumer-driven marking end to end).
-	sim := netsim.New(2)
-	router, err := fwd.NewRouter(sim, "R", 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aHost, err := fwd.NewBareHost(sim, "A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pHost, err := fwd.NewBareHost(sim, "P")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fwd.Chain(sim, []*fwd.Forwarder{aHost, router, pHost}, netsim.LinkConfig{
-		Latency: netsim.Fixed(time.Millisecond),
-	}, "/p"); err != nil {
-		t.Fatal(err)
-	}
-	producer, err := fwd.NewProducer(pHost, ndn.MustParseName("/p"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := ndn.NewData(ndn.MustParseName("/p/x"), []byte("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := producer.Publish(d); err != nil {
-		t.Fatal(err)
-	}
-	prober, err := NewProber(aHost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := prober.ProbePrivate(ndn.MustParseName("/p/x")); err != nil {
-		t.Fatal(err)
-	}
-	entry, found := router.Store().Exact(ndn.MustParseName("/p/x"), sim.Now())
-	if !found {
-		t.Fatal("content not cached")
-	}
-	if !entry.Private {
-		t.Error("private probe did not mark the cache entry")
 	}
 }
 

@@ -126,18 +126,38 @@ func (s *runSample) accountSim(sim *netsim.Simulator) {
 	s.virtualSeconds = sim.Now().Seconds()
 }
 
-// runScenarioBatch executes cfg.Runs repetitions of runOne as a sweep:
-// each run is one cell with a collision-free derived seed and private
-// telemetry, executed on up to cfg.Parallel workers and merged in run
-// order, so the Result (and any attached telemetry) is identical
-// whether the batch ran serially or in parallel.
+// runScenarioBatch runs the batch and folds its samples, in run order,
+// into one Result.
 func runScenarioBatch(label string, cfg ScenarioConfig, runOne func(sim *netsim.Simulator) (runSample, error)) (*Result, error) {
-	cells := make([]sweep.Cell[runSample], cfg.Runs)
+	samples, err := runBatch(label, cfg, runOne)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Label: label}
+	for _, s := range samples {
+		res.Hit = append(res.Hit, s.hit...)
+		res.Miss = append(res.Miss, s.miss...)
+		res.Steps += s.steps
+		res.VirtualSeconds += s.virtualSeconds
+	}
+	if err := res.finalize(); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// runBatch executes cfg.Runs repetitions of runOne as a sweep: each run
+// is one cell with a collision-free derived seed and private telemetry,
+// executed on up to cfg.Parallel workers and merged in run order, so
+// the samples (and any attached telemetry) are identical whether the
+// batch ran serially or in parallel.
+func runBatch[S any](label string, cfg ScenarioConfig, runOne func(sim *netsim.Simulator) (S, error)) ([]S, error) {
+	cells := make([]sweep.Cell[S], cfg.Runs)
 	for run := 0; run < cfg.Runs; run++ {
 		run := run
-		cells[run] = sweep.Cell[runSample]{
+		cells[run] = sweep.Cell[S]{
 			Labels: []string{"scenario=" + label, fmt.Sprintf("run=%d", run)},
-			Run: func(seed int64, prov telemetry.Provider) (runSample, error) {
+			Run: func(seed int64, prov telemetry.Provider) (S, error) {
 				sim := netsim.New(seed)
 				sim.SetTelemetry(prov.Metrics(), prov.TraceSink())
 				sim.SetSpans(prov.Spans())
@@ -165,17 +185,7 @@ func runScenarioBatch(label string, cfg ScenarioConfig, runOne func(sim *netsim.
 	if err != nil {
 		return nil, fmt.Errorf("attack: %s: %w", label, err)
 	}
-	res := &Result{Label: label}
-	for _, s := range samples {
-		res.Hit = append(res.Hit, s.hit...)
-		res.Miss = append(res.Miss, s.miss...)
-		res.Steps += s.steps
-		res.VirtualSeconds += s.virtualSeconds
-	}
-	if err := res.finalize(); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return samples, nil
 }
 
 // Histograms bins both sample sets identically for PDF rendering, using

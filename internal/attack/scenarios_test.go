@@ -139,86 +139,6 @@ func TestScenarioValidation(t *testing.T) {
 	}
 }
 
-func TestProberScopeProbe(t *testing.T) {
-	sim := netsim.New(9)
-	router, err := fwd.NewRouter(sim, "R", 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aHost, err := fwd.NewBareHost(sim, "A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	uHost, err := fwd.NewBareHost(sim, "U")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pHost, err := fwd.NewBareHost(sim, "P")
-	if err != nil {
-		t.Fatal(err)
-	}
-	edge := netsim.LinkConfig{Latency: netsim.Fixed(500 * time.Microsecond)}
-	aFace, _, _, err := fwd.Connect(sim, aHost, router, edge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uFace, _, _, err := fwd.Connect(sim, uHost, router, edge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rFace, _, _, err := fwd.Connect(sim, router, pHost, edge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prefix := ndn.MustParseName("/p")
-	if err := aHost.RegisterPrefix(prefix, aFace); err != nil {
-		t.Fatal(err)
-	}
-	if err := uHost.RegisterPrefix(prefix, uFace); err != nil {
-		t.Fatal(err)
-	}
-	if err := router.RegisterPrefix(prefix, rFace); err != nil {
-		t.Fatal(err)
-	}
-	producer, err := fwd.NewProducer(pHost, prefix, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := ndn.NewData(ndn.MustParseName("/p/x"), []byte("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := producer.Publish(d); err != nil {
-		t.Fatal(err)
-	}
-
-	adv, err := NewProber(aHost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := adv.ScopeProbe(ndn.MustParseName("/p/x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached {
-		t.Error("scope probe reported uncached content as cached")
-	}
-
-	user, err := fwd.NewConsumer(uHost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fetchSync(sim, user, ndn.MustParseName("/p/x"))
-
-	cached, err = adv.ScopeProbe(ndn.MustParseName("/p/x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cached {
-		t.Error("scope probe missed cached content")
-	}
-}
-
 func TestDoubleProbeSecondIsHit(t *testing.T) {
 	res, err := RunLAN(ScenarioConfig{Seed: 10, Objects: 4, Runs: 1})
 	if err != nil {

@@ -12,9 +12,6 @@ import (
 	"ndnprivacy/internal/ndn"
 	"ndnprivacy/internal/netsim"
 	"ndnprivacy/internal/stats"
-	"ndnprivacy/internal/sweep"
-	"ndnprivacy/internal/telemetry"
-	"ndnprivacy/internal/telemetry/span"
 )
 
 // TieredScenarioConfig parameterizes the tiered-cache timing attack: a
@@ -79,11 +76,11 @@ func (r *TieredResult) finalize() error {
 	return nil
 }
 
-// tieredRunSample is one repetition's three-class measurements.
+// tieredRunSample is one repetition's three-class measurements; the
+// embedded sample's hit RTTs are the RAM hits.
 type tieredRunSample struct {
-	ram, disk, miss []float64
-	steps           uint64
-	virtualSeconds  float64
+	runSample
+	disk []float64
 }
 
 // RunTiered measures the three-way timing channel on the Figure 3(a)
@@ -92,11 +89,12 @@ type tieredRunSample struct {
 // backbone link.
 //
 // Objects split into three equal groups whose cache placement is
-// engineered by the priming order: group D is fetched first (filling
-// the RAM front), then group M's... rather, group R's fetches demote
-// group D to disk; the final group stays unfetched. Probe order is
-// RAM group, then disk group, then miss group, so the disk probes'
-// promotions only displace already-measured objects.
+// engineered by the priming order: the user fetches the first group,
+// filling the RAM front, then the second, whose fetches demote the
+// first group to disk; the third group is never fetched. Probe order
+// is the RAM (second) group, then the disk (first) group, then the
+// miss (third) group, so the disk probes' promotions only displace
+// already-measured objects.
 func RunTiered(cfg TieredScenarioConfig) (*TieredResult, error) {
 	cfg.setDefaults()
 	third := cfg.Objects / 3
@@ -109,7 +107,7 @@ func RunTiered(cfg TieredScenarioConfig) (*TieredResult, error) {
 	}
 
 	res := &TieredResult{Label: "tiered"}
-	samples, err := runTieredBatch(res.Label, cfg.ScenarioConfig, func(sim *netsim.Simulator) (tieredRunSample, error) {
+	samples, err := runBatch(res.Label, cfg.ScenarioConfig, func(sim *netsim.Simulator) (tieredRunSample, error) {
 		var sample tieredRunSample
 		sim.SetPhase("build")
 		var manager core.CacheManager
@@ -197,7 +195,7 @@ func RunTiered(cfg TieredScenarioConfig) (*TieredResult, error) {
 			if err != nil {
 				return sample, fmt.Errorf("ram probe %d: %w", i, err)
 			}
-			sample.ram = append(sample.ram, ms(rtt))
+			sample.hit = append(sample.hit, ms(rtt))
 		}
 		sim.SetPhase("probe-disk")
 		for i := 0; i < third; i++ {
@@ -215,15 +213,14 @@ func RunTiered(cfg TieredScenarioConfig) (*TieredResult, error) {
 			}
 			sample.miss = append(sample.miss, ms(rtt))
 		}
-		sample.steps = sim.Steps()
-		sample.virtualSeconds = sim.Now().Seconds()
+		sample.accountSim(sim)
 		return sample, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	for _, s := range samples {
-		res.RAMHit = append(res.RAMHit, s.ram...)
+		res.RAMHit = append(res.RAMHit, s.hit...)
 		res.DiskHit = append(res.DiskHit, s.disk...)
 		res.Miss = append(res.Miss, s.miss...)
 		res.Steps += s.steps
@@ -233,134 +230,4 @@ func RunTiered(cfg TieredScenarioConfig) (*TieredResult, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-// runTieredBatch is runScenarioBatch for three-class samples: one sweep
-// cell per run with a derived seed and private telemetry, merged in run
-// order so results and traces are byte-identical at any parallelism.
-func runTieredBatch(label string, cfg ScenarioConfig, runOne func(sim *netsim.Simulator) (tieredRunSample, error)) ([]tieredRunSample, error) {
-	cells := make([]sweep.Cell[tieredRunSample], cfg.Runs)
-	for run := 0; run < cfg.Runs; run++ {
-		run := run
-		cells[run] = sweep.Cell[tieredRunSample]{
-			Labels: []string{"scenario=" + label, fmt.Sprintf("run=%d", run)},
-			Run: func(seed int64, prov telemetry.Provider) (tieredRunSample, error) {
-				sim := netsim.New(seed)
-				sim.SetTelemetry(prov.Metrics(), prov.TraceSink())
-				sim.SetSpans(prov.Spans())
-				telemetry.Emit(prov.TraceSink(), telemetry.Event{
-					At:   int64(sim.Now()),
-					Type: telemetry.EvRunStart,
-					Run:  run,
-				})
-				cfg.observeRun(run, sim)
-				return runOne(sim)
-			},
-		}
-	}
-	parallel := cfg.Parallel
-	if parallel == 0 {
-		parallel = 1
-	}
-	samples, err := sweep.Run(cells, sweep.Options{
-		RootSeed: cfg.Seed,
-		Parallel: parallel,
-		Metrics:  cfg.Metrics,
-		Trace:    cfg.Trace,
-		Spans:    cfg.Spans,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("attack: %s: %w", label, err)
-	}
-	return samples, nil
-}
-
-// TierTruth labels the three-way classes.
-type TierTruth uint8
-
-const (
-	TruthMiss TierTruth = iota
-	TruthRAMHit
-	TruthDiskHit
-)
-
-// String names the class for diagnostics and confusion rendering.
-func (t TierTruth) String() string {
-	switch t {
-	case TruthRAMHit:
-		return "ram"
-	case TruthDiskHit:
-		return "disk"
-	default:
-		return "miss"
-	}
-}
-
-// TierGroundTruth scores the two-threshold three-way classifier against
-// causal span ground truth, the tiered analogue of LatencyGroundTruth.
-// Truth per probe comes from the trace's decomposition: a serve with a
-// disk-read child span is a disk hit, a serve without one a RAM hit,
-// anything else a miss. Prediction: RTT ≤ t1 ⇒ RAM hit, RTT ≤ t2 ⇒
-// disk hit, else miss (normally TieredResult.T1/T2).
-type TierGroundTruthResult struct {
-	// Probes counts classified fetches (timeouts excluded).
-	Probes int
-	// Confusion[truth][predicted] counts probes, indexed by TierTruth.
-	Confusion [3][3]int
-	// Agreements and Accuracy score the diagonal.
-	Agreements int
-	Accuracy   float64
-	// Mismatches lists disagreements for diagnosis.
-	Mismatches []TierMismatch
-}
-
-// TierMismatch is one probe the two-cut classifier got wrong.
-type TierMismatch struct {
-	Trace            uint64
-	Name             string
-	TotalMS          float64
-	Truth, Predicted TierTruth
-}
-
-// TierGroundTruth replays the (t1, t2) classifier over span-derived
-// decompositions from proberNode and scores it three-way.
-func TierGroundTruth(records []span.Record, proberNode string, t1, t2 float64) TierGroundTruthResult {
-	var gt TierGroundTruthResult
-	for _, d := range span.Analyze(records) {
-		if d.Node != proberNode || d.TimedOut {
-			continue
-		}
-		gt.Probes++
-		truth := TruthMiss
-		switch {
-		case d.CacheServed && d.DiskServed:
-			truth = TruthDiskHit
-		case d.CacheServed:
-			truth = TruthRAMHit
-		}
-		totalMS := float64(d.TotalNS) / float64(time.Millisecond)
-		predicted := TruthMiss
-		switch {
-		case totalMS <= t1:
-			predicted = TruthRAMHit
-		case totalMS <= t2:
-			predicted = TruthDiskHit
-		}
-		gt.Confusion[truth][predicted]++
-		if predicted == truth {
-			gt.Agreements++
-			continue
-		}
-		gt.Mismatches = append(gt.Mismatches, TierMismatch{
-			Trace:     d.Trace,
-			Name:      d.Name,
-			TotalMS:   totalMS,
-			Truth:     truth,
-			Predicted: predicted,
-		})
-	}
-	if gt.Probes > 0 {
-		gt.Accuracy = float64(gt.Agreements) / float64(gt.Probes)
-	}
-	return gt
 }

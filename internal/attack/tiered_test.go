@@ -30,19 +30,38 @@ func TestRunTieredThreeModalSeparation(t *testing.T) {
 	// The two-cut classifier must also agree with causal span ground
 	// truth: engineered placement (sample labels) and observed causality
 	// (disk-read spans) tell the same story.
-	gt := TierGroundTruth(spans.Records(), "A", res.T1, res.T2)
-	if gt.Probes != 180 {
-		t.Fatalf("ground truth scored %d probes, want 180", gt.Probes)
+	truths := probeTruths(spans.Records(), "A")
+	if len(truths) != 180 {
+		t.Fatalf("ground truth scored %d probes, want 180", len(truths))
 	}
-	ramTrue := gt.Confusion[TruthRAMHit][0] + gt.Confusion[TruthRAMHit][1] + gt.Confusion[TruthRAMHit][2]
-	diskTrue := gt.Confusion[TruthDiskHit][0] + gt.Confusion[TruthDiskHit][1] + gt.Confusion[TruthDiskHit][2]
-	missTrue := gt.Confusion[TruthMiss][0] + gt.Confusion[TruthMiss][1] + gt.Confusion[TruthMiss][2]
-	if ramTrue != 60 || diskTrue != 60 || missTrue != 60 {
+	const miss, ram, disk = 0, 1, 2
+	var classes [3]int
+	agree := 0
+	for _, p := range truths {
+		truth, predicted := miss, miss
+		switch {
+		case p.hit && p.disk:
+			truth = disk
+		case p.hit:
+			truth = ram
+		}
+		switch {
+		case p.totalMS <= res.T1:
+			predicted = ram
+		case p.totalMS <= res.T2:
+			predicted = disk
+		}
+		classes[truth]++
+		if predicted == truth {
+			agree++
+		}
+	}
+	if classes[ram] != 60 || classes[disk] != 60 || classes[miss] != 60 {
 		t.Errorf("causal truth classes ram/disk/miss = %d/%d/%d, want 60 each (engineered placement violated)",
-			ramTrue, diskTrue, missTrue)
+			classes[ram], classes[disk], classes[miss])
 	}
-	if gt.Accuracy < 0.95 {
-		t.Errorf("ground-truth agreement = %v, want ≥ 0.95 (mismatches: %d)", gt.Accuracy, len(gt.Mismatches))
+	if accuracy := float64(agree) / 180; accuracy < 0.95 {
+		t.Errorf("ground-truth agreement = %v, want ≥ 0.95", accuracy)
 	}
 }
 

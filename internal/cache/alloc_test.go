@@ -45,18 +45,18 @@ func TestStoreProbeViewZeroAlloc(t *testing.T) {
 	s := MustNewStore(0, nil)
 	d := benchData(1)
 	s.Insert(d, 0, 0)
-	wire := ndn.EncodeName(nil, d.Name)
-	missWire := ndn.EncodeName(nil, ndn.MustParseName("/bench/absent"))
+	wire := ndn.EncodeInterest(ndn.NewInterest(d.Name, 0))
+	missWire := ndn.EncodeInterest(ndn.NewInterest(ndn.MustParseName("/bench/absent"), 0))
 	hits := 0
 	if n := testing.AllocsPerRun(200, func() {
-		v, err := ndn.ParseNameView(wire)
+		v, err := ndn.InterestNameView(wire)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, found, _ := s.ProbeView(v, 0); found {
 			hits++
 		}
-		m, err := ndn.ParseNameView(missWire)
+		m, err := ndn.InterestNameView(missWire)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -71,11 +71,11 @@ func BenchmarkStoreProbeViewHit(b *testing.B) {
 		s.Insert(benchData(i), 0, 0)
 	}
 	name := ndn.MustParseName(fmt.Sprintf("/bench/site%d/obj%d", 5000%31, 5000))
-	wire := ndn.EncodeName(nil, name)
+	wire := ndn.EncodeInterest(ndn.NewInterest(name, 0))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		v, err := ndn.ParseNameView(wire)
+		v, err := ndn.InterestNameView(wire)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -409,7 +409,7 @@ func TestStoreDifferentialAgainstMapReference(t *testing.T) {
 
 type diffObject struct {
 	data *ndn.Data
-	wire []byte // encoded name, for wire probes
+	wire []byte // an encoded Interest for the name, for wire probes
 }
 
 // buildDiffUniverse returns a name universe with shared prefixes,
@@ -424,7 +424,7 @@ func buildDiffUniverse() []diffObject {
 			panic(err)
 		}
 		d.Freshness = freshness
-		objects = append(objects, diffObject{data: d, wire: ndn.EncodeName(nil, name)})
+		objects = append(objects, diffObject{data: d, wire: ndn.EncodeInterest(ndn.NewInterest(name, 0))})
 	}
 	freshCycle := []time.Duration{0, 5 * time.Millisecond, 40 * time.Millisecond}
 	i := 0
@@ -454,7 +454,7 @@ func buildFlatDiffUniverse() []diffObject {
 			panic(err)
 		}
 		d.Freshness = freshCycle[i%len(freshCycle)]
-		objects = append(objects, diffObject{data: d, wire: ndn.EncodeName(nil, name)})
+		objects = append(objects, diffObject{data: d, wire: ndn.EncodeInterest(ndn.NewInterest(name, 0))})
 	}
 	return objects
 }
@@ -492,7 +492,7 @@ func runDifferential(t *testing.T, policy string, seed int64, shape diffShape) {
 				t.Fatalf("[%s seed=%d op=%d] Exact(%s) entries diverge", label, seed, op, obj.data.Name)
 			}
 		case 5: // probe of a name borrowed from the wire
-			v, err := ndn.ParseNameView(obj.wire)
+			v, err := ndn.InterestNameView(obj.wire)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -211,15 +211,6 @@ func (s *Store) FinishSpans(now time.Duration) {
 	})
 }
 
-// PolicyName returns the eviction policy's name; a tiered store names
-// the composite, backend included.
-func (s *Store) PolicyName() string {
-	if s.second != nil {
-		return fmt.Sprintf("tiered(%s+%s)", s.policy.Name(), s.second.Name())
-	}
-	return s.policy.Name()
-}
-
 // SetEvictionHook registers a callback invoked whenever an entry leaves
 // the store entirely (capacity eviction, staleness purge, or explicit
 // removal) — never on movement between tiers, which keeps the content

@@ -36,11 +36,11 @@ func BenchmarkTieredProbeViewRAMHit(b *testing.B) {
 	s := benchStore(b, 16)
 	d := mustData("/bench/ram")
 	s.Insert(d, 0, 0)
-	wire := ndn.EncodeName(nil, d.Name)
+	wire := ndn.EncodeInterest(ndn.NewInterest(d.Name, 0))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, err := ndn.ParseNameView(wire)
+		v, err := ndn.InterestNameView(wire)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -57,11 +57,11 @@ func BenchmarkTieredProbeViewDiskHit(b *testing.B) {
 	d := mustData("/bench/disk")
 	s.Insert(d, 0, 0)
 	s.Insert(mustData("/bench/pin"), 0, 0) // demotes /bench/disk
-	wire := ndn.EncodeName(nil, d.Name)
+	wire := ndn.EncodeInterest(ndn.NewInterest(d.Name, 0))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, err := ndn.ParseNameView(wire)
+		v, err := ndn.InterestNameView(wire)
 		if err != nil {
 			b.Fatal(err)
 		}

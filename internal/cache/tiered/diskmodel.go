@@ -99,8 +99,7 @@ func (d *DiskModel) Capacity() int { return d.cfg.Capacity }
 // Close implements cache.SecondTier; the model holds no resources.
 func (d *DiskModel) Close() error { return nil }
 
-// Reads and Writes report device operation counts.
-func (d *DiskModel) Reads() uint64  { return d.reads }
+// Writes reports the device's write count.
 func (d *DiskModel) Writes() uint64 { return d.writes }
 
 // occupy advances the device's busy horizon by one operation of fixed

@@ -145,8 +145,8 @@ func TestProbeViewIsPureProbe(t *testing.T) {
 	s.Insert(a, 0, 0)
 	s.Insert(b, time.Millisecond, 0) // /t/a demoted
 
-	wire := ndn.EncodeName(nil, a.Name)
-	v, err := ndn.ParseNameView(wire)
+	wire := ndn.EncodeInterest(ndn.NewInterest(a.Name, 0))
+	v, err := ndn.InterestNameView(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +165,8 @@ func TestProbeViewIsPureProbe(t *testing.T) {
 	}
 
 	// RAM-resident entry probes as a RAM hit.
-	bw := ndn.EncodeName(nil, b.Name)
-	bv, err := ndn.ParseNameView(bw)
+	bw := ndn.EncodeInterest(ndn.NewInterest(b.Name, 0))
+	bv, err := ndn.InterestNameView(bw)
 	if err != nil {
 		t.Fatal(err)
 	}

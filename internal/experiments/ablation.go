@@ -41,12 +41,6 @@ type AblationConfig struct {
 	Parallel int `json:"-"`
 }
 
-// RunEvictionAblation replays the default trace under each policy. The
-// signature is kept for existing callers; it runs the sweep serially.
-func RunEvictionAblation(seed int64, requests int, cacheSizes []int) (*EvictionAblationResult, error) {
-	return RunEvictionAblationSweep(AblationConfig{Seed: seed, Requests: requests, CacheSizes: cacheSizes})
-}
-
 // RunEvictionAblationSweep replays the default trace under each
 // (policy, cache size) cell of the grid.
 func RunEvictionAblationSweep(cfg AblationConfig) (*EvictionAblationResult, error) {

@@ -383,8 +383,8 @@ func TestRunScopeProbe(t *testing.T) {
 	}
 }
 
-func TestRunEvictionAblation(t *testing.T) {
-	res, err := RunEvictionAblation(6, 20000, nil)
+func TestRunEvictionAblationSweep(t *testing.T) {
+	res, err := RunEvictionAblationSweep(AblationConfig{Seed: 6, Requests: 20000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,20 +14,6 @@ func BenchmarkParseName(b *testing.B) {
 	}
 }
 
-// BenchmarkParseNameView is the borrowed counterpart of
-// BenchmarkParseName: the same name, parsed in place over its wire form
-// instead of from the URI (target: 0 allocs/op, ≥10× faster).
-func BenchmarkParseNameView(b *testing.B) {
-	wire := EncodeName(nil, MustParseName("/youtube/alice/video-749.avi/137"))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ParseNameView(wire); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkInterestNameView measures the wire→lookup-key fast path: find
 // and borrow the Name inside a full encoded Interest without decoding it.
 func BenchmarkInterestNameView(b *testing.B) {

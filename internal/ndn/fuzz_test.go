@@ -2,7 +2,6 @@ package ndn
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -132,12 +131,13 @@ func FuzzPacketStream(f *testing.F) {
 	})
 }
 
-// FuzzParseNameView differentially tests the three ways a name is read:
-// the borrowed parse of a Name TLV, the packet decoders' owned decode of
-// its value, and ParseName of the URI either renders. They must accept
-// and reject the same bytes, and agree on length, components, every
-// prefix hash, URI and equality, for any number of components.
-func FuzzParseNameView(f *testing.F) {
+// FuzzBorrowedName differentially tests the three ways a name is read:
+// the borrowed parse of a Name TLV's value (parseNameValue, what
+// InterestNameView runs), the packet decoders' owned decode of it, and
+// ParseName of the URI either renders. They must accept and reject the
+// same bytes, and agree on length, components, every prefix hash, URI
+// and equality, for any number of components.
+func FuzzBorrowedName(f *testing.F) {
 	f.Add(EncodeName(nil, MustParseName("/a/b/c")))
 	f.Add(EncodeName(nil, MustParseName("/")))
 	f.Add(EncodeName(nil, MustParseName("/%41%42/xyz")))
@@ -152,15 +152,14 @@ func FuzzParseNameView(f *testing.F) {
 	f.Add([]byte{0x08, 0x01, 0x61})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, wire []byte) {
-		v, verr := ParseNameView(wire)
-
-		// Decode the same buffer on the owned path: one Name TLV spanning
-		// the whole input, then its value.
-		var own Name
-		oerr := errors.New("not a name TLV")
-		if typ, value, n, err := readTLV(wire); err == nil && typ == tlvName && n == len(wire) {
-			own, oerr = decodeName(value, false)
+		// Read the input as one Name TLV spanning all of it, then borrow
+		// and decode its value.
+		typ, value, n, err := readTLV(wire)
+		if err != nil || typ != tlvName || n != len(wire) {
+			return
 		}
+		v, verr := parseNameValue(value)
+		own, oerr := decodeName(value, false)
 		if (verr == nil) != (oerr == nil) {
 			t.Fatalf("borrowed parse error %v, owned decode error %v", verr, oerr)
 		}
@@ -210,8 +209,9 @@ func FuzzParseNameView(f *testing.F) {
 				t.Fatalf("form %d: %q not equal to the borrowed name", i+1, n)
 			}
 		}
-		// The canonical encoding re-parses to the same name.
-		back, err := ParseNameView(EncodeName(nil, own))
+		// The canonical encoding, inside an Interest, borrows back to the
+		// same name.
+		back, err := InterestNameView(EncodeInterest(NewInterest(own, 1)))
 		if err != nil {
 			t.Fatalf("re-encoded name unparsable: %v", err)
 		}

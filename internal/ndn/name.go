@@ -25,16 +25,12 @@ type Component []byte
 const PrivateComponent = "private"
 
 var (
-	// ErrEmptyName is returned when an operation requires at least one
-	// component.
-	ErrEmptyName = errors.New("ndn: empty name")
 	// ErrBadURI is returned when parsing a malformed name URI.
 	ErrBadURI = errors.New("ndn: malformed name URI")
 
 	// The name parser's errors are values, so rejecting a malformed wire
 	// name on the lookup path allocates nothing.
-	errNotName       = errors.New("ndn: outer TLV is not a Name")
-	errNameTrailing  = errors.New("ndn: trailing bytes after Name")
+	errNotInterest   = errors.New("ndn: outer TLV is not an Interest")
 	errNoName        = errors.New("ndn: packet without a Name")
 	errNotComponent  = fmt.Errorf("%w: element inside Name is not a one-byte component type", ErrBadTLV)
 	errLongComponent = fmt.Errorf("%w: component length not in its shortest encoding", ErrBadTLV)
@@ -49,10 +45,10 @@ var (
 //
 // An owned Name — from ParseName, NewName, Append, the packet decoders or
 // Clone — holds bytes nobody writes. A borrowed Name — from
-// ParseNameView, InterestNameView or DataNameView — is the same type
-// aliasing the caller's buffer: parsing it allocates nothing, and it is
-// valid only while that buffer is unchanged. Whatever keeps a name past
-// the buffer's lifetime keeps its Clone.
+// InterestNameView — is the same type aliasing the caller's buffer:
+// parsing it allocates nothing, and it is valid only while that buffer
+// is unchanged. Whatever keeps a name past the buffer's lifetime keeps
+// its Clone.
 type Name struct {
 	// value is the Name TLV's value: the component TLVs, each with the
 	// one-byte type 0x08 and its length in the shortest encoding, so one
@@ -143,40 +139,16 @@ func MustParseName(uri string) Name {
 	return n
 }
 
-// ParseNameView parses wire — exactly one Name TLV — into a borrowed
-// name aliasing wire, without allocating.
-func ParseNameView(wire []byte) (Name, error) {
-	typ, value, n, err := readTLV(wire)
-	if err != nil {
-		return Name{}, err
-	}
-	if typ != tlvName {
-		return Name{}, errNotName
-	}
-	if n != len(wire) {
-		return Name{}, errNameTrailing
-	}
-	return parseNameValue(value)
-}
-
 // InterestNameView finds the Name element inside an encoded Interest and
 // borrows it, without decoding the rest of the packet: the forwarder
 // classifies hit/miss from the raw interest buffer alone.
-func InterestNameView(wire []byte) (Name, error) { return packetName(wire, tlvInterest) }
-
-// DataNameView finds the Name element inside an encoded Data packet and
-// borrows it.
-func DataNameView(wire []byte) (Name, error) { return packetName(wire, tlvData) }
-
-// packetName borrows the first Name TLV inside the given outer packet
-// type.
-func packetName(wire []byte, outer uint64) (Name, error) {
+func InterestNameView(wire []byte) (Name, error) {
 	typ, value, _, err := readTLV(wire)
 	if err != nil {
 		return Name{}, err
 	}
-	if typ != outer {
-		return Name{}, errNotName
+	if typ != tlvInterest {
+		return Name{}, errNotInterest
 	}
 	for len(value) > 0 {
 		ityp, ev, consumed, err := readTLV(value)

@@ -8,7 +8,6 @@
 package netsim
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -177,39 +176,6 @@ func (s *Simulator) RunFor(deadline time.Duration) {
 	if s.now < deadline {
 		s.now = deadline
 	}
-}
-
-// RunSteps executes at most n events; it returns how many actually ran.
-func (s *Simulator) RunSteps(n uint64) uint64 {
-	var ran uint64
-	for ran < n && s.queue.Len() > 0 {
-		s.step()
-		ran++
-	}
-	return ran
-}
-
-// RunUntilIdle executes events until the queue drains, like Run, but
-// refuses to spin forever: after maxSteps events with work still
-// pending it stops and returns an error. Use it to guard against
-// self-rescheduling event loops (a callback that always queues a
-// successor) in code paths that expect the simulation to quiesce.
-// maxSteps <= 0 defaults to one million events.
-func (s *Simulator) RunUntilIdle(maxSteps uint64) error {
-	if maxSteps == 0 {
-		maxSteps = 1_000_000
-	}
-	for ran := uint64(0); ran < maxSteps; ran++ {
-		if s.queue.Len() == 0 {
-			return nil
-		}
-		s.step()
-	}
-	if s.queue.Len() > 0 {
-		return fmt.Errorf("netsim: not idle after %d events (%d still pending at t=%v); self-rescheduling event loop?",
-			maxSteps, s.queue.Len(), s.now)
-	}
-	return nil
 }
 
 func (s *Simulator) step() {

@@ -96,19 +96,6 @@ func TestRunFor(t *testing.T) {
 	}
 }
 
-func TestRunSteps(t *testing.T) {
-	s := New(1)
-	for i := 0; i < 5; i++ {
-		s.Schedule(time.Millisecond, func() {})
-	}
-	if ran := s.RunSteps(3); ran != 3 {
-		t.Errorf("RunSteps = %d, want 3", ran)
-	}
-	if ran := s.RunSteps(100); ran != 2 {
-		t.Errorf("RunSteps = %d, want 2 remaining", ran)
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	runOnce := func() []time.Duration {
 		s := New(42)
@@ -435,7 +422,9 @@ func TestPoppedSlotsHoldNoReference(t *testing.T) {
 			}
 		}
 	}
-	s.RunSteps(20)
+	for i := 0; i < 20; i++ {
+		s.step()
+	}
 	check("mid-run")
 	s.Run()
 	check("drained")

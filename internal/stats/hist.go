@@ -95,19 +95,6 @@ func (h *Histogram) PDF() []float64 {
 	return out
 }
 
-// CDF returns the cumulative distribution evaluated at the right edge of
-// each bin.
-func (h *Histogram) CDF() []float64 {
-	pdf := h.PDF()
-	out := make([]float64, len(pdf))
-	sum := 0.0
-	for i, p := range pdf {
-		sum += p
-		out[i] = sum
-	}
-	return out
-}
-
 // Render draws a crude ASCII sketch of the histogram, one row per bin, for
 // command-line inspection of the Figure 3 delay PDFs.
 func (h *Histogram) Render(width int) string {
@@ -164,8 +151,8 @@ func BayesAccuracy(a, b *Histogram) (float64, error) {
 	return (1 + tv) / 2, nil
 }
 
-// Empirical is a sorted sample set supporting quantile queries and
-// two-sample comparisons without pre-binning.
+// Empirical is a sorted sample set supporting CDF queries and
+// threshold classification without pre-binning.
 type Empirical struct {
 	xs []float64
 }
@@ -190,43 +177,11 @@ func (e *Empirical) Min() float64 { return e.xs[0] }
 // Max returns the largest sample.
 func (e *Empirical) Max() float64 { return e.xs[len(e.xs)-1] }
 
-// Quantile returns the q-th quantile (0 ≤ q ≤ 1) by nearest-rank.
-func (e *Empirical) Quantile(q float64) float64 {
-	if q <= 0 {
-		return e.xs[0]
-	}
-	if q >= 1 {
-		return e.xs[len(e.xs)-1]
-	}
-	idx := int(q * float64(len(e.xs)))
-	if idx >= len(e.xs) {
-		idx = len(e.xs) - 1
-	}
-	return e.xs[idx]
-}
-
 // CDFAt returns the empirical CDF evaluated at x.
 func (e *Empirical) CDFAt(x float64) float64 {
 	// Count samples <= x via binary search.
 	idx := sort.SearchFloat64s(e.xs, math.Nextafter(x, math.Inf(1)))
 	return float64(idx) / float64(len(e.xs))
-}
-
-// KolmogorovSmirnov returns the KS statistic between two empirical
-// distributions: the maximum absolute difference between their CDFs.
-func KolmogorovSmirnov(a, b *Empirical) float64 {
-	d := 0.0
-	for _, x := range a.xs {
-		if diff := math.Abs(a.CDFAt(x) - b.CDFAt(x)); diff > d {
-			d = diff
-		}
-	}
-	for _, x := range b.xs {
-		if diff := math.Abs(a.CDFAt(x) - b.CDFAt(x)); diff > d {
-			d = diff
-		}
-	}
-	return d
 }
 
 // ThresholdAccuracy finds the single decision threshold t that best

@@ -94,25 +94,6 @@ func TestHistogramEmptyPDFIsZero(t *testing.T) {
 	}
 }
 
-func TestHistogramCDFMonotone(t *testing.T) {
-	h := mustHistogram(t, 0, 1, 20)
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 500; i++ {
-		h.Add(rng.Float64())
-	}
-	cdf := h.CDF()
-	prev := 0.0
-	for i, c := range cdf {
-		if c < prev {
-			t.Fatalf("CDF not monotone at bin %d: %g < %g", i, c, prev)
-		}
-		prev = c
-	}
-	if math.Abs(cdf[len(cdf)-1]-1) > 1e-9 {
-		t.Errorf("CDF endpoint = %g, want 1", cdf[len(cdf)-1])
-	}
-}
-
 func TestHistogramBinCenter(t *testing.T) {
 	h := mustHistogram(t, 0, 10, 10)
 	if got := h.BinCenter(0); math.Abs(got-0.5) > 1e-12 {
@@ -229,15 +210,6 @@ func TestEmpiricalBasics(t *testing.T) {
 	if e.Len() != 3 || e.Min() != 1 || e.Max() != 3 {
 		t.Errorf("Len/Min/Max = %d/%g/%g, want 3/1/3", e.Len(), e.Min(), e.Max())
 	}
-	if got := e.Quantile(0.5); got != 2 {
-		t.Errorf("Quantile(0.5) = %g, want 2", got)
-	}
-	if got := e.Quantile(-1); got != 1 {
-		t.Errorf("Quantile(-1) = %g, want 1 (clamped)", got)
-	}
-	if got := e.Quantile(2); got != 3 {
-		t.Errorf("Quantile(2) = %g, want 3 (clamped)", got)
-	}
 }
 
 func TestEmpiricalEmpty(t *testing.T) {
@@ -273,23 +245,6 @@ func TestCDFAt(t *testing.T) {
 		if got := e.CDFAt(tc.x); math.Abs(got-tc.want) > 1e-12 {
 			t.Errorf("CDFAt(%g) = %g, want %g", tc.x, got, tc.want)
 		}
-	}
-}
-
-func TestKolmogorovSmirnovIdentical(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	a, _ := NewEmpirical(xs)
-	b, _ := NewEmpirical(xs)
-	if d := KolmogorovSmirnov(a, b); d != 0 {
-		t.Errorf("KS of identical samples = %g, want 0", d)
-	}
-}
-
-func TestKolmogorovSmirnovDisjoint(t *testing.T) {
-	a, _ := NewEmpirical([]float64{1, 2, 3})
-	b, _ := NewEmpirical([]float64{10, 20, 30})
-	if d := KolmogorovSmirnov(a, b); d != 1 {
-		t.Errorf("KS of disjoint samples = %g, want 1", d)
 	}
 }
 

@@ -17,10 +17,10 @@ func TestPITHasPendingZeroAlloc(t *testing.T) {
 	p := NewPIT()
 	name := ndn.MustParseName("/alloc/pending/view")
 	insert(p, ndn.NewInterest(name, 1), 1, 0)
-	wire := ndn.EncodeName(nil, name)
+	wire := ndn.EncodeInterest(ndn.NewInterest(name, 0))
 	found := 0
 	if n := testing.AllocsPerRun(200, func() {
-		v, err := ndn.ParseNameView(wire)
+		v, err := ndn.InterestNameView(wire)
 		if err != nil {
 			t.Fatal(err)
 		}

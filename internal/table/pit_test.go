@@ -42,7 +42,7 @@ func satisfy(p *PIT, d *ndn.Data, now time.Duration) []FaceID {
 
 // hasPending probes for exactly name the way the wire path does.
 func hasPending(p *PIT, name ndn.Name, now time.Duration) bool {
-	v, err := ndn.ParseNameView(ndn.EncodeName(nil, name))
+	v, err := ndn.InterestNameView(ndn.EncodeInterest(ndn.NewInterest(name, 0)))
 	if err != nil {
 		panic(err)
 	}

@@ -12,10 +12,8 @@
 // telemetry.Provider capability, so no import cycle forms.
 package span
 
-import "sort"
-
 // Span kinds. A kind names the stage of an interest's life a record
-// covers; the analyzer keys its latency decomposition off these.
+// covers.
 const (
 	// KindFetch is the root span: consumer send → delivery or timeout.
 	KindFetch = "fetch"
@@ -43,7 +41,7 @@ const (
 	// KindDisk covers a second-tier (disk) read on a tiered content
 	// store's hit path; Value carries the modeled service cost in
 	// nanoseconds. Its presence under a hop marks the serve as a
-	// disk hit — the analyzer's three-way ground truth.
+	// disk hit.
 	KindDisk = "disk"
 	// KindTier marks inter-tier movement of a cached entry (promotion
 	// to RAM or demotion to disk). Tier spans are points outside any
@@ -309,23 +307,6 @@ func (t *Tracer) Merge(records []Record) {
 		}
 	}
 	t.nextID = offset + maxID
-}
-
-// SortStable orders records by (trace, start, id): traces group
-// together, spans inside a trace in causal-compatible time order. Used
-// by exporters that want grouped output; recording order is already
-// deterministic, so sorting is presentation only.
-func SortStable(records []Record) {
-	sort.SliceStable(records, func(i, j int) bool {
-		a, b := records[i], records[j]
-		if a.Trace != b.Trace {
-			return a.Trace < b.Trace
-		}
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		return a.ID < b.ID
-	})
 }
 
 // splitmix64 is the SplitMix64 output mixer — the same finalizer the

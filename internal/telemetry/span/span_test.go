@@ -109,22 +109,6 @@ func TestMergeRebasesIDs(t *testing.T) {
 	}
 }
 
-func TestSortStable(t *testing.T) {
-	recs := []Record{
-		{Trace: 2, ID: 3, Start: 5},
-		{Trace: 1, ID: 2, Start: 9},
-		{Trace: 1, ID: 1, Start: 9},
-		{Trace: 1, ID: 4, Start: 0},
-	}
-	SortStable(recs)
-	want := []uint64{4, 1, 2, 3}
-	for i, id := range want {
-		if recs[i].ID != id {
-			t.Fatalf("position %d: got ID %d, want %d", i, recs[i].ID, id)
-		}
-	}
-}
-
 func TestReserveMakesRecordingAllocFree(t *testing.T) {
 	tr := NewTracer(9)
 	tr.Reserve(4 * 1000)
@@ -193,90 +177,5 @@ func TestWriteNDJSONByteStable(t *testing.T) {
 	}
 	if !bytes.Equal(build(), build()) {
 		t.Error("NDJSON output not byte-stable across identical runs")
-	}
-}
-
-func TestAnalyzeDecomposition(t *testing.T) {
-	tr := NewTracer(3)
-	// Fetch → hop(R): CS hit, CM delayed-serve 5ms. Total 12ms.
-	root, ctx := tr.StartRoot(1, "A", "/p/hit", 0)
-	hop, hctx := tr.Begin(ctx, KindHop, "R", "/p/hit", 1_000_000)
-	tr.Span(hctx, KindCS, "R", "/p/hit", "hit", 1_000_000, 1_000_000, 0)
-	tr.Span(hctx, KindCM, "R", "/p/hit", "delayed-serve", 1_000_000, 6_000_000, 5_000_000)
-	tr.End(hop, 6_000_000, "delayed-serve")
-	tr.End(root, 12_000_000, "ok")
-
-	// Fetch → hop(R): CS miss, upstream wait 8ms. Total 20ms.
-	root2, ctx2 := tr.StartRoot(2, "A", "/p/miss", 0)
-	hop2, hctx2 := tr.Begin(ctx2, KindHop, "R", "/p/miss", 1_000_000)
-	tr.Span(hctx2, KindCS, "R", "/p/miss", "miss", 1_000_000, 1_000_000, 0)
-	tr.Span(hctx2, KindUpstream, "R", "/p/miss", "data", 1_000_000, 9_000_000, 0)
-	tr.End(hop2, 9_000_000, "forward")
-	tr.End(root2, 20_000_000, "ok")
-
-	decs := Analyze(tr.Records())
-	if len(decs) != 2 {
-		t.Fatalf("got %d decompositions, want 2", len(decs))
-	}
-	hit := decs[0]
-	if !hit.CacheServed || hit.ServedBy != "R" {
-		t.Errorf("hit trace not recognized as cache-served: %+v", hit)
-	}
-	if hit.TotalNS != 12_000_000 || hit.CountermeasureNS != 5_000_000 || hit.UpstreamNS != 0 {
-		t.Errorf("hit decomposition wrong: %+v", hit)
-	}
-	if hit.NetworkNS != 7_000_000 {
-		t.Errorf("hit network share = %d, want 7ms", hit.NetworkNS)
-	}
-	miss := decs[1]
-	if miss.CacheServed {
-		t.Errorf("miss trace marked cache-served: %+v", miss)
-	}
-	if miss.UpstreamNS != 8_000_000 || miss.NetworkNS != 12_000_000 {
-		t.Errorf("miss decomposition wrong: %+v", miss)
-	}
-	sums := Summarize(decs)
-	if len(sums) != 2 || sums[0].Class != "hit" || sums[1].Class != "miss" {
-		t.Fatalf("summary classes wrong: %+v", sums)
-	}
-	if sums[0].Count != 1 || sums[0].MeanTotalNS != 12_000_000 {
-		t.Errorf("hit summary wrong: %+v", sums[0])
-	}
-}
-
-func TestAnalyzeEdgeNodeViaChainDepth(t *testing.T) {
-	// Two hops: A (edge, depth 1) then R (depth 2); both record CS
-	// lookups. Upstream at the edge node A only counts when no cache
-	// served.
-	tr := NewTracer(4)
-	root, ctx := tr.StartRoot(1, "A", "/p/x", 0)
-	hopA, actx := tr.Begin(ctx, KindHop, "A", "/p/x", 0)
-	tr.Span(actx, KindCS, "A", "/p/x", "miss", 0, 0, 0)
-	tr.Span(actx, KindUpstream, "A", "/p/x", "data", 0, 10_000_000, 0)
-	hopR, rctx := tr.Begin(actx, KindHop, "R", "/p/x", 2_000_000)
-	tr.Span(rctx, KindCS, "R", "/p/x", "miss", 2_000_000, 2_000_000, 0)
-	tr.Span(rctx, KindUpstream, "R", "/p/x", "data", 2_000_000, 8_000_000, 0)
-	tr.End(hopR, 2_000_000, "forward")
-	tr.End(hopA, 0, "forward")
-	tr.End(root, 12_000_000, "ok")
-
-	decs := Analyze(tr.Records())
-	if len(decs) != 1 {
-		t.Fatalf("got %d decompositions, want 1", len(decs))
-	}
-	d := decs[0]
-	if d.UpstreamNS != 10_000_000 {
-		t.Errorf("edge upstream = %dns, want the A-node wait (10ms), not R's", d.UpstreamNS)
-	}
-	if d.NetworkNS != 2_000_000 {
-		t.Errorf("network share = %dns, want 2ms", d.NetworkNS)
-	}
-}
-
-func TestAnalyzeIgnoresTracelessRecords(t *testing.T) {
-	tr := NewTracer(5)
-	tr.Span(Context{}, KindResidency, "R", "/p/x", "evict-lru", 0, 5, 0)
-	if decs := Analyze(tr.Records()); len(decs) != 0 {
-		t.Fatalf("traceless records produced %d decompositions", len(decs))
 	}
 }
