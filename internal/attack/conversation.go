@@ -92,11 +92,7 @@ func RunConversationDetection(cfg ConversationConfig) (*ConversationResult, erro
 			}
 		}
 	}
-	parallel := cfg.Parallel
-	if parallel == 0 {
-		parallel = 1
-	}
-	detections, err := sweep.Run(cells, sweep.Options{RootSeed: cfg.Seed, Parallel: parallel})
+	detections, err := sweep.Run(cells, sweep.Options{RootSeed: cfg.Seed, Parallel: cfg.Parallel})
 	if err != nil {
 		return nil, fmt.Errorf("attack: conversation: %w", err)
 	}

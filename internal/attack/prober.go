@@ -1,9 +1,9 @@
 // Package attack implements the cache-privacy attacks of Section III and
-// the measurement machinery to evaluate them: the timing prober (probe C,
-// then double-probe a reference object to learn the definite cache-hit
-// RTT), the multi-segment amplification of weak probes, and scenario
-// builders for all four Figure 3 topologies plus the Section VI
-// correlation attack.
+// the machinery to run them: the timing prober (single probe, and the
+// double probe that learns a reference object's definite cache-hit
+// RTT), the multi-segment amplification of weak probes, the Figure 3
+// procedure over each of its four topologies and over a tiered router,
+// and the Section I two-party conversation-detection attack.
 package attack
 
 import (
@@ -16,8 +16,8 @@ import (
 	"ndnprivacy/internal/telemetry"
 )
 
-// ErrProbeFailed is returned when a probe interest times out or the
-// simulator finishes without resolving it.
+// ErrProbeFailed is returned when a probe (or a priming fetch) times out
+// or the simulator finishes without resolving it.
 var ErrProbeFailed = errors.New("attack: probe did not complete")
 
 // Prober drives an adversary consumer through probe sequences. All
@@ -43,23 +43,30 @@ func NewProber(host *fwd.Forwarder) (*Prober, error) {
 	return &Prober{consumer: consumer, sim: sim, host: host.Name()}, nil
 }
 
-// Consumer exposes the underlying consumer for compound scenarios.
-func (p *Prober) Consumer() *fwd.Consumer { return p.consumer }
-
 // Probe fetches name once and returns the observed RTT.
 func (p *Prober) Probe(name ndn.Name) (time.Duration, error) {
+	rtt, err := p.fetch(name)
+	if err != nil {
+		p.emitProbe(name, "timeout", 0)
+		return 0, err
+	}
+	p.emitProbe(name, "ok", rtt)
+	return rtt, nil
+}
+
+// fetch fetches name once, running the simulator until it resolves, and
+// records nothing.
+func (p *Prober) fetch(name ndn.Name) (time.Duration, error) {
 	var res fwd.FetchResult
 	resolved := false
-	p.consumer.Fetch(ndn.NewInterest(name, 0), func(r fwd.FetchResult) {
+	p.consumer.FetchName(name, func(r fwd.FetchResult) {
 		res = r
 		resolved = true
 	})
 	p.sim.Run()
 	if !resolved || res.TimedOut {
-		p.emitProbe(name, "timeout", 0)
 		return 0, ErrProbeFailed
 	}
-	p.emitProbe(name, "ok", res.RTT)
 	return res.RTT, nil
 }
 

@@ -1,10 +1,10 @@
 package attack
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
+	"ndnprivacy/internal/cache"
 	"ndnprivacy/internal/core"
 	"ndnprivacy/internal/fwd"
 	"ndnprivacy/internal/ndn"
@@ -105,13 +105,6 @@ func (r *Result) finalize() error {
 	return nil
 }
 
-// observeRun invokes the caller's telemetry hook for a fresh simulator.
-func (c *ScenarioConfig) observeRun(run int, sim *netsim.Simulator) {
-	if c.Observe != nil {
-		c.Observe(run, sim)
-	}
-}
-
 // runSample is one repetition's measurements, merged into Result in run
 // order by the batch executor.
 type runSample struct {
@@ -124,26 +117,6 @@ type runSample struct {
 func (s *runSample) accountSim(sim *netsim.Simulator) {
 	s.steps = sim.Steps()
 	s.virtualSeconds = sim.Now().Seconds()
-}
-
-// runScenarioBatch runs the batch and folds its samples, in run order,
-// into one Result.
-func runScenarioBatch(label string, cfg ScenarioConfig, runOne func(sim *netsim.Simulator) (runSample, error)) (*Result, error) {
-	samples, err := runBatch(label, cfg, runOne)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Label: label}
-	for _, s := range samples {
-		res.Hit = append(res.Hit, s.hit...)
-		res.Miss = append(res.Miss, s.miss...)
-		res.Steps += s.steps
-		res.VirtualSeconds += s.virtualSeconds
-	}
-	if err := res.finalize(); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // runBatch executes cfg.Runs repetitions of runOne as a sweep: each run
@@ -166,18 +139,16 @@ func runBatch[S any](label string, cfg ScenarioConfig, runOne func(sim *netsim.S
 					Type: telemetry.EvRunStart,
 					Run:  run,
 				})
-				cfg.observeRun(run, sim)
+				if cfg.Observe != nil {
+					cfg.Observe(run, sim)
+				}
 				return runOne(sim)
 			},
 		}
 	}
-	parallel := cfg.Parallel
-	if parallel == 0 {
-		parallel = 1
-	}
 	samples, err := sweep.Run(cells, sweep.Options{
 		RootSeed: cfg.Seed,
-		Parallel: parallel,
+		Parallel: cfg.Parallel,
 		Metrics:  cfg.Metrics,
 		Trace:    cfg.Trace,
 		Spans:    cfg.Spans,
@@ -262,147 +233,14 @@ func localAttachment() netsim.LinkConfig {
 // Fast Ethernet; P sits across a backbone link. Near-perfect hit/miss
 // separation is expected.
 func RunLAN(cfg ScenarioConfig) (*Result, error) {
-	return runConsumerScenario("lan", cfg, 0, lanEdge(), lanBackbone())
+	return runMissPrimeHit("lan", cfg, consumerNetwork(lruStore, 0, lanEdge(), 1, lanBackbone()))
 }
 
 // RunWAN reproduces Figure 3(b): U and Adv are several (3) hops from the
 // shared router R, and P is 3 hops past R. Jitter accumulates but the
 // attack still distinguishes hits with ≈99% probability.
 func RunWAN(cfg ScenarioConfig) (*Result, error) {
-	return runConsumerScenario("wan", cfg, 2, wanHop(), wanProducerHop())
-}
-
-// runConsumerScenario builds U, Adv —(edgeHops extra routers)— R —(3 hops
-// for WAN, 1 for LAN)— P and measures labeled hit/miss RTT samples at
-// Adv.
-func runConsumerScenario(label string, cfg ScenarioConfig, extraEdgeRouters int, edge, backboneCfg netsim.LinkConfig) (*Result, error) {
-	cfg.setDefaults()
-	half := cfg.Objects / 2
-	if half == 0 {
-		return nil, errors.New("attack: need at least 2 objects")
-	}
-	return runScenarioBatch(label, cfg, func(sim *netsim.Simulator) (runSample, error) {
-		var sample runSample
-		sim.SetPhase("build")
-		var manager core.CacheManager
-		if cfg.Manager != nil {
-			manager = cfg.Manager(sim)
-		}
-		router, err := fwd.NewRouter(sim, "R", 0, manager)
-		if err != nil {
-			return sample, err
-		}
-
-		attachConsumerPath := func(hostName string) (*fwd.Forwarder, error) {
-			host, err := fwd.NewBareHost(sim, hostName)
-			if err != nil {
-				return nil, err
-			}
-			path := []*fwd.Forwarder{host}
-			// Intermediate routers carry no Content Store in this
-			// scenario: the paper's probes target R specifically.
-			for h := 0; h < extraEdgeRouters; h++ {
-				mid, err := fwd.New(fwd.Config{
-					Name:            fmt.Sprintf("%s-hop%d", hostName, h),
-					Sim:             sim,
-					ProcessingDelay: fwd.DefaultRouterProcessing,
-				})
-				if err != nil {
-					return nil, err
-				}
-				path = append(path, mid)
-			}
-			path = append(path, router)
-			if err := fwd.Chain(sim, path, edge, "/p"); err != nil {
-				return nil, err
-			}
-			return host, nil
-		}
-
-		uHost, err := attachConsumerPath("U")
-		if err != nil {
-			return sample, err
-		}
-		aHost, err := attachConsumerPath("A")
-		if err != nil {
-			return sample, err
-		}
-
-		// Producer side: LAN has one backbone link; WAN has 3 hops.
-		producerHops := 1
-		if extraEdgeRouters > 0 {
-			producerHops = 3
-		}
-		pHost, err := fwd.NewBareHost(sim, "P")
-		if err != nil {
-			return sample, err
-		}
-		pPath := []*fwd.Forwarder{router}
-		for h := 0; h < producerHops-1; h++ {
-			hop, err := fwd.New(fwd.Config{
-				Name:            fmt.Sprintf("P-hop%d", h),
-				Sim:             sim,
-				ProcessingDelay: fwd.DefaultRouterProcessing,
-			})
-			if err != nil {
-				return sample, err
-			}
-			pPath = append(pPath, hop)
-		}
-		pPath = append(pPath, pHost)
-		if err := fwd.Chain(sim, pPath, backboneCfg, "/p"); err != nil {
-			return sample, err
-		}
-
-		producer, err := fwd.NewProducer(pHost, ndn.MustParseName("/p"), nil)
-		if err != nil {
-			return sample, err
-		}
-		for i := 0; i < cfg.Objects; i++ {
-			d, err := ndn.NewData(objectName(i), []byte(fmt.Sprintf("object %d payload", i)))
-			if err != nil {
-				return sample, err
-			}
-			d.Private = cfg.MarkPrivate
-			if err := producer.Publish(d); err != nil {
-				return sample, err
-			}
-		}
-
-		user, err := fwd.NewConsumer(uHost)
-		if err != nil {
-			return sample, err
-		}
-		adv, err := NewProber(aHost)
-		if err != nil {
-			return sample, err
-		}
-
-		// Miss samples: Adv requests the first half cold.
-		sim.SetPhase("probe-miss")
-		for i := 0; i < half; i++ {
-			rtt, err := adv.Probe(objectName(i))
-			if err != nil {
-				return sample, fmt.Errorf("miss probe %d: %w", i, err)
-			}
-			sample.miss = append(sample.miss, ms(rtt))
-		}
-		// Hit samples: U primes the second half, then Adv probes.
-		sim.SetPhase("prime")
-		for i := half; i < cfg.Objects; i++ {
-			fetchSync(sim, user, objectName(i))
-		}
-		sim.SetPhase("probe-hit")
-		for i := half; i < cfg.Objects; i++ {
-			rtt, err := adv.Probe(objectName(i))
-			if err != nil {
-				return sample, fmt.Errorf("hit probe %d: %w", i, err)
-			}
-			sample.hit = append(sample.hit, ms(rtt))
-		}
-		sample.accountSim(sim)
-		return sample, nil
-	})
+	return runMissPrimeHit("wan", cfg, consumerNetwork(lruStore, 2, wanHop(), 3, wanProducerHop()))
 }
 
 // RunProducerPrivacy reproduces Figure 3(c): P is directly connected to
@@ -410,121 +248,34 @@ func runConsumerScenario(label string, cfg ScenarioConfig, extraEdgeRouters int,
 // per object; the tiny R↔P delta drowns in path jitter, so single-probe
 // accuracy is barely above a coin flip (the paper reports 59%).
 func RunProducerPrivacy(cfg ScenarioConfig) (*Result, error) {
-	cfg.setDefaults()
-	half := cfg.Objects / 2
-	if half == 0 {
-		return nil, errors.New("attack: need at least 2 objects")
-	}
-	return runScenarioBatch("producer", cfg, func(sim *netsim.Simulator) (runSample, error) {
-		var sample runSample
-		sim.SetPhase("build")
-		var manager core.CacheManager
-		if cfg.Manager != nil {
-			manager = cfg.Manager(sim)
-		}
+	return runMissPrimeHit("producer", cfg, func(sim *netsim.Simulator, manager core.CacheManager) (network, error) {
 		router, err := fwd.NewRouter(sim, "R", 0, manager)
 		if err != nil {
-			return sample, err
+			return network{}, err
 		}
 		pHost, err := fwd.NewBareHost(sim, "P")
 		if err != nil {
-			return sample, err
+			return network{}, err
 		}
 		// P adjacent to R. The base latency plus the producer's
 		// response delay set the hit/miss RTT delta that must drown in
 		// three hops of path jitter — calibrated so single-probe
 		// accuracy lands near the paper's 59%.
-		rpFace, _, _, err := fwd.Connect(sim, router, pHost, netsim.LinkConfig{
+		if err := fwd.Chain(sim, []*fwd.Forwarder{router, pHost}, netsim.LinkConfig{
 			Latency:   netsim.UniformJitter{Base: 900 * time.Microsecond, Jitter: 200 * time.Microsecond},
 			Bandwidth: 125_000_000,
-		})
+		}, "/p"); err != nil {
+			return network{}, err
+		}
+		user, err := hostPath(sim, "U", 2, router, producerScenarioHop())
 		if err != nil {
-			return sample, err
+			return network{}, err
 		}
-		if err := router.RegisterPrefix(ndn.MustParseName("/p"), rpFace); err != nil {
-			return sample, err
-		}
-
-		attach := func(hostName string) (*fwd.Forwarder, error) {
-			host, err := fwd.NewBareHost(sim, hostName)
-			if err != nil {
-				return nil, err
-			}
-			path := []*fwd.Forwarder{host}
-			for h := 0; h < 2; h++ {
-				hop, err := fwd.New(fwd.Config{
-					Name:            fmt.Sprintf("%s-hop%d", hostName, h),
-					Sim:             sim,
-					ProcessingDelay: fwd.DefaultRouterProcessing,
-				})
-				if err != nil {
-					return nil, err
-				}
-				path = append(path, hop)
-			}
-			path = append(path, router)
-			if err := fwd.Chain(sim, path, producerScenarioHop(), "/p"); err != nil {
-				return nil, err
-			}
-			return host, nil
-		}
-		uHost, err := attach("U")
+		adv, err := hostPath(sim, "A", 2, router, producerScenarioHop())
 		if err != nil {
-			return sample, err
+			return network{}, err
 		}
-		aHost, err := attach("A")
-		if err != nil {
-			return sample, err
-		}
-
-		producer, err := fwd.NewProducer(pHost, ndn.MustParseName("/p"), nil)
-		if err != nil {
-			return sample, err
-		}
-		producer.ResponseDelay = 300 * time.Microsecond
-		for i := 0; i < cfg.Objects; i++ {
-			d, err := ndn.NewData(objectName(i), []byte(fmt.Sprintf("object %d payload", i)))
-			if err != nil {
-				return sample, err
-			}
-			d.Private = cfg.MarkPrivate
-			if err := producer.Publish(d); err != nil {
-				return sample, err
-			}
-		}
-		user, err := fwd.NewConsumer(uHost)
-		if err != nil {
-			return sample, err
-		}
-		adv, err := NewProber(aHost)
-		if err != nil {
-			return sample, err
-		}
-
-		// Miss: nobody requested; Adv's probe travels to P.
-		sim.SetPhase("probe-miss")
-		for i := 0; i < half; i++ {
-			rtt, err := adv.Probe(objectName(i))
-			if err != nil {
-				return sample, fmt.Errorf("miss probe %d: %w", i, err)
-			}
-			sample.miss = append(sample.miss, ms(rtt))
-		}
-		// Hit: U recently fetched, so R serves from cache.
-		sim.SetPhase("prime")
-		for i := half; i < cfg.Objects; i++ {
-			fetchSync(sim, user, objectName(i))
-		}
-		sim.SetPhase("probe-hit")
-		for i := half; i < cfg.Objects; i++ {
-			rtt, err := adv.Probe(objectName(i))
-			if err != nil {
-				return sample, fmt.Errorf("hit probe %d: %w", i, err)
-			}
-			sample.hit = append(sample.hit, ms(rtt))
-		}
-		sample.accountSim(sim)
-		return sample, nil
+		return network{user: user, adv: adv, producer: pHost, responseDelay: 300 * time.Microsecond}, nil
 	})
 }
 
@@ -532,89 +283,101 @@ func RunProducerPrivacy(cfg ScenarioConfig) (*Result, error) {
 // local NDN daemon's cache that honest applications on the same host
 // share. RTT differences are sub-millisecond but stark.
 func RunLocalHost(cfg ScenarioConfig) (*Result, error) {
-	cfg.setDefaults()
-	half := cfg.Objects / 2
-	if half == 0 {
-		return nil, errors.New("attack: need at least 2 objects")
-	}
-	return runScenarioBatch("local", cfg, func(sim *netsim.Simulator) (runSample, error) {
-		var sample runSample
-		sim.SetPhase("build")
-		var manager core.CacheManager
-		if cfg.Manager != nil {
-			manager = cfg.Manager(sim)
-		}
+	return runMissPrimeHit("local", cfg, func(sim *netsim.Simulator, manager core.CacheManager) (network, error) {
 		// The local daemon: a host forwarder WITH a content store.
 		daemon, err := fwd.NewHost(sim, "ccnd", manager)
 		if err != nil {
-			return sample, err
+			return network{}, err
 		}
 		pHost, err := fwd.NewBareHost(sim, "P")
 		if err != nil {
-			return sample, err
+			return network{}, err
 		}
-		dFace, _, _, err := fwd.Connect(sim, daemon, pHost, localAttachment())
-		if err != nil {
-			return sample, err
+		if err := fwd.Chain(sim, []*fwd.Forwarder{daemon, pHost}, localAttachment(), "/p"); err != nil {
+			return network{}, err
 		}
-		if err := daemon.RegisterPrefix(ndn.MustParseName("/p"), dFace); err != nil {
-			return sample, err
-		}
-		producer, err := fwd.NewProducer(pHost, ndn.MustParseName("/p"), nil)
-		if err != nil {
-			return sample, err
-		}
-		for i := 0; i < cfg.Objects; i++ {
-			d, err := ndn.NewData(objectName(i), []byte(fmt.Sprintf("object %d payload", i)))
-			if err != nil {
-				return sample, err
-			}
-			d.Private = cfg.MarkPrivate
-			if err := producer.Publish(d); err != nil {
-				return sample, err
-			}
-		}
-		honest, err := fwd.NewConsumer(daemon)
-		if err != nil {
-			return sample, err
-		}
-		malicious, err := NewProber(daemon)
-		if err != nil {
-			return sample, err
-		}
-
-		sim.SetPhase("probe-miss")
-		for i := 0; i < half; i++ {
-			rtt, err := malicious.Probe(objectName(i))
-			if err != nil {
-				return sample, fmt.Errorf("miss probe %d: %w", i, err)
-			}
-			sample.miss = append(sample.miss, ms(rtt))
-		}
-		sim.SetPhase("prime")
-		for i := half; i < cfg.Objects; i++ {
-			fetchSync(sim, honest, objectName(i))
-		}
-		sim.SetPhase("probe-hit")
-		for i := half; i < cfg.Objects; i++ {
-			rtt, err := malicious.Probe(objectName(i))
-			if err != nil {
-				return sample, fmt.Errorf("hit probe %d: %w", i, err)
-			}
-			sample.hit = append(sample.hit, ms(rtt))
-		}
-		sample.accountSim(sim)
-		return sample, nil
+		return network{user: daemon, adv: daemon, producer: pHost}, nil
 	})
+}
+
+// consumerNetwork builds the Figure 3(a)/(b) shape: U and Adv each reach
+// the shared router R, whose Content Store store builds, over edgeHops
+// storeless routers and links of edge; P sits producerHops links of
+// backbone past R.
+func consumerNetwork(store func() (*cache.Store, error), edgeHops int, edge netsim.LinkConfig, producerHops int, backbone netsim.LinkConfig) builder {
+	return func(sim *netsim.Simulator, manager core.CacheManager) (network, error) {
+		cs, err := store()
+		if err != nil {
+			return network{}, err
+		}
+		router, err := fwd.NewStoreRouter(sim, "R", cs, manager)
+		if err != nil {
+			return network{}, err
+		}
+		user, err := hostPath(sim, "U", edgeHops, router, edge)
+		if err != nil {
+			return network{}, err
+		}
+		adv, err := hostPath(sim, "A", edgeHops, router, edge)
+		if err != nil {
+			return network{}, err
+		}
+		pHost, err := fwd.NewBareHost(sim, "P")
+		if err != nil {
+			return network{}, err
+		}
+		pHops, err := storelessHops(sim, "P", producerHops-1)
+		if err != nil {
+			return network{}, err
+		}
+		path := append(append([]*fwd.Forwarder{router}, pHops...), pHost)
+		if err := fwd.Chain(sim, path, backbone, "/p"); err != nil {
+			return network{}, err
+		}
+		return network{user: user, adv: adv, producer: pHost}, nil
+	}
+}
+
+func lruStore() (*cache.Store, error) { return cache.NewStore(0, cache.NewLRU()) }
+
+// hostPath attaches a new bare host to router through n storeless hops,
+// all joined by links of link and routing /p toward router.
+func hostPath(sim *netsim.Simulator, name string, n int, router *fwd.Forwarder, link netsim.LinkConfig) (*fwd.Forwarder, error) {
+	host, err := fwd.NewBareHost(sim, name)
+	if err != nil {
+		return nil, err
+	}
+	hops, err := storelessHops(sim, name, n)
+	if err != nil {
+		return nil, err
+	}
+	path := append(append([]*fwd.Forwarder{host}, hops...), router)
+	if err := fwd.Chain(sim, path, link, "/p"); err != nil {
+		return nil, err
+	}
+	return host, nil
+}
+
+// storelessHops builds n routers named name-hop0, name-hop1, ... that
+// carry no Content Store: the paper's probes target R specifically.
+func storelessHops(sim *netsim.Simulator, name string, n int) ([]*fwd.Forwarder, error) {
+	hops := make([]*fwd.Forwarder, n)
+	for h := range hops {
+		hop, err := fwd.New(fwd.Config{
+			Name:            fmt.Sprintf("%s-hop%d", name, h),
+			Sim:             sim,
+			ProcessingDelay: fwd.DefaultRouterProcessing,
+		})
+		if err != nil {
+			return nil, err
+		}
+		hops[h] = hop
+	}
+	return hops, nil
 }
 
 func objectName(i int) ndn.Name {
 	return ndn.MustParseName("/p").AppendString("obj", fmt.Sprintf("%d", i))
-}
-
-func fetchSync(sim *netsim.Simulator, c *fwd.Consumer, name ndn.Name) {
-	c.FetchName(name, func(fwd.FetchResult) {})
-	sim.Run()
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

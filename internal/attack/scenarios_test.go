@@ -1,13 +1,15 @@
 package attack
 
 import (
+	"errors"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"ndnprivacy/internal/core"
 	"ndnprivacy/internal/fwd"
-	"ndnprivacy/internal/ndn"
 	"ndnprivacy/internal/netsim"
 )
 
@@ -140,46 +142,11 @@ func TestScenarioValidation(t *testing.T) {
 }
 
 func TestDoubleProbeSecondIsHit(t *testing.T) {
-	res, err := RunLAN(ScenarioConfig{Seed: 10, Objects: 4, Runs: 1})
+	p, err := setUp(netsim.New(20), ScenarioConfig{Objects: 1}, consumerNetwork(lruStore, 0, lanEdge(), 1, lanBackbone()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = res
-	// Direct double-probe check on a fresh LAN topology.
-	sim := netsim.New(20)
-	router, err := fwd.NewRouter(sim, "R", 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aHost, err := fwd.NewBareHost(sim, "A")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pHost, err := fwd.NewBareHost(sim, "P")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fwd.Chain(sim, []*fwd.Forwarder{aHost, router, pHost}, netsim.LinkConfig{
-		Latency: netsim.UniformJitter{Base: time.Millisecond, Jitter: 100 * time.Microsecond},
-	}, "/p"); err != nil {
-		t.Fatal(err)
-	}
-	producer, err := fwd.NewProducer(pHost, ndn.MustParseName("/p"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := ndn.NewData(ndn.MustParseName("/p/ref"), []byte("ref"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := producer.Publish(d); err != nil {
-		t.Fatal(err)
-	}
-	adv, err := NewProber(aHost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, second, err := adv.DoubleProbe(ndn.MustParseName("/p/ref"))
+	first, second, err := p.adv.DoubleProbe(p.names[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,4 +161,40 @@ func mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
+}
+
+// dropAll is a link loss model that drops every packet.
+type dropAll struct{}
+
+func (dropAll) Drop(*rand.Rand) bool { return true }
+
+func TestPrimeTimeoutFailsRun(t *testing.T) {
+	// The user's link drops everything, so no prime reaches R: the run
+	// must fail instead of probing unprimed objects as hits.
+	build := func(sim *netsim.Simulator, manager core.CacheManager) (network, error) {
+		router, err := fwd.NewRouter(sim, "R", 0, manager)
+		if err != nil {
+			return network{}, err
+		}
+		user, err := hostPath(sim, "U", 0, router, netsim.LinkConfig{Latency: netsim.Fixed(time.Millisecond), Loss: dropAll{}})
+		if err != nil {
+			return network{}, err
+		}
+		adv, err := hostPath(sim, "A", 0, router, lanEdge())
+		if err != nil {
+			return network{}, err
+		}
+		pHost, err := fwd.NewBareHost(sim, "P")
+		if err != nil {
+			return network{}, err
+		}
+		return network{user: user, adv: adv, producer: pHost}, fwd.Chain(sim, []*fwd.Forwarder{router, pHost}, lanBackbone(), "/p")
+	}
+	res, err := runMissPrimeHit("lossy", ScenarioConfig{Seed: 1, Objects: 4, Runs: 1}, build)
+	if err == nil {
+		t.Fatalf("got %d hit samples from a user that never primed R, want an error", len(res.Hit))
+	}
+	if !errors.Is(err, ErrProbeFailed) || !strings.Contains(err.Error(), "prime 2") {
+		t.Errorf("err = %v, want the first prime to fail with ErrProbeFailed", err)
+	}
 }

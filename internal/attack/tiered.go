@@ -3,37 +3,12 @@ package attack
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"ndnprivacy/internal/cache"
 	"ndnprivacy/internal/cache/tiered"
-	"ndnprivacy/internal/core"
-	"ndnprivacy/internal/fwd"
-	"ndnprivacy/internal/ndn"
 	"ndnprivacy/internal/netsim"
 	"ndnprivacy/internal/stats"
 )
-
-// TieredScenarioConfig parameterizes the tiered-cache timing attack: a
-// LAN-shaped topology whose shared router runs a RAM+disk Content
-// Store, turning the paper's binary hit/miss observable into a
-// three-way RAM-hit / disk-hit / miss channel.
-type TieredScenarioConfig struct {
-	ScenarioConfig
-	// RAMCapacity is the router's RAM-front size; defaults to one probe
-	// group (Objects/3) so the priming pattern leaves exactly one group
-	// RAM-resident and one demoted to disk.
-	RAMCapacity int
-	// DiskReadLatency, DiskWriteLatency and DiskBytesPerSecond
-	// parameterize the deterministic disk model; zero values take the
-	// model defaults (2ms reads, which lands the disk-hit RTT between
-	// the RAM-hit and miss classes on the LAN topology).
-	DiskReadLatency    time.Duration
-	DiskWriteLatency   time.Duration
-	DiskBytesPerSecond int64
-	// DiskCapacity bounds the disk tier (0 = unlimited).
-	DiskCapacity int
-}
 
 // TieredResult holds the three ground-truth-labeled RTT sample sets and
 // the adversary's two-threshold classification power.
@@ -84,9 +59,10 @@ type tieredRunSample struct {
 }
 
 // RunTiered measures the three-way timing channel on the Figure 3(a)
-// topology with a tiered router: U and Adv share first-hop router R
-// (RAM front over a deterministic disk model); P sits across a
-// backbone link.
+// topology with a tiered router: U and Adv share first-hop router R (a
+// RAM front of Objects/3 entries over the default deterministic disk
+// model, whose 2ms reads land the disk-hit RTT between the RAM-hit and
+// miss classes); P sits across a backbone link.
 //
 // Objects split into three equal groups whose cache placement is
 // engineered by the priming order: the user fetches the first group,
@@ -95,123 +71,42 @@ type tieredRunSample struct {
 // is the RAM (second) group, then the disk (first) group, then the
 // miss (third) group, so the disk probes' promotions only displace
 // already-measured objects.
-func RunTiered(cfg TieredScenarioConfig) (*TieredResult, error) {
+func RunTiered(cfg ScenarioConfig) (*TieredResult, error) {
 	cfg.setDefaults()
 	third := cfg.Objects / 3
 	if third == 0 {
 		return nil, errors.New("attack: tiered scenario needs at least 3 objects")
 	}
-	ramCap := cfg.RAMCapacity
-	if ramCap == 0 {
-		ramCap = third
+	tieredStore := func() (*cache.Store, error) {
+		return cache.NewTieredStore(third, cache.NewLRU(), tiered.NewDiskModel(tiered.DiskModelConfig{}))
 	}
+	build := consumerNetwork(tieredStore, 0, lanEdge(), 1, lanBackbone())
 
 	res := &TieredResult{Label: "tiered"}
-	samples, err := runBatch(res.Label, cfg.ScenarioConfig, func(sim *netsim.Simulator) (tieredRunSample, error) {
+	samples, err := runBatch(res.Label, cfg, func(sim *netsim.Simulator) (tieredRunSample, error) {
 		var sample tieredRunSample
-		sim.SetPhase("build")
-		var manager core.CacheManager
-		if cfg.Manager != nil {
-			manager = cfg.Manager(sim)
-		}
-		store, err := cache.NewTieredStore(ramCap, cache.NewLRU(), tiered.NewDiskModel(tiered.DiskModelConfig{
-			Capacity:       cfg.DiskCapacity,
-			ReadLatency:    cfg.DiskReadLatency,
-			WriteLatency:   cfg.DiskWriteLatency,
-			BytesPerSecond: cfg.DiskBytesPerSecond,
-		}))
+		p, err := setUp(sim, cfg, build)
 		if err != nil {
 			return sample, err
 		}
-		router, err := fwd.NewStoreRouter(sim, "R", store, manager)
-		if err != nil {
-			return sample, err
-		}
-
-		attach := func(hostName string) (*fwd.Forwarder, error) {
-			host, err := fwd.NewBareHost(sim, hostName)
-			if err != nil {
-				return nil, err
-			}
-			if err := fwd.Chain(sim, []*fwd.Forwarder{host, router}, lanEdge(), "/p"); err != nil {
-				return nil, err
-			}
-			return host, nil
-		}
-		uHost, err := attach("U")
-		if err != nil {
-			return sample, err
-		}
-		aHost, err := attach("A")
-		if err != nil {
-			return sample, err
-		}
-		pHost, err := fwd.NewBareHost(sim, "P")
-		if err != nil {
-			return sample, err
-		}
-		if err := fwd.Chain(sim, []*fwd.Forwarder{router, pHost}, lanBackbone(), "/p"); err != nil {
-			return sample, err
-		}
-
-		producer, err := fwd.NewProducer(pHost, ndn.MustParseName("/p"), nil)
-		if err != nil {
-			return sample, err
-		}
-		for i := 0; i < cfg.Objects; i++ {
-			d, err := ndn.NewData(objectName(i), []byte(fmt.Sprintf("object %d payload", i)))
-			if err != nil {
-				return sample, err
-			}
-			d.Private = cfg.MarkPrivate
-			if err := producer.Publish(d); err != nil {
-				return sample, err
-			}
-		}
-		user, err := fwd.NewConsumer(uHost)
-		if err != nil {
-			return sample, err
-		}
-		adv, err := NewProber(aHost)
-		if err != nil {
-			return sample, err
-		}
-
 		// Prime the disk group first: it fills the RAM front, then the
 		// RAM group's fetches demote it object by object. After both
 		// passes, group [0, third) sits on disk and [third, 2·third) in
-		// RAM — provided RAMCapacity matches the group size.
-		sim.SetPhase("prime")
-		for i := 0; i < 2*third; i++ {
-			fetchSync(sim, user, objectName(i))
+		// RAM.
+		if err := p.prime(0, 2*third); err != nil {
+			return sample, err
 		}
-
 		// Probe RAM residents first (no tier movement), then the disk
 		// group (each probe promotes, displacing only already-probed
 		// objects), then the never-fetched group.
-		sim.SetPhase("probe-ram")
-		for i := third; i < 2*third; i++ {
-			rtt, err := adv.Probe(objectName(i))
-			if err != nil {
-				return sample, fmt.Errorf("ram probe %d: %w", i, err)
-			}
-			sample.hit = append(sample.hit, ms(rtt))
+		if sample.hit, err = p.probe("ram", third, 2*third); err != nil {
+			return sample, err
 		}
-		sim.SetPhase("probe-disk")
-		for i := 0; i < third; i++ {
-			rtt, err := adv.Probe(objectName(i))
-			if err != nil {
-				return sample, fmt.Errorf("disk probe %d: %w", i, err)
-			}
-			sample.disk = append(sample.disk, ms(rtt))
+		if sample.disk, err = p.probe("disk", 0, third); err != nil {
+			return sample, err
 		}
-		sim.SetPhase("probe-miss")
-		for i := 2 * third; i < 3*third; i++ {
-			rtt, err := adv.Probe(objectName(i))
-			if err != nil {
-				return sample, fmt.Errorf("miss probe %d: %w", i, err)
-			}
-			sample.miss = append(sample.miss, ms(rtt))
+		if sample.miss, err = p.probe("miss", 2*third, 3*third); err != nil {
+			return sample, err
 		}
 		sample.accountSim(sim)
 		return sample, nil

@@ -8,9 +8,7 @@ import (
 
 func TestRunTieredThreeModalSeparation(t *testing.T) {
 	spans := span.NewTracer(0)
-	res, err := RunTiered(TieredScenarioConfig{
-		ScenarioConfig: ScenarioConfig{Seed: 42, Objects: 60, Runs: 3, Spans: spans},
-	})
+	res, err := RunTiered(ScenarioConfig{Seed: 42, Objects: 60, Runs: 3, Spans: spans})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,9 +65,7 @@ func TestRunTieredThreeModalSeparation(t *testing.T) {
 
 func TestRunTieredDeterministicAcrossParallelism(t *testing.T) {
 	run := func(parallel int) *TieredResult {
-		res, err := RunTiered(TieredScenarioConfig{
-			ScenarioConfig: ScenarioConfig{Seed: 7, Objects: 30, Runs: 4, Parallel: parallel},
-		})
+		res, err := RunTiered(ScenarioConfig{Seed: 7, Objects: 30, Runs: 4, Parallel: parallel})
 		if err != nil {
 			t.Fatal(err)
 		}

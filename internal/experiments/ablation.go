@@ -77,11 +77,7 @@ func RunEvictionAblationSweep(cfg AblationConfig) (*EvictionAblationResult, erro
 			})
 		}
 	}
-	parallel := cfg.Parallel
-	if parallel == 0 {
-		parallel = 1
-	}
-	rows, err := sweep.Run(cells, sweep.Options{RootSeed: cfg.Seed, Parallel: parallel})
+	rows, err := sweep.Run(cells, sweep.Options{RootSeed: cfg.Seed, Parallel: cfg.Parallel})
 	for _, row := range rows {
 		if row.Policy == "" { // zero value: the cell failed
 			continue

@@ -112,11 +112,7 @@ func RunCorrelation(cfg CorrelationConfig) (*CorrelationResult, error) {
 			},
 		}
 	}
-	parallel := cfg.Parallel
-	if parallel == 0 {
-		parallel = 1
-	}
-	rows, err := sweep.Run(cells, sweep.Options{RootSeed: cfg.Seed, Parallel: parallel})
+	rows, err := sweep.Run(cells, sweep.Options{RootSeed: cfg.Seed, Parallel: cfg.Parallel})
 	if err != nil {
 		return nil, fmt.Errorf("correlation: %w", err)
 	}

@@ -10,10 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"ndnprivacy/internal/attack"
 	"ndnprivacy/internal/trace"
 )
 
-func small3() Figure3Config { return Figure3Config{Seed: 1, Objects: 40, Runs: 2} }
+func small3() attack.ScenarioConfig { return attack.ScenarioConfig{Seed: 1, Objects: 40, Runs: 2} }
 
 func TestFigure3a(t *testing.T) {
 	res, err := Figure3a(small3())
@@ -42,7 +43,7 @@ func TestFigure3b(t *testing.T) {
 }
 
 func TestFigure3c(t *testing.T) {
-	res, err := Figure3c(Figure3Config{Seed: 1, Objects: 80, Runs: 2})
+	res, err := Figure3c(attack.ScenarioConfig{Seed: 1, Objects: 80, Runs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestSegmentAmplification(t *testing.T) {
 }
 
 func TestRunCountermeasures(t *testing.T) {
-	res, err := RunCountermeasures(Figure3Config{Seed: 1, Objects: 40, Runs: 2})
+	res, err := RunCountermeasures(attack.ScenarioConfig{Seed: 1, Objects: 40, Runs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

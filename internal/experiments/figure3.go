@@ -14,65 +14,10 @@ import (
 	"ndnprivacy/internal/attack"
 	"ndnprivacy/internal/core"
 	"ndnprivacy/internal/netsim"
-	"ndnprivacy/internal/telemetry"
-	"ndnprivacy/internal/telemetry/span"
 )
 
-// Figure3Config scales the timing-attack experiments. The paper used
-// 1,000 objects × 50 runs; the defaults here are smaller so the full
-// suite stays fast — pass larger values for paper-scale runs.
-type Figure3Config struct {
-	Seed    int64
-	Objects int
-	Runs    int
-	// Bins controls PDF rendering granularity.
-	Bins int
-	// Parallel bounds the worker pool executing a scenario's runs; 0 or
-	// 1 is serial. Results and telemetry are merged in run order, so
-	// output is identical for every value.
-	Parallel int
-	// Metrics and Trace, when non-nil, attach telemetry to every run;
-	// the sweep engine merges per-run registries and trace buffers in
-	// run order.
-	Metrics *telemetry.Registry `json:"-"`
-	Trace   telemetry.Sink      `json:"-"`
-	// Spans, when non-nil, collects every run's interest-lifecycle spans,
-	// merged in run order like Trace.
-	Spans *span.Tracer `json:"-"`
-	// Observe is forwarded to every attack run's ScenarioConfig so the
-	// caller can attach telemetry to each fresh simulator. Shared state
-	// it writes is only deterministic under serial execution; prefer
-	// Metrics/Trace.
-	Observe func(run int, sim *netsim.Simulator)
-}
-
-// scenario builds the attack config all Figure 3 experiments share. The
-// scenario label (not an additive seed offset) differentiates the
-// derived per-run seeds.
-func (c Figure3Config) scenario() attack.ScenarioConfig {
-	return attack.ScenarioConfig{
-		Seed:     c.Seed,
-		Objects:  c.Objects,
-		Runs:     c.Runs,
-		Parallel: c.Parallel,
-		Metrics:  c.Metrics,
-		Trace:    c.Trace,
-		Spans:    c.Spans,
-		Observe:  c.Observe,
-	}
-}
-
-func (c *Figure3Config) setDefaults() {
-	if c.Objects == 0 {
-		c.Objects = 200
-	}
-	if c.Runs == 0 {
-		c.Runs = 5
-	}
-	if c.Bins == 0 {
-		c.Bins = 24
-	}
-}
+// figure3Bins is the number of bins of every rendered Figure 3 PDF.
+const figure3Bins = 24
 
 // Figure3Result wraps an attack scenario result with its paper context.
 type Figure3Result struct {
@@ -104,67 +49,37 @@ func (r *Figure3Result) Render() string {
 }
 
 // Figure3a runs the LAN consumer-privacy attack (E1).
-func Figure3a(cfg Figure3Config) (*Figure3Result, error) {
-	cfg.setDefaults()
-	res, err := attack.RunLAN(cfg.scenario())
-	if err != nil {
-		return nil, err
-	}
-	return &Figure3Result{
-		Figure:   "3a",
-		Caption:  "LAN: U, Adv on shared first-hop router R; P across the network",
-		PaperAcc: ">99.9%",
-		Result:   res,
-		Bins:     cfg.Bins,
-	}, nil
+func Figure3a(cfg attack.ScenarioConfig) (*Figure3Result, error) {
+	return figure3(attack.RunLAN, cfg, "3a",
+		"LAN: U, Adv on shared first-hop router R; P across the network", ">99.9%")
 }
 
 // Figure3b runs the WAN consumer-privacy attack (E2).
-func Figure3b(cfg Figure3Config) (*Figure3Result, error) {
-	cfg.setDefaults()
-	res, err := attack.RunWAN(cfg.scenario())
-	if err != nil {
-		return nil, err
-	}
-	return &Figure3Result{
-		Figure:   "3b",
-		Caption:  "WAN: U, Adv several hops from shared R; P three hops past R",
-		PaperAcc: ">99%",
-		Result:   res,
-		Bins:     cfg.Bins,
-	}, nil
+func Figure3b(cfg attack.ScenarioConfig) (*Figure3Result, error) {
+	return figure3(attack.RunWAN, cfg, "3b",
+		"WAN: U, Adv several hops from shared R; P three hops past R", ">99%")
 }
 
 // Figure3c runs the producer-privacy attack (E3).
-func Figure3c(cfg Figure3Config) (*Figure3Result, error) {
-	cfg.setDefaults()
-	res, err := attack.RunProducerPrivacy(cfg.scenario())
-	if err != nil {
-		return nil, err
-	}
-	return &Figure3Result{
-		Figure:   "3c",
-		Caption:  "WAN producer privacy: P adjacent to R; U, Adv three hops away",
-		PaperAcc: "≈59% (single probe)",
-		Result:   res,
-		Bins:     cfg.Bins,
-	}, nil
+func Figure3c(cfg attack.ScenarioConfig) (*Figure3Result, error) {
+	return figure3(attack.RunProducerPrivacy, cfg, "3c",
+		"WAN producer privacy: P adjacent to R; U, Adv three hops away", "≈59% (single probe)")
 }
 
 // Figure3d runs the local-host attack (E4).
-func Figure3d(cfg Figure3Config) (*Figure3Result, error) {
-	cfg.setDefaults()
-	res, err := attack.RunLocalHost(cfg.scenario())
+func Figure3d(cfg attack.ScenarioConfig) (*Figure3Result, error) {
+	return figure3(attack.RunLocalHost, cfg, "3d",
+		"Local host: malicious application probes the shared local daemon cache",
+		"near-certain (sharper than all network settings)")
+}
+
+// figure3 runs one Figure 3 scenario and puts its paper context on it.
+func figure3(run func(attack.ScenarioConfig) (*attack.Result, error), cfg attack.ScenarioConfig, figure, caption, paperAcc string) (*Figure3Result, error) {
+	res, err := run(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Figure3Result{
-		Figure:   "3d",
-		Caption:  "Local host: malicious application probes the shared local daemon cache",
-		PaperAcc: "near-certain (sharper than all network settings)",
-		Result:   res,
-		Bins:     cfg.Bins,
-	}, nil
+	return &Figure3Result{Figure: figure, Caption: caption, PaperAcc: paperAcc, Result: res, Bins: figure3Bins}, nil
 }
 
 // SegmentRow is one row of the in-text amplification result (E5).
@@ -212,61 +127,73 @@ type CountermeasureRow struct {
 	Accuracy float64
 }
 
+// defense is one countermeasure the attacks run against: a constructor
+// for ScenarioConfig.Manager, nil for the undefended baseline.
+type defense struct {
+	name  string
+	build func(sim *netsim.Simulator) core.CacheManager
+}
+
+// The countermeasures of the Figure 3 and tiered-store tables.
+var (
+	noDefense     = defense{name: "no countermeasure"}
+	constantDelay = defense{"always-delay/constant γ=12ms", func(*netsim.Simulator) core.CacheManager {
+		return delayManager(core.NewConstantDelay(12 * time.Millisecond))
+	}}
+	contentSpecificDelay = defense{"always-delay/content-specific γ_C", func(*netsim.Simulator) core.CacheManager {
+		return delayManager(core.NewContentSpecificDelay(), nil)
+	}}
+	dynamicDelay = defense{"always-delay/dynamic", func(*netsim.Simulator) core.CacheManager {
+		return delayManager(core.NewDynamicDelay(4*time.Millisecond, 32))
+	}}
+	uniformRandomCache = defense{"uniform random-cache (k=1, δ=0.05)", func(sim *netsim.Simulator) core.CacheManager {
+		dist, err := core.NewUniformForPrivacy(1, 0.05)
+		if err != nil {
+			panic(err)
+		}
+		m, err := core.NewRandomCache(dist, sim.Rand())
+		if err != nil {
+			panic(err)
+		}
+		return m
+	}}
+)
+
+// delayManager wraps a delay strategy in an always-delay manager. The
+// strategies above are constants, so an error is a programming error.
+func delayManager(strategy core.DelayStrategy, err error) core.CacheManager {
+	if err != nil {
+		panic(err)
+	}
+	m, err := core.NewDelayManager(strategy)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// against returns cfg run under d: d's manager, with content marked
+// private whenever there is a countermeasure to exercise.
+func (d defense) against(cfg attack.ScenarioConfig) attack.ScenarioConfig {
+	cfg.Manager = d.build
+	cfg.MarkPrivate = d.build != nil
+	return cfg
+}
+
 // RunCountermeasures evaluates the LAN attack under no countermeasure,
 // constant delay, content-specific delay, and dynamic delay.
-func RunCountermeasures(cfg Figure3Config) (*CountermeasureComparison, error) {
-	cfg.setDefaults()
-	type managerCase struct {
-		name  string
-		build func(sim *netsim.Simulator) core.CacheManager
-		mark  bool
-	}
-	cases := []managerCase{
-		{name: "no countermeasure", build: nil, mark: false},
-		{name: "always-delay/constant γ=12ms", build: func(*netsim.Simulator) core.CacheManager {
-			s, err := core.NewConstantDelay(12 * time.Millisecond)
-			if err != nil {
-				panic(err)
-			}
-			m, err := core.NewDelayManager(s)
-			if err != nil {
-				panic(err)
-			}
-			return m
-		}, mark: true},
-		{name: "always-delay/content-specific γ_C", build: func(*netsim.Simulator) core.CacheManager {
-			m, err := core.NewDelayManager(core.NewContentSpecificDelay())
-			if err != nil {
-				panic(err)
-			}
-			return m
-		}, mark: true},
-		{name: "always-delay/dynamic", build: func(*netsim.Simulator) core.CacheManager {
-			s, err := core.NewDynamicDelay(4*time.Millisecond, 32)
-			if err != nil {
-				panic(err)
-			}
-			m, err := core.NewDelayManager(s)
-			if err != nil {
-				panic(err)
-			}
-			return m
-		}, mark: true},
-	}
+func RunCountermeasures(cfg attack.ScenarioConfig) (*CountermeasureComparison, error) {
 	out := &CountermeasureComparison{}
-	for _, c := range cases {
+	for _, d := range []defense{noDefense, constantDelay, contentSpecificDelay, dynamicDelay} {
 		// Every case runs with the same root seed on purpose: the
 		// scenario label and run index drive the derived seeds, so all
 		// four countermeasures face identical per-run randomness — a
 		// paired comparison of residual accuracy.
-		sc := cfg.scenario()
-		sc.Manager = c.build
-		sc.MarkPrivate = c.mark
-		res, err := attack.RunLAN(sc)
+		res, err := attack.RunLAN(d.against(cfg))
 		if err != nil {
-			return nil, fmt.Errorf("countermeasure %q: %w", c.name, err)
+			return nil, fmt.Errorf("countermeasure %q: %w", d.name, err)
 		}
-		out.Rows = append(out.Rows, CountermeasureRow{Name: c.name, Accuracy: res.Accuracy})
+		out.Rows = append(out.Rows, CountermeasureRow{Name: d.name, Accuracy: res.Accuracy})
 	}
 	return out, nil
 }

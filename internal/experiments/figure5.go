@@ -212,13 +212,9 @@ func Figure5a(cfg Figure5Config) (*Figure5aResult, error) {
 // runFigure5Cells executes a Figure 5 grid and keeps the rows of every
 // cell that succeeded, in grid order.
 func runFigure5Cells(cfg Figure5Config, cells []sweep.Cell[Figure5Row]) ([]Figure5Row, error) {
-	parallel := cfg.Parallel
-	if parallel == 0 {
-		parallel = 1
-	}
 	results, err := sweep.Run(cells, sweep.Options{
 		RootSeed: cfg.Seed,
-		Parallel: parallel,
+		Parallel: cfg.Parallel,
 		Metrics:  cfg.Metrics,
 		Trace:    cfg.Trace,
 		Spans:    cfg.Spans,

@@ -85,11 +85,7 @@ func RunLossRecovery(cfg LossRecoveryConfig) (*LossRecoveryResult, error) {
 			},
 		})
 	}
-	parallel := cfg.Parallel
-	if parallel == 0 {
-		parallel = 1
-	}
-	rows, err := sweep.Run(cells, sweep.Options{RootSeed: cfg.Seed, Parallel: parallel})
+	rows, err := sweep.Run(cells, sweep.Options{RootSeed: cfg.Seed, Parallel: cfg.Parallel})
 	if err != nil {
 		return nil, fmt.Errorf("loss recovery: %w", err)
 	}
@@ -132,23 +128,15 @@ func runLossRecoveryOnce(cfg LossRecoveryConfig, caching bool) (*LossRecoveryRow
 		}
 		edgeCfg.Loss = ge
 	}
-	uFace, _, _, err := fwd.Connect(sim, uHost, router, edgeCfg)
-	if err != nil {
+	if err := fwd.Chain(sim, []*fwd.Forwarder{uHost, router}, edgeCfg, "/call"); err != nil {
 		return nil, err
 	}
-	rFace, _, _, err := fwd.Connect(sim, router, pHost, netsim.LinkConfig{
+	if err := fwd.Chain(sim, []*fwd.Forwarder{router, pHost}, netsim.LinkConfig{
 		Latency: netsim.LogNormalJitter{Base: 25 * time.Millisecond, MedianJitter: 2 * time.Millisecond, Sigma: 0.5},
-	})
-	if err != nil {
+	}, "/call"); err != nil {
 		return nil, err
 	}
 	prefix := ndn.MustParseName("/call")
-	if err := uHost.RegisterPrefix(prefix, uFace); err != nil {
-		return nil, err
-	}
-	if err := router.RegisterPrefix(prefix, rFace); err != nil {
-		return nil, err
-	}
 	producer, err := fwd.NewProducer(pHost, prefix, nil)
 	if err != nil {
 		return nil, err
@@ -246,28 +234,12 @@ func RunScopeProbe(seed int64) (*ScopeProbeResult, error) {
 		return nil, err
 	}
 	edge := netsim.LinkConfig{Latency: netsim.Fixed(time.Millisecond)}
-	uFace, _, _, err := fwd.Connect(sim, uHost, router, edge)
-	if err != nil {
-		return nil, err
-	}
-	aFace, _, _, err := fwd.Connect(sim, aHost, router, edge)
-	if err != nil {
-		return nil, err
-	}
-	rFace, _, _, err := fwd.Connect(sim, router, pHost, edge)
-	if err != nil {
-		return nil, err
+	for _, path := range [][]*fwd.Forwarder{{uHost, router}, {aHost, router}, {router, pHost}} {
+		if err := fwd.Chain(sim, path, edge, "/p"); err != nil {
+			return nil, err
+		}
 	}
 	prefix := ndn.MustParseName("/p")
-	if err := uHost.RegisterPrefix(prefix, uFace); err != nil {
-		return nil, err
-	}
-	if err := aHost.RegisterPrefix(prefix, aFace); err != nil {
-		return nil, err
-	}
-	if err := router.RegisterPrefix(prefix, rFace); err != nil {
-		return nil, err
-	}
 	producer, err := fwd.NewProducer(pHost, prefix, nil)
 	if err != nil {
 		return nil, err

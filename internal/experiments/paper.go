@@ -76,8 +76,8 @@ func NewSession(p Params) *Session {
 	return s
 }
 
-func (s *Session) figure3() Figure3Config {
-	return Figure3Config{Seed: s.Seed, Objects: s.Objects, Runs: s.Runs, Parallel: s.Parallel,
+func (s *Session) figure3() attack.ScenarioConfig {
+	return attack.ScenarioConfig{Seed: s.Seed, Objects: s.Objects, Runs: s.Runs, Parallel: s.Parallel,
 		Metrics: s.Metrics, Trace: s.Trace, Spans: s.Spans, Observe: s.Observe}
 }
 

@@ -71,9 +71,7 @@ type PlacementResult struct {
 }
 
 // RunDelayPlacement evaluates the three placements, one sweep cell per
-// policy. The cell label (not the old Seed+len(policy) offset, which
-// would collide for any two policies whose names share a length) drives
-// each cell's derived seed.
+// policy. The cell label drives each cell's derived seed.
 func RunDelayPlacement(cfg PlacementConfig) (*PlacementResult, error) {
 	cfg.setDefaults()
 	out := &PlacementResult{Config: cfg}
@@ -92,11 +90,7 @@ func RunDelayPlacement(cfg PlacementConfig) (*PlacementResult, error) {
 			},
 		}
 	}
-	parallel := cfg.Parallel
-	if parallel == 0 {
-		parallel = 1
-	}
-	rows, err := sweep.Run(cells, sweep.Options{RootSeed: cfg.Seed, Parallel: parallel})
+	rows, err := sweep.Run(cells, sweep.Options{RootSeed: cfg.Seed, Parallel: cfg.Parallel})
 	if err != nil {
 		return nil, fmt.Errorf("placement: %w", err)
 	}
@@ -174,85 +168,54 @@ func runPlacement(cfg PlacementConfig, policy string, seed int64) (*PlacementRow
 		Latency: netsim.LogNormalJitter{Base: 20 * time.Millisecond, MedianJitter: time.Millisecond, Sigma: 0.5},
 	}
 
-	prefix := ndn.MustParseName("/p")
-	connectAndRoute := func(from, to *fwd.Forwarder, link netsim.LinkConfig) error {
-		face, _, _, err := fwd.Connect(sim, from, to, link)
-		if err != nil {
-			return err
+	for _, link := range []struct {
+		from, to *fwd.Forwarder
+		cfg      netsim.LinkConfig
+	}{
+		{uHost, r1, edge}, {a1Host, r1, edge}, {r1, r2, interior},
+		{a2Host, r2, edge}, {primeHost, r2, edge}, {r2, pHost, far},
+	} {
+		if err := fwd.Chain(sim, []*fwd.Forwarder{link.from, link.to}, link.cfg, "/p"); err != nil {
+			return nil, err
 		}
-		return from.RegisterPrefix(prefix, face)
-	}
-	if err := connectAndRoute(uHost, r1, edge); err != nil {
-		return nil, err
-	}
-	if err := connectAndRoute(a1Host, r1, edge); err != nil {
-		return nil, err
-	}
-	if err := connectAndRoute(r1, r2, interior); err != nil {
-		return nil, err
-	}
-	if err := connectAndRoute(a2Host, r2, edge); err != nil {
-		return nil, err
-	}
-	if err := connectAndRoute(primeHost, r2, edge); err != nil {
-		return nil, err
-	}
-	if err := connectAndRoute(r2, pHost, far); err != nil {
-		return nil, err
 	}
 
+	prefix := ndn.MustParseName("/p")
 	producer, err := fwd.NewProducer(pHost, prefix, nil)
 	if err != nil {
 		return nil, err
 	}
-	total := cfg.Objects * 4 // four disjoint object pools
-	for i := 0; i < total; i++ {
-		d, err := ndn.NewData(prefix.AppendString("obj", fmt.Sprintf("%d", i)), []byte("payload"))
-		if err != nil {
-			return nil, err
+	// Four disjoint object pools of cfg.Objects each.
+	var pools [4][]ndn.Name
+	for k := range pools {
+		pools[k] = make([]ndn.Name, cfg.Objects)
+		for i := range pools[k] {
+			pools[k][i] = prefix.AppendString("obj", fmt.Sprintf("%d", k*cfg.Objects+i))
+			d, err := ndn.NewData(pools[k][i], []byte("payload"))
+			if err != nil {
+				return nil, err
+			}
+			d.Private = true
+			if err := producer.Publish(d); err != nil {
+				return nil, err
+			}
 		}
-		d.Private = true
-		if err := producer.Publish(d); err != nil {
-			return nil, err
-		}
-	}
-	objName := func(pool, i int) ndn.Name {
-		return prefix.AppendString("obj", fmt.Sprintf("%d", pool*cfg.Objects+i))
 	}
 
-	user, err := fwd.NewConsumer(uHost)
-	if err != nil {
-		return nil, err
-	}
-	primer, err := fwd.NewConsumer(primeHost)
-	if err != nil {
-		return nil, err
-	}
-	a1, err := attack.NewProber(a1Host)
-	if err != nil {
-		return nil, err
-	}
-	a2, err := attack.NewProber(a2Host)
-	if err != nil {
-		return nil, err
-	}
-
-	fetchRTT := func(c *fwd.Consumer, name ndn.Name) (time.Duration, error) {
-		var res fwd.FetchResult
-		c.FetchName(name, func(r fwd.FetchResult) { res = r })
-		sim.Run()
-		if res.TimedOut {
-			return 0, fmt.Errorf("fetch %s timed out", name)
+	var probers [4]*attack.Prober
+	for i, host := range []*fwd.Forwarder{uHost, primeHost, a1Host, a2Host} {
+		if probers[i], err = attack.NewProber(host); err != nil {
+			return nil, err
 		}
-		return res.RTT, nil
 	}
+	user, primer, a1, a2 := probers[0], probers[1], probers[2], probers[3]
 
 	row := &PlacementRow{Policy: policy}
 
 	// Pool 0: cold-path baseline latency for U.
 	var cold stats.Summary
-	for i := 0; i < cfg.Objects; i++ {
-		rtt, err := fetchRTT(user, objName(0, i))
+	for _, name := range pools[0] {
+		rtt, err := user.Probe(name)
 		if err != nil {
 			return nil, err
 		}
@@ -262,14 +225,14 @@ func runPlacement(cfg PlacementConfig, policy string, seed int64) (*PlacementRow
 
 	// Pool 1: primed at R2 only, then fetched by U — the in-network
 	// caching benefit that interior delaying destroys.
-	for i := 0; i < cfg.Objects; i++ {
-		if _, err := fetchRTT(primer, objName(1, i)); err != nil {
+	for _, name := range pools[1] {
+		if _, err := primer.Probe(name); err != nil {
 			return nil, err
 		}
 	}
 	var interiorHits stats.Summary
-	for i := 0; i < cfg.Objects; i++ {
-		rtt, err := fetchRTT(user, objName(1, i))
+	for _, name := range pools[1] {
+		rtt, err := user.Probe(name)
 		if err != nil {
 			return nil, err
 		}
@@ -278,66 +241,18 @@ func runPlacement(cfg PlacementConfig, policy string, seed int64) (*PlacementRow
 	row.InteriorHitLatencyMs = interiorHits.Mean()
 
 	// Pool 2: A1 probes R1 — misses cold, hits after U primes them.
-	a1Res := &attack.Result{Label: "A1"}
-	for i := 0; i < cfg.Objects/2; i++ {
-		rtt, err := a1.Probe(objName(2, i))
-		if err != nil {
-			return nil, err
-		}
-		a1Res.Miss = append(a1Res.Miss, float64(rtt)/float64(time.Millisecond))
-	}
-	for i := cfg.Objects / 2; i < cfg.Objects; i++ {
-		if _, err := fetchRTT(user, objName(2, i)); err != nil {
-			return nil, err
-		}
-	}
-	for i := cfg.Objects / 2; i < cfg.Objects; i++ {
-		rtt, err := a1.Probe(objName(2, i))
-		if err != nil {
-			return nil, err
-		}
-		a1Res.Hit = append(a1Res.Hit, float64(rtt)/float64(time.Millisecond))
-	}
-	hitEmp, err := stats.NewEmpirical(a1Res.Hit)
+	edgeAdv, err := attack.ProbeHalves(a1, user, pools[2])
 	if err != nil {
 		return nil, err
 	}
-	missEmp, err := stats.NewEmpirical(a1Res.Miss)
-	if err != nil {
-		return nil, err
-	}
-	row.EdgeAdvAccuracy, _ = stats.ThresholdAccuracy(hitEmp, missEmp)
+	row.EdgeAdvAccuracy = edgeAdv.Accuracy
 
 	// Pool 3: A2 probes R2 — misses cold, hits after the primer.
-	var a2Hit, a2Miss []float64
-	for i := 0; i < cfg.Objects/2; i++ {
-		rtt, err := a2.Probe(objName(3, i))
-		if err != nil {
-			return nil, err
-		}
-		a2Miss = append(a2Miss, float64(rtt)/float64(time.Millisecond))
-	}
-	for i := cfg.Objects / 2; i < cfg.Objects; i++ {
-		if _, err := fetchRTT(primer, objName(3, i)); err != nil {
-			return nil, err
-		}
-	}
-	for i := cfg.Objects / 2; i < cfg.Objects; i++ {
-		rtt, err := a2.Probe(objName(3, i))
-		if err != nil {
-			return nil, err
-		}
-		a2Hit = append(a2Hit, float64(rtt)/float64(time.Millisecond))
-	}
-	hit2, err := stats.NewEmpirical(a2Hit)
+	coreAdv, err := attack.ProbeHalves(a2, primer, pools[3])
 	if err != nil {
 		return nil, err
 	}
-	miss2, err := stats.NewEmpirical(a2Miss)
-	if err != nil {
-		return nil, err
-	}
-	row.CoreAdvAccuracy, _ = stats.ThresholdAccuracy(hit2, miss2)
+	row.CoreAdvAccuracy = coreAdv.Accuracy
 	return row, nil
 }
 

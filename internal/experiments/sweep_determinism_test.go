@@ -218,16 +218,14 @@ func TestSweepDeterminismTiered(t *testing.T) {
 		reg := telemetry.NewRegistry()
 		rec := telemetry.NewRecorder()
 		spans := span.NewTracer(9)
-		res, err := attack.RunTiered(attack.TieredScenarioConfig{
-			ScenarioConfig: attack.ScenarioConfig{
-				Seed:     9,
-				Objects:  24,
-				Runs:     4,
-				Parallel: parallel,
-				Metrics:  reg,
-				Trace:    rec,
-				Spans:    spans,
-			},
+		res, err := attack.RunTiered(attack.ScenarioConfig{
+			Seed:     9,
+			Objects:  24,
+			Runs:     4,
+			Parallel: parallel,
+			Metrics:  reg,
+			Trace:    rec,
+			Spans:    spans,
 		})
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)

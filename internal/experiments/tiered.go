@@ -3,11 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"ndnprivacy/internal/attack"
-	"ndnprivacy/internal/core"
-	"ndnprivacy/internal/netsim"
 )
 
 // The tiered-store experiment (E9): replace the shared router's flat
@@ -41,67 +38,23 @@ type TieredCountermeasureRow struct {
 // which folds RAM hits into misses but cannot hide the disk tier's read
 // cost, because that cost lands on top of the replayed delay. The
 // random-cache countermeasure degrades placement engineering instead.
-func RunTieredTiming(cfg Figure3Config) (*TieredTimingResult, error) {
-	cfg.setDefaults()
-	base := func() attack.TieredScenarioConfig {
-		return attack.TieredScenarioConfig{ScenarioConfig: cfg.scenario()}
-	}
-	sc := base()
+func RunTieredTiming(cfg attack.ScenarioConfig) (*TieredTimingResult, error) {
 	out := &TieredTimingResult{}
-	res, err := attack.RunTiered(sc)
+	res, err := attack.RunTiered(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("tiered baseline: %w", err)
 	}
 	out.Base = res
-
-	type managerCase struct {
-		name  string
-		build func(sim *netsim.Simulator) core.CacheManager
-	}
-	cases := []managerCase{
-		{name: "always-delay/content-specific γ_C", build: func(*netsim.Simulator) core.CacheManager {
-			m, err := core.NewDelayManager(core.NewContentSpecificDelay())
-			if err != nil {
-				panic(err)
-			}
-			return m
-		}},
-		{name: "always-delay/constant γ=12ms", build: func(*netsim.Simulator) core.CacheManager {
-			s, err := core.NewConstantDelay(12 * time.Millisecond)
-			if err != nil {
-				panic(err)
-			}
-			m, err := core.NewDelayManager(s)
-			if err != nil {
-				panic(err)
-			}
-			return m
-		}},
-		{name: "uniform random-cache (k=1, δ=0.05)", build: func(sim *netsim.Simulator) core.CacheManager {
-			dist, err := core.NewUniformForPrivacy(1, 0.05)
-			if err != nil {
-				panic(err)
-			}
-			m, err := core.NewRandomCache(dist, sim.Rand())
-			if err != nil {
-				panic(err)
-			}
-			return m
-		}},
-	}
-	for _, c := range cases {
+	for _, d := range []defense{contentSpecificDelay, constantDelay, uniformRandomCache} {
 		// Same root seed across cases: per-run seeds derive from the
 		// scenario label and run index, so every defense faces identical
 		// randomness.
-		sc := base()
-		sc.Manager = c.build
-		sc.MarkPrivate = true
-		res, err := attack.RunTiered(sc)
+		res, err := attack.RunTiered(d.against(cfg))
 		if err != nil {
-			return nil, fmt.Errorf("tiered countermeasure %q: %w", c.name, err)
+			return nil, fmt.Errorf("tiered countermeasure %q: %w", d.name, err)
 		}
 		out.Rows = append(out.Rows, TieredCountermeasureRow{
-			Name:     c.name,
+			Name:     d.name,
 			Accuracy: res.Accuracy,
 			T1:       res.T1,
 			T2:       res.T2,

@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"strings"
 	"testing"
+
+	"ndnprivacy/internal/attack"
 )
 
 // e15Golden is the sha256 of `ndnsim -fig tier -seed 1` (E15 at the CLI
@@ -17,7 +19,7 @@ import (
 const e15Golden = "3273ce71dcc15600d332683dc226ca6304a8f3a686df3d11f1b92218e9aca097"
 
 func TestTieredTimingGolden(t *testing.T) {
-	res, err := RunTieredTiming(Figure3Config{Seed: 1, Objects: 200, Runs: 5})
+	res, err := RunTieredTiming(attack.ScenarioConfig{Seed: 1, Objects: 200, Runs: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +32,7 @@ func TestTieredTimingGolden(t *testing.T) {
 }
 
 func TestRunTieredTiming(t *testing.T) {
-	res, err := RunTieredTiming(Figure3Config{Seed: 1, Objects: 30, Runs: 2})
+	res, err := RunTieredTiming(attack.ScenarioConfig{Seed: 1, Objects: 30, Runs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

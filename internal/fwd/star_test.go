@@ -7,6 +7,7 @@ import (
 
 	"ndnprivacy/internal/ndn"
 	"ndnprivacy/internal/netsim"
+	"ndnprivacy/internal/table"
 )
 
 // starTopology: n consumer hosts and one producer host around a caching
@@ -35,10 +36,7 @@ func starTopology(t *testing.T, seed int64, consumers int) (*netsim.Simulator, [
 	cfg := netsim.LinkConfig{
 		Latency: netsim.UniformJitter{Base: time.Millisecond, Jitter: 200 * time.Microsecond},
 	}
-	hubFaces, err := Star(sim, hub, leaves, cfg, "/p")
-	if err != nil {
-		t.Fatal(err)
-	}
+	hubFaces := star(t, sim, hub, leaves, cfg)
 	// Route the prefix from the hub toward the producer leaf (last).
 	if err := hub.RegisterPrefix(ndn.MustParseName("/p"), hubFaces[len(hubFaces)-1]); err != nil {
 		t.Fatal(err)
@@ -58,21 +56,22 @@ func starTopology(t *testing.T, seed int64, consumers int) (*netsim.Simulator, [
 	return sim, cs, producer, hub
 }
 
-func TestStarValidation(t *testing.T) {
-	sim := netsim.New(1)
-	hub, err := NewRouter(sim, "hub", 0, nil)
-	if err != nil {
-		t.Fatal(err)
+// star connects every leaf to hub and routes /p from each leaf toward
+// the hub. It returns the hub-side face of each leaf, in order.
+func star(t *testing.T, sim *netsim.Simulator, hub *Forwarder, leaves []*Forwarder, cfg netsim.LinkConfig) []table.FaceID {
+	t.Helper()
+	hubFaces := make([]table.FaceID, len(leaves))
+	for i, leaf := range leaves {
+		leafFace, hubFace, _, err := Connect(sim, leaf, hub, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := leaf.RegisterPrefix(ndn.MustParseName("/p"), leafFace); err != nil {
+			t.Fatal(err)
+		}
+		hubFaces[i] = hubFace
 	}
-	if _, err := Star(sim, nil, []*Forwarder{hub}, netsim.LinkConfig{Latency: netsim.Fixed(0)}); err == nil {
-		t.Error("nil hub accepted")
-	}
-	if _, err := Star(sim, hub, nil, netsim.LinkConfig{Latency: netsim.Fixed(0)}); err == nil {
-		t.Error("no leaves accepted")
-	}
-	if _, err := Star(sim, hub, []*Forwarder{hub}, netsim.LinkConfig{Latency: netsim.Fixed(0)}, "bad prefix"); err == nil {
-		t.Error("bad prefix accepted")
-	}
+	return hubFaces
 }
 
 func TestStarFlashCrowdAggregation(t *testing.T) {

@@ -55,10 +55,7 @@ func runHubWorkload(t *testing.T, store *cache.Store, probe bool) (Stats, []byte
 		}
 	}
 	link := netsim.LinkConfig{Latency: netsim.UniformJitter{Base: time.Millisecond, Jitter: 200 * time.Microsecond}}
-	hubFaces, err := Star(sim, hub, leaves, link, "/p")
-	if err != nil {
-		t.Fatal(err)
-	}
+	hubFaces := star(t, sim, hub, leaves, link)
 	pHost := leaves[len(leaves)-1]
 	if err := hub.RegisterPrefix(ndn.MustParseName("/p"), hubFaces[len(hubFaces)-1]); err != nil {
 		t.Fatal(err)

@@ -91,38 +91,6 @@ func Connect(sim *netsim.Simulator, a, b *Forwarder, cfg netsim.LinkConfig) (aID
 	return aID, bID, link, nil
 }
 
-// Star connects every leaf forwarder to one hub with identical link
-// configs and routes the given prefixes from each leaf toward the hub —
-// the shape of the paper's Figure 1 generalized to many consumers. It
-// returns the hub-side face of each leaf, in order, so callers can
-// install hub routes (e.g., toward a producer leaf).
-func Star(sim *netsim.Simulator, hub *Forwarder, leaves []*Forwarder, cfg netsim.LinkConfig, prefixes ...string) ([]table.FaceID, error) {
-	if hub == nil {
-		return nil, fmt.Errorf("fwd: star needs a hub")
-	}
-	if len(leaves) == 0 {
-		return nil, fmt.Errorf("fwd: star needs at least one leaf")
-	}
-	hubFaces := make([]table.FaceID, 0, len(leaves))
-	for _, leaf := range leaves {
-		leafFace, hubFace, _, err := Connect(sim, leaf, hub, cfg)
-		if err != nil {
-			return nil, err
-		}
-		hubFaces = append(hubFaces, hubFace)
-		for _, prefix := range prefixes {
-			name, err := ndn.ParseName(prefix)
-			if err != nil {
-				return nil, err
-			}
-			if err := leaf.RegisterPrefix(name, leafFace); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return hubFaces, nil
-}
-
 // Chain connects a sequence of forwarders into a path with identical link
 // configs and installs default routes in both directions for the given
 // prefix: interests for the prefix flow toward the last node, so the

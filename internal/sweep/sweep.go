@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
 	"strings"
@@ -37,9 +36,8 @@ type Cell[R any] struct {
 type Options struct {
 	// RootSeed is the experiment seed every cell seed is derived from.
 	RootSeed int64
-	// Parallel bounds the worker pool; values <= 0 mean
-	// runtime.GOMAXPROCS(0). Parallel == 1 executes cells sequentially
-	// on the calling goroutine.
+	// Parallel bounds the worker pool; values <= 1 execute cells
+	// sequentially on the calling goroutine.
 	Parallel int
 	// Metrics, when non-nil, receives every cell's metrics, merged in
 	// cell order once the cell (and all earlier cells) completed.
@@ -110,9 +108,6 @@ func (e *Errors) Unwrap() []error {
 // any Parallel value.
 func Run[R any](cells []Cell[R], opts Options) (results []R, err error) {
 	workers := opts.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if workers > len(cells) {
 		workers = len(cells)
 	}

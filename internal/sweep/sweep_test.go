@@ -264,7 +264,7 @@ func TestWorkerPoolStress(t *testing.T) {
 
 func TestParallelCapping(t *testing.T) {
 	// Parallel > len(cells) must not deadlock or leak workers; Parallel
-	// < 0 falls back to GOMAXPROCS.
+	// <= 1 runs the cells serially.
 	for _, parallel := range []int{-1, 0, 64} {
 		results, err := Run(intCells(3), Options{Parallel: parallel})
 		if err != nil {
