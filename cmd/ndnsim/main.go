@@ -14,7 +14,8 @@
 //
 // Every experiment is one entry of experiments.Table; -fig names one
 // entry, and "all" (the default) runs every entry except "bounds" (the
-// (k, ε, δ) calculator for -k/-eps/-delta) and "squid" (-squidlog FILE
+// (k, ε, δ) calculator for -k/-eps/-delta), "audit" (the empirical
+// (ε, δ) audit of four cache managers) and "squid" (-squidlog FILE
 // replays a real proxy log at -cache entries instead of -fig). The
 // paper's scale is -paper (-objects 1000 -runs 50 -requests 3200000);
 // the defaults are smaller so everything finishes in seconds. With
@@ -71,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("ndnsim", flag.ExitOnError)
 	fs.SetOutput(stderr)
 	var p experiments.Params
-	fig := fs.String("fig", "all", "experiment: "+experiments.IDs()+" (all leaves out bounds and squid)")
+	fig := fs.String("fig", "all", "experiment: "+experiments.IDs()+" (all leaves out bounds, audit and squid)")
 	fs.Int64Var(&p.Seed, "seed", 1, "experiment seed")
 	fs.IntVar(&p.Parallel, "parallel", runtime.GOMAXPROCS(0), "worker pool size for independent trials (output is identical for any value)")
 	jsonMode := fs.Bool("json", false, "emit one JSON document instead of tables")

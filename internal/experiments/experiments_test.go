@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"ndnprivacy/internal/attack"
+	"ndnprivacy/internal/telemetry/span"
 	"ndnprivacy/internal/trace"
 )
 
@@ -265,6 +266,33 @@ func TestFigure5b(t *testing.T) {
 	}
 	if !strings.Contains(res.Render(), "Figure 5(b)") {
 		t.Error("render missing title")
+	}
+}
+
+// ReplaySquid hands its tracer to every replay, as Figure 5 does: a
+// three-line log, two of its requests for one URL, records a residency
+// span for each entry each of the three stores cached.
+func TestReplaySquidRecordsSpans(t *testing.T) {
+	const log = `1188637445.123 95 203.0.113.7 TCP_MISS/200 4512 GET http://example.com/a - DIRECT/198.51.100.2 text/html
+1188637445.500 12 203.0.113.7 TCP_HIT/200 4512 GET http://example.com/a - NONE/- text/html
+1188637446.000 200 203.0.113.9 TCP_MISS/200 900 GET http://other.org/b - DIRECT/192.0.2.9 text/html
+`
+	path := filepath.Join(t.TempDir(), "access.log")
+	if err := os.WriteFile(path, []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tracer := span.NewTracer(1)
+	if _, err := ReplaySquid(path, 0, Figure5Config{Seed: 1, K: 5, Epsilon: 0.005, Spans: tracer}); err != nil {
+		t.Fatal(err)
+	}
+	residencies := 0
+	for _, r := range tracer.Records() {
+		if r.Kind == span.KindResidency {
+			residencies++
+		}
+	}
+	if residencies != 6 {
+		t.Errorf("replaying 2 URLs through 3 stores recorded %d residency spans, want 6", residencies)
 	}
 }
 

@@ -332,7 +332,7 @@ func ReplaySquid(path string, cacheSize int, cfg Figure5Config) (*SquidResult, e
 			return nil, err
 		}
 		stats, err := trace.ReplaySquidLog(f, trace.SquidOptions{PrivateFraction: cfg.PrivateFraction, Seed: cfg.Seed},
-			trace.ReplayConfig{CacheSize: cacheSize, Manager: manager, Metrics: cfg.Metrics, Trace: cfg.Trace, Node: "squid/" + algo})
+			trace.ReplayConfig{CacheSize: cacheSize, Manager: manager, Metrics: cfg.Metrics, Trace: cfg.Trace, Spans: cfg.Spans, Node: "squid/" + algo})
 		if closeErr := f.Close(); err == nil {
 			err = closeErr
 		}

@@ -8,6 +8,7 @@ import (
 	"ndnprivacy/internal/fwd"
 	"ndnprivacy/internal/ndn"
 	"ndnprivacy/internal/netsim"
+	"ndnprivacy/internal/session"
 	"ndnprivacy/internal/stats"
 	"ndnprivacy/internal/sweep"
 	"ndnprivacy/internal/telemetry"
@@ -136,47 +137,40 @@ func runLossRecoveryOnce(cfg LossRecoveryConfig, caching bool) (*LossRecoveryRow
 	}, "/call"); err != nil {
 		return nil, err
 	}
-	prefix := ndn.MustParseName("/call")
-	producer, err := fwd.NewProducer(pHost, prefix, nil)
+	// Interactive traffic uses unpredictable names (Section V-A):
+	// caching still aids loss recovery while probing is impossible. U
+	// receives the frames P's endpoint sends under /call/0.
+	const lifetime = 120 * time.Millisecond
+	endpoint := func(host *fwd.Forwarder, local, remote string) (*session.Endpoint, error) {
+		return session.NewEndpoint(session.Config{Host: host, LocalPrefix: ndn.MustParseName(local),
+			RemotePrefix: ndn.MustParseName(remote), Secret: []byte("u-p-session"), FrameLifetime: lifetime, Retries: 5})
+	}
+	sender, err := endpoint(pHost, "/call/0", "/call/1")
 	if err != nil {
 		return nil, err
 	}
-	secret, err := ndn.NewSharedSecret([]byte("u-p-session"))
-	if err != nil {
-		return nil, err
-	}
-	consumer, err := fwd.NewConsumer(uHost)
+	receiver, err := endpoint(uHost, "/call/1", "/call/0")
 	if err != nil {
 		return nil, err
 	}
 
 	row := &LossRecoveryRow{Caching: caching}
 	var all, retried stats.Summary
-	for seq := 0; seq < cfg.Packets; seq++ {
-		// Interactive traffic uses unpredictable names (Section V-A):
-		// caching still aids loss recovery while probing is impossible.
-		name := secret.UnpredictableName(prefix.AppendString("0"), uint64(seq))
-		d, err := ndn.NewData(name, []byte("voice frame payload"))
-		if err != nil {
+	for seq := uint64(0); seq < uint64(cfg.Packets); seq++ {
+		if err := sender.Send(seq, []byte("voice frame payload")); err != nil {
 			return nil, err
 		}
-		if err := producer.Publish(d); err != nil {
-			return nil, err
-		}
-		interest := ndn.NewInterest(name, 0)
-		interest.Lifetime = 120 * time.Millisecond
-		var res fwd.FetchResult
-		var used int
-		consumer.FetchReliable(interest, 5, func(r fwd.FetchResult, u int) { res, used = r, u })
+		var res session.FrameResult
+		receiver.Receive(seq, func(r session.FrameResult) { res = r })
 		sim.Run()
-		if res.TimedOut {
+		if res.Lost {
 			continue
 		}
 		row.Delivered++
-		row.Retries += used
-		totalLatency := float64(res.RTT+time.Duration(used)*interest.Lifetime) / float64(time.Millisecond)
+		row.Retries += res.Retries
+		totalLatency := float64(res.RTT+time.Duration(res.Retries)*lifetime) / float64(time.Millisecond)
 		all.Add(totalLatency)
-		if used > 0 {
+		if res.Retries > 0 {
 			retried.Add(float64(res.RTT) / float64(time.Millisecond))
 			if res.RTT < 10*time.Millisecond {
 				row.RecoveredFast++
@@ -185,7 +179,7 @@ func runLossRecoveryOnce(cfg LossRecoveryConfig, caching bool) (*LossRecoveryRow
 	}
 	row.MeanRTTMs = all.Mean()
 	row.RetryMeanMs = retried.Mean()
-	row.ProducerLoad = producer.Served()
+	row.ProducerLoad = sender.Served()
 	return row, nil
 }
 

@@ -36,8 +36,8 @@ type Params struct {
 	// Parallel bounds every sweep's worker pool; no output depends on it.
 	Parallel int
 	// Metrics, Trace and Spans, when non-nil, collect the telemetry of
-	// the Figure 3 simulations and the Figure 5 replays; Observe is
-	// handed every Figure 3 simulator.
+	// the Figure 3 simulations and the Figure 5 and Squid-log replays;
+	// Observe is handed every Figure 3 simulator.
 	Metrics *telemetry.Registry
 	Trace   telemetry.Sink
 	Spans   *span.Tracer
@@ -194,6 +194,10 @@ var Table = []Experiment{
 	{ID: "bounds", Extra: true, Run: func(s *Session) ([]Result, error) {
 		res, err := Bounds(s.K, s.Epsilon, s.Delta, s.MaxC)
 		return one("bounds", res, err)
+	}},
+	{ID: "audit", Extra: true, Run: func(s *Session) ([]Result, error) {
+		res, err := RunPrivacyAudit(s.Seed)
+		return one("privacy-audit", res, err)
 	}},
 	{ID: "squid", Extra: true, Run: func(s *Session) ([]Result, error) {
 		res, err := ReplaySquid(s.SquidLog, s.CacheSize, s.figure5())

@@ -13,8 +13,8 @@ func TestSelect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != len(Table)-2 {
-		t.Errorf("all selects %d entries, want every entry but bounds and squid (%d)", len(all), len(Table)-2)
+	if len(all) != len(Table)-3 {
+		t.Errorf("all selects %d entries, want every entry but bounds, audit and squid (%d)", len(all), len(Table)-3)
 	}
 	for _, e := range all {
 		if e.Extra {

@@ -153,6 +153,9 @@ func (e *Endpoint) Stats() (sent, received, repaired uint64) {
 	return e.sent, e.received, e.repaired
 }
 
+// Served returns how many interests this endpoint's producer answered.
+func (e *Endpoint) Served() uint64 { return e.producer.Served() }
+
 // Pair wires two endpoints of one conversation from a single secret.
 // Convenience for tests and examples; both hosts must already be able
 // to route each other's prefixes.

@@ -151,6 +151,11 @@ func TestTwoWayConversation(t *testing.T) {
 	if sentA != frames || recvA != frames {
 		t.Errorf("alice stats: sent %d recv %d", sentA, recvA)
 	}
+	// No loss and each frame fetched once: each producer answered one
+	// interest per frame.
+	if alice.Served() != frames || bob.Served() != frames {
+		t.Errorf("served %d and %d interests, want %d each", alice.Served(), bob.Served(), frames)
+	}
 }
 
 func TestLossRepairFromRouterCache(t *testing.T) {
