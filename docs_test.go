@@ -6,6 +6,7 @@ import (
 	"go/build"
 	"go/importer"
 	"go/parser"
+	"go/scanner"
 	"go/token"
 	"go/types"
 	"io/fs"
@@ -38,12 +39,16 @@ var retired = map[string]bool{"seedflow": true, "viewsafe": true, "alloccheck": 
 //     pkg.Name, Type.Member and pkg.Type.Member are checked level by level,
 //     against the standard library's export data for a standard package;
 //   - a string constant in the code (stage, span, counter and -fig names);
-//   - a path in the repository or in the standard library's source;
+//   - a path in the repository or in the standard library's source, or
+//     the module path;
 //   - a flag of ndnsim, ndnd, ndnlint or the benchmark, or of the go tool;
 //   - a benchmark workload or metric in BENCHMARK.json.
 //
 // Commands (ndnsim, ndnd, ndnlint, go, bash bench/run.sh), inline or in a
 // sh/console block, have each flag, each -fig value and each ./path checked.
+// In a go block, code and comments alike, every pkg.Name whose qualifier
+// names a package of this module, the root package included, must be
+// declared in that package's non-test files.
 func TestDocsNameLiveCode(t *testing.T) {
 	tr := loadTree(t)
 	for _, doc := range liveDocs {
@@ -59,21 +64,23 @@ func TestDocsNameLiveCode(t *testing.T) {
 	}
 }
 
-// A docRef is one inline code span, or one command line of a shell block.
+// A docRef is one inline code span, one command line of a shell block, or
+// one pkg.Name selector of a go block.
 type docRef struct {
 	text string
 	line int
+	api  bool // a selector from a go block
 }
 
 var codeSpan = regexp.MustCompile("`([^`]+)`")
 
 // docRefs returns the inline code spans of a Markdown document, a span
-// possibly broken across lines of one paragraph, and each command line of
-// its sh and console blocks.
+// possibly broken across lines of one paragraph, each command line of its
+// sh and console blocks, and the package selectors of its go blocks.
 func docRefs(doc string) []docRef {
 	var refs []docRef
-	var para []string
-	paraStart := 0
+	var para, code []string
+	paraStart, codeStart := 0, 0
 	flush := func() {
 		text := strings.Join(para, "\n")
 		for _, m := range codeSpan.FindAllStringSubmatchIndex(text, -1) {
@@ -92,12 +99,17 @@ func docRefs(doc string) []docRef {
 				if fence == "" {
 					fence = "text"
 				}
+				code, codeStart = code[:0], i+2
 			} else if trimmed == "```" {
+				if fence == "go" {
+					refs = append(refs, goSelectors(strings.Join(code, "\n"), codeStart)...)
+				}
 				fence = ""
 			}
 			continue
 		}
 		if fence != "" {
+			code = append(code, line)
 			if fence == "sh" || fence == "console" {
 				cmd := strings.TrimPrefix(trimmed, "$ ")
 				if cmd, _, _ = strings.Cut(cmd, "#"); isCommand(strings.Fields(cmd)) {
@@ -119,10 +131,68 @@ func docRefs(doc string) []docRef {
 	return refs
 }
 
+var commentSelector = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Za-z_][A-Za-z0-9_]*)`)
+
+// goSelectors returns each pkg.Name of a go block, in code or in a
+// comment, whose qualifier the block does not declare as a variable.
+// first is the document line of the block's first line.
+func goSelectors(src string, first int) []docRef {
+	var fset token.FileSet
+	var s scanner.Scanner
+	s.Init(fset.AddFile("", -1, len(src)), []byte(src), nil, scanner.ScanComments)
+	type tok struct {
+		pos token.Pos
+		tok token.Token
+		lit string
+	}
+	var toks []tok
+	for {
+		pos, t, lit := s.Scan()
+		if t == token.EOF {
+			break
+		}
+		toks = append(toks, tok{pos, t, lit})
+	}
+	local := map[string]bool{}
+	for i, t := range toks {
+		switch {
+		case t.tok == token.DEFINE: // a, b := …
+			for j := i - 1; j >= 0 && toks[j].tok == token.IDENT; j -= 2 {
+				local[toks[j].lit] = true
+				if j == 0 || toks[j-1].tok != token.COMMA {
+					break
+				}
+			}
+		case t.tok == token.VAR && i+1 < len(toks) && toks[i+1].tok == token.IDENT:
+			local[toks[i+1].lit] = true
+		}
+	}
+	var refs []docRef
+	add := func(pos token.Pos, pkg, name string) {
+		if !local[pkg] {
+			refs = append(refs, docRef{text: pkg + "." + name, line: first + fset.Position(pos).Line - 1, api: true})
+		}
+	}
+	for i, t := range toks {
+		switch {
+		case t.tok == token.COMMENT:
+			for _, m := range commentSelector.FindAllStringSubmatch(t.lit, -1) {
+				add(t.pos, m[1], m[2])
+			}
+		case t.tok == token.IDENT && i+2 < len(toks) && toks[i+1].tok == token.PERIOD && toks[i+2].tok == token.IDENT &&
+			(i == 0 || toks[i-1].tok != token.PERIOD):
+			add(t.pos, t.lit, toks[i+2].lit)
+		}
+	}
+	return refs
+}
+
 // tree is what a document may name.
 type tree struct {
 	idents   map[string]bool            // every identifier declared anywhere
 	pkgs     map[string]map[string]bool // package name → its top-level names
+	api      map[string]map[string]bool // module package name → names its non-test files declare
+	module   string                     // the module path, from go.mod
 	members  map[string]map[string]bool // type name → its fields and methods
 	strs     map[string]bool            // every string literal's value
 	flags    map[string]map[string]bool // command → its flags
@@ -145,12 +215,24 @@ var flagMethods = map[string]int{"String": 0, "Int": 0, "Int64": 0, "Uint": 0, "
 
 func loadTree(t *testing.T) *tree {
 	t.Helper()
-	tr := &tree{idents: map[string]bool{}, pkgs: map[string]map[string]bool{},
+	tr := &tree{idents: map[string]bool{}, pkgs: map[string]map[string]bool{}, api: map[string]map[string]bool{},
 		members: map[string]map[string]bool{}, strs: map[string]bool{}, flags: map[string]map[string]bool{},
 		figs: map[string]bool{"all": true}, metrics: map[string]bool{}, files: map[string]bool{},
 		std: map[string][]string{}, importer: importer.Default(), goroot: build.Default.GOROOT}
+	mod, err := os.ReadFile("go.mod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(mod), "\n") {
+		if modPath, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			tr.module = strings.TrimSpace(modPath)
+		}
+	}
+	// The root directory is a package of the module even when no non-test
+	// file declares anything in it.
+	tr.api[path.Base(tr.module)] = map[string]bool{}
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -168,7 +250,7 @@ func loadTree(t *testing.T) *tree {
 		if err != nil {
 			return err
 		}
-		tr.addFile(f, filepath.ToSlash(filepath.Dir(p)))
+		tr.addFile(f, filepath.ToSlash(filepath.Dir(p)), strings.HasSuffix(p, "_test.go"))
 		return nil
 	})
 	if err != nil {
@@ -222,12 +304,25 @@ func (tr *tree) addFlag(cmd, name string) {
 	tr.flags[cmd][name] = true
 }
 
-func (tr *tree) addFile(f *ast.File, dir string) {
+func (tr *tree) addFile(f *ast.File, dir string, test bool) {
 	pkg := f.Name.Name
 	if tr.pkgs[pkg] == nil {
 		tr.pkgs[pkg] = map[string]bool{}
 	}
-	top := tr.pkgs[pkg]
+	var api map[string]bool // nil for what a test or a command declares
+	if !test && pkg != "main" {
+		if tr.api[pkg] == nil {
+			tr.api[pkg] = map[string]bool{}
+		}
+		api = tr.api[pkg]
+	}
+	declare := func(name string) {
+		tr.pkgs[pkg][name] = true
+		tr.idents[name] = true
+		if api != nil {
+			api[name] = true
+		}
+	}
 	member := func(typ, name string) {
 		if tr.members[typ] == nil {
 			tr.members[typ] = map[string]bool{}
@@ -237,7 +332,7 @@ func (tr *tree) addFile(f *ast.File, dir string) {
 	}
 	for _, imp := range f.Imports {
 		p, _ := strconv.Unquote(imp.Path.Value)
-		if first, _, _ := strings.Cut(p, "/"); strings.Contains(first, ".") || first == "ndnprivacy" {
+		if first, _, _ := strings.Cut(p, "/"); strings.Contains(first, ".") || first == tr.module {
 			continue
 		}
 		name := path.Base(p)
@@ -256,8 +351,7 @@ func (tr *tree) addFile(f *ast.File, dir string) {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
 			if d.Recv == nil {
-				top[d.Name.Name] = true
-				tr.idents[d.Name.Name] = true
+				declare(d.Name.Name)
 			} else {
 				member(receiverType(d.Recv.List[0].Type), d.Name.Name)
 			}
@@ -265,8 +359,7 @@ func (tr *tree) addFile(f *ast.File, dir string) {
 			for _, spec := range d.Specs {
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
-					top[s.Name.Name] = true
-					tr.idents[s.Name.Name] = true
+					declare(s.Name.Name)
 					if tr.members[s.Name.Name] == nil {
 						tr.members[s.Name.Name] = map[string]bool{}
 					}
@@ -283,8 +376,7 @@ func (tr *tree) addFile(f *ast.File, dir string) {
 					})
 				case *ast.ValueSpec:
 					for _, name := range s.Names {
-						top[name.Name] = true
-						tr.idents[name.Name] = true
+						declare(name.Name)
 					}
 				}
 			}
@@ -373,6 +465,13 @@ var (
 // or is not a name (a number, an expression, a content name, prose).
 func (tr *tree) check(ref docRef) string {
 	s := ref.text
+	if ref.api {
+		pkg, name, _ := strings.Cut(s, ".")
+		if names := tr.api[pkg]; names != nil && !names[name] {
+			return "package " + pkg + " of this module declares no " + name
+		}
+		return ""
+	}
 	fields := strings.Fields(s)
 	if isCommand(fields) {
 		return tr.checkCommand(fields)
@@ -541,7 +640,7 @@ func (tr *tree) resolveGo(s string) bool {
 	if len(parts) == 1 {
 		name := parts[0]
 		return tr.idents[name] || tr.idents["Test"+name] || tr.idents["Benchmark"+name] || tr.idents["Fuzz"+name] ||
-			tr.pkgs[name] != nil || len(tr.std[name]) > 0 || token.IsKeyword(name) || types.Universe.Lookup(name) != nil ||
+			tr.pkgs[name] != nil || name == tr.module || len(tr.std[name]) > 0 || token.IsKeyword(name) || types.Universe.Lookup(name) != nil ||
 			tr.pathExists(name) || tr.pathExists("cmd/"+name)
 	}
 	if top := tr.pkgs[parts[0]]; top != nil && top[parts[1]] && tr.membersResolve(parts[1:]) {

@@ -11,7 +11,8 @@ import (
 	"math/rand"
 	"os"
 
-	"ndnprivacy"
+	"ndnprivacy/internal/core"
+	"ndnprivacy/internal/trace"
 )
 
 func main() {
@@ -27,35 +28,35 @@ func run() error {
 		eps   = 0.005
 		delta = 0.05
 	)
-	alpha, err := ndnprivacy.GeometricAlphaForEps(k, eps)
+	alpha, err := core.GeometricAlphaForEpsilon(k, eps)
 	if err != nil {
 		return err
 	}
-	dist, err := ndnprivacy.NewGeometricForPrivacy(k, eps, delta)
+	dist, err := core.NewGeometricForPrivacy(k, eps, delta)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("Exponential-Random-Cache: α = %.6f, %s\n", alpha, dist.Name())
-	fmt.Printf("guarantee: %v\n\n", ndnprivacy.ExponentialPrivacy(k, dist.Alpha(), dist.DomainSize()))
+	fmt.Printf("guarantee: %v\n\n", core.ExponentialPrivacy(k, dist.Alpha(), dist.DomainSize()))
 
 	// Replay a content-distribution day through a bounded router cache.
-	gen, err := ndnprivacy.NewTraceGenerator(ndnprivacy.DefaultTraceConfig(11, 60000))
+	gen, err := trace.NewGenerator(trace.DefaultGeneratorConfig(11, 60000))
 	if err != nil {
 		return err
 	}
-	manager, err := ndnprivacy.NewRandomCache(dist, rand.New(rand.NewSource(1)))
+	manager, err := core.NewRandomCache(dist, rand.New(rand.NewSource(1)))
 	if err != nil {
 		return err
 	}
-	stats, err := ndnprivacy.ReplayTrace(gen, ndnprivacy.ReplayConfig{
+	stats, err := trace.Replay(gen, trace.ReplayConfig{
 		CacheSize: 6000,
 		Manager:   manager,
 	})
 	if err != nil {
 		return err
 	}
-	baselineManager := ndnprivacy.NewNoPrivacy()
-	baseline, err := ndnprivacy.ReplayTrace(gen, ndnprivacy.ReplayConfig{
+	baselineManager := core.NewNoPrivacy()
+	baseline, err := trace.Replay(gen, trace.ReplayConfig{
 		CacheSize: 6000,
 		Manager:   baselineManager,
 	})
@@ -74,7 +75,7 @@ func run() error {
 	fmt.Println("utility u(c) for one private content after c requests (Theorem VI.4):")
 	fmt.Printf("%8s %10s\n", "c", "u(c)")
 	for _, c := range []uint64{1, 10, 100, 1000, 5000} {
-		fmt.Printf("%8d %10.4f\n", c, ndnprivacy.Utility(dist, c))
+		fmt.Printf("%8d %10.4f\n", c, core.Utility(dist, c))
 	}
 	fmt.Println("\nonly genuinely popular private content earns cache hits — exactly the")
 	fmt.Println("popularity-based relaxation of Definition IV.3.")

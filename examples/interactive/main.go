@@ -11,7 +11,9 @@ import (
 	"os"
 	"time"
 
-	"ndnprivacy"
+	"ndnprivacy/internal/fwd"
+	"ndnprivacy/internal/ndn"
+	"ndnprivacy/internal/netsim"
 )
 
 func main() {
@@ -22,51 +24,51 @@ func main() {
 }
 
 func run() error {
-	sim := ndnprivacy.NewSimulator(2026)
+	sim := netsim.New(2026)
 
-	router, err := ndnprivacy.NewRouter(sim, "R", 4096, nil)
+	router, err := fwd.NewRouter(sim, "R", 4096, nil)
 	if err != nil {
 		return err
 	}
-	aliceHost, err := ndnprivacy.NewBareHost(sim, "alice")
+	aliceHost, err := fwd.NewBareHost(sim, "alice")
 	if err != nil {
 		return err
 	}
-	advHost, err := ndnprivacy.NewBareHost(sim, "adv")
+	advHost, err := fwd.NewBareHost(sim, "adv")
 	if err != nil {
 		return err
 	}
-	bobHost, err := ndnprivacy.NewBareHost(sim, "bob")
+	bobHost, err := fwd.NewBareHost(sim, "bob")
 	if err != nil {
 		return err
 	}
 
 	// Alice's edge link loses 4% of packets (the paper's Internet loss
 	// figure); Bob is far away.
-	lossyEdge := ndnprivacy.LinkConfig{
-		Latency:  ndnprivacy.UniformJitter{Base: 2 * time.Millisecond, Jitter: 500 * time.Microsecond},
+	lossyEdge := netsim.LinkConfig{
+		Latency:  netsim.UniformJitter{Base: 2 * time.Millisecond, Jitter: 500 * time.Microsecond},
 		LossProb: 0.04,
 	}
-	cleanEdge := ndnprivacy.LinkConfig{
-		Latency: ndnprivacy.UniformJitter{Base: 2 * time.Millisecond, Jitter: 500 * time.Microsecond},
+	cleanEdge := netsim.LinkConfig{
+		Latency: netsim.UniformJitter{Base: 2 * time.Millisecond, Jitter: 500 * time.Microsecond},
 	}
-	farPath := ndnprivacy.LinkConfig{
-		Latency: ndnprivacy.LogNormalJitter{Base: 35 * time.Millisecond, MedianJitter: 2 * time.Millisecond, Sigma: 0.5},
+	farPath := netsim.LinkConfig{
+		Latency: netsim.LogNormalJitter{Base: 35 * time.Millisecond, MedianJitter: 2 * time.Millisecond, Sigma: 0.5},
 	}
 
-	aliceFace, _, _, err := ndnprivacy.Connect(sim, aliceHost, router, lossyEdge)
+	aliceFace, _, _, err := fwd.Connect(sim, aliceHost, router, lossyEdge)
 	if err != nil {
 		return err
 	}
-	advFace, _, _, err := ndnprivacy.Connect(sim, advHost, router, cleanEdge)
+	advFace, _, _, err := fwd.Connect(sim, advHost, router, cleanEdge)
 	if err != nil {
 		return err
 	}
-	routerFace, _, _, err := ndnprivacy.Connect(sim, router, bobHost, farPath)
+	routerFace, _, _, err := fwd.Connect(sim, router, bobHost, farPath)
 	if err != nil {
 		return err
 	}
-	prefix := ndnprivacy.MustParseName("/bob/voip")
+	prefix := ndn.MustParseName("/bob/voip")
 	if err := aliceHost.RegisterPrefix(prefix, aliceFace); err != nil {
 		return err
 	}
@@ -77,19 +79,19 @@ func run() error {
 		return err
 	}
 
-	bob, err := ndnprivacy.NewProducer(bobHost, prefix, nil)
+	bob, err := fwd.NewProducer(bobHost, prefix, nil)
 	if err != nil {
 		return err
 	}
 
 	// Alice and Bob share a session secret; every frame name carries an
 	// HMAC-derived unpredictable component.
-	secret, err := ndnprivacy.NewSharedSecret([]byte("alice-bob-call-2026"))
+	secret, err := ndn.NewSharedSecret([]byte("alice-bob-call-2026"))
 	if err != nil {
 		return err
 	}
 
-	alice, err := ndnprivacy.NewConsumer(aliceHost)
+	alice, err := fwd.NewConsumer(aliceHost)
 	if err != nil {
 		return err
 	}
@@ -99,18 +101,18 @@ func run() error {
 	var worstRTT, totalRTT time.Duration
 	for seq := uint64(0); seq < frames; seq++ {
 		frameName := secret.UnpredictableName(prefix.AppendString("frame"), seq)
-		frame, err := ndnprivacy.NewData(frameName, []byte("20ms of audio"))
+		frame, err := ndn.NewData(frameName, []byte("20ms of audio"))
 		if err != nil {
 			return err
 		}
 		if err := bob.Publish(frame); err != nil {
 			return err
 		}
-		interest := ndnprivacy.NewInterest(frameName, 0)
+		interest := ndn.NewInterest(frameName, 0)
 		interest.Lifetime = 150 * time.Millisecond
-		var res ndnprivacy.FetchResult
+		var res fwd.FetchResult
 		var used int
-		alice.FetchReliable(interest, 3, func(r ndnprivacy.FetchResult, u int) { res, used = r, u })
+		alice.FetchReliable(interest, 3, func(r fwd.FetchResult, u int) { res, used = r, u })
 		sim.Run()
 		if res.TimedOut {
 			continue
@@ -131,21 +133,21 @@ func run() error {
 	// The adversary tries both attacks: guessing a frame name, and
 	// probing the session prefix (footnote 5 forbids serving
 	// rand-suffixed content to prefix interests).
-	adv, err := ndnprivacy.NewConsumer(advHost)
+	adv, err := fwd.NewConsumer(advHost)
 	if err != nil {
 		return err
 	}
 	probeFails := 0
-	probes := []ndnprivacy.Name{
+	probes := []ndn.Name{
 		prefix.AppendString("frame", "0"),                       // guessed sequence name
 		prefix.AppendString("frame"),                            // session prefix
 		secret.UnpredictableName(prefix.AppendString("spy"), 0), // wrong base name
 	}
 	for _, name := range probes {
-		interest := ndnprivacy.NewInterest(name, 0)
+		interest := ndn.NewInterest(name, 0)
 		interest.Lifetime = 200 * time.Millisecond
 		timedOut := false
-		adv.Fetch(interest, func(r ndnprivacy.FetchResult) { timedOut = r.TimedOut })
+		adv.Fetch(interest, func(r fwd.FetchResult) { timedOut = r.TimedOut })
 		sim.Run()
 		if timedOut {
 			probeFails++

@@ -9,7 +9,9 @@ import (
 	"os"
 	"time"
 
-	"ndnprivacy"
+	"ndnprivacy/internal/fwd"
+	"ndnprivacy/internal/ndn"
+	"ndnprivacy/internal/netsim"
 )
 
 func main() {
@@ -20,48 +22,48 @@ func main() {
 }
 
 func run() error {
-	sim := ndnprivacy.NewSimulator(42)
+	sim := netsim.New(42)
 
 	// Topology: alice ── R ── producer, bob ── R.
-	router, err := ndnprivacy.NewRouter(sim, "R", 1024, nil)
+	router, err := fwd.NewRouter(sim, "R", 1024, nil)
 	if err != nil {
 		return err
 	}
-	aliceHost, err := ndnprivacy.NewBareHost(sim, "alice")
+	aliceHost, err := fwd.NewBareHost(sim, "alice")
 	if err != nil {
 		return err
 	}
-	bobHost, err := ndnprivacy.NewBareHost(sim, "bob")
+	bobHost, err := fwd.NewBareHost(sim, "bob")
 	if err != nil {
 		return err
 	}
-	producerHost, err := ndnprivacy.NewBareHost(sim, "producer")
+	producerHost, err := fwd.NewBareHost(sim, "producer")
 	if err != nil {
 		return err
 	}
 
-	edge := ndnprivacy.LinkConfig{
-		Latency:   ndnprivacy.UniformJitter{Base: time.Millisecond, Jitter: 200 * time.Microsecond},
+	edge := netsim.LinkConfig{
+		Latency:   netsim.UniformJitter{Base: time.Millisecond, Jitter: 200 * time.Microsecond},
 		Bandwidth: 12_500_000,
 	}
-	backbone := ndnprivacy.LinkConfig{
-		Latency: ndnprivacy.LogNormalJitter{Base: 15 * time.Millisecond, MedianJitter: time.Millisecond, Sigma: 0.5},
+	backbone := netsim.LinkConfig{
+		Latency: netsim.LogNormalJitter{Base: 15 * time.Millisecond, MedianJitter: time.Millisecond, Sigma: 0.5},
 	}
 
-	aliceFace, _, _, err := ndnprivacy.Connect(sim, aliceHost, router, edge)
+	aliceFace, _, _, err := fwd.Connect(sim, aliceHost, router, edge)
 	if err != nil {
 		return err
 	}
-	bobFace, _, _, err := ndnprivacy.Connect(sim, bobHost, router, edge)
+	bobFace, _, _, err := fwd.Connect(sim, bobHost, router, edge)
 	if err != nil {
 		return err
 	}
-	routerFace, _, _, err := ndnprivacy.Connect(sim, router, producerHost, backbone)
+	routerFace, _, _, err := fwd.Connect(sim, router, producerHost, backbone)
 	if err != nil {
 		return err
 	}
 
-	prefix := ndnprivacy.MustParseName("/cnn")
+	prefix := ndn.MustParseName("/cnn")
 	if err := aliceHost.RegisterPrefix(prefix, aliceFace); err != nil {
 		return err
 	}
@@ -73,16 +75,16 @@ func run() error {
 	}
 
 	// The producer signs everything it publishes.
-	signer, err := ndnprivacy.NewSigner("/cnn", []byte("cnn-signing-key"))
+	signer, err := ndn.NewSigner("/cnn", []byte("cnn-signing-key"))
 	if err != nil {
 		return err
 	}
-	producer, err := ndnprivacy.NewProducer(producerHost, prefix, signer)
+	producer, err := fwd.NewProducer(producerHost, prefix, signer)
 	if err != nil {
 		return err
 	}
-	article, err := ndnprivacy.NewData(
-		ndnprivacy.MustParseName("/cnn/news/2013may20"),
+	article, err := ndn.NewData(
+		ndn.MustParseName("/cnn/news/2013may20"),
 		[]byte("NDN caches content in the network itself."),
 	)
 	if err != nil {
@@ -92,18 +94,18 @@ func run() error {
 		return err
 	}
 
-	alice, err := ndnprivacy.NewConsumer(aliceHost)
+	alice, err := fwd.NewConsumer(aliceHost)
 	if err != nil {
 		return err
 	}
-	bob, err := ndnprivacy.NewConsumer(bobHost)
+	bob, err := fwd.NewConsumer(bobHost)
 	if err != nil {
 		return err
 	}
 
-	fetch := func(who string, c *ndnprivacy.Consumer) error {
-		var res ndnprivacy.FetchResult
-		c.FetchName(ndnprivacy.MustParseName("/cnn/news/2013may20"), func(r ndnprivacy.FetchResult) { res = r })
+	fetch := func(who string, c *fwd.Consumer) error {
+		var res fwd.FetchResult
+		c.FetchName(ndn.MustParseName("/cnn/news/2013may20"), func(r fwd.FetchResult) { res = r })
 		sim.Run()
 		if res.TimedOut {
 			return fmt.Errorf("%s: fetch timed out", who)

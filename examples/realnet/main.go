@@ -11,7 +11,12 @@ import (
 	"os"
 	"time"
 
-	"ndnprivacy"
+	"ndnprivacy/internal/cache"
+	"ndnprivacy/internal/core"
+	"ndnprivacy/internal/fwd"
+	"ndnprivacy/internal/ndn"
+	"ndnprivacy/internal/netface"
+	"ndnprivacy/internal/rt"
 )
 
 func main() {
@@ -22,20 +27,20 @@ func main() {
 }
 
 func run() error {
-	prefix := ndnprivacy.MustParseName("/demo")
+	prefix := ndn.MustParseName("/demo")
 
 	// --- Router: cache + always-delay privacy, listening on TCP. ---
-	routerExec := ndnprivacy.NewRealTimeExecutor(1)
+	routerExec := rt.New(1)
 	defer routerExec.Close()
-	manager, err := ndnprivacy.NewDelayManager(ndnprivacy.NewContentSpecificDelay())
+	manager, err := core.NewDelayManager(core.NewContentSpecificDelay())
 	if err != nil {
 		return err
 	}
-	store, err := ndnprivacy.NewStore(1024, ndnprivacy.NewLRU())
+	store, err := cache.NewStore(1024, cache.NewLRU())
 	if err != nil {
 		return err
 	}
-	router, err := ndnprivacy.NewForwarder(ndnprivacy.ForwarderConfig{
+	router, err := fwd.New(fwd.Config{
 		Name: "router", Sim: routerExec, Store: store, Manager: manager,
 	})
 	if err != nil {
@@ -45,8 +50,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	faces := make(chan *ndnprivacy.NetFace, 4)
-	listener, err := ndnprivacy.ListenFaces(router, ln, func(f *ndnprivacy.NetFace) { faces <- f })
+	faces := make(chan *netface.Face, 4)
+	listener, err := netface.Listen(router, ln, func(f *netface.Face) { faces <- f })
 	if err != nil {
 		return err
 	}
@@ -59,30 +64,30 @@ func run() error {
 	fmt.Printf("router listening on %s (always-delay countermeasure)\n", addr)
 
 	// --- Producer: dials the router, publishes private content. ---
-	producerExec := ndnprivacy.NewRealTimeExecutor(2)
+	producerExec := rt.New(2)
 	defer producerExec.Close()
-	producerHost, err := ndnprivacy.NewForwarder(ndnprivacy.ForwarderConfig{
+	producerHost, err := fwd.New(fwd.Config{
 		Name: "producer-host", Sim: producerExec,
 	})
 	if err != nil {
 		return err
 	}
-	if _, err := ndnprivacy.DialFace(producerHost, "tcp", addr, nil); err != nil {
+	if _, err := netface.Dial(producerHost, "tcp", addr, nil); err != nil {
 		return err
 	}
 	producerFace := <-faces // the router's face toward the producer
-	if err := ndnprivacy.RunOnForwarder(router, func() error {
+	if err := netface.RunOn(router, func() error {
 		return router.RegisterPrefix(prefix, producerFace.ID())
 	}); err != nil {
 		return err
 	}
-	if err := ndnprivacy.RunOnForwarder(producerHost, func() error {
-		producer, err := ndnprivacy.NewProducer(producerHost, prefix, nil)
+	if err := netface.RunOn(producerHost, func() error {
+		producer, err := fwd.NewProducer(producerHost, prefix, nil)
 		if err != nil {
 			return err
 		}
-		article, err := ndnprivacy.NewData(
-			ndnprivacy.MustParseName("/demo/private/report"),
+		article, err := ndn.NewData(
+			ndn.MustParseName("/demo/private/report"),
 			[]byte("sensitive quarterly numbers"),
 		)
 		if err != nil {
@@ -95,36 +100,36 @@ func run() error {
 	}
 
 	// --- Consumer: dials the router and fetches twice. ---
-	consumerExec := ndnprivacy.NewRealTimeExecutor(3)
+	consumerExec := rt.New(3)
 	defer consumerExec.Close()
-	consumerHost, err := ndnprivacy.NewForwarder(ndnprivacy.ForwarderConfig{
+	consumerHost, err := fwd.New(fwd.Config{
 		Name: "consumer-host", Sim: consumerExec,
 	})
 	if err != nil {
 		return err
 	}
-	consumerFace, err := ndnprivacy.DialFace(consumerHost, "tcp", addr, nil)
+	consumerFace, err := netface.Dial(consumerHost, "tcp", addr, nil)
 	if err != nil {
 		return err
 	}
 	<-faces // router's face toward the consumer
-	var consumer *ndnprivacy.Consumer
-	if err := ndnprivacy.RunOnForwarder(consumerHost, func() error {
+	var consumer *fwd.Consumer
+	if err := netface.RunOn(consumerHost, func() error {
 		if err := consumerHost.RegisterPrefix(prefix, consumerFace.ID()); err != nil {
 			return err
 		}
 		var err error
-		consumer, err = ndnprivacy.NewConsumer(consumerHost)
+		consumer, err = fwd.NewConsumer(consumerHost)
 		return err
 	}); err != nil {
 		return err
 	}
 
 	fetch := func(label string) error {
-		interest := ndnprivacy.NewInterest(ndnprivacy.MustParseName("/demo/private/report"), 0)
+		interest := ndn.NewInterest(ndn.MustParseName("/demo/private/report"), 0)
 		interest.Lifetime = 2 * time.Second
-		resCh := make(chan ndnprivacy.FetchResult, 1)
-		consumer.Fetch(interest, func(r ndnprivacy.FetchResult) { resCh <- r })
+		resCh := make(chan fwd.FetchResult, 1)
+		consumer.Fetch(interest, func(r fwd.FetchResult) { resCh <- r })
 		select {
 		case res := <-resCh:
 			if res.TimedOut {

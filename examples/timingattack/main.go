@@ -9,7 +9,9 @@ import (
 	"fmt"
 	"os"
 
-	"ndnprivacy"
+	"ndnprivacy/internal/attack"
+	"ndnprivacy/internal/core"
+	"ndnprivacy/internal/netsim"
 )
 
 func main() {
@@ -23,7 +25,7 @@ func run() error {
 	fmt.Println("Mounting the Figure 3(a) LAN attack: Adv and the victim share router R.")
 	fmt.Println()
 
-	baseline, err := ndnprivacy.RunLANAttack(ndnprivacy.AttackScenarioConfig{
+	baseline, err := attack.RunLAN(attack.ScenarioConfig{
 		Seed: 7, Objects: 200, Runs: 5,
 	})
 	if err != nil {
@@ -31,11 +33,11 @@ func run() error {
 	}
 	printOutcome("no countermeasure", baseline)
 
-	protected, err := ndnprivacy.RunLANAttack(ndnprivacy.AttackScenarioConfig{
+	protected, err := attack.RunLAN(attack.ScenarioConfig{
 		Seed: 7, Objects: 200, Runs: 5,
 		MarkPrivate: true,
-		Manager: func(sim *ndnprivacy.Simulator) ndnprivacy.CacheManager {
-			manager, err := ndnprivacy.NewDelayManager(ndnprivacy.NewContentSpecificDelay())
+		Manager: func(sim *netsim.Simulator) core.CacheManager {
+			manager, err := core.NewDelayManager(core.NewContentSpecificDelay())
 			if err != nil {
 				panic(err) // constructor cannot fail with a non-nil strategy
 			}
@@ -54,12 +56,12 @@ func run() error {
 	fmt.Printf("Amplification (Section III): a weak %.0f%% single-segment probe against\n", 59.0)
 	fmt.Println("producer-adjacent content becomes near-certain over an 8-segment object:")
 	for _, n := range []int{1, 2, 4, 8} {
-		fmt.Printf("  %d segment(s): Pr[success] = %.4f\n", n, ndnprivacy.SegmentSuccessProbability(0.59, n))
+		fmt.Printf("  %d segment(s): Pr[success] = %.4f\n", n, attack.SegmentSuccessProbability(0.59, n))
 	}
 	return nil
 }
 
-func printOutcome(label string, res *ndnprivacy.AttackResult) {
+func printOutcome(label string, res *attack.Result) {
 	fmt.Printf("--- %s ---\n", label)
 	fmt.Printf("hit RTTs:  %7.3f .. %7.3f ms\n", minOf(res.Hit), maxOf(res.Hit))
 	fmt.Printf("miss RTTs: %7.3f .. %7.3f ms\n", minOf(res.Miss), maxOf(res.Miss))

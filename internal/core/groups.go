@@ -32,27 +32,6 @@ func PrefixGroup(depth int) GroupFunc {
 	}
 }
 
-// ContentIDGroup groups by the producer-assigned content-id field — the
-// extension the paper proposes at the end of Section VI for correlated
-// content whose names share no prefix (e.g., linked web pages). Content
-// without a content-id falls back to the given function (typically a
-// PrefixGroup, or per-content state via ExactGroup).
-func ContentIDGroup(fallback GroupFunc) GroupFunc {
-	return func(data *ndn.Data) string {
-		if data.ContentID != "" {
-			return "cid:" + data.ContentID
-		}
-		return fallback(data)
-	}
-}
-
-// ExactGroup gives every content its own group: GroupedRandomCache with
-// ExactGroup degenerates to plain RandomCache. Useful as the
-// ContentIDGroup fallback.
-func ExactGroup() GroupFunc {
-	return func(data *ndn.Data) string { return data.Name.String() }
-}
-
 // groupState is the shared Algorithm 1 state of one correlation group.
 type groupState struct {
 	// key is the group's key, what its threshold draw is recorded under.

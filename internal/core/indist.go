@@ -97,12 +97,6 @@ func MinEpsilonForDelta(d1, d2 Distribution, delta float64) (float64, bool) {
 	return 0, true
 }
 
-// Indistinguishable reports whether d1 and d2 are (ε, δ)-probabilistically
-// indistinguishable.
-func Indistinguishable(d1, d2 Distribution, eps, delta float64) bool {
-	return MinDeltaForEpsilon(d1, d2, eps) <= delta+1e-12
-}
-
 func ratioBounded(p1, p2, bound float64) bool {
 	switch {
 	case p1 == 0 && p2 == 0:

@@ -47,14 +47,16 @@ func TestMinDeltaRatioBounded(t *testing.T) {
 	}
 }
 
+// Definition IV.1: d1 and d2 are (ε, δ)-indistinguishable exactly when
+// MinDeltaForEpsilon(d1, d2, ε) ≤ δ.
 func TestIndistinguishable(t *testing.T) {
 	d1 := Distribution{"x": 0.6, "y": 0.4}
 	d2 := Distribution{"x": 0.4, "y": 0.6}
-	if !Indistinguishable(d1, d2, math.Log(1.5)+1e-9, 0) {
-		t.Error("should be (ln1.5, 0)-indistinguishable")
+	if got := MinDeltaForEpsilon(d1, d2, math.Log(1.5)+1e-9); got > 0 {
+		t.Errorf("δ = %g at ε = ln 1.5: should be (ln 1.5, 0)-indistinguishable", got)
 	}
-	if Indistinguishable(d1, d2, 0.1, 0.5) {
-		t.Error("should not be (0.1, 0.5)-indistinguishable")
+	if got := MinDeltaForEpsilon(d1, d2, 0.1); got <= 0.5 {
+		t.Errorf("δ = %g at ε = 0.1: should not be (0.1, 0.5)-indistinguishable", got)
 	}
 }
 

@@ -322,8 +322,27 @@ func TestPrefixGroup(t *testing.T) {
 	}
 }
 
+// contentIDGroup groups by the producer-assigned content-id field, the
+// extension the paper proposes at the end of Section VI for correlated
+// content whose names share no prefix (e.g., linked web pages). Content
+// without a content-id falls back to the given function.
+func contentIDGroup(fallback GroupFunc) GroupFunc {
+	return func(data *ndn.Data) string {
+		if data.ContentID != "" {
+			return "cid:" + data.ContentID
+		}
+		return fallback(data)
+	}
+}
+
+// exactGroup gives every content its own group: GroupedRandomCache with
+// exactGroup degenerates to plain RandomCache.
+func exactGroup() GroupFunc {
+	return func(data *ndn.Data) string { return data.Name.String() }
+}
+
 func TestContentIDGroup(t *testing.T) {
-	g := ContentIDGroup(ExactGroup())
+	g := contentIDGroup(exactGroup())
 	linked := dataNamed(t, "/siteA/page1")
 	linked.ContentID = "story-42"
 	alsoLinked := dataNamed(t, "/siteB/mirror/page")
@@ -346,7 +365,7 @@ func TestContentIDGroupSharesRandomCacheState(t *testing.T) {
 	// content-id share one (c_C, k_C) — the Section VI extension for
 	// semantically related content.
 	nk := NewNaiveK(2)
-	m, err := NewGroupedRandomCache(nk, rand.New(rand.NewSource(1)), ContentIDGroup(ExactGroup()))
+	m, err := NewGroupedRandomCache(nk, rand.New(rand.NewSource(1)), contentIDGroup(exactGroup()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +568,7 @@ func TestCoinRecordNamesTheDraw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grouped, err := NewGroupedRandomCache(NewNaiveK(2), rand.New(rand.NewSource(1)), ContentIDGroup(PrefixGroup(1)))
+	grouped, err := NewGroupedRandomCache(NewNaiveK(2), rand.New(rand.NewSource(1)), contentIDGroup(PrefixGroup(1)))
 	if err != nil {
 		t.Fatal(err)
 	}

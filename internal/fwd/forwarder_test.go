@@ -448,6 +448,42 @@ func TestAlwaysDelayHidesCacheState(t *testing.T) {
 	}
 }
 
+// Content the producer marks private only by the reserved /private/ name
+// component, with no privacy bit, is disguised on a hit too, and the copy
+// the router serves from its store keeps a valid signature.
+func TestNamePrivateHitDisguisedAndVerifies(t *testing.T) {
+	verifier, err := ndn.NewSigner("/p", []byte("producer-key"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	manager, err := core.NewDelayManager(NewContentSpecific(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := buildLAN(t, manager, fastEthernet(), backbone())
+	publish(t, topo.producer, "/p/private/story", false)
+
+	name := ndn.MustParseName("/p/private/story")
+	var miss, hit FetchResult
+	topo.user.FetchName(name, func(r FetchResult) { miss = r })
+	topo.sim.Run()
+	topo.adv.FetchName(name, func(r FetchResult) { hit = r })
+	topo.sim.Run()
+
+	if miss.RTT == 0 || hit.RTT == 0 || hit.Data == nil {
+		t.Fatal("fetches did not complete")
+	}
+	if hit.RTT < miss.RTT-2*time.Millisecond {
+		t.Errorf("disguised hit RTT %v far below miss RTT %v — cache state leaks", hit.RTT, miss.RTT)
+	}
+	if got := topo.router.Stats().DisguisedHits; got != 1 {
+		t.Errorf("DisguisedHits = %d, want 1", got)
+	}
+	if err := verifier.Verify(hit.Data); err != nil {
+		t.Errorf("cached copy fails verification: %v", err)
+	}
+}
+
 func NewContentSpecific(t *testing.T) core.DelayStrategy {
 	t.Helper()
 	return core.NewContentSpecificDelay()

@@ -143,7 +143,7 @@ func FuzzBorrowedName(f *testing.F) {
 	f.Add(EncodeName(nil, MustParseName("/%41%42/xyz")))
 	f.Add(EncodeName(nil, MustParseName("/youtube/alice/video-749.avi/137")))
 	f.Add(EncodeName(nil, MustParseName(strings.Repeat("/c", 41))))
-	f.Add(EncodeName(nil, NewName(make([]byte, 300))))
+	f.Add(EncodeName(nil, Name{}.Append(make([]byte, 300))))
 	f.Add([]byte{0x07, 0x00})
 	f.Add([]byte{0x07, 0x02, 0x08, 0x00})
 	f.Add([]byte{0x07, 0x05, 0x08, 0xFD, 0x00, 0x01, 0x61}) // non-minimal component length
@@ -259,7 +259,7 @@ func FuzzWireSize(f *testing.F) {
 				comps = append(comps, c)
 			}
 		}
-		name := NewName(comps...)
+		name := Name{}.Append(comps...)
 		lifetime := time.Duration(ms%(1<<40)) * time.Millisecond
 		d := &Data{Name: name, Payload: payload, Producer: producer, Signature: sig,
 			Freshness: lifetime, Private: private, ContentID: contentID}

@@ -43,7 +43,7 @@ var (
 // name "/". Tables key a name by its hash and compare its bytes; nothing
 // on the packet path renders its URI, which String builds on each call.
 //
-// An owned Name — from ParseName, NewName, Append, the packet decoders or
+// An owned Name — from ParseName, Append, the packet decoders or
 // Clone — holds bytes nobody writes. A borrowed Name — from
 // InterestNameView — is the same type aliasing the caller's buffer:
 // parsing it allocates nothing, and it is valid only while that buffer
@@ -91,9 +91,6 @@ func MixComponentHash(h uint64, c []byte) uint64 {
 	}
 	return h
 }
-
-// NewName builds a name from raw components. The components are copied.
-func NewName(components ...[]byte) Name { return appendComponents(Name{}, components) }
 
 // ParseName parses a canonical URI such as /cnn/news/2013may20. Empty
 // internal components (consecutive slashes) are rejected; the bare root

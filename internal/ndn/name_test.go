@@ -44,7 +44,7 @@ func TestParseNameRejectsMalformed(t *testing.T) {
 }
 
 func TestNameEscaping(t *testing.T) {
-	n := NewName([]byte("a/b"), []byte{0x00, 0xFF})
+	n := Name{}.Append([]byte("a/b"), []byte{0x00, 0xFF})
 	uri := n.String()
 	parsed, err := ParseName(uri)
 	if err != nil {
@@ -93,7 +93,7 @@ func TestNameAppendImmutable(t *testing.T) {
 
 func TestNameAppendCopiesInput(t *testing.T) {
 	buf := []byte("xyz")
-	n := NewName().Append(buf)
+	n := Name{}.Append().Append(buf)
 	buf[0] = 'Q'
 	if string(n.Component(0)) != "xyz" {
 		t.Errorf("Append aliased caller buffer: %q", n.Component(0))
@@ -179,7 +179,7 @@ func TestHasPrivateMarker(t *testing.T) {
 	for label, n := range map[string]Name{
 		"ParseName":      marked,
 		"AppendString":   MustParseName("/bob/docs").AppendString("private", "tax"),
-		"NewName":        NewName([]byte("private")),
+		"Append":         Name{}.Append([]byte("private")),
 		"DecodeInterest": decoded.Name,
 		"borrowed":       borrowed,
 		"Prefix(3)":      marked.Prefix(3),
@@ -192,7 +192,7 @@ func TestHasPrivateMarker(t *testing.T) {
 	for _, n := range []Name{
 		MustParseName("/bob/docs/privateer"),
 		MustParseName("/bob/private%00"),
-		NewName([]byte("a/private")),
+		Name{}.Append([]byte("a/private")),
 		MustParseName("/"),
 		marked.Prefix(2),
 	} {
@@ -219,7 +219,7 @@ func TestNameRenderParseProperty(t *testing.T) {
 				return true
 			}
 		}
-		n := NewName(comps...)
+		n := Name{}.Append(comps...)
 		parsed, err := ParseName(n.String())
 		if err != nil {
 			return false
@@ -241,7 +241,7 @@ func TestNamePrefixMatchesRendered(t *testing.T) {
 		MustParseName("/"),
 		MustParseName("/a/b/c"),
 		MustParseName("/%00/a%2Fb/%25/%FF%FE/plain"),
-		NewName([]byte("%"), []byte{0, 1, 2}, []byte("~-._"), []byte("a b/c"), []byte{0xC3, 0xA9}),
+		Name{}.Append([]byte("%"), []byte{0, 1, 2}, []byte("~-._"), []byte("a b/c"), []byte{0xC3, 0xA9}),
 		MustParseName("/bob/private/tax/2013"),
 	}
 	for _, n := range names {
@@ -257,7 +257,7 @@ func TestNamePrefixMatchesRendered(t *testing.T) {
 			for i := range raw {
 				raw[i] = n.Component(i)
 			}
-			want := NewName(raw...)
+			want := Name{}.Append(raw...)
 			got := n.Prefix(k)
 			if got.String() != want.String() || got.HasPrivateMarker() != want.HasPrivateMarker() {
 				t.Errorf("%q.Prefix(%d): URI %q, want %q", n, k, got, want)
@@ -283,7 +283,7 @@ func TestNamePrefixProperty(t *testing.T) {
 				return true
 			}
 		}
-		n := NewName(comps...)
+		n := Name{}.Append(comps...)
 		return n.Prefix(int(k) % (n.Len() + 1)).IsPrefixOf(n)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -299,7 +299,7 @@ func TestNameCompareAntisymmetricProperty(t *testing.T) {
 				return true
 			}
 		}
-		na, nb := NewName(a...), NewName(b...)
+		na, nb := Name{}.Append(a...), Name{}.Append(b...)
 		return na.Compare(nb) == -nb.Compare(na)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -321,7 +321,7 @@ func TestRootNameForms(t *testing.T) {
 	}{
 		{"Name{}", Name{}},
 		{`MustParseName("/")`, MustParseName("/")},
-		{"NewName()", NewName()},
+		{"Name{}.Append()", Name{}.Append()},
 		{"Prefix(0)", MustParseName("/a/b").Prefix(0)},
 		{"Parent() of /a", parent},
 		{"Parent() of /", rootParent},
@@ -418,7 +418,7 @@ func TestBorrowedNameClone(t *testing.T) {
 }
 
 func TestComponentIter(t *testing.T) {
-	n := NewName([]byte("a"), []byte{}, make([]byte, 300), []byte("%/"))
+	n := Name{}.Append([]byte("a"), []byte{}, make([]byte, 300), []byte("%/"))
 	var got [][]byte
 	for it := n.Components(); it.Next(); {
 		got = append(got, it.Component())

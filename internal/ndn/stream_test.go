@@ -144,7 +144,7 @@ func TestPacketStreamProperty(t *testing.T) {
 			if len(s.Comp) == 0 {
 				continue
 			}
-			name := NewName(s.Comp)
+			name := Name{}.Append(s.Comp)
 			if s.IsData {
 				if len(s.Payload) == 0 || len(s.Payload) > 4096 {
 					continue

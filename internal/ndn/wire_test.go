@@ -174,12 +174,12 @@ func forEachPacketShape(data func(*Data), interest func(*Interest)) {
 		{},                 // literal zero value
 		MustParseName("/"), // root
 		MustParseName("/bob/big"),
-		NewName([]byte{0x00, '%', '/', 0xFF}, []byte("a b")), // escaped in the URI, raw on the wire
-		NewName(make([]byte, 252)),
-		NewName(make([]byte, 253)),                    // component length field widens
-		NewName(make([]byte, 120), make([]byte, 127)), // name value 251 B
-		NewName(make([]byte, 120), make([]byte, 129)), // name value 253 B: Name length field widens
-		NewName(make([]byte, 65536)),
+		Name{}.Append([]byte{0x00, '%', '/', 0xFF}, []byte("a b")), // escaped in the URI, raw on the wire
+		Name{}.Append(make([]byte, 252)),
+		Name{}.Append(make([]byte, 253)),                    // component length field widens
+		Name{}.Append(make([]byte, 120), make([]byte, 127)), // name value 251 B
+		Name{}.Append(make([]byte, 120), make([]byte, 129)), // name value 253 B: Name length field widens
+		Name{}.Append(make([]byte, 65536)),
 	}
 	for _, name := range names {
 		for _, n := range boundaries {
@@ -350,7 +350,7 @@ func TestInterestWireProperty(t *testing.T) {
 			}
 		}
 		in := &Interest{
-			Name:     NewName(comps...),
+			Name:     Name{}.Append(comps...),
 			Nonce:    nonce,
 			Scope:    scope,
 			Lifetime: time.Duration(lifetimeMS) * time.Millisecond,
@@ -380,7 +380,7 @@ func TestDataWireProperty(t *testing.T) {
 		if len(payload) == 0 {
 			return true
 		}
-		in, err := NewData(NewName(comps...), payload)
+		in, err := NewData(Name{}.Append(comps...), payload)
 		if err != nil {
 			return false
 		}

@@ -46,7 +46,7 @@ func BenchmarkSessionFrameExchange(b *testing.B) {
 	if err := router.RegisterPrefix(ndn.MustParseName("/bob"), rbFace); err != nil {
 		b.Fatal(err)
 	}
-	aliceEP, bobEP, err := Pair(alice, bob, ndn.MustParseName("/alice"), ndn.MustParseName("/bob"), []byte("k"))
+	aliceEP, bobEP, err := pair(alice, bob, ndn.MustParseName("/alice"), ndn.MustParseName("/bob"), []byte("k"))
 	if err != nil {
 		b.Fatal(err)
 	}

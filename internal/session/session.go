@@ -155,22 +155,3 @@ func (e *Endpoint) Stats() (sent, received, repaired uint64) {
 
 // Served returns how many interests this endpoint's producer answered.
 func (e *Endpoint) Served() uint64 { return e.producer.Served() }
-
-// Pair wires two endpoints of one conversation from a single secret.
-// Convenience for tests and examples; both hosts must already be able
-// to route each other's prefixes.
-func Pair(hostA, hostB *fwd.Forwarder, prefixA, prefixB ndn.Name, secret []byte) (*Endpoint, *Endpoint, error) {
-	a, err := NewEndpoint(Config{
-		Host: hostA, LocalPrefix: prefixA, RemotePrefix: prefixB, Secret: secret,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	b, err := NewEndpoint(Config{
-		Host: hostB, LocalPrefix: prefixB, RemotePrefix: prefixA, Secret: secret,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return a, b, nil
-}

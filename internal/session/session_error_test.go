@@ -66,12 +66,12 @@ func TestPairPropagatesEndpointErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Empty secret fails construction of the first endpoint.
-	if _, _, err := Pair(host, host, ndn.MustParseName("/a"), ndn.MustParseName("/b"), nil); err == nil {
-		t.Error("Pair with empty secret accepted")
+	if _, _, err := pair(host, host, ndn.MustParseName("/a"), ndn.MustParseName("/b"), nil); err == nil {
+		t.Error("pair with empty secret accepted")
 	}
 	// Nil second host fails the second endpoint.
-	if _, _, err := Pair(host, nil, ndn.MustParseName("/a"), ndn.MustParseName("/b"), []byte("k")); err == nil {
-		t.Error("Pair with nil second host accepted")
+	if _, _, err := pair(host, nil, ndn.MustParseName("/a"), ndn.MustParseName("/b"), []byte("k")); err == nil {
+		t.Error("pair with nil second host accepted")
 	}
 }
 

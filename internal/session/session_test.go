@@ -10,6 +10,24 @@ import (
 	"ndnprivacy/internal/netsim"
 )
 
+// pair wires two endpoints of one conversation from a single secret;
+// both hosts must already be able to route each other's prefixes.
+func pair(hostA, hostB *fwd.Forwarder, prefixA, prefixB ndn.Name, secret []byte) (*Endpoint, *Endpoint, error) {
+	a, err := NewEndpoint(Config{
+		Host: hostA, LocalPrefix: prefixA, RemotePrefix: prefixB, Secret: secret,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	b, err := NewEndpoint(Config{
+		Host: hostB, LocalPrefix: prefixB, RemotePrefix: prefixA, Secret: secret,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return a, b, nil
+}
+
 // conversationTopology wires alice — R — bob with routable prefixes in
 // both directions, returning the simulator, hosts and the shared router.
 func conversationTopology(t *testing.T, seed int64, edgeLoss float64) (*netsim.Simulator, *fwd.Forwarder, *fwd.Forwarder, *fwd.Forwarder) {
@@ -99,7 +117,7 @@ func TestNameDerivationSymmetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b, err := Pair(hostA, hostB, ndn.MustParseName("/alice"), ndn.MustParseName("/bob"), []byte("shared"))
+	a, b, err := pair(hostA, hostB, ndn.MustParseName("/alice"), ndn.MustParseName("/bob"), []byte("shared"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +136,7 @@ func TestNameDerivationSymmetry(t *testing.T) {
 
 func TestTwoWayConversation(t *testing.T) {
 	sim, aliceHost, bobHost, _ := conversationTopology(t, 3, 0)
-	alice, bob, err := Pair(aliceHost, bobHost, ndn.MustParseName("/alice"), ndn.MustParseName("/bob"), []byte("k"))
+	alice, bob, err := pair(aliceHost, bobHost, ndn.MustParseName("/alice"), ndn.MustParseName("/bob"), []byte("k"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +180,7 @@ func TestLossRepairFromRouterCache(t *testing.T) {
 	// 10% loss on alice's edge: frames still arrive, repaired by
 	// retransmission against R's cache.
 	sim, aliceHost, bobHost, _ := conversationTopology(t, 7, 0.10)
-	alice, bob, err := Pair(aliceHost, bobHost, ndn.MustParseName("/alice"), ndn.MustParseName("/bob"), []byte("k"))
+	alice, bob, err := pair(aliceHost, bobHost, ndn.MustParseName("/alice"), ndn.MustParseName("/bob"), []byte("k"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +209,7 @@ func TestLossRepairFromRouterCache(t *testing.T) {
 
 func TestAdversaryCannotProbeSession(t *testing.T) {
 	sim, aliceHost, bobHost, router := conversationTopology(t, 11, 0)
-	alice, bob, err := Pair(aliceHost, bobHost, ndn.MustParseName("/alice"), ndn.MustParseName("/bob"), []byte("k"))
+	alice, bob, err := pair(aliceHost, bobHost, ndn.MustParseName("/alice"), ndn.MustParseName("/bob"), []byte("k"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +269,7 @@ func TestAdversaryCannotProbeSession(t *testing.T) {
 
 func TestStaleFramesAgeOut(t *testing.T) {
 	sim, aliceHost, bobHost, router := conversationTopology(t, 13, 0)
-	_, bob, err := Pair(aliceHost, bobHost, ndn.MustParseName("/alice"), ndn.MustParseName("/bob"), []byte("k"))
+	_, bob, err := pair(aliceHost, bobHost, ndn.MustParseName("/alice"), ndn.MustParseName("/bob"), []byte("k"))
 	if err != nil {
 		t.Fatal(err)
 	}

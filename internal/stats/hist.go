@@ -2,7 +2,7 @@
 // cache-privacy experiments: streaming summaries, fixed-bin histograms,
 // empirical distributions, and measures of distinguishability between two
 // delay distributions (total-variation distance and the accuracy of the
-// Bayes-optimal classifier).
+// best threshold classifier).
 //
 // Everything in this package is deterministic and allocation-conscious so
 // that it can run inside benchmarks without distorting their measurements.
@@ -135,20 +135,6 @@ func TotalVariation(a, b *Histogram) (float64, error) {
 		sum += math.Abs(pa[i] - pb[i])
 	}
 	return sum / 2, nil
-}
-
-// BayesAccuracy returns the accuracy of the Bayes-optimal classifier that
-// must decide, given one sample, which of the two equally likely histograms
-// it came from. It equals (1 + TV(a, b)) / 2: 0.5 means indistinguishable,
-// 1.0 means perfectly separable. This is the "probability of determining
-// whether C is retrieved from R's cache" reported throughout Section III of
-// the paper.
-func BayesAccuracy(a, b *Histogram) (float64, error) {
-	tv, err := TotalVariation(a, b)
-	if err != nil {
-		return 0, err
-	}
-	return (1 + tv) / 2, nil
 }
 
 // Empirical is a sorted sample set supporting CDF queries and

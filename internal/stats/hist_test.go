@@ -169,39 +169,6 @@ func TestTotalVariationEmpty(t *testing.T) {
 	}
 }
 
-func TestBayesAccuracyRange(t *testing.T) {
-	a := mustHistogram(t, 0, 1, 10)
-	b := mustHistogram(t, 0, 1, 10)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 400; i++ {
-		a.Add(rng.Float64())
-		b.Add(rng.Float64())
-	}
-	acc, err := BayesAccuracy(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.5 || acc > 1 {
-		t.Errorf("BayesAccuracy = %g, want in [0.5, 1]", acc)
-	}
-}
-
-func TestBayesAccuracySeparated(t *testing.T) {
-	a := mustHistogram(t, 0, 10, 20)
-	b := mustHistogram(t, 0, 10, 20)
-	for i := 0; i < 100; i++ {
-		a.Add(1)
-		b.Add(9)
-	}
-	acc, err := BayesAccuracy(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc != 1 {
-		t.Errorf("BayesAccuracy of separated data = %g, want 1", acc)
-	}
-}
-
 func TestEmpiricalBasics(t *testing.T) {
 	e, err := NewEmpirical([]float64{3, 1, 2})
 	if err != nil {

@@ -1,6 +1,7 @@
 package table
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -124,5 +125,49 @@ func TestPITInsertSatisfyChurnZeroAlloc(t *testing.T) {
 		if lapsed := p.Expired() != 0; lapsed != !tc.satisfied {
 			t.Errorf("%s: %d entries expired", tc.name, p.Expired())
 		}
+	}
+}
+
+// An interest that finds the PIT full first reclaims every lapsed entry
+// (PIT.Expire), sorting them so the pit_expire events come out in a
+// seed-stable order. That is the interest-flood path: the sort compares
+// name bytes, and neither it nor the reclaim renders a name.
+func TestPITCapacityReclaimZeroAlloc(t *testing.T) {
+	const capacity = 8
+	p := NewPIT()
+	p.SetCapacity(capacity)
+	// Names admitted out of byte order, one with an escaped component, so
+	// the sort has work to do and a rendered URI would cost allocations.
+	interests := make([]*ndn.Interest, capacity+1)
+	for i := range interests {
+		interests[i] = ndn.NewInterest(ndn.MustParseName(fmt.Sprintf("/flood/%%00%d/seg", (i*5)%len(interests))), uint64(i+1))
+	}
+	lifetime := ndn.DefaultInterestLifetime
+	var base time.Duration
+	cycles := 0
+	// One cycle fills the PIT at base, then admits one more name once
+	// the other eight have lapsed: that admission expires all eight.
+	cycle := func() {
+		for _, in := range interests[:capacity] {
+			if got := insert(p, in, 1, base); got != InsertedNew {
+				t.Fatalf("fill: %v", got)
+			}
+		}
+		if got := insert(p, interests[capacity], 1, base+lifetime); got != InsertedNew {
+			t.Fatalf("admission over lapsed entries: %v", got)
+		}
+		base += 2 * lifetime
+		cycles++
+	}
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+	before := p.Expired()
+	cycles = 0
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("PIT capacity reclaim: %.2f allocs/cycle, want 0", n)
+	}
+	if got := (p.Expired() - before) / uint64(cycles); got < capacity {
+		t.Fatalf("%d entries expired per cycle, want ≥ %d", got, capacity)
 	}
 }

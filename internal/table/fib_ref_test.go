@@ -152,7 +152,7 @@ func TestFIBMatchesTrieReference(t *testing.T) {
 			for i := range comps {
 				comps[i] = pool[rng.Intn(len(pool))]
 			}
-			return ndn.NewName(comps...)
+			return ndn.Name{}.Append(comps...)
 		}
 		fib, ref := NewFIB(), newRefFIB()
 		for op := 0; op < 20000; op++ {

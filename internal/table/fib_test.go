@@ -170,9 +170,9 @@ func TestFIBPrefixesSorted(t *testing.T) {
 func TestFIBPrefixesRenderNames(t *testing.T) {
 	f := NewFIB()
 	for _, p := range []ndn.Name{
-		ndn.NewName([]byte("a/b")),
+		ndn.Name{}.Append([]byte("a/b")),
 		ndn.MustParseName("/a/b"),
-		ndn.NewName([]byte("x y")),
+		ndn.Name{}.Append([]byte("x y")),
 	} {
 		if err := f.Insert(p, 1); err != nil {
 			t.Fatal(err)
@@ -196,7 +196,7 @@ func TestFIBExactMatchProperty(t *testing.T) {
 		}
 		fib := NewFIB()
 		// Insert every prefix of the name with face = prefix length.
-		name := ndn.NewName(comps...)
+		name := ndn.Name{}.Append(comps...)
 		for k := 0; k <= name.Len(); k++ {
 			if err := fib.Insert(name.Prefix(k), FaceID(k)); err != nil {
 				return false

@@ -1,7 +1,7 @@
 package table
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"ndnprivacy/internal/ndn"
@@ -370,9 +370,11 @@ func (p *PIT) HasPending(name ndn.Name, now time.Duration) bool {
 }
 
 // Expire removes every entry whose lifetime has passed and returns the
-// number removed. Lapsed entries are collected and sorted by URI before
+// number removed. Lapsed entries are collected and sorted by name before
 // removal so the pit_expire trace events come out in a seed-stable
-// order. The sort renders each lapsed name, off the packet path.
+// order; PIT names are unique, so the order is total. The sort compares
+// name bytes and renders nothing: it runs when an interest finds the
+// PIT full.
 func (p *PIT) Expire(now time.Duration) int {
 	p.expireBuf = p.expireBuf[:0]
 	p.t.ForEachPIT(func(e *pcct.Entry) {
@@ -380,9 +382,7 @@ func (p *PIT) Expire(now time.Duration) int {
 			p.expireBuf = append(p.expireBuf, e)
 		}
 	})
-	sort.Slice(p.expireBuf, func(i, j int) bool {
-		return p.expireBuf[i].Name().String() < p.expireBuf[j].Name().String()
-	})
+	slices.SortFunc(p.expireBuf, func(a, b *pcct.Entry) int { return a.Name().Compare(b.Name()) })
 	removed := len(p.expireBuf)
 	for i, e := range p.expireBuf {
 		p.expireEntry(e, now)

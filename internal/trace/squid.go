@@ -40,8 +40,6 @@ type SquidOptions struct {
 	PrivateFraction float64
 	// Seed drives the privacy assignment.
 	Seed int64
-	// MaxUsers caps the distinct-client mapping; 0 means unlimited.
-	MaxUsers int
 }
 
 // SquidReader streams Requests parsed from a Squid/IRCache access log.
@@ -113,9 +111,6 @@ func (sr *SquidReader) parse(line string) (Request, error) {
 	user, known := sr.users[client]
 	if !known {
 		user = len(sr.users)
-		if sr.opts.MaxUsers > 0 {
-			user %= sr.opts.MaxUsers
-		}
 		sr.users[client] = user
 	}
 	obj, known := sr.objects[url]
