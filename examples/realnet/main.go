@@ -1,6 +1,6 @@
 // Real network demo: the same forwarder, cache and privacy code that
 // powers the simulations, running over actual TCP connections on
-// loopback — a router daemon with the always-delay countermeasure, a
+// loopback — ndnd's router (daemon.Start) with the always-delay policy, a
 // producer, and a consumer, wired exactly like the paper's Figure 1 but
 // with real sockets and the wall clock.
 package main
@@ -11,8 +11,7 @@ import (
 	"os"
 	"time"
 
-	"ndnprivacy/internal/cache"
-	"ndnprivacy/internal/core"
+	"ndnprivacy/internal/daemon"
 	"ndnprivacy/internal/fwd"
 	"ndnprivacy/internal/ndn"
 	"ndnprivacy/internal/netface"
@@ -29,20 +28,10 @@ func main() {
 func run() error {
 	prefix := ndn.MustParseName("/demo")
 
-	// --- Router: cache + always-delay privacy, listening on TCP. ---
-	routerExec := rt.New(1)
-	defer routerExec.Close()
-	manager, err := core.NewDelayManager(core.NewContentSpecificDelay())
-	if err != nil {
-		return err
-	}
-	store, err := cache.NewStore(1024, cache.NewLRU())
-	if err != nil {
-		return err
-	}
-	router, err := fwd.New(fwd.Config{
-		Name: "router", Sim: routerExec, Store: store, Manager: manager,
-	})
+	// --- Producer: listens on TCP, publishes private content. ---
+	producerExec := rt.New(2)
+	defer producerExec.Close()
+	producerHost, err := fwd.New(fwd.Config{Name: "producer-host", Sim: producerExec})
 	if err != nil {
 		return err
 	}
@@ -50,37 +39,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	faces := make(chan *netface.Face, 4)
-	listener, err := netface.Listen(router, ln, func(f *netface.Face) { faces <- f })
+	producerListener, err := netface.Listen(producerHost, ln, nil)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if err := listener.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "realnet: listener close: %v\n", err)
-		}
-	}()
-	addr := listener.Addr().String()
-	fmt.Printf("router listening on %s (always-delay countermeasure)\n", addr)
-
-	// --- Producer: dials the router, publishes private content. ---
-	producerExec := rt.New(2)
-	defer producerExec.Close()
-	producerHost, err := fwd.New(fwd.Config{
-		Name: "producer-host", Sim: producerExec,
-	})
-	if err != nil {
-		return err
-	}
-	if _, err := netface.Dial(producerHost, "tcp", addr, nil); err != nil {
-		return err
-	}
-	producerFace := <-faces // the router's face toward the producer
-	if err := netface.RunOn(router, func() error {
-		return router.RegisterPrefix(prefix, producerFace.ID())
-	}); err != nil {
-		return err
-	}
+	defer producerListener.Close()
 	if err := netface.RunOn(producerHost, func() error {
 		producer, err := fwd.NewProducer(producerHost, prefix, nil)
 		if err != nil {
@@ -99,12 +62,29 @@ func run() error {
 		return err
 	}
 
+	// --- Router: ndnd's cache + always-delay privacy, routing /demo to
+	// the producer and listening on TCP. ---
+	router, err := daemon.Start(daemon.Config{
+		Listen:   "127.0.0.1:0",
+		Capacity: 1024,
+		Manager:  "delay",
+		Routes:   []daemon.Route{{Prefix: prefix, Addr: producerListener.Addr().String()}},
+	})
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err := router.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "realnet: router close: %v\n", err)
+		}
+	}()
+	addr := router.Addr().String()
+	fmt.Printf("router listening on %s (always-delay countermeasure)\n", addr)
+
 	// --- Consumer: dials the router and fetches twice. ---
 	consumerExec := rt.New(3)
 	defer consumerExec.Close()
-	consumerHost, err := fwd.New(fwd.Config{
-		Name: "consumer-host", Sim: consumerExec,
-	})
+	consumerHost, err := fwd.New(fwd.Config{Name: "consumer-host", Sim: consumerExec})
 	if err != nil {
 		return err
 	}
@@ -112,7 +92,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	<-faces // router's face toward the consumer
 	var consumer *fwd.Consumer
 	if err := netface.RunOn(consumerHost, func() error {
 		if err := consumerHost.RegisterPrefix(prefix, consumerFace.ID()); err != nil {

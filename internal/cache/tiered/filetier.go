@@ -61,6 +61,9 @@ var _ cache.SecondTier = (*FileTier)(nil)
 // rebuild the live-object index, and truncates any torn tail left by a
 // crash. Returns the tier ready for service.
 func OpenFileTier(cfg FileTierConfig) (*FileTier, error) {
+	if cfg.Capacity < 0 {
+		return nil, fmt.Errorf("tiered: negative file-tier capacity %d", cfg.Capacity)
+	}
 	f, err := os.OpenFile(cfg.Path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("tiered: opening log: %w", err)

@@ -2,6 +2,7 @@ package tiered
 
 import (
 	"errors"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -68,6 +69,10 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := cache.NewTieredStore(8, cache.NewLRU(), nil); err == nil {
 		t.Error("missing second tier accepted")
+	}
+	path := filepath.Join(t.TempDir(), "cs.log")
+	if _, err := OpenFileTier(FileTierConfig{Path: path, Capacity: -5}); err == nil {
+		t.Error("negative file-tier capacity accepted")
 	}
 }
 

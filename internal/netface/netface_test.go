@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ndnprivacy/internal/cache"
-	"ndnprivacy/internal/core"
 	"ndnprivacy/internal/fwd"
 	"ndnprivacy/internal/ndn"
 	"ndnprivacy/internal/rt"
@@ -18,19 +17,12 @@ import (
 // newRTForwarder builds a forwarder on a fresh real-time executor.
 func newRTForwarder(t *testing.T, name string, withStore bool) (*fwd.Forwarder, *rt.Executor) {
 	t.Helper()
-	cfg := fwd.Config{Name: name}
+	exec := rt.New(int64(len(name)) + 42)
+	t.Cleanup(exec.Close)
+	cfg := fwd.Config{Name: name, Sim: exec}
 	if withStore {
 		cfg.Store = cache.MustNewStore(1024, cache.NewLRU())
 	}
-	return startForwarder(t, cfg)
-}
-
-// startForwarder builds cfg's forwarder on a fresh real-time executor.
-func startForwarder(t *testing.T, cfg fwd.Config) (*fwd.Forwarder, *rt.Executor) {
-	t.Helper()
-	exec := rt.New(int64(len(cfg.Name)) + 42)
-	t.Cleanup(exec.Close)
-	cfg.Sim = exec
 	f, err := fwd.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -133,17 +125,13 @@ type tcpTopology struct {
 	consumer    *fwd.Consumer
 }
 
-// newTCPTopology wires the three hosts up under prefix /cnn, with the
-// router's cache run by manager (nil: no privacy policy), and publishes
-// the given content at the producer.
-func newTCPTopology(t *testing.T, manager core.CacheManager, publish ...*ndn.Data) *tcpTopology {
+// newTCPTopology wires the three hosts up under prefix /cnn, with a
+// cache and no privacy policy at the router, and publishes the given
+// content at the producer.
+func newTCPTopology(t *testing.T, publish ...*ndn.Data) *tcpTopology {
 	t.Helper()
 	top := &tcpTopology{}
-	top.router, _ = startForwarder(t, fwd.Config{
-		Name:    "router",
-		Store:   cache.MustNewStore(1024, cache.NewLRU()),
-		Manager: manager,
-	})
+	top.router, _ = newRTForwarder(t, "router", true)
 	consumerFwd, _ := newRTForwarder(t, "consumer", false)
 	top.producerFwd, _ = newRTForwarder(t, "producer", false)
 
@@ -236,7 +224,7 @@ func mustData(t *testing.T, name string, payload []byte) *ndn.Data {
 }
 
 func TestTCPRouterTopology(t *testing.T) {
-	top := newTCPTopology(t, nil, mustData(t, "/cnn/news", []byte("tcp payload")))
+	top := newTCPTopology(t, mustData(t, "/cnn/news", []byte("tcp payload")))
 
 	first := fetchOverRT(t, top.consumer, ndn.MustParseName("/cnn/news"), 2*time.Second)
 	if first.TimedOut {

@@ -187,7 +187,7 @@ func newStuckPeer(t *testing.T, top *tcpTopology) *stuckPeer {
 // router's other faces — a cache hit, and a miss that crosses the
 // producer's face too — still complete at once.
 func TestStuckPeerDoesNotStallOtherFaces(t *testing.T) {
-	top := newTCPTopology(t, nil,
+	top := newTCPTopology(t,
 		mustData(t, "/cnn/big", make([]byte, 8192)),
 		mustData(t, "/cnn/fresh", []byte("fresh")))
 	sp := newStuckPeer(t, top)
@@ -216,7 +216,7 @@ func TestStuckPeerDoesNotStallOtherFaces(t *testing.T) {
 // TestStuckPeerClosesAtWriteDeadline: a write that makes no progress for
 // the write deadline closes the face, and onClose hears why.
 func TestStuckPeerClosesAtWriteDeadline(t *testing.T) {
-	top := newTCPTopology(t, nil, mustData(t, "/cnn/big", make([]byte, 8192)))
+	top := newTCPTopology(t, mustData(t, "/cnn/big", make([]byte, 8192)))
 	start := time.Now()
 	sp := newStuckPeer(t, top)
 	select {

@@ -38,7 +38,7 @@ go test -race ./...
 # behave differently with one P than with two: run the wall-clock
 # packages at both.
 echo "== go test -race -count=3 -cpu 1,2 (wall-clock path)"
-go test -race -count=3 -cpu 1,2 ./internal/rt ./internal/netface ./cmd/ndnd
+go test -race -count=3 -cpu 1,2 ./internal/rt ./internal/netface ./internal/daemon ./cmd/ndnd
 
 # bench/ is its own module, so ./... above never descends into it: this
 # is what catches an API change that breaks the benchmark.
