@@ -125,6 +125,11 @@ type Forwarder struct {
 	// tagged is the executor's optional kind-tagged scheduler, nil when
 	// the executor doesn't support it.
 	tagged taggedScheduler
+	// borrowed is set while a custom face's inject runs a packet through
+	// the pipeline: the interest may alias its transport's receive
+	// buffer, so a face that keeps a packet past the call is handed a
+	// copy (see keep).
+	borrowed bool
 }
 
 type face struct {
@@ -248,8 +253,23 @@ func (f *Forwarder) AttachPort(port *netsim.Port) table.FaceID {
 // take nonzero virtual time (the sub-millisecond RTTs of Figure 3(d)).
 func (f *Forwarder) AttachApp(deliver func(pkt any)) table.FaceID {
 	return f.allocFace(func(pkt any, _ int) {
-		f.scheduleCall(f.delay, netsim.EventApp, deliver, pkt)
+		f.scheduleCall(f.delay, netsim.EventApp, deliver, f.keep(pkt))
 	}).id
+}
+
+// keep is pkt for a face that holds it past the send — an
+// application's delivery event — copied if it is a borrowed interest
+// (see AttachCustom). A Data is always owned.
+func (f *Forwarder) keep(pkt any) any {
+	if !f.borrowed {
+		return pkt
+	}
+	if interest, isInterest := pkt.(*ndn.Interest); isInterest {
+		cp := *interest
+		cp.Name = interest.Name.Clone()
+		return &cp
+	}
+	return pkt
 }
 
 // schedule defers fn by delay, tagging the event for the
@@ -275,15 +295,28 @@ func (f *Forwarder) scheduleCall(delay time.Duration, kind netsim.EventKind, cal
 }
 
 // AttachCustom registers a face with a caller-supplied transmit function
-// and returns the face ID plus an inject function that delivers packets
-// (*ndn.Interest / *ndn.Data) into the forwarding pipeline as if they
+// and returns the face ID plus an inject function that runs a packet
+// (*ndn.Interest / *ndn.Data) through the forwarding pipeline as if it
 // arrived on that face. This is the extension point for transports the
 // forwarder doesn't know about — internal/netface uses it for TCP
-// connections. The inject function calls Executor.Schedule, so with a
-// real-time executor it is safe from any goroutine.
+// connections.
+//
+// inject runs the pipeline at once, on the caller's goroutine, so it
+// must be called from inside an executor callback, and the face pays no
+// processing delay: a transport's own cost is real. An injected
+// interest may be borrowed — valid only until inject returns — since
+// the forwarder keeps none of it: the PIT copies a pending name, and an
+// application face is handed a copy. An injected Data must be owned,
+// since the Content Store keeps it. send is handed interests on the
+// same terms: what it keeps past its return, it copies.
 func (f *Forwarder) AttachCustom(send func(pkt any, size int)) (table.FaceID, func(pkt any)) {
 	fc := f.allocFace(send)
-	return fc.id, func(pkt any) { f.receive(fc, pkt) }
+	return fc.id, func(pkt any) {
+		outer := f.borrowed
+		f.borrowed = true
+		f.dispatch(fc.id, pkt)
+		f.borrowed = outer
+	}
 }
 
 // RemoveFace detaches a face. Pending FIB entries naming it become inert

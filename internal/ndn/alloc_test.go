@@ -3,7 +3,9 @@ package ndn
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"testing"
+	"testing/iotest"
 	"unsafe"
 )
 
@@ -139,8 +141,7 @@ func TestNamePrefixZeroAlloc(t *testing.T) {
 }
 
 // The encoders size their buffer arithmetically and write it in one
-// pass, and the stream reader frames a packet in scratch it owns: ndnd
-// pays both on every packet it sends or receives.
+// pass, so an encoding is one allocation: its buffer.
 func TestEncodersAllocateOnce(t *testing.T) {
 	name := MustParseName("/youtube/alice/video-749.avi/137")
 	i := NewInterest(name, 1<<40).WithScope(ScopeNextHop).WithPrivacy(PrivacyRequested)
@@ -161,46 +162,75 @@ func TestEncodersAllocateOnce(t *testing.T) {
 	}
 }
 
-// The stream reader frames a packet in scratch it owns and reads it into
-// one buffer of its own, which the packet keeps: Next costs the decode
-// plus that buffer, less the copies the decode would make of the name's
-// bytes and a Data's Payload and Signature — Next slices them from the
-// buffer instead. What is left is the packet struct and its buffer: no
-// rendered name.
-func TestPacketReaderFramingAllocatesOnlyThePacket(t *testing.T) {
+// The stream reader reads into one buffer and decodes into packet
+// structs it reuses, so once it exists Next allocates nothing for a
+// packet a read brings whole or one split across reads (carried over in
+// a buffer the framer keeps). A Data's Producer and ContentID are the
+// exception: each is one string.
+func TestPacketReaderAllocatesNothing(t *testing.T) {
 	name := MustParseName("/youtube/alice/video-749.avi/137")
 	d, err := NewData(name, make([]byte, 1024)) // 1 KB: the Length field takes the three-byte form
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.Signature = make([]byte, 32)
+	marked := *d
+	marked.Producer, marked.ContentID = "alice", "cid"
+	source := bytes.NewReader(nil)
 	for _, tc := range []struct {
-		kind   string
-		wire   []byte
-		decode func([]byte) error
-		// saved is what the owned decode does not copy; next is what Next
-		// costs.
-		saved, next float64
+		reads  string
+		reader io.Reader
 	}{
-		{"Interest", EncodeInterest(NewInterest(name, 7)), func(w []byte) error { _, err := DecodeInterest(w); return err }, 1, 2},
-		{"Data", EncodeData(d), func(w []byte) error { _, err := DecodeData(w); return err }, 3, 2},
+		{"whole", source},
+		{"one byte per read", iotest.OneByteReader(source)},
 	} {
-		decode := testing.AllocsPerRun(200, func() {
-			if err := tc.decode(tc.wire); err != nil {
-				t.Fatal(err)
+		for _, data := range []struct {
+			fields string
+			d      *Data
+			allocs float64
+		}{
+			{"no Producer or ContentID", d, 0},
+			{"Producer and ContentID", &marked, 2},
+		} {
+			stream := append(EncodeInterest(NewInterest(name, 7)), EncodeData(data.d)...)
+			reader := NewPacketReader(tc.reader)
+			total := 0
+			if n := testing.AllocsPerRun(200, func() {
+				source.Reset(stream)
+				for range 2 {
+					p, err := reader.Next()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if p.Data != nil {
+						total += len(p.Data.Payload) + len(p.Data.Producer)
+					}
+				}
+			}); n != data.allocs {
+				t.Errorf("%s, Data with %s: Next %.1f allocs per Interest + Data, want %.0f", tc.reads, data.fields, n, data.allocs)
 			}
-		})
-		source := bytes.NewReader(nil)
-		reader := NewPacketReader(source)
-		next := testing.AllocsPerRun(200, func() {
-			source.Reset(tc.wire)
-			if _, err := reader.Next(); err != nil {
-				t.Fatal(err)
+			if total == 0 {
+				t.Fatalf("%s: reader returned no Data", tc.reads)
 			}
-		})
-		if want := decode + 1 - tc.saved; next != want || next != tc.next {
-			t.Errorf("%s: Next %.0f allocs/run, want %.0f: decoding alone %.0f, +1 packet buffer, -%.0f name/payload/signature copies", tc.kind, next, tc.next, decode, tc.saved)
 		}
+	}
+}
+
+// A Data's clone is the struct and one buffer holding the name's bytes,
+// the Payload and the Signature: what a face pays to keep a Data it
+// decoded borrowed.
+func TestDataCloneAllocatesTwice(t *testing.T) {
+	d, err := NewData(MustParseName("/youtube/alice/video-749.avi/137"), make([]byte, 1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Producer, d.Signature, d.ContentID = "alice", make([]byte, 32), "cid"
+	total := 0
+	if n := testing.AllocsPerRun(200, func() { total += len(d.Clone().Payload) }); n != 2 {
+		t.Errorf("Data.Clone: %.0f allocs/run, want 2", n)
+	}
+	if total == 0 {
+		t.Fatal("clones unexpectedly empty")
 	}
 }
 

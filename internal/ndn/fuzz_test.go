@@ -2,6 +2,7 @@ package ndn
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -61,11 +62,14 @@ func FuzzDecodeData(f *testing.F) {
 	})
 }
 
-// FuzzPacketStream differentially tests the stream reader, whose Data
-// packets alias the buffer it read them into, against DecodePacket, which
-// copies: every packet Next returns must equal DecodePacket of the same
-// bytes, re-encode to a fixed point, and stay unchanged while the reader
-// goes on reading — the reader must never reuse a buffer a packet holds.
+// FuzzPacketStream differentially tests the stream framer against
+// DecodePacket under the borrowed contract. Every packet Next returns
+// must, while it is valid, equal DecodePacket of its bytes and re-encode
+// to a fixed point. Any split of the stream into chunks — cuts gives the
+// chunk lengths — must yield the same packets and end the same way as
+// the stream in one chunk, even though each chunk is overwritten as soon
+// as the framer reports it spent, and so must a PacketReader whose reads
+// return those chunks.
 func FuzzPacketStream(f *testing.F) {
 	d, err := NewData(MustParseName("/s"), []byte("p"))
 	if err != nil {
@@ -74,61 +78,130 @@ func FuzzPacketStream(f *testing.F) {
 	var stream []byte
 	stream = append(stream, EncodeInterest(NewInterest(MustParseName("/s"), 1))...)
 	stream = append(stream, EncodeData(d)...)
-	f.Add(stream)
-	f.Add([]byte{0xFD})
-	f.Add([]byte{0x05, 0xFF, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01})
+	f.Add(stream, []byte{3, 1, 0, 9})
+	f.Add([]byte{0xFD}, []byte(nil))
+	f.Add([]byte{0x05, 0xFF, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01}, []byte{1, 1, 1})
 	full := &Data{Name: MustParseName("/s/full"), Payload: bytes.Repeat([]byte("x"), 300), Producer: "p",
 		Signature: []byte("sig"), Freshness: time.Second, Private: true, ContentID: "cid"}
-	f.Add(append(AppendData(EncodeData(full), d), EncodeData(full)...))
-	f.Fuzz(func(t *testing.T, wire []byte) {
-		r := NewPacketReader(bytes.NewReader(wire))
-		type seen struct {
-			pkt Packet
-			enc []byte // its encoding when Next returned it
-		}
-		var read []seen
+	f.Add(append(AppendData(EncodeData(full), d), EncodeData(full)...), []byte{2, 200, 17, 255, 1})
+	f.Fuzz(func(t *testing.T, wire, cuts []byte) {
+		var chunks [][]byte
 		rest := wire
-		// Must terminate (bounded by input length) and never panic.
-		for i := 0; i < len(wire)+2; i++ {
-			got, err := r.Next()
+		for _, c := range cuts {
+			n := min(int(c), len(rest))
+			chunks, rest = append(chunks, rest[:n]), rest[n:]
+		}
+		chunks = append(chunks, rest)
+
+		whole := frameAll(t, wire, [][]byte{wire})
+		split := frameAll(t, wire, chunks)
+		if !reflect.DeepEqual(split, whole) {
+			t.Fatalf("split into %d chunks: %+v, in one chunk: %+v", len(chunks), split, whole)
+		}
+
+		// The reader returns what the framer does, and ends the stream
+		// with the read error: io.EOF, or io.ErrUnexpectedEOF mid-packet.
+		wantEnd := whole.err
+		switch {
+		case wantEnd == "" && whole.carried > 0:
+			wantEnd = io.ErrUnexpectedEOF.Error()
+		case wantEnd == "":
+			wantEnd = io.EOF.Error()
+		}
+		r := NewPacketReader(&chunkReader{chunks: chunks})
+		for i := 0; ; i++ {
+			p, err := r.Next()
 			if err != nil {
-				for k, s := range read {
-					if now, _ := EncodePacket(s.pkt); !bytes.Equal(now, s.enc) {
-						t.Fatalf("packet %d changed after later reads", k)
-					}
+				if i != len(whole.packets) || err.Error() != wantEnd {
+					t.Fatalf("reader ended after %d packets with %v, want %d and %s", i, err, len(whole.packets), wantEnd)
 				}
 				return
 			}
-			// The reader accepted the packet, so the outer TLV at the
+			if i >= len(whole.packets) {
+				t.Fatalf("reader returned %d packets, framer %d", i+1, len(whole.packets))
+			}
+			if enc, _ := EncodePacket(p); !bytes.Equal(enc, whole.packets[i]) {
+				t.Fatalf("reader packet %d: %x, framer %x", i, enc, whole.packets[i])
+			}
+		}
+	})
+}
+
+// framed is what a framer made of a stream: each packet's encoding, the
+// error that ended it ("" for none) and the bytes left carried over.
+type framed struct {
+	packets [][]byte
+	err     string
+	carried int
+}
+
+// frameAll feeds chunks of wire to one framer, checks each packet
+// against DecodePacket of its bytes while it is valid, and overwrites
+// each chunk once the framer has spent it.
+func frameAll(t *testing.T, wire []byte, chunks [][]byte) framed {
+	var out framed
+	var fr Framer
+	rest := wire
+	for _, chunk := range chunks {
+		chunk = bytes.Clone(chunk)
+		fr.Feed(chunk)
+		for {
+			got, ok, err := fr.Next()
+			if err != nil {
+				out.err = err.Error()
+				return out
+			}
+			if !ok {
+				break
+			}
+			// The framer accepted the packet, so the outer TLV at the
 			// front of what is left is exactly its bytes.
 			_, _, n, err := readTLV(rest)
 			if err != nil {
-				t.Fatalf("packet %d: Next accepted bytes readTLV rejects: %v", i, err)
+				t.Fatalf("packet %d: Next accepted bytes readTLV rejects: %v", len(out.packets), err)
 			}
 			raw := rest[:n]
 			rest = rest[n:]
 			want, err := DecodePacket(raw)
 			if err != nil {
-				t.Fatalf("packet %d: Next accepted bytes DecodePacket rejects: %v", i, err)
+				t.Fatalf("packet %d: Next accepted bytes DecodePacket rejects: %v", len(out.packets), err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("packet %d: Next %+v, DecodePacket %+v", i, got, want)
+				t.Fatalf("packet %d: Next %+v, DecodePacket %+v", len(out.packets), got, want)
 			}
 			enc, err := EncodePacket(got)
 			if err != nil {
-				t.Fatalf("packet %d: re-encode: %v", i, err)
+				t.Fatalf("packet %d: re-encode: %v", len(out.packets), err)
 			}
 			back, err := DecodePacket(enc)
 			if err != nil {
-				t.Fatalf("packet %d: re-encoding does not decode: %v", i, err)
+				t.Fatalf("packet %d: re-encoding does not decode: %v", len(out.packets), err)
 			}
 			if again, _ := EncodePacket(back); !bytes.Equal(again, enc) {
-				t.Fatalf("packet %d: re-encoding is not byte-identical: %x then %x", i, enc, again)
+				t.Fatalf("packet %d: re-encoding is not byte-identical: %x then %x", len(out.packets), enc, again)
 			}
-			read = append(read, seen{got, enc})
+			out.packets = append(out.packets, enc)
 		}
-		t.Fatal("reader did not terminate on bounded input")
-	})
+		for i := range chunk {
+			chunk[i] = 0xA5
+		}
+	}
+	out.carried = fr.carried()
+	return out
+}
+
+// chunkReader returns one chunk per Read, then io.EOF.
+type chunkReader struct{ chunks [][]byte }
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(c.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.chunks[0])
+	if c.chunks[0] = c.chunks[0][n:]; len(c.chunks[0]) == 0 {
+		c.chunks = c.chunks[1:]
+	}
+	return n, nil
 }
 
 // FuzzBorrowedName differentially tests the three ways a name is read:

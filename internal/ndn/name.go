@@ -196,9 +196,9 @@ func (n *Name) add(c []byte) {
 	n.private = n.private || string(c) == PrivateComponent
 }
 
-// decodeName parses a Name TLV's value into an owned name: over a copy
-// of value, or over value itself when the decoder owns the buffer.
-func decodeName(value []byte, owned bool) (Name, error) {
+// decodeName parses a Name TLV's value into a name over a copy of value,
+// or over value itself when the decode borrows.
+func decodeName(value []byte, borrow bool) (Name, error) {
 	n, err := parseNameValue(value)
 	if err != nil {
 		return Name{}, err
@@ -206,7 +206,7 @@ func decodeName(value []byte, owned bool) (Name, error) {
 	if n.n == 0 {
 		return rootName, nil
 	}
-	n.value = ownBytes(value, owned)
+	n.value = ownBytes(value, borrow)
 	return n, nil
 }
 
@@ -233,6 +233,18 @@ func (n Name) Clone() Name {
 		return rootName
 	}
 	n.value = bytes.Clone(n.value)
+	return n
+}
+
+// CloneInto is Clone into storage the caller reuses: n's bytes are
+// copied into *buf, which grows only when it is too small, and the name
+// returned is over them — valid until *buf is next written.
+func (n Name) CloneInto(buf *[]byte) Name {
+	if n.n == 0 {
+		return rootName
+	}
+	*buf = append((*buf)[:0], n.value...)
+	n.value = (*buf)[:len(n.value):len(n.value)]
 	return n
 }
 

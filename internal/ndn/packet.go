@@ -219,13 +219,22 @@ func (d *Data) String() string {
 
 // Clone returns a deep copy of the Data packet, for bytes that must not
 // alias a buffer its owner may still write — an application's, when
-// Producer.Publish takes content in. Forwarding hops copy only the
-// struct and Content Stores copy nothing (see Data).
+// Producer.Publish takes content in, or a socket's, when a face hands a
+// Data it decoded borrowed to the forwarder. The name's bytes, Payload
+// and Signature are copied into one buffer, so a clone is two
+// allocations. Forwarding hops copy only the struct and Content Stores
+// copy nothing (see Data).
 func (d *Data) Clone() *Data {
 	cp := *d
-	cp.Payload = make([]byte, len(d.Payload))
-	copy(cp.Payload, d.Payload)
-	cp.Signature = make([]byte, len(d.Signature))
-	copy(cp.Signature, d.Signature)
+	name, payload := len(d.Name.value), len(d.Payload)
+	buf := make([]byte, name+payload+len(d.Signature))
+	copy(buf, d.Name.value)
+	copy(buf[name:], d.Payload)
+	copy(buf[name+payload:], d.Signature)
+	if d.Name.n > 0 {
+		cp.Name.value = buf[:name:name]
+	}
+	cp.Payload = buf[name : name+payload : name+payload]
+	cp.Signature = buf[name+payload:]
 	return &cp
 }

@@ -130,6 +130,9 @@ func TestDataClone(t *testing.T) {
 	if d.Payload[0] == 'X' || d.Signature[0] == 9 {
 		t.Error("Clone shares buffers with original")
 	}
+	if &cp.Name.value[0] == &d.Name.value[0] {
+		t.Error("Clone shares the name's bytes with original")
+	}
 	if cp.Freshness != d.Freshness || !cp.Name.Equal(d.Name) {
 		t.Error("Clone dropped scalar fields")
 	}

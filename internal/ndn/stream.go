@@ -1,17 +1,17 @@
 package ndn
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Stream framing: NDN TLV packets are self-delimiting (outer type +
 // length), so a byte stream of concatenated packets needs no extra
-// framing. PacketReader incrementally parses packets off a reader;
-// PacketWriter emits them one at a time, and AppendInterest/AppendData
+// framing. A Framer cuts packets out of whatever chunks of the stream it
+// is fed, without doing I/O; PacketReader feeds one from an io.Reader;
+// PacketWriter emits packets one at a time, and AppendInterest/AppendData
 // many into one buffer. This is what real NDN faces (TCP/Unix sockets)
 // speak, and what internal/netface uses to run the forwarder over real
 // connections.
@@ -33,24 +33,20 @@ type Packet struct {
 
 // DecodePacket dispatches on the outer TLV type. Like DecodeData, the
 // packet owns its bytes.
-func DecodePacket(wire []byte) (Packet, error) { return decodePacket(wire, false) }
-
-// decodePacket is DecodePacket; owned is decodeData's and
-// decodeInterest's.
-func decodePacket(wire []byte, owned bool) (Packet, error) {
+func DecodePacket(wire []byte) (Packet, error) {
 	typ, _, _, err := readTLV(wire)
 	if err != nil {
 		return Packet{}, err
 	}
 	switch typ {
 	case tlvInterest:
-		i, err := decodeInterest(wire, owned)
+		i, err := DecodeInterest(wire)
 		if err != nil {
 			return Packet{}, err
 		}
 		return Packet{Interest: i}, nil
 	case tlvData:
-		d, err := decodeData(wire, owned)
+		d, err := DecodeData(wire)
 		if err != nil {
 			return Packet{}, err
 		}
@@ -92,91 +88,172 @@ func (p Packet) appendTo(b []byte) []byte {
 	return AppendData(b, p.Data)
 }
 
-// PacketReader incrementally reads TLV packets from a stream.
+// Framer cuts a TLV packet stream into packets as the stream arrives in
+// chunks, and decodes each one borrowed: the packet Next returns — its
+// structs, its name's bytes and a Data's Payload and Signature — is the
+// framer's and the chunk's, valid until the next call to Next. Whatever
+// keeps any of it longer keeps a copy (Data.Clone, Name.Clone).
+// Framing and decoding allocate nothing but a Data's Producer and
+// ContentID strings, when it has them, and the carry buffer below while
+// it grows to the largest packet split across chunks.
+//
+// A packet that straddles two chunks is carried over: when a chunk runs
+// out mid-packet, Next copies its tail into a buffer the framer keeps,
+// so the chunk is free to reuse as soon as Next reports it spent, and
+// completes the packet from the next chunk fed. The zero value is ready
+// to use. A Framer is not safe for concurrent use.
+type Framer struct {
+	// in is what is left of the chunk being framed.
+	in []byte
+	// carry holds the start of a packet the previous chunks ended in.
+	carry []byte
+	// err is the stream's framing error: once set, Next returns it.
+	err error
+	// interest and data are the structs borrowed packets are decoded
+	// into.
+	interest Interest
+	data     Data
+}
+
+// Feed hands the framer the stream's next chunk. The previous chunk must
+// be spent: Next has reported that it holds no whole packet more.
+func (fr *Framer) Feed(chunk []byte) { fr.in = chunk }
+
+// carried reports how many bytes of an incomplete packet the framer
+// holds from chunks already spent: a stream that ends here ends
+// mid-packet.
+func (fr *Framer) carried() int { return len(fr.carry) }
+
+// Next returns the next whole packet, decoded borrowed (see Framer).
+// ok is false when the chunk holds no whole packet more: its tail, if
+// any, has been carried over and the chunk is spent. A malformed,
+// oversized or unknown outer TLV ends the stream: Next returns the error
+// from then on.
+func (fr *Framer) Next() (p Packet, ok bool, err error) {
+	if fr.err != nil {
+		return Packet{}, false, fr.err
+	}
+	var wire []byte
+	if len(fr.carry) > 0 {
+		wire = fr.complete()
+	} else {
+		var size int
+		if size, fr.err = frameSize(fr.in); size > 0 && size <= len(fr.in) {
+			wire, fr.in = fr.in[:size], fr.in[size:]
+		} else if fr.err == nil {
+			fr.carry = append(fr.carry, fr.in...)
+			fr.in = nil
+		}
+	}
+	if wire == nil {
+		return Packet{}, false, fr.err
+	}
+	if typ, _, _ := readVarNum(wire); typ == tlvInterest {
+		fr.err = decodeInterest(&fr.interest, wire, true)
+		p.Interest = &fr.interest
+	} else {
+		fr.err = decodeData(&fr.data, wire, true)
+		p.Data = &fr.data
+	}
+	if fr.err != nil {
+		return Packet{}, false, fr.err
+	}
+	return p, true, nil
+}
+
+// complete moves bytes from the chunk onto the carried packet start and
+// returns the packet once it is whole; nil when the chunk ran out first
+// or the header is bad (fr.err). The carry buffer is left empty but
+// unwritten, so the packet decoded from it stays valid until the next
+// call.
+func (fr *Framer) complete() []byte {
+	size := 0
+	for size == 0 {
+		// The header is at most 18 bytes: take them one at a time until
+		// it parses.
+		if size, fr.err = frameSize(fr.carry); fr.err != nil {
+			return nil
+		}
+		if size == 0 {
+			if len(fr.in) == 0 {
+				return nil
+			}
+			fr.carry, fr.in = append(fr.carry, fr.in[0]), fr.in[1:]
+		}
+	}
+	take := min(size-len(fr.carry), len(fr.in))
+	fr.carry = append(slices.Grow(fr.carry, size-len(fr.carry)), fr.in[:take]...)
+	fr.in = fr.in[take:]
+	if len(fr.carry) < size {
+		return nil
+	}
+	wire := fr.carry
+	fr.carry = fr.carry[:0]
+	return wire
+}
+
+// frameSize reads the outer Type and Length at the front of b and
+// returns the whole packet's size, or 0 when b ends inside the header.
+// It rejects an outer type other than Interest or Data and a declared
+// length over MaxPacketSize, before any of the value arrives.
+func frameSize(b []byte) (int, error) {
+	typ, tn, err := readVarNum(b)
+	if err != nil {
+		return 0, nil
+	}
+	if typ != tlvInterest && typ != tlvData {
+		return 0, fmt.Errorf("%w: outer type %#x on stream", ErrBadTLV, typ)
+	}
+	length, ln, err := readVarNum(b[tn:])
+	if err != nil {
+		return 0, nil
+	}
+	if length > MaxPacketSize {
+		return 0, fmt.Errorf("%w: declared %d bytes", ErrPacketTooLarge, length)
+	}
+	return tn + ln + int(length), nil
+}
+
+// readChunk is how much PacketReader asks its io.Reader for at a time.
+const readChunk = 32 << 10
+
+// PacketReader reads TLV packets from a stream: a Framer fed by reads
+// into one buffer it reuses.
 type PacketReader struct {
-	r *bufio.Reader
-	// header is the raw outer Type and Length of the packet being read,
-	// two var-numbers of at most nine bytes each. It lives here so that
-	// framing a packet allocates nothing but the packet's own buffer.
-	header [18]byte
+	r   io.Reader
+	buf []byte
+	fr  Framer
+	// err is the read error that ends the stream once the framer has
+	// returned every whole packet read before it.
+	err error
 }
 
 // NewPacketReader wraps r.
 func NewPacketReader(r io.Reader) *PacketReader {
-	return &PacketReader{r: bufio.NewReader(r)}
+	return &PacketReader{r: r, buf: make([]byte, readChunk)}
 }
 
 // Next reads one packet. It returns io.EOF cleanly at end of stream and
 // io.ErrUnexpectedEOF when the stream ends mid-packet.
 //
-// Every packet gets a buffer of its own, which the reader never touches
-// again, so a packet's name bytes and a Data's Payload and Signature are
-// slices of it rather than second copies: the packet is read into memory
-// once.
+// The packet is borrowed, as a Framer's: it is valid until the next call
+// to Next, which may read over its bytes. Once the reader exists, Next
+// allocates nothing but a Data's Producer and ContentID strings.
 func (pr *PacketReader) Next() (Packet, error) {
-	typ, typLen, err := pr.readVarNum(0, false)
-	if err != nil {
-		return Packet{}, err
-	}
-	length, lengthLen, err := pr.readVarNum(typLen, true)
-	if err != nil {
-		return Packet{}, err
-	}
-	if typ != tlvInterest && typ != tlvData {
-		return Packet{}, fmt.Errorf("%w: outer type %#x on stream", ErrBadTLV, typ)
-	}
-	if length > MaxPacketSize {
-		return Packet{}, fmt.Errorf("%w: declared %d bytes", ErrPacketTooLarge, length)
-	}
-	header := pr.header[:typLen+lengthLen]
-	wire := make([]byte, len(header)+int(length))
-	copy(wire, header)
-	if _, err := io.ReadFull(pr.r, wire[len(header):]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return Packet{}, io.ErrUnexpectedEOF
+	for {
+		p, ok, err := pr.fr.Next()
+		if ok || err != nil {
+			return p, err
 		}
-		return Packet{}, err
-	}
-	return decodePacket(wire, true)
-}
-
-// readVarNum reads one NDN variable-size number into pr.header[at:],
-// returning its value and encoded width. midPacket upgrades clean EOF to
-// ErrUnexpectedEOF.
-func (pr *PacketReader) readVarNum(at int, midPacket bool) (uint64, int, error) {
-	first, err := pr.r.ReadByte()
-	if err != nil {
-		if midPacket && errors.Is(err, io.EOF) {
-			return 0, 0, io.ErrUnexpectedEOF
+		if pr.err != nil {
+			if errors.Is(pr.err, io.EOF) && pr.fr.carried() > 0 {
+				return Packet{}, io.ErrUnexpectedEOF
+			}
+			return Packet{}, pr.err
 		}
-		return 0, 0, err
-	}
-	pr.header[at] = first
-	var need int
-	switch {
-	case first < 253:
-		return uint64(first), 1, nil
-	case first == 0xFD:
-		need = 2
-	case first == 0xFE:
-		need = 4
-	default:
-		need = 8
-	}
-	buf := pr.header[at+1 : at+1+need]
-	if _, err := io.ReadFull(pr.r, buf); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return 0, 0, err
-	}
-	switch need {
-	case 2:
-		return uint64(binary.BigEndian.Uint16(buf)), 1 + need, nil
-	case 4:
-		return uint64(binary.BigEndian.Uint32(buf)), 1 + need, nil
-	default:
-		return binary.BigEndian.Uint64(buf), 1 + need, nil
+		var n int
+		n, pr.err = pr.r.Read(pr.buf)
+		pr.fr.Feed(pr.buf[:n])
 	}
 }
 

@@ -183,30 +183,38 @@ func AppendInterest(b []byte, i *Interest) []byte {
 
 // DecodeInterest parses a serialized interest. The result owns its
 // bytes: wire may be reused once it returns.
-func DecodeInterest(wire []byte) (*Interest, error) { return decodeInterest(wire, false) }
-
-// decodeInterest parses an interest; owned is decodeData's.
-func decodeInterest(wire []byte, owned bool) (*Interest, error) {
-	typ, value, n, err := readTLV(wire)
-	if err != nil {
+func DecodeInterest(wire []byte) (*Interest, error) {
+	out := &Interest{}
+	if err := decodeInterest(out, wire, false); err != nil {
 		return nil, err
 	}
+	return out, nil
+}
+
+// decodeInterest parses an interest into out, overwriting every field.
+// With borrow set the name aliases wire (see Framer); otherwise it is
+// copied out.
+func decodeInterest(out *Interest, wire []byte, borrow bool) error {
+	typ, value, n, err := readTLV(wire)
+	if err != nil {
+		return err
+	}
 	if typ != tlvInterest {
-		return nil, fmt.Errorf("%w: outer type %#x, want Interest", ErrBadTLV, typ)
+		return fmt.Errorf("%w: outer type %#x, want Interest", ErrBadTLV, typ)
 	}
 	if n != len(wire) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after Interest", ErrBadTLV, len(wire)-n)
+		return fmt.Errorf("%w: %d trailing bytes after Interest", ErrBadTLV, len(wire)-n)
 	}
-	out := &Interest{}
+	*out = Interest{}
 	sawName := false
 	for len(value) > 0 {
 		ityp, v, consumed, err := readTLV(value)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		switch ityp {
 		case tlvName:
-			out.Name, err = decodeName(v, owned)
+			out.Name, err = decodeName(v, borrow)
 			sawName = true
 		case tlvNonce:
 			out.Nonce, err = decodeUint(v)
@@ -232,14 +240,14 @@ func decodeInterest(wire []byte, owned bool) (*Interest, error) {
 			// Unknown element: skip, for forward compatibility.
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		value = value[consumed:]
 	}
 	if !sawName {
-		return nil, fmt.Errorf("%w: Interest without a Name", ErrBadTLV)
+		return fmt.Errorf("%w: Interest without a Name", ErrBadTLV)
 	}
-	return out, nil
+	return nil
 }
 
 // EncodeData serializes a Data packet into a buffer of exactly its size.
@@ -275,41 +283,47 @@ func AppendData(b []byte, d *Data) []byte {
 
 // DecodeData parses a serialized Data packet. The result owns its bytes:
 // wire may be reused once it returns.
-func DecodeData(wire []byte) (*Data, error) { return decodeData(wire, false) }
-
-// decodeData parses a Data packet. With owned set the caller hands wire
-// over — it never reuses or writes the buffer again — so the name's
-// bytes, Payload and Signature are sliced from it (capped, so an append
-// cannot reach the bytes after them) instead of copied out.
-func decodeData(wire []byte, owned bool) (*Data, error) {
-	typ, value, n, err := readTLV(wire)
-	if err != nil {
+func DecodeData(wire []byte) (*Data, error) {
+	out := &Data{}
+	if err := decodeData(out, wire, false); err != nil {
 		return nil, err
 	}
+	return out, nil
+}
+
+// decodeData parses a Data packet into out, overwriting every field.
+// Without borrow out owns its bytes: the name's, Payload and Signature
+// are copied out of wire. With borrow set they are slices of wire (see
+// Framer), capped so an append cannot reach the bytes after them.
+func decodeData(out *Data, wire []byte, borrow bool) error {
+	typ, value, n, err := readTLV(wire)
+	if err != nil {
+		return err
+	}
 	if typ != tlvData {
-		return nil, fmt.Errorf("%w: outer type %#x, want Data", ErrBadTLV, typ)
+		return fmt.Errorf("%w: outer type %#x, want Data", ErrBadTLV, typ)
 	}
 	if n != len(wire) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after Data", ErrBadTLV, len(wire)-n)
+		return fmt.Errorf("%w: %d trailing bytes after Data", ErrBadTLV, len(wire)-n)
 	}
-	out := &Data{}
+	*out = Data{}
 	sawName, sawPayload := false, false
 	for len(value) > 0 {
 		ityp, v, consumed, err := readTLV(value)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		switch ityp {
 		case tlvName:
-			out.Name, err = decodeName(v, owned)
+			out.Name, err = decodeName(v, borrow)
 			sawName = true
 		case tlvPayload:
-			out.Payload = ownBytes(v, owned)
+			out.Payload = ownBytes(v, borrow)
 			sawPayload = true
 		case tlvProducer:
 			out.Producer = string(v)
 		case tlvSignature:
-			out.Signature = ownBytes(v, owned)
+			out.Signature = ownBytes(v, borrow)
 		case tlvFreshness:
 			var ms uint64
 			ms, err = decodeUint(v)
@@ -324,23 +338,23 @@ func decodeData(wire []byte, owned bool) (*Data, error) {
 			// Unknown element: skip.
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		value = value[consumed:]
 	}
 	if !sawName {
-		return nil, fmt.Errorf("%w: Data without a Name", ErrBadTLV)
+		return fmt.Errorf("%w: Data without a Name", ErrBadTLV)
 	}
 	if !sawPayload {
-		return nil, fmt.Errorf("%w: Data without a Payload", ErrBadTLV)
+		return fmt.Errorf("%w: Data without a Payload", ErrBadTLV)
 	}
-	return out, nil
+	return nil
 }
 
-// ownBytes is v itself when the decoder owns the buffer, else a copy;
-// empty is nil either way.
-func ownBytes(v []byte, owned bool) []byte {
-	if !owned || len(v) == 0 {
+// ownBytes is a copy of v, or v itself when the decode borrows; empty
+// is nil either way.
+func ownBytes(v []byte, borrow bool) []byte {
+	if !borrow || len(v) == 0 {
 		return append([]byte(nil), v...)
 	}
 	return v[:len(v):len(v)]

@@ -1,25 +1,38 @@
 // Package netface bridges a Forwarder to real network connections: each
 // net.Conn becomes a face speaking the NDN TLV stream format
-// (ndn.PacketReader on the way in, ndn.AppendInterest/AppendData on the
-// way out). Combined with the rt.Executor this turns the experiment stack
+// (ndn.Framer on the way in, ndn.AppendInterest/AppendData on the way
+// out). Combined with the rt.Executor this turns the experiment stack
 // into a small but genuine NDN daemon — the same Content Store, PIT, FIB
 // and privacy-preserving cache managers, unchanged, over TCP or Unix
 // sockets.
 //
 // Concurrency model: each face has a reader goroutine and a writer
 // goroutine, and the executor's single loop goroutine runs every
-// forwarder callback. The reader decodes packets and injects them through
-// the executor, so packets read from one connection reach the pipeline
-// in the order they were read. The executor never touches the socket: a
-// transmission encodes the packet onto the end of the face's send buffer
-// and wakes the writer, which takes everything buffered and writes it
-// with one conn.Write — the packets the pipeline emits while a write is
-// in progress leave together in the next (group commit). The buffer is
-// bounded: a packet that would overflow it is dropped and counted, and a
-// write that makes no progress for ndn.DefaultInterestLifetime closes the
-// face, so a peer that stops reading costs one face, not the daemon.
-// Everything else that touches a live forwarder (routes, application
-// faces) goes through RunOn.
+// forwarder callback. The reader only reads: each conn.Read fills one of
+// the face's two receive chunks and schedules one executor event for
+// it, and the reader goes on into the other chunk. That event frames
+// every whole packet in the chunk, decodes it borrowed from the chunk
+// and runs it through the forwarder at once, so packets read from one
+// connection reach the pipeline in the order they were read. It runs
+// at most burstCap packets and re-queues the rest behind whatever fell
+// due meanwhile, so a flooding face cannot starve timers; a face leaves
+// the forwarder only once every packet read from it has run. A packet cut
+// by the end of a chunk is carried over by the framer, and the spent
+// chunk goes back to the reader. Borrowing is sound because nothing the
+// forwarder keeps aliases the chunk: each arriving Data is cloned into
+// one owned buffer first (the store keeps it), and the forwarder copies
+// what it keeps of an interest (see fwd.Forwarder.AttachCustom).
+//
+// The executor never touches the socket: a transmission encodes the
+// packet onto the end of the face's send buffer and wakes the writer,
+// which takes everything buffered and writes it with one conn.Write —
+// the packets the pipeline emits while a write is in progress leave
+// together in the next (group commit). The buffer is bounded: a packet
+// that would overflow it is dropped and counted, and a write that makes
+// no progress for ndn.DefaultInterestLifetime closes the face, so a peer
+// that stops reading costs one face, not the daemon. Everything else
+// that touches a live forwarder (routes, application faces) goes
+// through RunOn.
 package netface
 
 import (
@@ -27,6 +40,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ndnprivacy/internal/fwd"
@@ -44,18 +58,43 @@ const sendBound = 1 << 20 // 1 MiB
 // is declared dead: an interest waits no longer than this for its Data.
 const writeDeadline = ndn.DefaultInterestLifetime
 
-// Stats counts what a face has sent.
+// chunkSize is the size of each of a face's two receive chunks: the most
+// one conn.Read takes in.
+const chunkSize = 32 << 10
+
+// burstCap bounds the packets one executor event runs through the
+// forwarder.
+const burstCap = 64
+
+// Stats counts what a face has received and sent.
 type Stats struct {
-	Packets uint64 // packets written to the connection
-	Bytes   uint64 // bytes written to the connection
-	Writes  uint64 // conn.Write calls: Packets/Writes is the mean batch
-	Drops   uint64 // packets refused: the send buffer was full, or the packet over ndn.MaxPacketSize
-	Queued  int    // bytes buffered for the writer now, at most the send bound
+	Received uint64 // packets read from the connection
+	Reads    uint64 // conn.Read calls that returned bytes: Received/Reads is the mean burst
+	Packets  uint64 // packets written to the connection
+	Bytes    uint64 // bytes written to the connection
+	Writes   uint64 // conn.Write calls: Packets/Writes is the mean batch
+	Drops    uint64 // packets refused: the send buffer was full, or the packet over ndn.MaxPacketSize
+	Queued   int    // bytes buffered for the writer now, at most the send bound
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("sent %d packets (%d B) in %d writes, dropped %d", s.Packets, s.Bytes, s.Writes, s.Drops)
+	return fmt.Sprintf("read %d packets in %d reads, sent %d packets (%d B) in %d writes, dropped %d",
+		s.Received, s.Reads, s.Packets, s.Bytes, s.Writes, s.Drops)
 }
+
+// chunk is one receive buffer and the bytes the last read put in it.
+type chunk struct {
+	buf []byte
+	n   int
+	// arrive is the event the reader schedules for the chunk, bound once
+	// so that scheduling it allocates nothing.
+	arrive func()
+}
+
+// poisonChunks, set by tests, overwrites each chunk as it goes back to
+// the reader, so a packet that kept bytes borrowed from it shows them
+// changed.
+var poisonChunks atomic.Bool
 
 // Face is one network-connected forwarder face.
 type Face struct {
@@ -73,8 +112,24 @@ type Face struct {
 	cause   error // why the face closed: nil for a local Close
 
 	wake       chan struct{} // one slot: pending became non-empty, or the face closed
+	closing    chan struct{} // closed when the face closes: the reader waits for no chunk
 	writerDone chan struct{}
 	done       chan struct{}
+
+	// free holds the chunks the reader may fill: both at first, and each
+	// again once the executor has framed it to its end.
+	free chan *chunk
+
+	// The executor side, touched only inside executor callbacks: the
+	// face's inject, its framer, the chunks read and not yet framed to
+	// their end (oldest first; the first is the framer's), frame bound
+	// once for re-queueing, and whether the reader has finished, so the
+	// face leaves the forwarder once the inbox is empty.
+	inject   func(pkt any)
+	framer   ndn.Framer
+	inbox    []*chunk
+	resume   func()
+	detached bool
 }
 
 // Attach wires conn to the forwarder as a new face and starts its reader
@@ -98,24 +153,28 @@ func Attach(f *fwd.Forwarder, conn net.Conn, onClose func(error)) (*Face, error)
 		conn:       conn,
 		fwd:        f,
 		wake:       make(chan struct{}, 1),
+		closing:    make(chan struct{}),
 		writerDone: make(chan struct{}),
 		done:       make(chan struct{}),
+		free:       make(chan *chunk, 2),
+	}
+	face.inbox = make([]*chunk, 0, cap(face.free))
+	face.resume = face.frame
+	for range cap(face.free) {
+		c := &chunk{buf: make([]byte, chunkSize)}
+		c.arrive = func() { face.arrive(c) }
+		face.free <- c
 	}
 
-	type attachResult struct {
-		id     table.FaceID
-		inject func(pkt any)
-	}
-	attached := make(chan attachResult, 1)
+	attached := make(chan struct{})
 	f.Sim().Schedule(0, func() {
-		id, inject := f.AttachCustom(face.transmit)
-		attached <- attachResult{id: id, inject: inject}
+		face.id, face.inject = f.AttachCustom(face.transmit)
+		close(attached)
 	})
-	res := <-attached
-	face.id = res.id
+	<-attached
 
 	go face.writeLoop()
-	go face.readLoop(res.inject, onClose)
+	go face.readLoop(onClose)
 	return face, nil
 }
 
@@ -159,6 +218,7 @@ func (fa *Face) shut(cause error) error {
 	fa.closed, fa.cause = true, cause
 	fa.pending, fa.queued = nil, 0
 	fa.mu.Unlock()
+	close(fa.closing)
 	fa.signal()
 	return fa.conn.Close()
 }
@@ -243,37 +303,125 @@ func (fa *Face) writeLoop() {
 	}
 }
 
-func (fa *Face) readLoop(inject func(pkt any), onClose func(error)) {
-	reader := ndn.NewPacketReader(fa.conn)
+// readLoop is the face's reader: it reads into whichever chunk is free
+// and schedules the chunk's event, until the connection fails or the
+// face closes; then it detaches the face.
+func (fa *Face) readLoop(onClose func(error)) {
 	var readErr error
 	for {
-		packet, err := reader.Next()
+		var c *chunk
+		select {
+		case c = <-fa.free:
+		case <-fa.closing:
+		}
+		if c == nil {
+			break
+		}
+		n, err := fa.conn.Read(c.buf)
+		if n > 0 {
+			c.n = n
+			fa.fwd.Sim().Schedule(0, c.arrive)
+			// Counted once queued: a read Stats reports has its event.
+			fa.mu.Lock()
+			fa.stats.Reads++
+			fa.mu.Unlock()
+		} else {
+			fa.free <- c
+		}
 		if err != nil {
 			if !isClosedError(err) {
 				readErr = err
 			}
 			break
 		}
-		switch {
-		case packet.Interest != nil:
-			inject(packet.Interest)
-		case packet.Data != nil:
-			inject(packet.Data)
-		}
 	}
 	// The first to shut the face names the cause: a local Close (nil), a
-	// failed write, or this read error.
+	// failed write, a framing error, or this read error.
 	_ = fa.shut(readErr)
 	<-fa.writerDone
 	fa.mu.Lock()
 	cause := fa.cause
 	fa.mu.Unlock()
-	// Detach from the forwarder inside the executor.
-	fa.fwd.Sim().Schedule(0, func() { fa.fwd.RemoveFace(fa.id) })
+	// Detach from the forwarder inside the executor, after every event
+	// scheduled above.
+	fa.fwd.Sim().Schedule(0, fa.detach)
 	close(fa.done)
 	if onClose != nil {
 		onClose(cause)
 	}
+}
+
+// detach removes the face from the forwarder once every packet read
+// from it has run: packets beyond the burst cap may still be queued, and
+// frame removes the face when it has run them.
+func (fa *Face) detach() {
+	fa.detached = true
+	if len(fa.inbox) == 0 {
+		fa.fwd.RemoveFace(fa.id)
+	}
+}
+
+// arrive is a read's event: the chunk joins the inbox and, unless an
+// earlier read's packets are still queued behind the burst cap, is
+// framed now.
+func (fa *Face) arrive(c *chunk) {
+	fa.inbox = append(fa.inbox, c)
+	if len(fa.inbox) == 1 {
+		fa.framer.Feed(c.buf[:c.n])
+		fa.frame()
+	}
+}
+
+// frame runs the inbox's packets through the forwarder, borrowed from
+// their chunk, handing each chunk back to the reader once it is spent.
+// After burstCap packets it re-queues itself for the rest. Once the
+// inbox is empty and the reader has finished, it removes the face.
+func (fa *Face) frame() {
+	packets := uint64(0)
+	for len(fa.inbox) > 0 {
+		if packets == burstCap {
+			fa.fwd.Sim().Schedule(0, fa.resume)
+			break
+		}
+		p, ok, err := fa.framer.Next()
+		if err != nil {
+			// The stream cannot be framed past here: drop what is read
+			// and close the face, which stops the reader.
+			fa.inbox = fa.inbox[:0]
+			_ = fa.shut(fmt.Errorf("netface: read: %w", err))
+			break
+		}
+		if !ok {
+			fa.release(fa.inbox[0])
+			fa.inbox = append(fa.inbox[:0], fa.inbox[1:]...)
+			if len(fa.inbox) > 0 {
+				fa.framer.Feed(fa.inbox[0].buf[:fa.inbox[0].n])
+			}
+			continue
+		}
+		packets++
+		if p.Interest != nil {
+			fa.inject(p.Interest)
+		} else {
+			fa.inject(p.Data.Clone())
+		}
+	}
+	fa.mu.Lock()
+	fa.stats.Received += packets
+	fa.mu.Unlock()
+	if fa.detached && len(fa.inbox) == 0 {
+		fa.fwd.RemoveFace(fa.id)
+	}
+}
+
+// release hands a spent chunk back to the reader.
+func (fa *Face) release(c *chunk) {
+	if poisonChunks.Load() {
+		for i := range c.buf {
+			c.buf[i] = 0xA5
+		}
+	}
+	fa.free <- c
 }
 
 func isClosedError(err error) bool {

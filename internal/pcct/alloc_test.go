@@ -117,3 +117,31 @@ func TestPITFacetZeroAllocSteadyState(t *testing.T) {
 		t.Errorf("steady-state PIT facet cycle: %.0f allocs/run, want 0", n)
 	}
 }
+
+// A pending entry made from a borrowed name keeps a copy of it in bytes
+// its arena slot owns: the name survives the buffer being overwritten,
+// and the slot's next lifetimes reuse the bytes, so PIT churn over
+// borrowed names allocates nothing.
+func TestPendingEntryOwnsBorrowedName(t *testing.T) {
+	tb := New(PolicyLRU)
+	name := ndn.MustParseName("/pending/borrowed/name")
+	wire := ndn.EncodeInterest(ndn.NewInterest(name, 1))
+	buf := make([]byte, len(wire))
+	if n := testing.AllocsPerRun(200, func() {
+		copy(buf, wire)
+		view, err := ndn.InterestNameView(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := tb.Put(view)
+		tb.AttachPIT(e)
+		clear(buf)
+		if !e.Name().Equal(name) || tb.Get(name) != e {
+			t.Fatal("the pending entry's name changed with the buffer it was borrowed from")
+		}
+		tb.DetachPIT(e)
+		tb.ReleaseIfEmpty(e)
+	}); n != 0 {
+		t.Errorf("pending entry over a borrowed name: %.0f allocs/run, want 0", n)
+	}
+}

@@ -158,6 +158,11 @@ type Table struct {
 	// a prefix lookup with no longer name cached has nothing to scan.
 	pitLens []int32
 	csLens  []int32
+
+	// owned[id] is arena entry id's copy of a name only its PIT facet
+	// holds (see AttachPIT), kept across the slot's lifetimes for reuse.
+	// It grows only on tables that carry PIT facets.
+	owned [][]byte
 }
 
 // New returns an empty table whose CS facet uses the given eviction
@@ -453,7 +458,19 @@ func (t *Table) DetachCS(e *Entry) {
 // AttachPIT installs the PIT facet and returns it for field
 // initialization. Face and nonce slices arrive length-reset but keep
 // their backing arrays from the slot's previous lifetime.
+//
+// A pending entry outlives the interest that made it, whose name may be
+// borrowed from a receive buffer (ndn.Framer). An entry with a CS facet
+// already has a name that lasts: the cached Data's. One without copies
+// its name into bytes the arena slot keeps, which grow only when a
+// longer name comes, so steady-state PIT churn still allocates nothing.
 func (t *Table) AttachPIT(e *Entry) *PITFacet {
+	if e.csData == nil {
+		for int(e.id) >= len(t.owned) {
+			t.owned = append(t.owned, nil)
+		}
+		e.name = e.name.CloneInto(&t.owned[e.id])
+	}
 	pf := &e.pit
 	pf.Active = true
 	pf.Faces = pf.Faces[:0]
